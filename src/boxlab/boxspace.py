@@ -71,14 +71,25 @@ class BoxSpace:
         return box_distance(self, x, y)
 
     def distance_matrix(self) -> np.ndarray:
-        """Dense distance matrix over ``points()`` order."""
+        """Dense distance matrix over ``points()`` order.
+
+        Diagonal blocks are the levels' Cayley matrices; across levels the
+        entry is ``|x| + |off_i - off_j| + |y|``.
+        """
         if self._matrix is None:
-            pts = self.points()
-            n = len(pts)
-            mat = np.zeros((n, n), dtype=np.int64)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    mat[i, j] = mat[j, i] = box_distance(self, pts[i], pts[j])
+            levels = self.chain.levels
+            orders = [q.order for q in levels]
+            offset = np.repeat(np.array(self.level_offsets, dtype=np.int64), orders)
+            length = np.concatenate([q.distance_from_identity() for q in levels])
+            mat = offset[:, None] - offset
+            np.abs(mat, out=mat)
+            mat += length[:, None]
+            mat += length
+            start = 0
+            for q in levels:
+                end = start + q.order
+                mat[start:end, start:end] = q.cayley_matrix()
+                start = end
             self._matrix = mat
         return self._matrix
 

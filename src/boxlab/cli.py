@@ -76,19 +76,23 @@ def _read_controls(path) -> tuple[dict, dict]:
     lo: dict[int, float] = {}
     hi: dict[int, float] = {}
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    body = [ln for ln in lines if ln.strip() and not ln.startswith("#")]
-    if not body or body[0].strip() != "t,rho_minus,rho_plus":
+    body = [
+        (n, ln) for n, ln in enumerate(lines, start=1) if ln.strip() and not ln.startswith("#")
+    ]
+    if not body or body[0][1].strip() != "t,rho_minus,rho_plus":
         raise SpecFormatError(f"{path}: expected header 't,rho_minus,rho_plus'")
-    for ln in body[1:]:
+    for number, ln in body[1:]:
+        where = f"{path}, line {number}"
         parts = ln.split(",")
         if len(parts) != 3:
-            raise SpecFormatError(f"{path}: bad control row {ln!r}")
+            raise SpecFormatError(f"{where}: row has {len(parts)} fields, expected 3")
         try:
-            t = int(parts[0])
-            lo[t] = float(parts[1])
-            hi[t] = float(parts[2])
+            t, low, high = int(parts[0]), float(parts[1]), float(parts[2])
         except ValueError:
-            raise SpecFormatError(f"{path}: bad control row {ln!r}") from None
+            raise SpecFormatError(f"{where}: bad number in row {ln!r}") from None
+        if t in lo:
+            raise SpecFormatError(f"{where}: duplicate row for t={t}")
+        lo[t], hi[t] = low, high
     return lo, hi
 
 
@@ -119,14 +123,23 @@ def _read_embedding_csv(path, space) -> CoarseEmbeddingMap:
     except (ValueError, KeyError, argparse.ArgumentTypeError) as exc:
         raise SpecFormatError(f"{path}: bad header: {exc}") from None
     table = {}
-    for ln in lines[2:]:
+    for number, ln in enumerate(lines[2:], start=3):
         if not ln.strip():
             continue
+        where = f"{path}, line {number}"
         parts = ln.split(",")
         if len(parts) != 2 + dim:
-            raise SpecFormatError(f"{path}: row has {len(parts)} fields, expected {2 + dim}")
-        pt = BoxPoint(int(parts[0]), int(parts[1]))
-        table[pt] = np.array([float(v) for v in parts[2:]])
+            raise SpecFormatError(f"{where}: row has {len(parts)} fields, expected {2 + dim}")
+        try:
+            pt = BoxPoint(int(parts[0]), int(parts[1]))
+            vec = np.array([float(v) for v in parts[2:]])
+        except ValueError:
+            raise SpecFormatError(f"{where}: bad number in row {ln!r}") from None
+        if not space.contains(pt):
+            raise SpecFormatError(f"{where}: point {format_point(pt)} is outside the space")
+        if pt in table:
+            raise SpecFormatError(f"{where}: duplicate row for point {format_point(pt)}")
+        table[pt] = vec
     try:
         return CoarseEmbeddingMap(space, p, dim, table)
     except ValueError as exc:

@@ -59,8 +59,7 @@ class QuotientCarrier:
 
     def right_translation(self, x: int) -> np.ndarray:
         """tau with tau[z] = z * x."""
-        q = self.quotient
-        return np.array([q.mult(z, x) for z in q.elements()], dtype=np.int64)
+        return self.quotient.mult_many(np.arange(self.size), x)
 
 
 class BlockMap:
@@ -158,11 +157,6 @@ class LocalRepresentation:
         if stored is not None:
             return stored
         return _identity_block_map(self.carrier.size)
-
-    def live(self, x: int) -> bool:
-        if self.r is None:
-            return True
-        return int(self.carrier.quotient.distance_from_identity()[x]) < self.r
 
 
 @dataclass
@@ -285,10 +279,8 @@ def local_cocycle_from_fce(
 
     balls = []
     trivs = []
-    for z in q.elements():
-        ball = tuple(
-            BoxPoint(level, w) for w in q.elements() if q.cayley_distance(z, w) <= r - 1
-        )
+    for z, row in enumerate(q.cayley_matrix()):
+        ball = tuple(BoxPoint(level, w) for w in np.flatnonzero(row <= r - 1).tolist())
         balls.append(frozenset(ball))
         trivs.append(fib.trivialize(ball, r))
 
@@ -438,22 +430,22 @@ def verify_local_action(
     q = coc.carrier.quotient
     notes = []
     if pairs is None:
-        pairs = [
-            (x, y)
-            for x in q.elements()
-            for y in q.elements()
-            if coc.live(x) and coc.live(y) and coc.live(q.mult(x, y))
-        ]
+        alive = np.array([coc.live(x) for x in q.elements()])
+        live = np.flatnonzero(alive)
+        xs, ys = np.nonzero(alive[q.mult_many(live[:, None], live)])
+        pairs = list(zip(live[xs].tolist(), live[ys].tolist()))
         if len(pairs) > max_pairs:
             rng = np.random.default_rng(seed)
             idx = rng.choice(len(pairs), size=max_pairs, replace=False)
             pairs = [pairs[i] for i in idx]
             notes.append(f"sampled {max_pairs} live pairs (seed {seed})")
+    else:
+        pairs = list(pairs)
     identity_witnesses = []
     representation_witnesses = []
     checked = 0
-    for x, y in pairs:
-        xy = q.mult(x, y)
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    for (x, y), xy in zip(pairs, q.mult_many(a, b).tolist()):
         lhs = coc.value(xy)
         rhs = rep.image(x).apply(coc.value(y)) + coc.value(x)
         checked += 1

@@ -15,7 +15,7 @@ import numpy as np
 
 from .boxspace import BoxPoint, BoxSpace, format_point
 from .errors import ControlSampleError
-from .lpspace import LpVector, lp_norm
+from .lpspace import lp_norm
 
 __all__ = [
     "CoarseEmbeddingMap",
@@ -56,9 +56,6 @@ class CoarseEmbeddingMap:
 
     def __call__(self, point: BoxPoint) -> np.ndarray:
         return self.table[point]
-
-    def vector(self, point: BoxPoint) -> LpVector:
-        return LpVector(self.p, tuple(self.table[point]))
 
     def matrix(self) -> np.ndarray:
         return np.vstack([self.table[pt] for pt in self.domain.points()])
@@ -155,9 +152,9 @@ def torus_coordinate_embedding(space: BoxSpace, p: float = 2.0) -> CoarseEmbeddi
     rank = ranks.pop()
     table = {}
     for i, q in enumerate(space.chain.levels):
-        for x in range(q.order):
+        for x, digits in enumerate(q.digits(np.arange(q.order)).tolist()):
             coords = []
-            for c, m in zip(q.decode(x), q.moduli):
+            for c, m in zip(digits, q.moduli):
                 angle = 2.0 * math.pi * c / m
                 coords.extend((math.cos(angle), math.sin(angle)))
             table[BoxPoint(i, x)] = np.array(coords)

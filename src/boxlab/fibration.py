@@ -233,19 +233,15 @@ def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) ->
             )
         q = chain.levels[i]
         elems = [pt.element for pt in C]
-        best_z, best_cov = -1, None
-        for z in range(q.order):
-            cov = max(q.cayley_distance(z, x) for x in elems)
-            if best_cov is None or cov < best_cov:
-                best_z, best_cov = z, cov
-        if best_cov >= r:
+        cover = q.cayley_matrix(ys=elems).max(axis=1)
+        best_z = int(cover.argmin())  # the first minimum: ties go to the smallest element
+        if cover[best_z] >= r:
             raise MissingTrivializationError(
-                f"covering radius {best_cov} of the set is not below scale {r}"
+                f"covering radius {cover[best_z]} of the set is not below scale {r}"
             )
-        z_inv = q.inv(best_z)
         out = {}
-        for pt in C:
-            word = q.canonical_word(q.mult(z_inv, pt.element))
+        for pt, x in zip(C, q.mult_many(q.inv(best_z), elems).tolist()):
+            word = q.canonical_word(x)
             out[pt] = action.isometry(ambient_from_letters(chain, word)).inverse()
         return out
 

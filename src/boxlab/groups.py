@@ -1,16 +1,17 @@
 """Marked finite quotients of a finitely generated group and approximating chains.
 
-Group elements are integers ``0..order-1``.  Ambient elements are encoded per
-family: reduced words as tuples of signed letters for free groups (letter
-``+k``/``-k`` is generator ``k-1`` or its inverse), integer coordinate tuples
-for free abelian groups, and elements of the deepest level for chains given
-without an ambient presentation.
+Group elements are integers ``0..order-1``.  Each quotient kind defines its
+group law once, as ``mult_many``/``inv_many`` over broadcast index arrays;
+everything else here is built on those two methods.  Ambient elements are
+encoded per family: reduced words as tuples of signed letters for free groups
+(letter ``+k``/``-k`` is generator ``k-1`` or its inverse), integer coordinate
+tuples for free abelian groups, and elements of the deepest level for chains
+given without an ambient presentation.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,6 @@ __all__ = [
     "GroupChain",
     "build_quotient",
     "build_chain",
-    "cayley_distance",
-    "quotient_diameter",
     "reduce_word",
     "ambient_word_length",
     "ambient_mult",
@@ -92,9 +91,12 @@ def reduce_word(word) -> tuple[int, ...]:
 class MarkedQuotient:
     """Finite group marked by an ordered tuple of generator images.
 
-    Subclasses provide ``mult``/``inv``; distances, geodesic words and
-    validation are shared.  The word metric is the right-multiplication
-    Cayley metric for the symmetrized marking.
+    A quotient kind defines exactly two methods: ``mult_many(a, b)``, the
+    product of element index arrays broadcast against each other like numpy
+    operands, and ``inv_many(a)``, elementwise inversion.  Scalar ``mult`` and
+    ``inv``, letter permutations, the word metric, Cayley matrices and
+    validation are written once here on top of them.  The word metric is the
+    right-multiplication Cayley metric for the symmetrized marking.
     """
 
     order: int
@@ -115,30 +117,21 @@ class MarkedQuotient:
         self._dist: np.ndarray | None = None
         self._parent: np.ndarray | None = None
         self._parent_letter: np.ndarray | None = None
-        self._inv_table: np.ndarray | None = None
         self._validated = False
 
     # -- group law ---------------------------------------------------------
 
-    def mult(self, a: int, b: int) -> int:
+    def mult_many(self, a, b) -> np.ndarray:
         raise NotImplementedError
 
-    def inv(self, a: int) -> int:
-        if self._inv_table is None:
-            table = np.empty(self.order, dtype=np.int64)
-            for x in range(self.order):
-                row = self._mult_row(x)
-                hits = np.flatnonzero(row == self.identity)
-                if hits.size != 1:
-                    raise InvalidGroupError(f"element {x} has {hits.size} inverses")
-                table[x] = hits[0]
-            self._inv_table = table
-        return int(self._inv_table[a])
+    def inv_many(self, a) -> np.ndarray:
+        raise NotImplementedError
 
-    def _mult_row(self, a: int) -> np.ndarray:
-        return np.fromiter(
-            (self.mult(a, b) for b in range(self.order)), dtype=np.int64, count=self.order
-        )
+    def mult(self, a: int, b: int) -> int:
+        return int(self.mult_many(a, b))
+
+    def inv(self, a: int) -> int:
+        return int(self.inv_many(a))
 
     @property
     def rank(self) -> int:
@@ -160,17 +153,8 @@ class MarkedQuotient:
 
     def letter_perms(self) -> list[np.ndarray]:
         """Right-multiplication permutation for each symmetrized letter."""
-        perms = []
-        for letter in self.letters():
-            img = self.letter_image(letter)
-            perms.append(
-                np.fromiter(
-                    (self.mult(x, img) for x in range(self.order)),
-                    dtype=np.int64,
-                    count=self.order,
-                )
-            )
-        return perms
+        xs = np.arange(self.order)
+        return [self.mult_many(xs, self.letter_image(letter)) for letter in self.letters()]
 
     # -- word metric -------------------------------------------------------
 
@@ -223,12 +207,18 @@ class MarkedQuotient:
             x = self.mult(x, self.letter_image(letter))
         return x
 
-    def cayley_distance(self, x: int, y: int) -> int:
-        dist = self.distance_from_identity()
-        d = int(dist[self.mult(self.inv(x), y)])
-        if d < 0:
+    def cayley_matrix(self, xs=None, ys=None) -> np.ndarray:
+        """Word distances ``D[i, j] = |xs[i]^-1 ys[j]|``; ``None`` stands for every element."""
+        every = np.arange(self.order)
+        xs = every if xs is None else np.asarray(xs, dtype=np.int64)
+        ys = every if ys is None else np.asarray(ys, dtype=np.int64)
+        out = self.distance_from_identity()[self.mult_many(self.inv_many(xs)[:, None], ys)]
+        if (out < 0).any():
             raise InvalidGroupError("marking does not generate the group")
-        return d
+        return out
+
+    def cayley_distance(self, x: int, y: int) -> int:
+        return int(self.cayley_matrix([x], [y])[0, 0])
 
     def diameter(self) -> int:
         dist = self.distance_from_identity()
@@ -246,11 +236,11 @@ class MarkedQuotient:
         if self._validated:
             return
         n = self.order
+        idx = np.arange(n)
         if n <= threshold:
-            table = np.vstack([self._mult_row(a) for a in range(n)])
+            table = self.mult_many(idx[:, None], idx)
             if table.min() < 0 or table.max() >= n:
                 raise InvalidGroupError("multiplication table entry out of range")
-            idx = np.arange(n)
             if not (table[self.identity] == idx).all():
                 raise InvalidGroupError("identity fails on the left")
             if not (table[:, self.identity] == idx).all():
@@ -268,17 +258,22 @@ class MarkedQuotient:
                     )
         else:
             rng = np.random.default_rng(seed)
-            triples = rng.integers(0, n, size=(_SAMPLE_TRIPLES, 3))
-            for a, b, c in triples:
-                a, b, c = int(a), int(b), int(c)
-                if self.mult(self.mult(a, b), c) != self.mult(a, self.mult(b, c)):
-                    raise InvalidGroupError(f"associativity fails at ({a}, {b}, {c})")
-            for x in map(int, rng.integers(0, n, size=200)):
-                if self.mult(self.identity, x) != x or self.mult(x, self.identity) != x:
-                    raise InvalidGroupError(f"identity fails at {x}")
-                row = self._mult_row(x)
-                if not (row == self.identity).any():
-                    raise InvalidGroupError(f"element {x} has no inverse")
+            a, b, c = rng.integers(0, n, size=(_SAMPLE_TRIPLES, 3)).T
+            lhs = self.mult_many(self.mult_many(a, b), c)
+            bad = np.flatnonzero(lhs != self.mult_many(a, self.mult_many(b, c)))
+            if bad.size:
+                i = bad[0]
+                raise InvalidGroupError(f"associativity fails at ({a[i]}, {b[i]}, {c[i]})")
+            xs = rng.integers(0, n, size=200)
+            e = self.identity
+            no_identity = (self.mult_many(e, xs) != xs) | (self.mult_many(xs, e) != xs)
+            no_inverse = ~(self.mult_many(xs[:, None], idx) == e).any(axis=1)
+            bad = np.flatnonzero(no_identity | no_inverse)
+            if bad.size:
+                i = bad[0]
+                if no_identity[i]:
+                    raise InvalidGroupError(f"identity fails at {xs[i]}")
+                raise InvalidGroupError(f"element {xs[i]} has no inverse")
         dist = self.distance_from_identity()
         if (dist < 0).any():
             missing = int(np.flatnonzero(dist < 0)[0])
@@ -289,7 +284,11 @@ class MarkedQuotient:
 
 
 class CyclicQuotient(MarkedQuotient):
-    """Product of cyclic groups ``Z/m_1 x ... x Z/m_k`` marked by unit vectors."""
+    """Product of cyclic groups ``Z/m_1 x ... x Z/m_k`` marked by unit vectors.
+
+    Element ``x`` has mixed-radix digits ``(x // w_k) % m_k``, the first
+    coordinate weighing most.
+    """
 
     def __init__(self, moduli):
         self.moduli = tuple(int(m) for m in moduli)
@@ -305,58 +304,33 @@ class CyclicQuotient(MarkedQuotient):
         for m in self.moduli:
             w //= m
             self._weights.append(w)
-        gen_images = [self._encode_unit(k) for k in range(len(self.moduli))]
+        gen_images = [w if m > 1 else 0 for m, w in zip(self.moduli, self._weights)]
         super().__init__(order, 0, gen_images)
-        self._decode_table: np.ndarray | None = None
 
-    def _encode_unit(self, k: int) -> int:
-        return self._weights[k] if self.moduli[k] > 1 else 0
+    def digits(self, x) -> np.ndarray:
+        """Coordinates of ``x`` along the moduli, in a new last axis."""
+        x = np.asarray(x)
+        return np.stack([(x // w) % m for m, w in zip(self.moduli, self._weights)], axis=-1)
 
-    def encode(self, vec) -> int:
-        x = 0
-        for c, m, w in zip(vec, self.moduli, self._weights):
-            x += (int(c) % m) * w
-        return x
+    # One coordinate at a time, so that no (..., rank) digit stack is built.
+    # ``a // w`` is the digit at ``w`` plus a multiple of its modulus.
 
-    def decode(self, x: int) -> tuple[int, ...]:
-        out = []
+    def mult_many(self, a, b) -> np.ndarray:
+        a, b = np.asarray(a), np.asarray(b)
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
         for m, w in zip(self.moduli, self._weights):
-            out.append((x // w) % m)
-        return tuple(out)
+            digit = a // w + b // w
+            digit %= m
+            digit *= w
+            out += digit
+        return out
 
-    def _decode_all(self) -> np.ndarray:
-        if self._decode_table is None:
-            xs = np.arange(self.order)
-            cols = [(xs // w) % m for m, w in zip(self.moduli, self._weights)]
-            self._decode_table = np.stack(cols, axis=1)
-        return self._decode_table
-
-    def _encode_array(self, vecs: np.ndarray) -> np.ndarray:
-        mods = np.array(self.moduli)
-        weights = np.array(self._weights)
-        return ((vecs % mods) * weights).sum(axis=1)
-
-    def mult(self, a: int, b: int) -> int:
-        va = self.decode(a)
-        vb = self.decode(b)
-        return self.encode(u + v for u, v in zip(va, vb))
-
-    def inv(self, a: int) -> int:
-        return self.encode(-c for c in self.decode(a))
-
-    def _mult_row(self, a: int) -> np.ndarray:
-        va = np.array(self.decode(a))
-        return self._encode_array(self._decode_all() + va)
-
-    def letter_perms(self) -> list[np.ndarray]:
-        perms = []
-        all_vecs = self._decode_all()
-        for letter in self.letters():
-            k = abs(letter) - 1
-            unit = np.zeros(len(self.moduli), dtype=np.int64)
-            unit[k] = 1 if letter > 0 else -1
-            perms.append(self._encode_array(all_vecs + unit))
-        return perms
+    def inv_many(self, a) -> np.ndarray:
+        a = np.asarray(a)
+        out = np.zeros(a.shape, dtype=np.int64)
+        for m, w in zip(self.moduli, self._weights):
+            out += (-(a // w) % m) * w
+        return out
 
 
 class TableQuotient(MarkedQuotient):
@@ -370,12 +344,20 @@ class TableQuotient(MarkedQuotient):
         if arr.min() < 0 or arr.max() >= self.order:
             raise InvalidGroupError("multiplication table entry out of range")
         self.table = arr
+        self._inv_table: np.ndarray | None = None
 
-    def mult(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+    def mult_many(self, a, b) -> np.ndarray:
+        return self.table[a, b]
 
-    def _mult_row(self, a: int) -> np.ndarray:
-        return self.table[a]
+    def inv_many(self, a) -> np.ndarray:
+        if self._inv_table is None:
+            hits = self.table == self.identity
+            counts = hits.sum(axis=1)
+            bad = np.flatnonzero(counts != 1)
+            if bad.size:
+                raise InvalidGroupError(f"element {bad[0]} has {counts[bad[0]]} inverses")
+            self._inv_table = hits.argmax(axis=1)
+        return self._inv_table[a]
 
 
 def _quotient_from_permutations(degree: int, gens, base: int) -> TableQuotient:
@@ -418,12 +400,9 @@ def _quotient_from_permutations(degree: int, gens, base: int) -> TableQuotient:
                     words.append(gy)
                     nxt.append(orbit_index[y])
         frontier = nxt
-    n = len(orbit_points)
-    table = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        ga = words[a]
-        for b in range(n):
-            table[a, b] = orbit_index[int(ga[orbit_points[b]])]
+    position = np.full(degree, -1, dtype=np.int64)
+    position[orbit_points] = np.arange(len(orbit_points))
+    table = position[np.stack(words)[:, orbit_points]]
     gen_idx = [orbit_index[int(p[base])] for p in perms]
     return TableQuotient(table, 0, gen_idx)
 
@@ -456,15 +435,6 @@ def build_quotient(spec, threshold: int = EXHAUSTIVE_THRESHOLD, seed: int = 0) -
         q = _quotient_from_permutations(spec["degree"], spec["gens"], spec["base"])
     q.validate(threshold=threshold, seed=seed)
     return q
-
-
-def cayley_distance(quotient: MarkedQuotient, x: int, y: int) -> int:
-    """Word-metric distance between two elements of a marked quotient."""
-    return quotient.cayley_distance(x, y)
-
-
-def quotient_diameter(quotient: MarkedQuotient) -> int:
-    return quotient.diameter()
 
 
 # -- ambient elements -------------------------------------------------------
@@ -576,20 +546,41 @@ def ambient_sphere(chain: "GroupChain", radius: int) -> list:
     raise ValueError("sphere enumeration needs a free or free abelian ambient")
 
 
+def _signed_images(q: MarkedQuotient) -> np.ndarray:
+    """Image of each letter ``-rank..rank`` at index ``letter + rank``; letter 0 is the identity."""
+    return np.array([q.letter_image(l) if l else q.identity for l in range(-q.rank, q.rank + 1)])
+
+
+def _letter_rows(chain: "GroupChain", gs) -> np.ndarray:
+    """Free words of one length, or free abelian vectors, as rows of signed letters.
+
+    A vector is spelled coordinate by coordinate; its row is padded with the
+    letter 0, which acts as the identity.
+    """
+    rows = np.array(gs, dtype=np.int64)
+    if chain.ambient.family == FREE:
+        return rows
+    counts = np.abs(rows)[:, :, None]
+    letters = (np.sign(rows) * np.arange(1, chain.ambient.rank + 1))[:, :, None]
+    steps = np.arange(counts.max(initial=0))
+    return np.where(steps < counts, letters, 0).reshape(len(rows), -1)
+
+
+def _project_many(chain: "GroupChain", gs, level: int) -> np.ndarray:
+    """Images of a sequence of ambient elements in the given level."""
+    if chain.ambient.family == EXPLICIT_CHAIN_LIMIT:
+        return chain.composed_map_to(level)[np.asarray(gs, dtype=np.int64)]
+    q = chain.levels[level]
+    images = _signed_images(q)
+    x = np.full(len(gs), q.identity, dtype=np.int64)
+    for column in _letter_rows(chain, gs).T:
+        x = q.mult_many(x, images[column + q.rank])
+    return x
+
+
 def project_to_level(chain: "GroupChain", g, level: int) -> int:
     """Image of an ambient element in the given level."""
-    quotient = chain.levels[level]
-    family = chain.ambient.family
-    if family == FREE:
-        return quotient.evaluate_word(g)
-    if family == FREE_ABELIAN:
-        x = quotient.identity
-        for k, c in enumerate(g):
-            img = quotient.gen_images[k] if c > 0 else quotient.inv(quotient.gen_images[k])
-            for _ in range(abs(int(c))):
-                x = quotient.mult(x, img)
-        return x
-    return int(chain.composed_map_to(level)[g])
+    return int(_project_many(chain, [g], level)[0])
 
 
 # -- chains -----------------------------------------------------------------
@@ -634,10 +625,19 @@ class GroupChain:
 
 
 def infer_connecting_map(upper: MarkedQuotient, lower: MarkedQuotient) -> np.ndarray:
-    """Transport of breadth-first geodesic words from ``upper`` to ``lower``."""
+    """Transport of breadth-first geodesic words from ``upper`` to ``lower``.
+
+    Filled one breadth-first layer at a time: the word of ``x`` is the word
+    of its parent followed by one letter.
+    """
+    dist = upper.distance_from_identity()
+    images = _signed_images(lower)
     out = np.empty(upper.order, dtype=np.int64)
-    for x in range(upper.order):
-        out[x] = lower.evaluate_word(upper.canonical_word(x))
+    out[upper.identity] = lower.identity
+    for d in range(1, upper.diameter() + 1):
+        layer = np.flatnonzero(dist == d)
+        letters = upper._parent_letter[layer] + lower.rank
+        out[layer] = lower.mult_many(out[upper._parent[layer]], images[letters])
     return out
 
 
@@ -664,23 +664,18 @@ def _validate_connecting_map(
                 f" {int(phi[gu])}, expected {gl}"
             )
     if upper.order <= threshold:
-        table = np.vstack([upper._mult_row(a) for a in range(upper.order)])
-        lhs = phi[table]
-        low_table = np.vstack([lower._mult_row(a) for a in range(lower.order)])
-        rhs = low_table[phi[:, None], phi[None, :]]
-        if not (lhs == rhs).all():
-            a, b = map(int, np.argwhere(lhs != rhs)[0])
-            raise ChainValidationError(
-                f"connecting map {index} is not a homomorphism at ({a}, {b})"
-            )
+        b = np.arange(upper.order)
+        a = b[:, None]
     else:
         rng = np.random.default_rng(seed)
-        for a, b in rng.integers(0, upper.order, size=(_SAMPLE_TRIPLES // 2, 2)):
-            a, b = int(a), int(b)
-            if int(phi[upper.mult(a, b)]) != lower.mult(int(phi[a]), int(phi[b])):
-                raise ChainValidationError(
-                    f"connecting map {index} is not a homomorphism at ({a}, {b})"
-                )
+        a, b = rng.integers(0, upper.order, size=(_SAMPLE_TRIPLES // 2, 2)).T
+    bad = np.argwhere(phi[upper.mult_many(a, b)] != lower.mult_many(phi[a], phi[b]))
+    if bad.size:
+        a, b = np.broadcast_arrays(a, b)
+        i = tuple(bad[0])
+        raise ChainValidationError(
+            f"connecting map {index} is not a homomorphism at ({a[i]}, {b[i]})"
+        )
 
 
 def build_chain(
@@ -756,9 +751,8 @@ def _compute_radius(chain: GroupChain, level: int) -> int:
         D = 0
         while True:
             D += 1
-            for g in ambient_sphere(chain, D):
-                if int(dist[project_to_level(chain, g, level)]) != D:
-                    return D
+            if (dist[_project_many(chain, ambient_sphere(chain, D), level)] != D).any():
+                return D
     deepest = chain.levels[-1]
     lengths = deepest.distance_from_identity()
     if len(chain.levels) >= 2:
@@ -776,9 +770,8 @@ def _compute_radius(chain: GroupChain, level: int) -> int:
         D += 1
         if ((~stable) & (lengths <= D)).any():
             return D
-        for g in np.flatnonzero(stable & (lengths == D)):
-            if int(dist[proj[g]]) != D:
-                return D
+        if (dist[proj[stable & (lengths == D)]] != D).any():
+            return D
         if D >= max_len:
             return D + 1
 

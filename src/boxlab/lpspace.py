@@ -1,4 +1,4 @@
-"""Vectors, norms and affine isometries of finite-dimensional l^p spaces.
+"""Norms and affine isometries of finite-dimensional l^p spaces.
 
 For p other than 2 every linear isometry is a signed permutation of the
 coordinates, so linear parts are stored structurally; p = 2 additionally
@@ -8,13 +8,11 @@ admits arbitrary orthogonal matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "lp_norm",
-    "LpVector",
     "SignedPermutation",
     "OrthogonalLinear",
     "AffineIsometry",
@@ -42,28 +40,6 @@ def lp_norm(values, p, axis=None):
     if p == 2.0:
         return np.sqrt((arr * arr).sum(axis=axis))
     return (arr**p).sum(axis=axis) ** (1.0 / p)
-
-
-@dataclass(frozen=True)
-class LpVector:
-    """Point of l^p with an explicit exponent."""
-
-    p: float
-    coords: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", _check_p(self.p))
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=np.float64)
-
-    def norm(self) -> float:
-        return float(lp_norm(self.as_array(), self.p))
 
 
 class SignedPermutation:

@@ -77,6 +77,14 @@ def test_matches_oracle_everywhere(dyadic_space):
             assert dist[i, j] == oracle_distance(dyadic_space, x, y)
 
 
+def test_matrix_matches_scalar_distance(make_chain):
+    space = bl.assemble_box_space(make_chain((2, 3), (4, 6), rank=2))
+    pts = space.points()
+    dist = space.distance_matrix()
+    for i, x in enumerate(pts):
+        assert dist[i].tolist() == [box_distance(space, x, y) for y in pts]
+
+
 def test_metric_axioms_exhaustive(make_chain):
     for moduli in ((2, 4), (4, 8, 16), (3, 9)):
         space = bl.assemble_box_space(make_chain(*moduli))

@@ -132,6 +132,55 @@ class TestProfile:
         assert main(["profile", "--chain", chains["dyadic"], "--embedding", "moebius"]) == 2
 
 
+class TestStrictReaders:
+    """Malformed CSV input exits 2 with the file and line named."""
+
+    @pytest.fixture
+    def embedding_lines(self, chains, tmp_path):
+        out = tmp_path / "map"
+        main(["profile", "--chain", chains["small"], "--embedding", "cycle-plane",
+              "--out", str(out), "--dump-map"])
+        return (out / "embedding.csv").read_text().splitlines()
+
+    def run_profile(self, chains, tmp_path, capsys, option, lines):
+        path = tmp_path / "input.csv"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["profile", "--chain", chains["small"], option, str(path)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, line, message",
+        [
+            ("9,0,1,0", 9, "point L9:0 is outside the space"),
+            ("0,2,1,0", 9, "point L0:2 is outside the space"),
+            ("1,3,0,1", 9, "duplicate row for point L1:3"),
+            ("1,x,0,1", 9, "bad number in row '1,x,0,1'"),
+            ("1,3,0", 9, "row has 3 fields, expected 4"),
+        ],
+    )
+    def test_bad_embedding_row(self, chains, tmp_path, capsys, embedding_lines, row, line, message):
+        code, err = self.run_profile(
+            chains, tmp_path, capsys, "--embedding", embedding_lines + [row]
+        )
+        assert code == 2
+        assert f"input.csv, line {line}: {message}" in err
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["1,1,1", "1,1,2"], "line 4: duplicate row for t=1"),
+            (["1,1,one"], "line 3: bad number in row '1,1,one'"),
+            (["1,1"], "line 3: row has 2 fields, expected 3"),
+        ],
+    )
+    def test_bad_control_row(self, chains, tmp_path, capsys, rows, message):
+        lines = ["# controls", "t,rho_minus,rho_plus"] + rows
+        code, err = self.run_profile(chains, tmp_path, capsys, "--controls", lines)
+        assert code == 2
+        assert f"input.csv, {message}" in err
+
+
 class TestFceVerify:
     def test_translation_passes(self, chains, capsys):
         code = main(

@@ -1,5 +1,6 @@
 """Word metrics, quotient chains, isometry radii."""
 
+import itertools
 from collections import deque
 
 import numpy as np
@@ -21,11 +22,12 @@ from boxlab.groups import (
 )
 
 
-def bfs_distances(quotient) -> dict[int, int]:
-    """Independent breadth-first oracle over the letter graph."""
+def bfs_distances(quotient, start=None) -> dict[int, int]:
+    """Independent breadth-first oracle over the letter graph, from the identity by default."""
     images = [quotient.letter_image(l) for l in quotient.letters()]
-    dist = {quotient.identity: 0}
-    queue = deque([quotient.identity])
+    start = quotient.identity if start is None else start
+    dist = {start: 0}
+    queue = deque([start])
     while queue:
         x = queue.popleft()
         for img in images:
@@ -254,3 +256,175 @@ class TestChains:
         levels = [bl.CyclicQuotient([8]), bl.CyclicQuotient([4])]
         with pytest.raises(ChainValidationError):
             bl.build_chain(ambient, levels)
+
+
+def coordinate_tables(moduli):
+    """Product and inverse tables of Z/m_1 x ... x Z/m_k over coordinate tuples.
+
+    Elements are numbered in lexicographic order of their coordinates.
+    """
+    vecs = list(itertools.product(*(range(m) for m in moduli)))
+    index = {v: i for i, v in enumerate(vecs)}
+    mult = [
+        [index[tuple((u + w) % m for u, w, m in zip(a, b, moduli))] for b in vecs] for a in vecs
+    ]
+    inv = [index[tuple(-u % m for u, m in zip(a, moduli))] for a in vecs]
+    return np.array(vecs), np.array(mult), np.array(inv)
+
+
+def regular_dihedral(m: int, relabel, fixed: int) -> dict:
+    """Dihedral group of order 2m acting on itself by left multiplication.
+
+    Element r^i s^e is point 2i + e before relabelling; ``fixed`` extra
+    points lie outside the orbit.
+    """
+    def point(i, e):
+        return relabel[2 * (i % m) + e]
+
+    rot = list(range(2 * m + fixed))
+    flip = list(range(2 * m + fixed))
+    for i in range(m):
+        for e in range(2):
+            rot[point(i, e)] = point(i + 1, e)
+            flip[point(i, e)] = point(-i, 1 - e)
+    return {"kind": "permutation", "degree": 2 * m + fixed, "gens": [rot, flip], "base": point(0, 0)}
+
+
+def permutation_tables(q, spec):
+    """Product and inverse tables of a permutation quotient from composed permutations.
+
+    Each element is the permutation its canonical word spells; a product of
+    elements is the composite of their permutations.
+    """
+    letters = {}
+    for k, gen in enumerate(spec["gens"], start=1):
+        letters[k] = np.array(gen)
+        letters[-k] = np.argsort(gen)
+    perms = []
+    for x in q.elements():
+        g = np.arange(spec["degree"])
+        for letter in q.canonical_word(x):
+            g = g[letters[letter]]
+        perms.append(g)
+    element = {tuple(g): x for x, g in enumerate(perms)}
+    assert len(element) == q.order
+    mult = [[element[tuple(a[b])] for b in perms] for a in perms]
+    inv = [element[tuple(np.argsort(a))] for a in perms]
+    return np.array(mult), np.array(inv)
+
+
+dihedral_specs = st.integers(2, 5).flatmap(
+    lambda m: st.builds(
+        regular_dihedral, st.just(m), st.permutations(range(2 * m)), st.integers(0, 2)
+    )
+)
+
+
+def assert_kernel_matches(q, mult, inv, a, b):
+    every = np.arange(q.order)
+    assert (q.mult_many(every[:, None], every[None, :]) == mult).all()
+    assert (q.mult_many(every[None, :], every[:, None]) == mult.T).all()
+    assert (q.inv_many(every) == inv).all()
+    assert q.mult_many(np.array(a), np.array(b)).tolist() == mult[a, b].tolist()
+    assert [q.mult(x, y) for x, y in zip(a, b)] == mult[a, b].tolist()
+    assert [q.inv(x) for x in a] == inv[a].tolist()
+
+
+class TestKernel:
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cyclic_matches_coordinate_table(self, moduli, data):
+        q = bl.CyclicQuotient(moduli)
+        vecs, mult, inv = coordinate_tables(moduli)
+        assert (q.digits(np.arange(q.order)) == vecs).all()
+        pairs = data.draw(st.lists(st.tuples(*[st.integers(0, q.order - 1)] * 2), min_size=1))
+        a, b = map(list, zip(*pairs))
+        assert_kernel_matches(q, mult, inv, a, b)
+
+    @given(dihedral_specs, st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_permutation_matches_composed_permutations(self, spec, data):
+        q = bl.build_quotient(spec)
+        mult, inv = permutation_tables(q, spec)
+        pairs = data.draw(st.lists(st.tuples(*[st.integers(0, q.order - 1)] * 2), min_size=1))
+        a, b = map(list, zip(*pairs))
+        assert_kernel_matches(q, mult, inv, a, b)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "cyclic", "moduli": [3, 4]},
+            {"kind": "cyclic", "moduli": [2, 1, 3]},
+            regular_dihedral(4, [5, 2, 7, 0, 1, 6, 3, 4], 1),
+        ],
+    )
+    def test_cayley_matrix_and_letter_perms(self, spec):
+        q = bl.build_quotient(spec)
+        full = q.cayley_matrix()
+        for x in q.elements():
+            oracle = bfs_distances(q, start=x)
+            assert full[x].tolist() == [oracle[y] for y in q.elements()]
+        xs, ys = [3, 0, 3], [1, 5]
+        assert (q.cayley_matrix(xs, ys) == full[np.ix_(xs, ys)]).all()
+        assert (q.cayley_matrix(ys=ys) == full[:, ys]).all()
+        for letter, perm in zip(q.letters(), q.letter_perms()):
+            img = q.letter_image(letter)
+            assert perm.tolist() == [q.mult(x, img) for x in q.elements()]
+
+    @pytest.mark.parametrize("family", ["free", "free_abelian"])
+    def test_sphere_projection_matches_word_evaluation(self, family):
+        from boxlab.groups import _project_many
+
+        level = (
+            bl.build_quotient(regular_dihedral(3, list(range(6)), 0))
+            if family == "free"
+            else bl.CyclicQuotient([3, 5])
+        )
+        chain = bl.build_chain(bl.AmbientGroup(family, 2), [level], check_radii=False)
+        for radius in range(5):
+            sphere = ambient_sphere(chain, radius)
+            words = [
+                g if family == "free" else (1,) * g[0] + (-1,) * -g[0] + (2,) * g[1] + (-2,) * -g[1]
+                for g in sphere
+            ]
+            want = [level.evaluate_word(w) for w in words]
+            assert _project_many(chain, sphere, 0).tolist() == want
+
+
+class TestSampledValidation:
+    """Validation above the exhaustive threshold: same draws, first failing sample reported."""
+
+    def test_valid_quotients_and_chain_pass(self):
+        for spec in ({"kind": "cyclic", "moduli": [3, 4]}, regular_dihedral(4, list(range(8)), 0)):
+            assert bl.build_quotient(spec, threshold=4).order in (12, 8)
+        ambient = bl.AmbientGroup("free_abelian", 1)
+        chain = bl.build_chain(ambient, [bl.CyclicQuotient([4]), bl.CyclicQuotient([8])], threshold=4)
+        assert chain.connecting_maps[0].tolist() == [0, 1, 2, 3, 0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "table, identity, message",
+        [
+            # Z/8 with the single entry 2 + 3 corrupted to 6
+            (
+                [[6 if (a, b) == (2, 3) else (a + b) % 8 for b in range(8)] for a in range(8)],
+                0,
+                "associativity fails at (2, 2, 1)",
+            ),
+            # the multiplicative monoid of Z/8: associative, with identity 1
+            ([[a * b % 8 for b in range(8)] for a in range(8)], 1, "element 4 has no inverse"),
+            # the left-zero semigroup ab = a
+            ([[a] * 8 for a in range(8)], 0, "identity fails at 7"),
+        ],
+    )
+    def test_bad_table_rejected(self, table, identity, message):
+        spec = {"kind": "table", "mult": table, "identity": identity, "gen_images": [1]}
+        with pytest.raises(InvalidGroupError) as exc:
+            bl.build_quotient(spec, threshold=4)
+        assert str(exc.value) == message
+
+    def test_non_homomorphism_rejected(self):
+        ambient = bl.AmbientGroup("free_abelian", 1)
+        levels = [bl.CyclicQuotient([4]), bl.CyclicQuotient([8])]
+        with pytest.raises(ChainValidationError) as exc:
+            bl.build_chain(ambient, levels, [[0, 1, 2, 3, 1, 1, 2, 3]], threshold=4)
+        assert str(exc.value) == "connecting map 0 is not a homomorphism at (4, 2)"

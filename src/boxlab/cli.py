@@ -190,13 +190,14 @@ def cmd_build(args) -> int:
         seps_lines += [f"{i},{s}" for i, s in enumerate(space.separations)]
         _write_lines(out / "separations.csv", seps_lines)
         if space.point_count() <= _DISTANCE_DUMP_CAP:
-            pts = space.points()
+            names = [format_point(pt) for pt in space.points()]
             dist = space.distance_matrix()
-            rows = ["point,point,distance"]
-            for i, x in enumerate(pts):
-                for j in range(i + 1, len(pts)):
-                    rows.append(f"{format_point(x)},{format_point(pts[j])},{dist[i, j]}")
-            _write_lines(out / "distances.csv", rows)
+            # one matrix row at a time, so the dump never holds all pairs
+            with open(out / "distances.csv", "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("point,point,distance\n")
+                for i, x in enumerate(names):
+                    row = zip(names[i + 1 :], dist[i, i + 1 :].tolist())
+                    fh.write("".join(f"{x},{y},{d}\n" for y, d in row))
         else:
             print(
                 f"distance dump skipped: {space.point_count()} points exceed the cap"

@@ -27,7 +27,7 @@ from .groups import (
     project_to_level,
     select_level_for_r,
 )
-from .lpspace import SignedPermutation, _linear_close, lp_norm
+from .lpspace import SignedPermutation, lp_norm
 
 __all__ = [
     "QuotientCarrier",
@@ -113,7 +113,7 @@ class BlockMap:
                 maps.append(a.compose(b))
         return BlockMap(tau, maps)
 
-    def equals(self, other: "BlockMap", tol: float = 1e-9) -> bool:
+    def equals(self, other: "BlockMap") -> bool:
         if self.size != other.size or not np.array_equal(self.tau, other.tau):
             return False
         if self.maps is None and other.maps is None:
@@ -125,7 +125,7 @@ class BlockMap:
                 a = SignedPermutation.identity(b.dim)
             if b is None:
                 b = SignedPermutation.identity(a.dim)
-            if not _linear_close(a, b, tol):
+            if a != b:
                 return False
         return True
 
@@ -251,7 +251,6 @@ def local_cocycle_from_fce(
     fib: FibredEmbedding,
     r: int,
     level: int | None = None,
-    check_transitions: bool = True,
 ) -> LocalCocycle:
     """Localize a fibred embedding to a cocycle at scale ``r``.
 
@@ -260,8 +259,8 @@ def local_cocycle_from_fce(
     Block z of the value at a live x compares the trivialized section at z
     and zx inside the ball around z; the companion shifts blocks and twists
     each by the linear part of the transition between the two overlapping
-    balls.  Transitions are re-derived from the oracle and, unless disabled,
-    checked for constancy on the full ball overlaps.
+    balls.  Transitions are re-derived from the oracle and checked for
+    constancy on the full ball overlaps.
     """
     if r < 1:
         raise ValueError(f"scale must be >= 1, got {r}")
@@ -277,41 +276,33 @@ def local_cocycle_from_fce(
     carrier = QuotientCarrier(q)
     length = q.distance_from_identity()
 
-    balls = []
-    trivs = []
-    for z, row in enumerate(q.cayley_matrix()):
-        ball = tuple(BoxPoint(level, w) for w in np.flatnonzero(row <= r - 1).tolist())
-        balls.append(frozenset(ball))
-        trivs.append(fib.trivialize(ball, r))
+    # one stacked row per (ball center z, member w), balls in order of z
+    inside = q.cayley_matrix() <= r - 1
+    row = np.full(inside.shape, -1, dtype=np.int64)
+    row[inside] = np.arange(np.count_nonzero(inside))
+    balls = [tuple(BoxPoint(level, w) for w in np.flatnonzero(ball).tolist()) for ball in inside]
+    stack, moved = fib.trivialize_stacked(balls, r)
 
-    section = {pt: fib.section_vector(pt) for triv in trivs for pt in triv}
     values = {}
     images = {}
-    size = q.order
+    blocks = np.arange(q.order)
     for x in q.elements():
         if length[x] >= r:
             continue
         tau = carrier.right_translation(x)
-        blocks = np.empty((size, fib.dim))
-        maps = []
-        for z in q.elements():
-            zx = int(tau[z])
-            zpt, zxpt = BoxPoint(level, z), BoxPoint(level, zx)
-            blocks[z] = trivs[z][zpt].apply(section[zpt]) - trivs[z][zxpt].apply(
-                section[zxpt]
+        # the transition between the balls around z and zx, read off at zx
+        transition = stack.transitions(row[blocks, tau], row[tau, tau])
+        zs, ws = np.nonzero(inside & inside[tau])
+        cand = stack.transitions(row[zs, ws], row[tau[zs], ws])
+        bad = np.flatnonzero(cand.differs(transition.take(zs), 1e-9))
+        if bad.size:
+            z = int(zs[bad[0]])
+            raise ActionCheckError(
+                "transition between overlapping balls is not constant;"
+                f" the input is not fibred at scale {r} (blocks {z}, {int(tau[z])})"
             )
-            transition = trivs[z][zxpt].compose(trivs[zx][zxpt].inverse())
-            if check_transitions:
-                for w in balls[z] & balls[zx]:
-                    cand = trivs[z][w].compose(trivs[zx][w].inverse())
-                    if not cand.close_to(transition, 1e-9):
-                        raise ActionCheckError(
-                            "transition between overlapping balls is not constant;"
-                            f" the input is not fibred at scale {r} (blocks {z}, {zx})"
-                        )
-            maps.append(transition.linear)
-        values[x] = blocks
-        images[x] = BlockMap(tau, maps)
+        values[x] = moved[row[blocks, blocks]] - moved[row[blocks, tau]]
+        images[x] = BlockMap(tau, [transition.linear(z) for z in q.elements()])
     rep = LocalRepresentation(carrier=carrier, p=fib.p, dim=fib.dim, r=r, images=images)
     return LocalCocycle(
         carrier=carrier,
@@ -455,7 +446,7 @@ def verify_local_action(
             ok = np.allclose(lhs, rhs, rtol=0.0, atol=tolerance)
         if not ok:
             identity_witnesses.append((x, y, float(np.max(np.abs(lhs - rhs)))))
-        if not rep.image(x).compose(rep.image(y)).equals(rep.image(xy), tolerance):
+        if not rep.image(x).compose(rep.image(y)).equals(rep.image(xy)):
             representation_witnesses.append((x, y))
     return CocycleReport(
         passed=not identity_witnesses and not representation_witnesses,

@@ -94,26 +94,22 @@ def profile(f: CoarseEmbeddingMap) -> ControlPair:
         raise ValueError("empty domain")
     dist = f.domain.distance_matrix()
     mat = f.matrix()
-    lo: dict[int, float] = {}
-    hi: dict[int, float] = {}
-    for i in range(len(pts)):
-        diffs = mat[i + 1 :] - mat[i]
-        if diffs.shape[0] == 0:
-            continue
-        norms = lp_norm(diffs, f.p, axis=1)
-        for j, nrm in enumerate(norms, start=i + 1):
-            t = int(dist[i, j])
-            v = float(nrm)
-            lo[t] = min(lo.get(t, v), v)
-            hi[t] = max(hi.get(t, v), v)
-    if not lo:
+    # per-distance extremes, one row of pairs at a time: never an (n^2, dim) array
+    low = np.full(int(dist.max()) + 1, np.inf)
+    high = np.full(len(low), -np.inf)
+    seen = np.zeros(len(low), dtype=bool)
+    for i in range(len(pts) - 1):
+        t = dist[i, i + 1 :]
+        norms = lp_norm(mat[i + 1 :] - mat[i], f.p, axis=1)
+        np.minimum.at(low, t, norms)
+        np.maximum.at(high, t, norms)
+        seen[t] = True
+    ts = np.flatnonzero(seen)
+    if not ts.size:
         raise ValueError("domain has a single point, no realized distances")
-    ts = sorted(lo)
-    for a, b in zip(reversed(ts[:-1]), reversed(ts[1:])):
-        lo[a] = min(lo[a], lo[b])
-    for a, b in zip(ts, ts[1:]):
-        hi[b] = max(hi[b], hi[a])
-    return ControlPair(lo, hi)
+    lo = np.minimum.accumulate(low[ts][::-1])[::-1]
+    hi = np.maximum.accumulate(high[ts])
+    return ControlPair(dict(zip(ts.tolist(), lo.tolist())), dict(zip(ts.tolist(), hi.tolist())))
 
 
 def linf_embedding(space: BoxSpace, basepoint: BoxPoint | None = None) -> CoarseEmbeddingMap:
@@ -191,11 +187,11 @@ class CoarseReport:
         return "\n".join(lines)
 
 
-def _control_value(sample, t: int, which: str) -> float:
-    try:
-        return float(sample[t])
-    except KeyError:
-        raise ControlSampleError(f"{which} sample missing realized distance {t}") from None
+def _control_table(sample, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """A control sample as arrays over distances 0..top: values, and which are present."""
+    present = np.array([t in sample for t in range(top + 1)])
+    values = np.array([float(sample[t]) if ok else np.nan for t, ok in enumerate(present)])
+    return values, present
 
 
 def verify_coarse(
@@ -217,19 +213,24 @@ def verify_coarse(
     pts = f.domain.points()
     dist = f.domain.distance_matrix()
     mat = f.matrix()
+    max_t = int(dist.max(initial=0))
+    lo_at, has_lo = _control_table(rho_minus, max_t)
+    hi_at, has_hi = _control_table(rho_plus, max_t)
     witnesses = []
-    pair_count = 0
-    max_t = 0
     for i in range(len(pts)):
-        for j in range(i, len(pts)):
-            t = int(dist[i, j])
-            nrm = float(lp_norm(mat[j] - mat[i], f.p))
-            lo = _control_value(rho_minus, t, "rho_minus")
-            hi = _control_value(rho_plus, t, "rho_plus")
-            pair_count += 1
-            max_t = max(max_t, t)
-            if nrm < lo - tolerance or nrm > hi + tolerance:
-                witnesses.append((pts[i], pts[j], t, nrm, lo, hi))
+        t = dist[i, i:]
+        missing = np.flatnonzero(~(has_lo[t] & has_hi[t]))
+        if missing.size:
+            t0 = int(t[missing[0]])
+            which = "rho_plus" if has_lo[t0] else "rho_minus"
+            raise ControlSampleError(f"{which} sample missing realized distance {t0}")
+        norms = lp_norm(mat[i:] - mat[i], f.p, axis=1)
+        lo, hi = lo_at[t], hi_at[t]
+        for k in np.flatnonzero((norms < lo - tolerance) | (norms > hi + tolerance)).tolist():
+            witnesses.append(
+                (pts[i], pts[i + k], int(t[k]), float(norms[k]), float(lo[k]), float(hi[k]))
+            )
+    pair_count = len(pts) * (len(pts) + 1) // 2
     lo_at_max = float(rho_minus[max_t]) if max_t in rho_minus else float("nan")
     note = (
         f"finite-range divergence surrogate: rho_minus reaches {lo_at_max:.12g} at the"

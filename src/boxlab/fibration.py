@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .boxspace import BoxPoint, BoxSpace, format_point
-from .embedding import CoarseEmbeddingMap
+from .embedding import CoarseEmbeddingMap, _control_table
 from .errors import ActionCheckError, ControlSampleError, MissingTrivializationError
 from .groups import (
     FREE_ABELIAN,
@@ -26,7 +26,7 @@ from .groups import (
     ambient_mult,
     ambient_sphere,
 )
-from .lpspace import AffineIsometry, SignedPermutation, identity_isometry, lp_norm
+from .lpspace import AffineIsometry, IsometryStack, SignedPermutation, identity_isometry, lp_norm
 
 __all__ = [
     "FibredEmbedding",
@@ -46,11 +46,12 @@ Trivialization = dict[BoxPoint, AffineIsometry]
 class FibredEmbedding:
     """Section + exclusion + trivialization oracle over a box space.
 
-    ``trivialization(C, r)`` returns one isometry per point of ``C`` or
-    raises MissingTrivializationError when the contract cannot serve the
-    request.  Verifiers only ever request sets of diameter below ``r``, but
-    the oracle may serve more (the proper-action construction serves any
-    single-level set whose covering radius is below ``r``).
+    ``trivialization(C, r)`` returns one isometry of this fibration's l^p
+    space per point of ``C`` or raises MissingTrivializationError when the
+    contract cannot serve the request.  Verifiers only ever request sets of
+    diameter below ``r``, but the oracle may serve more (the proper-action
+    construction serves any single-level set whose covering radius is below
+    ``r``).
     """
 
     space: BoxSpace
@@ -73,9 +74,6 @@ class FibredEmbedding:
             if v.shape != (self.dim,):
                 raise ValueError(f"section at {format_point(pt)} has shape {v.shape}")
 
-    def section_vector(self, point: BoxPoint) -> np.ndarray:
-        return self.section[point]
-
     def excluded(self, r: int) -> frozenset[BoxPoint]:
         if r < 1:
             raise ValueError(f"scale must be >= 1, got {r}")
@@ -89,12 +87,32 @@ class FibredEmbedding:
             if not self.space.contains(pt):
                 raise ValueError(f"{format_point(pt)} is not a point of the space")
         triv = self.trivialization(C, int(r))
-        missing = [pt for pt in C if pt not in triv]
-        if missing:
-            raise MissingTrivializationError(
-                f"oracle returned no isometry for {format_point(missing[0])}"
-            )
+        for pt in C:
+            if pt not in triv:
+                raise MissingTrivializationError(
+                    f"oracle returned no isometry for {format_point(pt)}"
+                )
+            iso = triv[pt]
+            if iso.p != self.p or iso.dim != self.dim:
+                raise ValueError(
+                    f"oracle returned an isometry of l^{iso.p:g} in dimension {iso.dim}"
+                    f" at {format_point(pt)}; the fibration lives in l^{self.p:g}"
+                    f" in dimension {self.dim}"
+                )
         return triv
+
+    def trivialize_stacked(self, sets, r: int) -> tuple[IsometryStack, np.ndarray]:
+        """Serve each set and stack the isometries, one row per (set, point) in order.
+
+        Also returns each row's isometry applied to the section at its point.
+        """
+        isos = []
+        for C in sets:
+            triv = self.trivialize(C, r)
+            isos.extend(triv[pt] for pt in C)
+        stack = IsometryStack.of(isos, self.dim)
+        sections = np.array([self.section[pt] for C in sets for pt in C], dtype=np.float64)
+        return stack, stack.apply(sections.reshape(len(isos), self.dim))
 
 
 def trivial_fibration(f: CoarseEmbeddingMap) -> FibredEmbedding:
@@ -304,7 +322,7 @@ def _set_label(C: SetOfPoints) -> str:
 
 
 def _candidate_sets(space, allowed, dist, r: int, mode: str, max_all_points: int):
-    index = {pt: space.point_index(pt) for pt in allowed}
+    ix = np.array([space.point_index(pt) for pt in allowed], dtype=np.int64)
     sets: list[SetOfPoints] = []
     seen: set[SetOfPoints] = set()
 
@@ -314,28 +332,54 @@ def _candidate_sets(space, allowed, dist, r: int, mode: str, max_all_points: int
             sets.append(C)
 
     if mode in ("balls", "balls+pairs"):
-        rad = (r - 1) // 2
-        for x in allowed:
-            row = dist[index[x]]
-            push(tuple(sorted(y for y in allowed if row[index[y]] <= rad)))
+        for k in ix.tolist():
+            push(tuple(allowed[m] for m in np.flatnonzero(dist[k, ix] <= (r - 1) // 2).tolist()))
     if mode in ("pairs", "balls+pairs"):
-        for x, y in itertools.combinations(allowed, 2):
-            if 0 < dist[index[x], index[y]] < r:
-                push((x, y) if x < y else (y, x))
+        for k, x in enumerate(allowed):
+            for m in np.flatnonzero(dist[ix[k], ix[k + 1 :]] < r).tolist():
+                push((x, allowed[k + 1 + m]))
     if mode == "all":
         if len(allowed) > max_all_points:
             raise ValueError(
                 f"mode 'all' over {len(allowed)} points exceeds the cap of"
                 f" {max_all_points}; use balls+pairs or raise max_all_points"
             )
-        for size in range(2, len(allowed) + 1):
-            for combo in itertools.combinations(allowed, size):
-                ix = [index[pt] for pt in combo]
-                if max(dist[np.ix_(ix, ix)].max(), 0) < r:
-                    push(tuple(combo))
+        near = np.triu(dist[np.ix_(ix, ix)] < r, 1)
+        # grow the cliques of `near` one point at a time: extending each
+        # k-subset, in lexicographic order, by the larger indices near all its
+        # members gives the (k+1)-subsets in lexicographic order
+        cliques = np.arange(len(allowed))[:, None]
+        common = near
+        while len(cliques):
+            parent, last = np.nonzero(common)
+            cliques = np.column_stack([cliques[parent], last])
+            common = common[parent] & near[last]
+            for combo in cliques.tolist():
+                push(tuple(allowed[i] for i in combo))
     if mode not in ("balls", "pairs", "balls+pairs", "all"):
         raise ValueError(f"unknown mode {mode!r}")
     return sets
+
+
+# entries of one (rows, dim) array in a batch of the array checks: 32 KB of
+# float64, so the batch temporaries stay small next to the interpreter's own
+# memory (one pass over all rows of the all-subsets Z/16 run doubled its peak)
+_BATCH_ENTRIES = 1 << 12
+
+
+def _fan_out(counts):
+    """Rows ``(k, step)`` with step 1..counts[k], for each k in order."""
+    source = np.repeat(np.arange(len(counts)), counts)
+    return source, np.arange(len(source)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+
+
+def _segments(weights, budget: int):
+    """Consecutive ranges of items, each of total weight about ``budget``."""
+    if not len(weights):
+        return []
+    window = (np.cumsum(weights) - weights) // budget
+    bounds = [0, *(np.flatnonzero(np.diff(window)) + 1).tolist(), len(weights)]
+    return zip(bounds[:-1], bounds[1:])
 
 
 def verify_fce(
@@ -352,56 +396,88 @@ def verify_fce(
     Witness sets are drawn from the non-excluded part of the space: balls of
     radius (r-1)//2, pairs closer than r, their union, or every subset of
     diameter below r (mode 'all', capped).  Controls are mappings from
-    realized distances; a missing sample raises ControlSampleError.
+    realized distances; a missing sample raises ControlSampleError.  Two sets
+    sharing one point are a vacuous overlap; sets sharing more have their
+    transition at every shared point compared with the one at the first.
     """
     if r < 1:
         raise ValueError(f"scale must be >= 1, got {r}")
+    space = fib.space
     K = fib.excluded(r)
-    allowed = [pt for pt in fib.space.points() if pt not in K]
-    dist = fib.space.distance_matrix()
-    sets = _candidate_sets(fib.space, allowed, dist, r, mode, max_all_points)
-    trivs = [fib.trivialize(C, r) for C in sets]
+    allowed = [pt for pt in space.points() if pt not in K]
+    dist = space.distance_matrix()
+    sets = _candidate_sets(space, allowed, dist, r, mode, max_all_points)
+    # one row per (set, point): sets in order, points sorted within a set
+    members = [pt for C in sets for pt in C]
+    stack, moved = fib.trivialize_stacked(sets, r)
+    where = np.array([space.point_index(pt) for pt in members], dtype=np.int64)
+    sizes = np.array([len(C) for C in sets], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    owner = np.repeat(np.arange(len(sets)), sizes)
+    budget = max(1, _BATCH_ENTRIES // max(fib.dim, 1))
+    # rows after each row within its set, and in its point's incidence list
+    # (the rows of every set holding the point, sets ascending)
+    in_set = ends[owner] - np.arange(len(members)) - 1
+    by_point = np.lexsort((owner, where))
+    rank = np.empty_like(by_point)
+    rank[by_point] = np.arange(len(members))
+    holders = np.unique(where, return_counts=True)[1]
+    at_point = (np.repeat(np.cumsum(holders), holders) - np.arange(len(members)) - 1)[rank]
 
+    (lo_at, has_lo), (hi_at, has_hi) = (
+        _control_table(c, int(dist.max(initial=0))) for c in (rho_minus, rho_plus)
+    )
     sandwich_witnesses = []
     sandwich_pairs = 0
-    for C, triv in zip(sets, trivs):
-        moved = {pt: triv[pt].apply(fib.section_vector(pt)) for pt in C}
-        for x, y in itertools.combinations(C, 2):
-            t = int(dist[fib.space.point_index(x), fib.space.point_index(y)])
-            nrm = float(lp_norm(moved[x] - moved[y], fib.p))
-            try:
-                lo = float(rho_minus[t])
-                hi = float(rho_plus[t])
-            except KeyError:
-                raise ControlSampleError(
-                    f"control sample missing realized distance {t}"
-                ) from None
-            sandwich_pairs += 1
-            if nrm < lo - tolerance or nrm > hi + tolerance:
-                sandwich_witnesses.append((C, x, y, t, nrm, lo, hi))
+    for first, stop in _segments(in_set, budget):
+        # member rows (u, v) of every pair of points inside one set
+        source, step = _fan_out(in_set[first:stop])
+        u = source + first
+        v = u + step
+        t = dist[where[u], where[v]]
+        missing = np.flatnonzero(~(has_lo[t] & has_hi[t]))
+        if missing.size:
+            raise ControlSampleError(f"control sample missing realized distance {t[missing[0]]}")
+        lo, hi = lo_at[t], hi_at[t]
+        nrm = lp_norm(moved[u] - moved[v], fib.p, axis=1)
+        bad = (nrm < lo - tolerance) | (nrm > hi + tolerance)
+        sandwich_pairs += len(t)
+        sandwich_witnesses += [
+            (sets[owner[m]], members[m], members[n], d, norm, low, high)
+            for m, n, d, norm, low, high in zip(*(c[bad].tolist() for c in (u, v, t, nrm, lo, hi)))
+        ]
 
-    incidence: dict[BoxPoint, list[int]] = {}
-    for s, C in enumerate(sets):
-        for pt in C:
-            incidence.setdefault(pt, []).append(s)
-    set_pairs = sorted(
-        {(a, b) for members in incidence.values() for a, b in itertools.combinations(members, 2)}
-    )
     overlap_witnesses = []
     overlap_pairs = 0
     vacuous = 0
-    for a, b in set_pairs:
-        overlap = sorted(set(sets[a]) & set(sets[b]))
-        if len(overlap) < 2:
-            vacuous += 1
-            continue
-        overlap_pairs += 1
-        x0 = overlap[0]
-        base = trivs[a][x0].compose(trivs[b][x0].inverse())
-        for x in overlap[1:]:
-            if not trivs[a][x].compose(trivs[b][x].inverse()).close_to(base, tolerance):
-                overlap_witnesses.append((sets[a], sets[b], x0, x))
-                break
+    weights = np.bincount(owner, weights=at_point, minlength=len(sets))
+    for first, stop in _segments(weights, budget):
+        # member rows (a, b) of set pairs a < b, a in this segment of sets, at
+        # each shared point; sorted by pair, then by point
+        rows = np.arange(ends[first] - sizes[first], ends[stop - 1])
+        source, step = _fan_out(at_point[rows])
+        a = rows[source]
+        b = by_point[rank[a] + step]
+        order = np.lexsort((where[a], owner[b], owner[a]))
+        a, b = a[order], b[order]
+        size = np.unique(owner[a] * len(sets) + owner[b], return_counts=True)[1]
+        vacuous += int((size == 1).sum())
+        keep = np.repeat(size > 1, size)
+        a, b, size = a[keep], b[keep], size[size > 1]
+        overlap_pairs += len(size)
+        base = np.repeat(np.cumsum(size) - size, size)  # the row of each pair's first point
+        bad = np.zeros(len(a), dtype=bool)
+        for k in range(0, len(a), budget):
+            batch = slice(k, k + budget)
+            trans = stack.transitions(a[batch], b[batch])
+            ref = stack.transitions(a[base[batch]], b[base[batch]])
+            bad[batch] = trans.differs(ref, tolerance)
+        bad[base == np.arange(len(base))] = False
+        pairs, at = np.unique(base[bad], return_index=True)
+        overlap_witnesses += [
+            (sets[owner[a[m]]], sets[owner[b[m]]], members[a[m]], members[a[n]])
+            for m, n in zip(pairs.tolist(), np.flatnonzero(bad)[at].tolist())
+        ]
 
     notes = []
     if not sets:

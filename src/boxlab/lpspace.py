@@ -1,21 +1,25 @@
 """Norms and affine isometries of finite-dimensional l^p spaces.
 
-For p other than 2 every linear isometry is a signed permutation of the
-coordinates, so linear parts are stored structurally; p = 2 additionally
-admits arbitrary orthogonal matrices.
+For p other than 2 the linear isometries of finite-dimensional l^p are the
+signed permutations of the coordinates (Lamperti 1958), which are isometries
+for every p; they are the only linear parts.  Values are validated once, where
+a caller constructs them: ``compose``, ``inverse`` and ``identity`` results are
+valid by construction and skip the checks.  ``IsometryStack`` holds many
+isometries of one space as arrays, for verifiers that compare them in bulk.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "lp_norm",
     "SignedPermutation",
-    "OrthogonalLinear",
     "AffineIsometry",
+    "IsometryStack",
     "identity_isometry",
 ]
 
@@ -42,6 +46,14 @@ def lp_norm(values, p, axis=None):
     return (arr**p).sum(axis=axis) ** (1.0 / p)
 
 
+def _unchecked(cls, *values):
+    """Build ``cls`` from slot values already known to be valid, skipping ``__init__``."""
+    new = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        setattr(new, name, value)
+    return new
+
+
 class SignedPermutation:
     """Linear map (Lv)_i = signs_i * v[perm_i]; an isometry of every l^p."""
 
@@ -64,95 +76,38 @@ class SignedPermutation:
 
     @classmethod
     def identity(cls, dim: int) -> "SignedPermutation":
-        return cls(np.arange(dim), np.ones(dim, dtype=np.int64))
+        return _unchecked(cls, np.arange(dim, dtype=np.int64), np.ones(dim, dtype=np.int64))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.signs * np.asarray(v)[..., self.perm]
 
-    def compose(self, other) -> "SignedPermutation | np.ndarray":
+    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
         """self after other."""
-        if isinstance(other, SignedPermutation):
-            return SignedPermutation(other.perm[self.perm], self.signs * other.signs[self.perm])
-        return self.as_matrix() @ other.as_matrix()
+        return _unchecked(
+            SignedPermutation, other.perm[self.perm], self.signs * other.signs[self.perm]
+        )
 
     def inverse(self) -> "SignedPermutation":
         inv = np.argsort(self.perm)
-        return SignedPermutation(inv, self.signs[inv])
-
-    def as_matrix(self) -> np.ndarray:
-        mat = np.zeros((self.dim, self.dim))
-        mat[np.arange(self.dim), self.perm] = self.signs
-        return mat
+        return _unchecked(SignedPermutation, inv, self.signs[inv])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedPermutation):
             return NotImplemented
-        return (self.perm == other.perm).all() and (self.signs == other.signs).all()
+        return np.array_equal(self.perm, other.perm) and np.array_equal(self.signs, other.signs)
 
     def __repr__(self) -> str:
         return f"SignedPermutation(perm={self.perm.tolist()}, signs={self.signs.tolist()})"
 
 
-def _linear_close(a, b, tol: float) -> bool:
-    if isinstance(a, SignedPermutation) and isinstance(b, SignedPermutation):
-        return a == b
-    ma = a.as_matrix() if isinstance(a, SignedPermutation) else np.asarray(a)
-    mb = b.as_matrix() if isinstance(b, SignedPermutation) else np.asarray(b)
-    return bool(np.allclose(ma, mb, rtol=0.0, atol=tol))
-
-
-class _MatrixLinear:
-    """Dense linear part; only orthogonal matrices are accepted (p = 2)."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        mat = np.asarray(matrix, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {mat.shape}")
-        if not np.allclose(mat.T @ mat, np.eye(mat.shape[0]), rtol=0.0, atol=_TOL):
-            raise ValueError("matrix is not orthogonal within 1e-9")
-        self.matrix = mat
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v) @ self.matrix.T
-
-    def compose(self, other):
-        om = other.as_matrix() if isinstance(other, SignedPermutation) else other.matrix
-        return _MatrixLinear(self.matrix @ om)
-
-    def inverse(self) -> "_MatrixLinear":
-        return _MatrixLinear(self.matrix.T)
-
-    def as_matrix(self) -> np.ndarray:
-        return self.matrix
-
-    def __repr__(self) -> str:
-        return f"OrthogonalLinear({self.matrix.tolist()})"
-
-
-def OrthogonalLinear(matrix) -> _MatrixLinear:
-    return _MatrixLinear(matrix)
-
-
 class AffineIsometry:
-    """Map v -> L v + t with L a structural l^p isometry.
-
-    Matrix linear parts are rejected unless p = 2.
-    """
+    """Map v -> L v + t with L a signed permutation."""
 
     __slots__ = ("p", "linear", "translation")
 
     def __init__(self, p, linear, translation):
         self.p = _check_p(p)
-        if isinstance(linear, _MatrixLinear):
-            if self.p != 2.0:
-                raise ValueError("matrix linear parts are isometric only for p = 2")
-        elif not isinstance(linear, SignedPermutation):
+        if not isinstance(linear, SignedPermutation):
             raise TypeError(f"unsupported linear part {type(linear).__name__}")
         self.linear = linear
         self.translation = np.asarray(translation, dtype=np.float64)
@@ -172,21 +127,16 @@ class AffineIsometry:
         """self after other."""
         if self.dim != other.dim or self.p != other.p:
             raise ValueError("cannot compose isometries of different spaces")
-        lin = self.linear.compose(other.linear)
-        if isinstance(lin, np.ndarray):
-            lin = _MatrixLinear(lin)
-        return AffineIsometry(self.p, lin, self.linear.apply(other.translation) + self.translation)
+        shift = self.linear.apply(other.translation) + self.translation
+        return _unchecked(AffineIsometry, self.p, self.linear.compose(other.linear), shift)
 
     def inverse(self) -> "AffineIsometry":
         inv = self.linear.inverse()
-        return AffineIsometry(self.p, inv, -inv.apply(self.translation))
+        return _unchecked(AffineIsometry, self.p, inv, -inv.apply(self.translation))
 
     def close_to(self, other: "AffineIsometry", tol: float = _TOL) -> bool:
-        return (
-            self.dim == other.dim
-            and _linear_close(self.linear, other.linear, tol)
-            and bool(np.allclose(self.translation, other.translation, rtol=0.0, atol=tol))
-        )
+        same = self.linear == other.linear
+        return same and bool(np.allclose(self.translation, other.translation, rtol=0.0, atol=tol))
 
     def __repr__(self) -> str:
         return (
@@ -197,3 +147,52 @@ class AffineIsometry:
 
 def identity_isometry(p, dim: int) -> AffineIsometry:
     return AffineIsometry(p, SignedPermutation.identity(dim), np.zeros(dim))
+
+
+class IsometryStack(NamedTuple):
+    """Isometries v -> signs * v[perm] + translation of one space, one per row.
+
+    Each array has shape ``(k, dim)``.  Row arithmetic is the arithmetic of
+    ``AffineIsometry``, operation for operation, so results agree bit for bit.
+    """
+
+    perm: np.ndarray
+    signs: np.ndarray
+    translation: np.ndarray
+
+    @classmethod
+    def of(cls, isos: list, dim: int) -> "IsometryStack":
+        shape = (len(isos), dim)
+        return cls(
+            np.array([iso.linear.perm for iso in isos], dtype=np.int64).reshape(shape),
+            np.array([iso.linear.signs for iso in isos], dtype=np.int64).reshape(shape),
+            np.array([iso.translation for iso in isos], dtype=np.float64).reshape(shape),
+        )
+
+    def apply(self, vectors: np.ndarray) -> np.ndarray:
+        """Row k applied to ``vectors[k]``."""
+        return self.signs * np.take_along_axis(vectors, self.perm, axis=1) + self.translation
+
+    def transitions(self, a, b) -> "IsometryStack":
+        """Rows ``a[k]`` after the inverse of rows ``b[k]``, as ``compose(inverse())``."""
+        inv = np.argsort(self.perm[b], axis=1)
+        inv_signs = np.take_along_axis(self.signs[b], inv, axis=1)
+        inv_shift = -(inv_signs * np.take_along_axis(self.translation[b], inv, axis=1))
+        pa, sa = self.perm[a], self.signs[a]
+        return IsometryStack(
+            np.take_along_axis(inv, pa, axis=1),
+            sa * np.take_along_axis(inv_signs, pa, axis=1),
+            sa * np.take_along_axis(inv_shift, pa, axis=1) + self.translation[a],
+        )
+
+    def differs(self, other: "IsometryStack", tol: float = _TOL) -> np.ndarray:
+        """Rows that ``close_to`` rejects against the same row of ``other``."""
+        same = (self.perm == other.perm).all(axis=1) & (self.signs == other.signs).all(axis=1)
+        near = np.isclose(self.translation, other.translation, rtol=0.0, atol=tol)
+        return ~(same & near.all(axis=1))
+
+    def take(self, rows) -> "IsometryStack":
+        return IsometryStack(self.perm[rows], self.signs[rows], self.translation[rows])
+
+    def linear(self, k: int) -> SignedPermutation:
+        return _unchecked(SignedPermutation, self.perm[k], self.signs[k])

@@ -280,3 +280,70 @@ class TestFamily:
         ident = {n: float(n) for n in range(4)}
         report = bl.ultraproduct_hypothesis_check(fam, [(x0 if x0 < 8 else x0 - 16,)], ident, ident)
         assert not report.passed
+
+
+def _first_inconsistent_blocks(fib, r, level):
+    """First (z, zx) in (x, z) loop order whose balls disagree on the transition."""
+    q = fib.space.chain.levels[level]
+    length = q.distance_from_identity()
+    balls = [
+        tuple(BoxPoint(level, w) for w in q.elements() if q.cayley_distance(z, w) <= r - 1)
+        for z in q.elements()
+    ]
+    trivs = [fib.trivialize(ball, r) for ball in balls]
+    for x in q.elements():
+        if length[x] >= r:
+            continue
+        for z in q.elements():
+            zx = q.mult(z, x)
+            at = BoxPoint(level, zx)
+            base = trivs[z][at].compose(trivs[zx][at].inverse())
+            for w in sorted(set(balls[z]) & set(balls[zx])):
+                if not trivs[z][w].compose(trivs[zx][w].inverse()).close_to(base, 1e-9):
+                    return z, zx
+    return None
+
+
+@pytest.mark.parametrize(
+    "moduli, rank, r, seed",
+    [((2, 4, 8, 16), 1, 3, s) for s in range(4)] + [((4, 8), 2, 2, s) for s in range(4)],
+)
+def test_inconsistent_oracle_names_first_blocks(make_chain, moduli, rank, r, seed):
+    space = bl.assemble_box_space(make_chain(*moduli, rank=rank))
+    base = bl.from_proper_action(space, bl.translation_action(rank, 2.0), r_max=3)
+    level = bl.select_level_for_r(space.chain, 2 * r)
+    q = space.chain.levels[level]
+    rng = np.random.default_rng(seed)
+    center, coord = int(rng.integers(q.order)), int(rng.integers(rank))
+    target = tuple(
+        BoxPoint(level, w) for w in q.elements() if q.cayley_distance(center, w) <= r - 1
+    )
+    victim = target[int(rng.integers(len(target)))]
+    signs = np.ones(rank, dtype=np.int64)
+    signs[coord] = -1
+    flip = AffineIsometry(2.0, SignedPermutation(np.arange(rank), signs), np.zeros(rank))
+    offset = np.zeros(rank)
+    offset[coord] = 1.1e-9
+
+    def corrupted(C, scale):
+        out = base.trivialization(C, scale)
+        if tuple(C) == target:
+            iso = out[victim]
+            out[victim] = (
+                flip.compose(iso)
+                if seed % 2
+                else AffineIsometry(2.0, iso.linear, iso.translation + offset)
+            )
+        return out
+
+    fib = bl.FibredEmbedding(
+        space=space,
+        p=2.0,
+        dim=rank,
+        section=base.section,
+        exclusion=base.exclusion,
+        trivialization=corrupted,
+    )
+    z, zx = _first_inconsistent_blocks(fib, r, level)
+    with pytest.raises(ActionCheckError, match=rf"\(blocks {z}, {zx}\)$"):
+        bl.local_cocycle_from_fce(fib, r)

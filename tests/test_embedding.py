@@ -169,3 +169,108 @@ class TestPnormPower:
             blocks = rng.uniform(lo, hi, size=n)
             report = bl.pnorm_power_check(n, p, blocks, lo, hi)
             assert report.passed, (n, p, lo, hi, blocks)
+
+
+def _pair_loop_profile(f):
+    """Per-pair minima and maxima by distance, then the monotone envelopes."""
+    pts = f.domain.points()
+    lo, hi = {}, {}
+    for i, x in enumerate(pts):
+        for y in pts[i + 1 :]:
+            t = f.domain.distance(x, y)
+            v = float(bl.lp_norm(f(y) - f(x), f.p))
+            lo[t] = min(lo.get(t, v), v)
+            hi[t] = max(hi.get(t, v), v)
+    ts = sorted(lo)
+    for a, b in zip(reversed(ts[:-1]), reversed(ts[1:])):
+        lo[a] = min(lo[a], lo[b])
+    for a, b in zip(ts, ts[1:]):
+        hi[b] = max(hi[b], hi[a])
+    return lo, hi
+
+
+def _pair_loop_witnesses(f, rho_minus, rho_plus, tol):
+    pts = f.domain.points()
+    out = []
+    for i, x in enumerate(pts):
+        for y in pts[i:]:
+            t = f.domain.distance(x, y)
+            nrm = float(bl.lp_norm(f(y) - f(x), f.p))
+            lo, hi = float(rho_minus[t]), float(rho_plus[t])
+            if not lo - tol <= nrm <= hi + tol:
+                out.append((x, y, t, nrm, lo, hi))
+    return out
+
+
+SANDWICH_MAPS = [
+    ("linf", None),
+    ("cycle", 2.0),
+    ("torus", 1.0),
+    ("torus", 3.0),
+]
+
+
+def _sandwich_map(space, kind, p):
+    if kind == "linf":
+        return bl.linf_embedding(space)
+    if kind == "cycle":
+        return bl.cycle_plane_embedding(space, p)
+    return bl.torus_coordinate_embedding(space, p)
+
+
+class TestSandwichOracle:
+    """Array sandwich checks against the per-pair loops they replace."""
+
+    @pytest.mark.parametrize("kind, p", SANDWICH_MAPS)
+    def test_profile_matches_pair_loop(self, make_chain, kind, p):
+        space = bl.assemble_box_space(make_chain(4, 8, 16))
+        f = _sandwich_map(space, kind, p)
+        ctrl = bl.profile(f)
+        lo, hi = _pair_loop_profile(f)
+        assert sorted(ctrl.rho_minus) == sorted(lo) and sorted(ctrl.rho_plus) == sorted(hi)
+        for got, want in ((ctrl.rho_minus, lo), (ctrl.rho_plus, hi)):
+            for t in want:
+                # the pair loop takes scalar roots; for p outside {1, 2, inf} they
+                # may differ from numpy's array power in the last bit
+                assert got[t] == pytest.approx(want[t], rel=1e-15, abs=0.0)
+                if f.p in (1.0, 2.0, math.inf):
+                    assert got[t] == want[t]
+
+    @pytest.mark.parametrize("kind, p", SANDWICH_MAPS)
+    def test_verify_coarse_matches_pair_loop(self, make_chain, kind, p):
+        space = bl.assemble_box_space(make_chain(4, 8, 16))
+        f = _sandwich_map(space, kind, p)
+        ctrl = bl.profile(f)
+        ts = range(space.diameter() + 1)
+        # both envelopes pinched to just below the middle of the attained range
+        lo = {t: 0.0 if t == 0 else 0.4995 * (ctrl.rho_minus[t] + ctrl.rho_plus[t]) for t in ts}
+        hi = dict(lo)
+        report = bl.verify_coarse(f, lo, hi, tolerance=1e-9)
+        want = _pair_loop_witnesses(f, lo, hi, 1e-9)
+        n = space.point_count()
+        assert report.pair_count == n * (n + 1) // 2
+        assert [w[:3] + w[4:] for w in report.witnesses] == [w[:3] + w[4:] for w in want]
+        for got, exp in zip(report.witnesses, want):
+            assert got[3] == pytest.approx(exp[3], rel=1e-15, abs=0.0)
+            if f.p in (1.0, 2.0, math.inf):
+                assert got[3] == exp[3]
+        assert want and not report.passed
+
+    @pytest.mark.parametrize("drop_minus, drop_plus", [({0}, set()), ({5}, {3}), (set(), {2, 7})])
+    def test_missing_sample_names_first_in_pair_order(self, make_chain, drop_minus, drop_plus):
+        space = bl.assemble_box_space(make_chain(4, 8))
+        f = bl.linf_embedding(space)
+        ts = range(space.diameter() + 1)
+        lo = {t: float(t) for t in ts if t not in drop_minus}
+        hi = {t: float(t) for t in ts if t not in drop_plus}
+        pts = space.points()
+        first = next(
+            space.distance(x, y)
+            for i, x in enumerate(pts)
+            for y in pts[i:]
+            if space.distance(x, y) in drop_minus | drop_plus
+        )
+        which = "rho_minus" if first in drop_minus else "rho_plus"
+        message = rf"^{which} sample missing realized distance {first}$"
+        with pytest.raises(ControlSampleError, match=message):
+            bl.verify_coarse(f, lo, hi)

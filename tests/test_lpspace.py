@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import boxlab as bl
 from boxlab.lpspace import (
     AffineIsometry,
-    OrthogonalLinear,
+    IsometryStack,
     SignedPermutation,
     identity_isometry,
     lp_norm,
@@ -85,30 +85,6 @@ def test_signed_permutation_preserves_every_p():
             assert abs(lp_norm(a.apply(v), p) - lp_norm(v, p)) <= 1e-12
 
 
-def test_matrix_linear_only_for_p2():
-    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
-    lin = OrthogonalLinear(q)
-    AffineIsometry(2.0, lin, np.zeros(3))
-    with pytest.raises(ValueError):
-        AffineIsometry(3.0, lin, np.zeros(3))
-    with pytest.raises(ValueError):
-        OrthogonalLinear(q * 1.5)
-
-
-def test_rotation_isometry_p2():
-    theta = 0.73
-    rot = np.array(
-        [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-    )
-    iso = AffineIsometry(2.0, OrthogonalLinear(rot), np.array([1.0, -2.0]))
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        u, v = rng.normal(size=(2, 2))
-        assert abs(
-            lp_norm(iso.apply(u) - iso.apply(v), 2) - lp_norm(u - v, 2)
-        ) <= 1e-9
-
-
 def test_affine_composition_and_inverse():
     a = AffineIsometry(
         1.0,
@@ -145,3 +121,66 @@ def test_translation_mismatch_detected():
     shifted = AffineIsometry(2.0, SignedPermutation.identity(2), np.array([0.0, 1e-6]))
     assert not shifted.close_to(ident, 1e-9)
     assert shifted.close_to(ident, 1e-3)
+
+
+def test_constructor_rejects_bad_values():
+    with pytest.raises(ValueError):
+        SignedPermutation([0, 0, 2], [1, 1, 1])
+    with pytest.raises(ValueError):
+        SignedPermutation([1, 0], [1, 0])
+    with pytest.raises(ValueError):
+        SignedPermutation([1, 0], [1, 1, 1])
+    with pytest.raises(TypeError):
+        AffineIsometry(2.0, np.eye(2), np.zeros(2))
+    with pytest.raises(ValueError):
+        AffineIsometry(2.0, SignedPermutation.identity(2), np.zeros(3))
+    with pytest.raises(ValueError):
+        identity_isometry(2.0, 2).compose(identity_isometry(1.0, 2))
+
+
+@st.composite
+def isometry_rows(draw):
+    dim = draw(st.integers(1, 6))
+    count = draw(st.integers(1, 6))
+    shift = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    isos = [
+        AffineIsometry(
+            2.0,
+            SignedPermutation(
+                draw(st.permutations(range(dim))),
+                draw(st.lists(st.sampled_from([1, -1]), min_size=dim, max_size=dim)),
+            ),
+            draw(st.lists(shift, min_size=dim, max_size=dim)),
+        )
+        for _ in range(count)
+    ]
+    index = st.lists(st.integers(0, count - 1), min_size=1, max_size=12)
+    a = draw(index)
+    b = draw(st.lists(st.integers(0, count - 1), min_size=len(a), max_size=len(a)))
+    base = draw(st.lists(st.integers(0, len(a) - 1), min_size=len(a), max_size=len(a)))
+    return dim, isos, a, b, base
+
+
+@given(isometry_rows(), st.sampled_from([0.0, 1e-9, 1e-3, 10.0]))
+@settings(max_examples=150, deadline=None)
+def test_stack_transitions_match_scalar_algebra(rows, tol):
+    dim, isos, a, b, base = rows
+    stack = IsometryStack.of(isos, dim)
+    trans = stack.transitions(np.array(a), np.array(b))
+    scalar = [isos[i].compose(isos[j].inverse()) for i, j in zip(a, b)]
+    for k, want in enumerate(scalar):
+        assert trans.linear(k) == want.linear
+        assert trans.translation[k].tobytes() == want.translation.tobytes()
+    # row comparison agrees with close_to, row by row
+    differs = trans.differs(trans.take(np.array(base)), tol)
+    assert differs.tolist() == [not scalar[k].close_to(scalar[m], tol) for k, m in enumerate(base)]
+    # applying rows agrees with applying each isometry
+    vectors = np.arange(len(isos) * dim, dtype=float).reshape(len(isos), dim) - 3.5
+    moved = stack.apply(vectors)
+    for k, iso in enumerate(isos):
+        assert moved[k].tobytes() == iso.apply(vectors[k]).tobytes()
+
+
+def test_empty_stack_has_the_space_dimension():
+    stack = IsometryStack.of([], 3)
+    assert stack.perm.shape == stack.signs.shape == stack.translation.shape == (0, 3)

@@ -38,7 +38,7 @@ def lp_norm(values, p, axis=None):
     p = _check_p(p)
     arr = np.abs(np.asarray(values, dtype=np.float64))
     if math.isinf(p):
-        return arr.max(axis=axis) if arr.size else 0.0
+        return arr.max(axis=axis, initial=0.0)
     if p == 1.0:
         return arr.sum(axis=axis)
     if p == 2.0:

@@ -178,6 +178,14 @@ class TestVerifierMechanics:
         assert report.passed
         assert report.set_count > 0
 
+    def test_all_mode_whole_cycle(self, make_chain):
+        # Z/16 at r=6 puts a pair-free batch at the end of the sandwich check
+        space = bl.assemble_box_space(make_chain(16))
+        fib = bl.trivial_fibration(bl.linf_embedding(space))
+        lo, hi = identity_pair(space.diameter())
+        report = bl.verify_fce(fib, 6, lo, hi, mode="all")
+        assert report.passed and report.set_count == 16 * (2**5 - 1)
+
     def test_corrupted_trivialization_caught(self, deep_space):
         base = bl.from_proper_action(deep_space, bl.translation_action(1, 2.0))
         q = deep_space.chain.levels[4]

@@ -59,6 +59,13 @@ def test_norm_axis():
     assert np.allclose(lp_norm(m, 1, axis=1), [2.0, 4.0])
 
 
+@pytest.mark.parametrize("p", P_VALUES)
+def test_norm_of_no_rows_and_of_empty_rows(p):
+    assert lp_norm(np.zeros((0, 3)), p, axis=1).shape == (0,)
+    assert np.array_equal(lp_norm(np.zeros((2, 0)), p, axis=1), np.zeros(2))
+    assert lp_norm(np.zeros(0), p) == 0.0
+
+
 perm_strategy = st.permutations(range(5))
 signs_strategy = st.lists(st.sampled_from([1, -1]), min_size=5, max_size=5)
 

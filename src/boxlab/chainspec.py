@@ -18,14 +18,29 @@ transporting breadth-first geodesic words and then validated.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .errors import BoxlabError, SpecFormatError
 from .groups import AmbientGroup, GroupChain, build_chain, build_quotient
 
-__all__ = ["parse_chain", "load_chain"]
+__all__ = ["MAX_POINTS", "parse_chain", "load_chain"]
 
 _AMBIENT_FIELDS = ("family", "rank")
+
+# Total points a chain file may declare.  The box metric is dense, so this
+# bounds it at 4096^2 entries; larger chains are refused before any level is built.
+MAX_POINTS = 4096
+
+
+def _declared_order(spec) -> int:
+    """The order a level spec declares; 0 when malformed, which build_quotient then reports."""
+    try:
+        if spec["kind"] == "cyclic":
+            return math.prod(int(m) for m in spec["moduli"])
+        return len(spec["mult"]) if spec["kind"] == "table" else int(spec["degree"])
+    except (TypeError, KeyError, ValueError):
+        return 0
 
 
 def parse_chain(data, *, check_radii: bool = True) -> GroupChain:
@@ -51,6 +66,13 @@ def parse_chain(data, *, check_radii: bool = True) -> GroupChain:
         ambient = AmbientGroup(str(ambient_data["family"]), int(ambient_data["rank"]))
     except (TypeError, ValueError) as exc:
         raise SpecFormatError(f"bad ambient description: {exc}") from exc
+    total = 0
+    for i, spec in enumerate(level_specs):
+        total += max(_declared_order(spec), 0)
+        if total > MAX_POINTS:
+            raise SpecFormatError(
+                f"level {i} brings the chain to {total} points, above the cap of {MAX_POINTS}"
+            )
     levels = []
     for i, spec in enumerate(level_specs):
         try:

@@ -28,8 +28,8 @@ from .cocycles import (
 from .embedding import (
     CoarseEmbeddingMap,
     cycle_plane_embedding,
-    identity_controls,
     linf_embedding,
+    norm_equivalence_controls,
     profile,
     torus_coordinate_embedding,
     verify_coarse,
@@ -243,10 +243,9 @@ def _make_fibration(spec: str, space, p: float | None, r: int):
     """Return (fibration, default controls) for a fibration description."""
     if spec == "translation":
         rank = space.chain.ambient.rank
-        action = translation_action(rank, p if p is not None else 2.0)
-        fib = from_proper_action(space, action, r_max=max(r, 1))
-        top = max(r + 1, 2)
-        ctrl = identity_controls(range(top + 1))
+        p = p if p is not None else 2.0
+        fib = from_proper_action(space, translation_action(rank, p), r_max=max(r, 1))
+        ctrl = norm_equivalence_controls(range(max(r + 1, 2) + 1), rank, p)
         return fib, (ctrl.rho_minus, ctrl.rho_plus)
     if spec.startswith("trivial:"):
         f = _resolve_embedding(spec.split(":", 1)[1], space, p)
@@ -369,14 +368,11 @@ def cmd_forge(args) -> int:
         r = args.r if args.r is not None else 6
         if r < 2:
             raise SpecFormatError(f"ultra mode needs a top scale >= 2, got {r}")
-        fib, _ = _make_fibration("translation", space, p, r)
+        # the fibration's default controls reach length r + 1 >= 3, the ball's radius
+        fib, (lo, hi) = _make_fibration("translation", space, p, r)
         family = family_from_fce(fib, range(2, r + 1))
         elements = _ambient_ball(chain, 3)
-        top = max(3, r) + 1
-        ctrl = identity_controls(range(top + 1))
-        report = ultraproduct_hypothesis_check(
-            family, elements, ctrl.rho_minus, ctrl.rho_plus, tolerance=args.tolerance
-        )
+        report = ultraproduct_hypothesis_check(family, elements, lo, hi, tolerance=args.tolerance)
         lines = _family_lines(family, elements)
     else:
         raise SpecFormatError(f"unknown forge mode {args.mode!r}")
@@ -463,13 +459,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default="balls+pairs",
         help="witness set family",
     )
-    fv.add_argument("--controls", help="control CSV overriding the defaults")
+    fv.add_argument("--controls", help="control CSV (translation default: t*k^(1/p-1) <= rho <= t)")
     fv.set_defaults(func=cmd_fce_verify)
 
     fg = sub.add_parser("forge", help="build and verify cocycles")
     _add_common(fg)
     fg.add_argument(
-        "--mode", choices=("averaged", "fce", "lift", "ultra"), required=True
+        "--mode", choices=("averaged", "fce", "lift", "ultra"), required=True,
+        help="ultra checks the norms on Z^k against t*k^(1/p-1) <= norm <= t",
     )
     fg.add_argument("--level", type=int, default=None, help="carrier level (averaged)")
     fg.add_argument("--r", type=int, default=None, help="scale (fce/lift) or top scale (ultra)")

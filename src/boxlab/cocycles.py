@@ -12,7 +12,6 @@ convention.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from .groups import (
     project_to_level,
     select_level_for_r,
 )
-from .lpspace import SignedPermutation, lp_norm
+from .lpspace import _unchecked, lp_norm
 
 __all__ = [
     "QuotientCarrier",
@@ -63,21 +62,32 @@ class QuotientCarrier:
 
 
 class BlockMap:
-    """Linear isometry permuting blocks: (A xi)_z = maps[z](xi[tau[z]]).
+    """Linear isometry permuting blocks: (A xi)_z = signs[z] * xi[tau[z]][perm[z]].
 
-    ``maps`` is None when every per-block map is the identity, which keeps the
-    common permutation-only case cheap.
+    The twist holds one signed permutation per block as two ``(size, dim)``
+    arrays, both None when every block map is the identity, which keeps the
+    permutation-only case O(size).  The constructor validates the twist;
+    ``compose`` builds valid results without checking them again.
     """
 
-    __slots__ = ("tau", "maps")
+    __slots__ = ("tau", "perm", "signs")
 
-    def __init__(self, tau, maps=None):
+    def __init__(self, tau, perm=None, signs=None):
         self.tau = np.asarray(tau, dtype=np.int64)
         if self.tau.ndim != 1:
             raise ValueError("tau must be one-dimensional")
-        if maps is not None and len(maps) != len(self.tau):
-            raise ValueError(f"{len(maps)} maps for {len(self.tau)} blocks")
-        self.maps = list(maps) if maps is not None else None
+        if (perm is None) != (signs is None):
+            raise ValueError("perm and signs must be given together")
+        if perm is not None:
+            perm = np.asarray(perm, dtype=np.int64)
+            signs = np.asarray(signs, dtype=np.int64)
+            if perm.ndim != 2 or perm.shape[0] != self.size or signs.shape != perm.shape:
+                raise ValueError(f"twist of shape {perm.shape} for {self.size} blocks")
+            if not (np.sort(perm, axis=1) == np.arange(perm.shape[1])).all():
+                raise ValueError("twist is not a permutation in every block")
+            if not np.isin(signs, (-1, 1)).all():
+                raise ValueError("signs must be +1 or -1")
+        self.perm, self.signs = perm, signs
 
     @property
     def size(self) -> int:
@@ -88,54 +98,37 @@ class BlockMap:
         if blocks.shape[0] != self.size:
             raise ValueError(f"expected {self.size} blocks, got {blocks.shape[0]}")
         moved = blocks[self.tau]
-        if self.maps is None:
+        if self.perm is None:
             return moved
-        return np.stack(
-            [row if m is None else m.apply(row) for m, row in zip(self.maps, moved)]
-        )
+        return self.signs * np.take_along_axis(moved, self.perm, axis=1)
 
     def compose(self, other: "BlockMap") -> "BlockMap":
-        """self after other."""
+        """self after other: block z is self's map at z after other's at tau[z]."""
         if self.size != other.size:
             raise ValueError("block counts differ")
         tau = other.tau[self.tau]
-        if self.maps is None and other.maps is None:
-            return BlockMap(tau)
-        maps = []
-        for z in range(self.size):
-            a = self.maps[z] if self.maps is not None else None
-            b = other.maps[int(self.tau[z])] if other.maps is not None else None
-            if a is None:
-                maps.append(b)
-            elif b is None:
-                maps.append(a)
-            else:
-                maps.append(a.compose(b))
-        return BlockMap(tau, maps)
+        if other.perm is None:
+            return _unchecked(BlockMap, tau, self.perm, self.signs)
+        perm, signs = other.perm[self.tau], other.signs[self.tau]
+        if self.perm is not None:
+            signs = self.signs * np.take_along_axis(signs, self.perm, axis=1)
+            perm = np.take_along_axis(perm, self.perm, axis=1)
+        return _unchecked(BlockMap, tau, perm, signs)
 
     def equals(self, other: "BlockMap") -> bool:
         if self.size != other.size or not np.array_equal(self.tau, other.tau):
             return False
-        if self.maps is None and other.maps is None:
-            return True
-        for z in range(self.size):
-            a = self.maps[z] if self.maps is not None else None
-            b = other.maps[z] if other.maps is not None else None
-            if a is None:
-                a = SignedPermutation.identity(b.dim)
-            if b is None:
-                b = SignedPermutation.identity(a.dim)
-            if a != b:
-                return False
-        return True
+        if self.perm is None or other.perm is None:
+            twisted = self if other.perm is None else other
+            return twisted.perm is None or (
+                (twisted.perm == np.arange(twisted.perm.shape[1])).all()
+                and (twisted.signs == 1).all()
+            )
+        return np.array_equal(self.perm, other.perm) and np.array_equal(self.signs, other.signs)
 
     def __repr__(self) -> str:
-        kind = "permutation" if self.maps is None else "twisted"
+        kind = "permutation" if self.perm is None else "twisted"
         return f"BlockMap({kind}, size={self.size})"
-
-
-def _identity_block_map(size: int) -> BlockMap:
-    return BlockMap(np.arange(size))
 
 
 @dataclass
@@ -156,7 +149,7 @@ class LocalRepresentation:
         stored = self.images.get(x)
         if stored is not None:
             return stored
-        return _identity_block_map(self.carrier.size)
+        return BlockMap(np.arange(self.carrier.size))
 
 
 @dataclass
@@ -184,8 +177,7 @@ class LocalCocycle:
 
     @property
     def normalization(self) -> float:
-        if math.isinf(self.p):
-            return 1.0
+        # at p = inf the exponent is -0.0 and the normalization is exactly 1
         return self.carrier.size ** (-1.0 / self.p)
 
     def value(self, x: int) -> np.ndarray:
@@ -194,9 +186,6 @@ class LocalCocycle:
         if stored is not None:
             return stored
         return np.zeros((self.carrier.size, self.dim))
-
-    def normalized_value(self, x: int) -> np.ndarray:
-        return self.normalization * self.value(x)
 
     def norm(self, x: int) -> float:
         return self.normalization * float(lp_norm(self.value(x).ravel(), self.p))
@@ -302,7 +291,7 @@ def local_cocycle_from_fce(
                 f" the input is not fibred at scale {r} (blocks {z}, {int(tau[z])})"
             )
         values[x] = moved[row[blocks, blocks]] - moved[row[blocks, tau]]
-        images[x] = BlockMap(tau, [transition.linear(z) for z in q.elements()])
+        images[x] = BlockMap(tau, transition.perm, transition.signs)
     rep = LocalRepresentation(carrier=carrier, p=fib.p, dim=fib.dim, r=r, images=images)
     return LocalCocycle(
         carrier=carrier,
@@ -339,7 +328,7 @@ class LiftedCocycle:
 
     def sigma(self, g) -> BlockMap:
         if ambient_word_length(self.chain, g) >= self.r:
-            return _identity_block_map(self.base.carrier.size)
+            return BlockMap(np.arange(self.base.carrier.size))
         return self.base.companion.image(project_to_level(self.chain, g, self.level))
 
     def norm(self, g) -> float:
@@ -434,12 +423,10 @@ def verify_local_action(
         pairs = list(pairs)
     identity_witnesses = []
     representation_witnesses = []
-    checked = 0
     a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     for (x, y), xy in zip(pairs, q.mult_many(a, b).tolist()):
         lhs = coc.value(xy)
         rhs = rep.image(x).apply(coc.value(y)) + coc.value(x)
-        checked += 1
         if mode == "exact":
             ok = np.array_equal(lhs, rhs)
         else:
@@ -452,8 +439,8 @@ def verify_local_action(
         passed=not identity_witnesses and not representation_witnesses,
         mode=mode,
         tolerance=tolerance,
-        identity_checked=checked,
-        representation_checked=checked,
+        identity_checked=len(pairs),
+        representation_checked=len(pairs),
         identity_witnesses=identity_witnesses,
         representation_witnesses=representation_witnesses,
         notes=notes,
@@ -479,9 +466,7 @@ def family_from_fce(fib: FibredEmbedding, scales) -> CocycleFamily:
     chain = fib.space.chain
     members = {}
     for r in scales:
-        level = select_level_for_r(chain, 2 * int(r))
-        local = local_cocycle_from_fce(fib, int(r), level)
-        members[int(r)] = lift_to_group(local, chain)
+        members[int(r)] = lift_to_group(local_cocycle_from_fce(fib, int(r)), chain)
     return CocycleFamily(chain=chain, members=members)
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "cycle_plane_embedding",
     "torus_coordinate_embedding",
     "identity_controls",
+    "norm_equivalence_controls",
     "verify_coarse",
     "pnorm_power_check",
 ]
@@ -158,8 +159,18 @@ def torus_coordinate_embedding(space: BoxSpace, p: float = 2.0) -> CoarseEmbeddi
 
 
 def identity_controls(distances) -> ControlPair:
-    sample = {int(t): float(t) for t in distances}
-    return ControlPair(dict(sample), dict(sample))
+    return norm_equivalence_controls(distances, 1, 1.0)
+
+
+def norm_equivalence_controls(distances, rank: int, p) -> ControlPair:
+    """The pair t * rank^(1/p - 1) <= |v|_p <= t over the v in Z^rank with |v|_1 = t.
+
+    It is ``identity_controls`` at rank 1 or p = 1; at p = inf the lower
+    bound is t / rank.
+    """
+    scale = rank ** (1.0 / float(p) - 1.0)
+    ts = [int(t) for t in distances]
+    return ControlPair({t: t * scale for t in ts}, {t: float(t) for t in ts})
 
 
 @dataclass

@@ -164,10 +164,6 @@ class ProperAction:
             self._cache[key] = iso
         return iso
 
-    def displacement(self, g) -> float:
-        """Norm of the origin's motion under g."""
-        return float(lp_norm(self.isometry(g).apply(np.zeros(self.dim)), self.p))
-
 
 def translation_action(rank: int, p: float) -> ProperAction:
     """Free abelian group acting on R^rank by coordinate translations."""

@@ -12,6 +12,7 @@ given without an ambient presentation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,10 +70,6 @@ class AmbientGroup:
             raise ValueError(f"unknown ambient family {self.family!r}")
         if self.rank < 1:
             raise ValueError(f"ambient rank must be positive, got {self.rank}")
-
-    @property
-    def generator_count(self) -> int:
-        return self.rank
 
 
 def reduce_word(word) -> tuple[int, ...]:
@@ -151,37 +148,17 @@ class MarkedQuotient:
         g = self.gen_images[abs(letter) - 1]
         return g if letter > 0 else self.inv(g)
 
-    def letter_perms(self) -> list[np.ndarray]:
-        """Right-multiplication permutation for each symmetrized letter."""
-        xs = np.arange(self.order)
-        return [self.mult_many(xs, self.letter_image(letter)) for letter in self.letters()]
+    def letter_perms(self) -> np.ndarray:
+        """Right-multiplication permutations, one row per symmetrized letter."""
+        images = np.array([self.letter_image(letter) for letter in self.letters()], dtype=np.int64)
+        return self.mult_many(np.arange(self.order), images[:, None])
 
     # -- word metric -------------------------------------------------------
 
     def _run_bfs(self):
+        # parent letters are kept as indices into ``letters()``
         perms = self.letter_perms()
-        dist = np.full(self.order, -1, dtype=np.int64)
-        parent = np.full(self.order, -1, dtype=np.int64)
-        parent_letter = np.zeros(self.order, dtype=np.int64)
-        dist[self.identity] = 0
-        frontier = [self.identity]
-        letters = self.letters()
-        d = 0
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for li, perm in enumerate(perms):
-                    y = int(perm[x])
-                    if dist[y] < 0:
-                        dist[y] = d + 1
-                        parent[y] = x
-                        parent_letter[y] = letters[li]
-                        nxt.append(y)
-            frontier = nxt
-            d += 1
-        self._dist = dist
-        self._parent = parent
-        self._parent_letter = parent_letter
+        self._dist, self._parent, self._parent_letter, _ = _breadth_first(perms, self.identity)
 
     def distance_from_identity(self) -> np.ndarray:
         if self._dist is None:
@@ -190,13 +167,11 @@ class MarkedQuotient:
 
     def canonical_word(self, x: int) -> tuple[int, ...]:
         """Letters of the breadth-first geodesic from the identity to ``x``."""
-        if self._dist is None:
-            self._run_bfs()
-        if self._dist[x] < 0:
+        if self.distance_from_identity()[x] < 0:
             raise InvalidGroupError(f"element {x} not generated by the marking")
         out = []
         while x != self.identity:
-            out.append(int(self._parent_letter[x]))
+            out.append(self.letters()[self._parent_letter[x]])
             x = int(self._parent[x])
         out.reverse()
         return tuple(out)
@@ -221,10 +196,7 @@ class MarkedQuotient:
         return int(self.cayley_matrix([x], [y])[0, 0])
 
     def diameter(self) -> int:
-        dist = self.distance_from_identity()
-        if (dist < 0).any():
-            raise InvalidGroupError("marking does not generate the group")
-        return int(dist.max())
+        return int(self.cayley_matrix([self.identity]).max())
 
     # -- validation --------------------------------------------------------
 
@@ -296,9 +268,7 @@ class CyclicQuotient(MarkedQuotient):
             raise InvalidGroupError("empty modulus list")
         if any(m < 1 for m in self.moduli):
             raise InvalidGroupError(f"moduli must be positive, got {self.moduli}")
-        order = 1
-        for m in self.moduli:
-            order *= m
+        order = math.prod(self.moduli)
         self._weights = []
         w = order
         for m in self.moduli:
@@ -360,51 +330,75 @@ class TableQuotient(MarkedQuotient):
         return self._inv_table[a]
 
 
+def _breadth_first(perms: np.ndarray, start: int):
+    """Breadth-first search from ``start`` along the edges ``x -> perms[l, x]``.
+
+    One layer at a time; a point reached by several edges keeps the first in
+    frontier-major, letter-minor order, as a queue-driven search would.
+    Returns distances (-1 where unreached), parents, parent-letter indices
+    into ``perms`` and the points in discovery order.
+    """
+    letters, n = perms.shape
+    dist = np.full(n, -1, dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int64)
+    parent_letter = np.zeros(n, dtype=np.int64)
+    dist[start] = 0
+    layers = [np.array([start], dtype=np.int64)]
+    while layers[-1].size:
+        frontier = layers[-1]
+        reached = perms[:, frontier].T.ravel()  # edge e leaves frontier[e // letters]
+        fresh = np.flatnonzero(dist[reached] < 0)
+        _, first = np.unique(reached[fresh], return_index=True)
+        edges = np.sort(fresh[first])
+        found = reached[edges]
+        dist[found] = len(layers)
+        parent[found] = frontier[edges // letters]
+        parent_letter[found] = edges % letters
+        layers.append(found)
+    return dist, parent, parent_letter, np.concatenate(layers)
+
+
 def _quotient_from_permutations(degree: int, gens, base: int) -> TableQuotient:
     """Regular representation of a permutation action, simply transitive on an orbit."""
-    perms = []
+    letters = []
     for i, p in enumerate(gens):
         arr = np.asarray(p, dtype=np.int64)
         if arr.shape != (degree,) or sorted(arr.tolist()) != list(range(degree)):
             raise InvalidGroupError(f"generator {i} is not a permutation of degree {degree}")
-        perms.append(arr)
+        letters += [arr, np.argsort(arr)]
     if not 0 <= base < degree:
         raise InvalidGroupError(f"base point {base} out of range")
-    inv_perms = [np.argsort(p) for p in perms]
-    letters = []
-    for p, q in zip(perms, inv_perms):
-        letters.extend((p, q))
-
-    orbit_index: dict[int, int] = {base: 0}
-    orbit_points = [base]
-    # full permutation realizing each discovered orbit point from the base
-    words = [np.arange(degree)]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for xi in frontier:
-            gx = words[xi]
-            for p in letters:
-                gy = p[gx]
-                y = int(gy[base])
-                if y in orbit_index:
-                    known = words[orbit_index[y]]
-                    if not (gy[orbit_points] == known[orbit_points]).all():
-                        raise InvalidGroupError(
-                            f"orbit of {base} is not simply transitive:"
-                            f" two words differ on the orbit at point {y}"
-                        )
-                else:
-                    orbit_index[y] = len(orbit_points)
-                    orbit_points.append(y)
-                    words.append(gy)
-                    nxt.append(orbit_index[y])
-        frontier = nxt
-    position = np.full(degree, -1, dtype=np.int64)
-    position[orbit_points] = np.arange(len(orbit_points))
-    table = position[np.stack(words)[:, orbit_points]]
-    gen_idx = [orbit_index[int(p[base])] for p in perms]
-    return TableQuotient(table, 0, gen_idx)
+    letters = np.array(letters, dtype=np.int64).reshape(-1, degree)
+    # the word of an orbit point takes the base to it, so the orbit search runs on the points
+    dist, parent, letter, orbit = _breadth_first(letters, base)
+    n, k = len(orbit), len(letters)
+    # positions in int32: half the memory of the table and of the check's temporaries
+    position = np.full(degree, -1, dtype=np.int32)
+    position[orbit] = np.arange(n)
+    moves = position[letters[:, orbit]]  # letter l sends orbit[i] to orbit[moves[l, i]]
+    # table[i]: the breadth-first word of orbit[i] acting on the orbit, in positions
+    table = np.empty((n, n), dtype=np.int32)
+    table[0] = np.arange(n)
+    for d in range(1, int(dist.max()) + 1):
+        i = np.flatnonzero(dist[orbit] == d)
+        table[i] = moves[letter[orbit[i], None], table[position[parent[orbit[i]]]]]
+    # simply transitive: each (orbit point, letter) edge, taken in search order,
+    # agrees with the word of its end on the orbit points found before the edge
+    tree_edges = position[parent[orbit[1:]]] * k + letter[orbit[1:]]
+    failure = None
+    for l, move in enumerate(moves):
+        known = 1 + np.searchsorted(tree_edges, np.arange(n) * k + l)
+        differs = move[table] != table[move]
+        first = np.where(differs.any(axis=1), differs.argmax(axis=1), n)
+        bad = np.flatnonzero(first < known)
+        if bad.size and (failure is None or bad[0] < failure[0]):
+            failure = (bad[0], orbit[move[bad[0]]])
+    if failure is not None:
+        raise InvalidGroupError(
+            f"orbit of {base} is not simply transitive:"
+            f" two words differ on the orbit at point {failure[1]}"
+        )
+    return TableQuotient(table, 0, moves[::2, 0])
 
 
 def build_quotient(spec, threshold: int = EXHAUSTIVE_THRESHOLD, seed: int = 0) -> MarkedQuotient:
@@ -631,13 +625,12 @@ def infer_connecting_map(upper: MarkedQuotient, lower: MarkedQuotient) -> np.nda
     of its parent followed by one letter.
     """
     dist = upper.distance_from_identity()
-    images = _signed_images(lower)
+    perms = lower.letter_perms()
     out = np.empty(upper.order, dtype=np.int64)
     out[upper.identity] = lower.identity
     for d in range(1, upper.diameter() + 1):
         layer = np.flatnonzero(dist == d)
-        letters = upper._parent_letter[layer] + lower.rank
-        out[layer] = lower.mult_many(out[upper._parent[layer]], images[letters])
+        out[layer] = perms[upper._parent_letter[layer], out[upper._parent[layer]]]
     return out
 
 
@@ -761,7 +754,6 @@ def _compute_radius(chain: GroupChain, level: int) -> int:
         stable = prev.distance_from_identity()[prev_map] == lengths
     else:
         stable = np.zeros(deepest.order, dtype=bool)
-    stable = stable.copy()
     stable[deepest.identity] = True
     proj = chain.composed_map_to(level)
     max_len = int(lengths.max())

@@ -193,6 +193,3 @@ class IsometryStack(NamedTuple):
 
     def take(self, rows) -> "IsometryStack":
         return IsometryStack(self.perm[rows], self.signs[rows], self.translation[rows])
-
-    def linear(self, k: int) -> SignedPermutation:
-        return _unchecked(SignedPermutation, self.perm[k], self.signs[k])

@@ -34,13 +34,10 @@ def averaging_matrix(q: MarkedQuotient) -> np.ndarray:
     spectrum is real.  Stored dense; use only up to DENSE_LIMIT elements.
     """
     perms = q.letter_perms()
-    if not perms:
+    if not len(perms):
         raise ValueError("quotient has no marking letters")
-    n = q.order
-    rows = np.arange(n)
-    A = np.zeros((n, n))
-    for perm in perms:
-        np.add.at(A, (rows, perm), 1.0)
+    A = np.zeros((q.order, q.order))
+    np.add.at(A, (np.arange(q.order), perms), 1.0)
     A /= len(perms)
     return A
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import boxlab as bl
+from boxlab.chainspec import MAX_POINTS
 from boxlab.errors import SpecFormatError
 
 GOOD = {
@@ -80,4 +81,39 @@ def test_unknown_family_rejected():
     data = json.loads(json.dumps(GOOD))
     data["ambient"]["family"] = "braid"
     with pytest.raises(SpecFormatError):
+        bl.parse_chain(data)
+
+
+def line(*moduli, rank=1):
+    return {
+        "ambient": {"family": "free_abelian", "rank": rank},
+        "levels": [{"kind": "cyclic", "moduli": [m] * rank} for m in moduli],
+    }
+
+
+@pytest.mark.parametrize(
+    "levels, level, total",
+    [
+        ([{"kind": "cyclic", "moduli": [64, 65]}], 0, 4160),
+        ([{"kind": "cyclic", "moduli": [64]}, {"kind": "permutation", "degree": 5000}], 1, 5064),
+        ([{"kind": "table", "mult": [[]] * 4000}, {"kind": "cyclic", "moduli": [97]}], 1, 4097),
+    ],
+)
+def test_point_cap_counts_every_kind(levels, level, total):
+    data = {"ambient": {"family": "free_abelian", "rank": 1}, "levels": levels}
+    with pytest.raises(SpecFormatError) as exc:
+        bl.parse_chain(data)
+    assert str(exc.value) == (
+        f"level {level} brings the chain to {total} points, above the cap of {MAX_POINTS}"
+    )
+
+
+@pytest.mark.parametrize(
+    "data",
+    # 1984 and 1344 points, and a chain of exactly the cap
+    [line(1024, 512, 256, 128, 64), line(32, 16, 8, rank=2), line(4032, 64)],
+)
+def test_point_cap_admits_baseline_chains(data):
+    # coarsest level last, so build_chain refuses the chain after it passed the cap
+    with pytest.raises(SpecFormatError, match="orders decrease"):
         bl.parse_chain(data)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -31,11 +32,17 @@ SMALL = {
 }
 
 
+TORUS = {
+    "ambient": {"family": "free_abelian", "rank": 2},
+    "levels": [{"kind": "cyclic", "moduli": [m, m]} for m in (4, 8, 16)],
+}
+
+
 @pytest.fixture(scope="module")
 def chains(tmp_path_factory):
     root = tmp_path_factory.mktemp("chains")
     paths = {}
-    for name, data in (("dyadic", DYADIC), ("deep", DEEP), ("small", SMALL)):
+    for name, data in (("dyadic", DYADIC), ("deep", DEEP), ("small", SMALL), ("torus", TORUS)):
         path = root / f"{name}.json"
         path.write_text(json.dumps(data))
         paths[name] = str(path)
@@ -79,6 +86,17 @@ class TestBuild:
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["build", "--chain", "/nonexistent/chain.json"]) == 2
+
+    def test_oversized_chain_refused_before_building(self, tmp_path, capsys):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(
+            {"ambient": {"family": "free_abelian", "rank": 1},
+             "levels": [{"kind": "cyclic", "moduli": [100000]}]}
+        ))
+        start = time.perf_counter()
+        assert main(["build", "--chain", str(big)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "level 0 brings the chain to 100000 points" in capsys.readouterr().err
 
 
 class TestProfile:
@@ -218,6 +236,14 @@ class TestFceVerify:
         text = (out / "report.txt").read_text()
         assert "fibred embedding check: PASS" in text
 
+    @pytest.mark.parametrize("p", ["1", "2", "3", "inf"])
+    def test_torus_passes_at_default_controls(self, chains, capsys, p):
+        code = main(
+            ["fce-verify", "--chain", chains["torus"], "--fibration", "translation",
+             "--r", "3", "--p", p]
+        )
+        assert code == 0, capsys.readouterr().out
+
     def test_unknown_fibration_is_input_error(self, chains):
         assert main(
             ["fce-verify", "--chain", chains["deep"], "--fibration", "mystery", "--r", "3"]
@@ -287,6 +313,11 @@ class TestForge:
         assert rows[0] == "g,length,r,norm"
         assert "1,1,4,1" in rows
         assert "constant on live scales" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("p", ["1", "2", "3", "inf"])
+    def test_ultra_torus_passes_at_default_controls(self, chains, capsys, p):
+        code = main(["forge", "--chain", chains["torus"], "--mode", "ultra", "--r", "3", "--p", p])
+        assert code == 0, capsys.readouterr().out
 
 
 class TestSpectral:

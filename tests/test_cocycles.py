@@ -26,10 +26,8 @@ class TestBlockMap:
         assert np.array_equal(bm.apply(blocks), np.array([[2.0], [3.0], [1.0]]))
 
     def test_twisted_action(self):
-        flip = AffineIsometry(
-            1.0, SignedPermutation(np.array([0]), np.array([-1])), np.zeros(1)
-        ).linear
-        bm = BlockMap(np.array([1, 0]), [flip, None])
+        # block 0 flips the sign, block 1 is the identity
+        bm = BlockMap(np.array([1, 0]), [[0], [0]], [[-1], [1]])
         out = bm.apply(np.array([[2.0], [5.0]]))
         assert np.array_equal(out, np.array([[-5.0], [2.0]]))
 
@@ -41,6 +39,61 @@ class TestBlockMap:
             b = BlockMap(rng.permutation(size))
             blocks = rng.normal(size=(size, dim))
             assert np.array_equal(a.compose(b).apply(blocks), a.apply(b.apply(blocks)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_twisted_matches_per_block_signed_permutations(self, seed):
+        rng = np.random.default_rng(seed)
+        size, dim = 7, 3
+
+        def random_map(twisted):
+            tau = rng.permutation(size)
+            if not twisted:
+                return BlockMap(tau), [SignedPermutation.identity(dim)] * size
+            perm = np.array([rng.permutation(dim) for _ in range(size)])
+            signs = np.where(rng.random((size, dim)) < 0.5, -1, 1)
+            return BlockMap(tau, perm, signs), [SignedPermutation(*row) for row in zip(perm, signs)]
+
+        for twist_a, twist_b in [(True, True), (True, False), (False, True), (False, False)]:
+            a, maps_a = random_map(twist_a)
+            b, maps_b = random_map(twist_b)
+            blocks = rng.normal(size=(size, dim))
+            # block z of a.apply is maps_a[z] applied to block tau[z]
+            want = np.stack([m.apply(blocks[t]) for m, t in zip(maps_a, a.tau)])
+            assert a.apply(blocks).tobytes() == want.tobytes()
+            ab = a.compose(b)
+            assert ab.tau.tolist() == b.tau[a.tau].tolist()
+            composed = [maps_a[z].compose(maps_b[a.tau[z]]) for z in range(size)]
+            expected = BlockMap(
+                ab.tau, [m.perm for m in composed], [m.signs for m in composed]
+            )
+            assert ab.equals(expected) and expected.equals(ab)
+            assert ab.apply(blocks).tobytes() == a.apply(b.apply(blocks)).tobytes()
+            assert ab.equals(ab) and a.equals(a)
+            assert a.equals(BlockMap(a.tau)) == (not twist_a)
+            assert BlockMap(a.tau).equals(a) == (not twist_a)
+            assert not ab.equals(BlockMap(np.roll(ab.tau, 1), ab.perm, ab.signs))
+            if twist_a:
+                flipped = a.signs.copy()
+                flipped[rng.integers(size), rng.integers(dim)] *= -1
+                assert not a.equals(BlockMap(a.tau, a.perm, flipped))
+
+    def test_identity_twist_equals_untwisted(self):
+        tau = np.array([2, 0, 1])
+        twist = BlockMap(tau, np.tile(np.arange(2), (3, 1)), np.ones((3, 2), dtype=int))
+        assert twist.equals(BlockMap(tau)) and BlockMap(tau).equals(twist)
+
+    @pytest.mark.parametrize(
+        "perm, signs, message",
+        [
+            ([[0, 1], [1, 1]], [[1, 1], [1, 1]], "not a permutation"),
+            ([[0, 1], [1, 0]], [[1, 2], [1, 1]], "signs must be"),
+            ([[0, 1]], [[1, 1]], "for 2 blocks"),
+            ([[0, 1], [1, 0]], None, "given together"),
+        ],
+    )
+    def test_constructor_rejects_bad_twist(self, perm, signs, message):
+        with pytest.raises(ValueError, match=message):
+            BlockMap([1, 0], perm, signs)
 
 
 class TestAveraged:
@@ -123,7 +176,8 @@ class TestLocalFromFibration:
             if dist[x] >= 3:
                 assert not coc.live(x)
                 assert np.array_equal(coc.value(x), np.zeros((q.order, 1)))
-                assert coc.companion.image(x).maps is None
+                assert coc.companion.image(x).perm is None
+                assert coc.companion.image(x).signs is None
                 assert np.array_equal(coc.companion.image(x).tau, np.arange(q.order))
 
     def test_matches_negated_averaged_exactly(self, dyadic_space):

@@ -1,5 +1,6 @@
 """Coarse embeddings, control profiles, p-norm combination."""
 
+import itertools
 import math
 
 import numpy as np
@@ -102,6 +103,34 @@ class TestVerifyCoarse:
         hi = {0: 3.0, 1: 2.0, 2: 3.0, 3: 3.0}
         with pytest.raises(ValueError):
             bl.verify_coarse(f, lo, hi)
+
+
+class TestNormEquivalenceControls:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_bounds_every_lattice_vector(self, rank, p):
+        ctrl = bl.norm_equivalence_controls(range(5), rank, p)
+        for t in range(5):
+            # every v in Z^rank with |v|_1 = t, by brute force over the box [-t, t]^rank
+            norms = [
+                bl.lp_norm(np.array(v), p)
+                for v in itertools.product(range(-t, t + 1), repeat=rank)
+                if sum(map(abs, v)) == t
+            ]
+            assert ctrl.rho_minus[t] <= min(norms) + 1e-12
+            assert max(norms) <= ctrl.rho_plus[t] == t
+            if t % rank == 0:  # attained by the diagonal vector
+                assert ctrl.rho_minus[t] == pytest.approx(min(norms), abs=1e-12)
+
+    @pytest.mark.parametrize("rank, p", [(1, 2.0), (1, math.inf), (1, 3.0), (3, 1.0)])
+    def test_identity_controls_at_rank_one_or_p_one(self, rank, p):
+        ctrl = bl.norm_equivalence_controls(range(7), rank, p)
+        ident = bl.identity_controls(range(7))
+        assert (ctrl.rho_minus, ctrl.rho_plus) == (ident.rho_minus, ident.rho_plus)
+
+    def test_linf_lower_bound_divides_by_rank(self):
+        ctrl = bl.norm_equivalence_controls(range(7), 3, math.inf)
+        assert ctrl.rho_minus == pytest.approx({t: t / 3 for t in range(7)}, abs=1e-15)
 
 
 class TestEmbeddingMaps:

@@ -1,7 +1,9 @@
 """Word metrics, quotient chains, isometry radii."""
 
+import importlib.util
 import itertools
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 import boxlab as bl
 from boxlab.errors import ChainExhaustedError, ChainValidationError, InvalidGroupError
 from boxlab.groups import (
+    _quotient_from_permutations,
     ambient_from_letters,
     ambient_identity,
     ambient_inv,
@@ -428,3 +431,162 @@ class TestSampledValidation:
         with pytest.raises(ChainValidationError) as exc:
             bl.build_chain(ambient, levels, [[0, 1, 2, 3, 1, 1, 2, 3]], threshold=4)
         assert str(exc.value) == "connecting map 0 is not a homomorphism at (4, 2)"
+
+
+def loop_bfs(q):
+    """Breadth-first search one frontier element and one letter at a time.
+
+    Returns distances, parents and signed parent letters (0 where there is no
+    parent), the reference for the layered search.
+    """
+    perms = q.letter_perms()
+    dist = np.full(q.order, -1, dtype=np.int64)
+    parent = np.full(q.order, -1, dtype=np.int64)
+    parent_letter = np.zeros(q.order, dtype=np.int64)
+    dist[q.identity] = 0
+    frontier = [q.identity]
+    d = 0
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for letter, perm in zip(q.letters(), perms):
+                y = int(perm[x])
+                if dist[y] < 0:
+                    dist[y] = d + 1
+                    parent[y] = x
+                    parent_letter[y] = letter
+                    nxt.append(y)
+        frontier = nxt
+        d += 1
+    return dist, parent, parent_letter
+
+
+def loop_orbit_quotient(degree, gens, base):
+    """Orbit search carrying one full permutation per orbit point.
+
+    Each (point, letter) edge to a known point compares the two words on the
+    orbit points found so far.  Returns the table and generator images, or
+    raises with the first failing point.
+    """
+    letters = [q for p in gens for q in (np.array(p), np.argsort(p))]
+    orbit_index = {base: 0}
+    orbit_points = [base]
+    words = [np.arange(degree)]
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for xi in frontier:
+            for p in letters:
+                gy = p[words[xi]]
+                y = int(gy[base])
+                if y in orbit_index:
+                    known = words[orbit_index[y]]
+                    if not (gy[orbit_points] == known[orbit_points]).all():
+                        raise InvalidGroupError(
+                            f"orbit of {base} is not simply transitive:"
+                            f" two words differ on the orbit at point {y}"
+                        )
+                else:
+                    orbit_index[y] = len(orbit_points)
+                    orbit_points.append(y)
+                    words.append(gy)
+                    nxt.append(orbit_index[y])
+        frontier = nxt
+    position = np.full(degree, -1, dtype=np.int64)
+    position[orbit_points] = np.arange(len(orbit_points))
+    table = position[np.stack(words)[:, orbit_points]]
+    return table, tuple(orbit_index[int(p[base])] for p in gens)
+
+
+def perfbench_sl2_levels(seed):
+    """The relabelled SL2(Z/3) and SL2(Z/9) permutation specs of the benchmark corpus."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus.sl2_chain(seed)["levels"]
+
+
+def assert_search_matches_loop(q):
+    dist, parent, parent_letter = loop_bfs(q)
+    assert q.distance_from_identity().tolist() == dist.tolist()
+    assert q._parent.tolist() == parent.tolist()
+    letters = np.array(q.letters())
+    reached = parent >= 0
+    assert letters[q._parent_letter[reached]].tolist() == parent_letter[reached].tolist()
+
+
+class TestBreadthFirst:
+    """The layered search against the element-by-element loops it replaced."""
+
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_cyclic_matches_loop(self, moduli):
+        assert_search_matches_loop(bl.CyclicQuotient(moduli))
+
+    @given(dihedral_specs)
+    @settings(max_examples=25, deadline=None)
+    def test_dihedral_matches_loop(self, spec):
+        q = bl.build_quotient(spec)
+        assert_search_matches_loop(q)
+        table, gen_images = loop_orbit_quotient(spec["degree"], spec["gens"], spec["base"])
+        assert q.table.tolist() == table.tolist()
+        assert q.gen_images == gen_images
+
+    @pytest.mark.parametrize("seed", [1, 301])
+    def test_sl2_levels_match_loop(self, seed):
+        for spec in perfbench_sl2_levels(seed):
+            q = _quotient_from_permutations(spec["degree"], spec["gens"], spec["base"])
+            table, gen_images = loop_orbit_quotient(spec["degree"], spec["gens"], spec["base"])
+            assert q.table.tolist() == table.tolist()
+            assert q.gen_images == gen_images
+            assert_search_matches_loop(q)
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.permutations(range(n)), min_size=1, max_size=3), st.integers(0, n - 1)
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_action_matches_loop(self, case):
+        # mostly not simply transitive: the same first failing point, or the same table
+        gens, base = case
+        try:
+            want = loop_orbit_quotient(len(gens[0]), gens, base)
+        except InvalidGroupError as exc:
+            with pytest.raises(InvalidGroupError) as got:
+                _quotient_from_permutations(len(gens[0]), gens, base)
+            assert str(got.value) == str(exc)
+        else:
+            q = _quotient_from_permutations(len(gens[0]), gens, base)
+            assert (q.table.tolist(), q.gen_images) == (want[0].tolist(), want[1])
+
+    def test_unreached_elements_keep_minus_one(self):
+        table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+        q = bl.TableQuotient(table, 0, [2])
+        assert_search_matches_loop(q)
+        assert q.distance_from_identity().tolist() == [0, -1, 1, -1]
+
+    @pytest.mark.parametrize(
+        "gens, base, point",
+        [
+            # the dihedral group of order 8 on the corners of a square
+            ([[1, 2, 3, 0], [0, 3, 2, 1]], 0, 0),
+            # a 4-cycle with a transposition that fixes the points found first
+            ([[0, 3, 2, 7, 1, 5, 6, 4], list(range(8)), [0, 1, 2, 3, 6, 5, 4, 7]], 3, 7),
+        ],
+    )
+    def test_not_simply_transitive_rejected(self, gens, base, point):
+        message = (
+            f"orbit of {base} is not simply transitive:"
+            f" two words differ on the orbit at point {point}"
+        )
+        with pytest.raises(InvalidGroupError) as exc:
+            loop_orbit_quotient(len(gens[0]), gens, base)
+        assert str(exc.value) == message
+        spec = {"kind": "permutation", "degree": len(gens[0]), "gens": gens, "base": base}
+        with pytest.raises(InvalidGroupError) as exc:
+            bl.build_quotient(spec)
+        assert str(exc.value) == message

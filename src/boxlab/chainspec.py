@@ -43,7 +43,7 @@ def _declared_order(spec) -> int:
         return 0
 
 
-def parse_chain(data, *, check_radii: bool = True) -> GroupChain:
+def parse_chain(data) -> GroupChain:
     """Build a validated chain from parsed JSON data."""
     if not isinstance(data, dict):
         raise SpecFormatError(f"chain description must be an object, got {type(data).__name__}")
@@ -87,12 +87,12 @@ def parse_chain(data, *, check_radii: bool = True) -> GroupChain:
             if not isinstance(m, list) or not all(isinstance(v, int) for v in m):
                 raise SpecFormatError(f"connecting map {i} must be a list of integers")
     try:
-        return build_chain(ambient, levels, maps, check_radii=check_radii)
+        return build_chain(ambient, levels, maps)
     except BoxlabError as exc:
         raise SpecFormatError(str(exc)) from exc
 
 
-def load_chain(path, *, check_radii: bool = True) -> GroupChain:
+def load_chain(path) -> GroupChain:
     """Load a chain description from a JSON file."""
     text = Path(path).read_text()
     try:
@@ -102,6 +102,6 @@ def load_chain(path, *, check_radii: bool = True) -> GroupChain:
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     try:
-        return parse_chain(data, check_radii=check_radii)
+        return parse_chain(data)
     except SpecFormatError as exc:
         raise SpecFormatError(f"{path}: {exc}") from exc

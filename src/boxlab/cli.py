@@ -2,8 +2,9 @@
 
 Subcommands: build, profile, fce-verify, forge, spectral.  Exit codes: 0 all
 checks pass, 1 a verification failed (witnesses are printed), 2 malformed
-input or usage.  File outputs are plain CSV with no timestamps, so repeated
-runs over the same inputs produce byte-identical bodies.
+input or usage, 3 an internal error (its traceback is printed).  File
+outputs are plain CSV with no timestamps, so repeated runs over the same
+inputs produce byte-identical bodies.
 """
 
 from __future__ import annotations
@@ -493,12 +494,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BoxlabError as exc:
+    except (BoxlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        # anything else is a fault of the program, not of its input: print its
+        # traceback as an uncaught exception would, and exit 3
+        sys.excepthook(*sys.exc_info())
+        return 3
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxspace import BoxPoint
-from .errors import ActionCheckError
+from .errors import ActionCheckError, InvalidArgumentError
 from .fibration import FibredEmbedding
 from .groups import (
     GroupChain,
@@ -252,7 +252,7 @@ def local_cocycle_from_fce(
     constancy on the full ball overlaps.
     """
     if r < 1:
-        raise ValueError(f"scale must be >= 1, got {r}")
+        raise InvalidArgumentError(f"scale must be >= 1, got {r}")
     chain = fib.space.chain
     if level is None:
         level = select_level_for_r(chain, 2 * r)
@@ -335,18 +335,15 @@ class LiftedCocycle:
         return self.base.normalization * float(lp_norm(self.value(g).ravel(), self.base.p))
 
 
-def lift_to_group(coc: LocalCocycle, chain: GroupChain, r: int | None = None) -> LiftedCocycle:
-    """Lift along the projection onto the cocycle's carrier level.
+def lift_to_group(coc: LocalCocycle, chain: GroupChain) -> LiftedCocycle:
+    """Lift along the projection onto the cocycle's carrier level, at the cocycle's scale.
 
     Needs the scale to stay within the level's isometry radius, so that
     length comparisons against the scale agree upstairs and downstairs.
     """
-    if coc.r is None:
-        raise ValueError("only scale-local cocycles lift; the scale bounds the support")
+    r = coc.r
     if r is None:
-        r = coc.r
-    if r > coc.r:
-        raise ValueError(f"lift scale {r} exceeds the cocycle scale {coc.r}")
+        raise ValueError("only scale-local cocycles lift; the scale bounds the support")
     level = next(
         (i for i, q in enumerate(chain.levels) if q is coc.carrier.quotient), None
     )
@@ -391,7 +388,6 @@ class CocycleReport:
 def verify_local_action(
     rep: LocalRepresentation,
     coc: LocalCocycle,
-    pairs=None,
     mode: str = "atol",
     tolerance: float = 1e-9,
     max_pairs: int = 20000,
@@ -409,18 +405,15 @@ def verify_local_action(
         raise ValueError("representation and cocycle do not share carrier, scale and p")
     q = coc.carrier.quotient
     notes = []
-    if pairs is None:
-        alive = np.array([coc.live(x) for x in q.elements()])
-        live = np.flatnonzero(alive)
-        xs, ys = np.nonzero(alive[q.mult_many(live[:, None], live)])
-        pairs = list(zip(live[xs].tolist(), live[ys].tolist()))
-        if len(pairs) > max_pairs:
-            rng = np.random.default_rng(seed)
-            idx = rng.choice(len(pairs), size=max_pairs, replace=False)
-            pairs = [pairs[i] for i in idx]
-            notes.append(f"sampled {max_pairs} live pairs (seed {seed})")
-    else:
-        pairs = list(pairs)
+    alive = q.distance_from_identity() < (coc.r if coc.r is not None else np.inf)
+    live = np.flatnonzero(alive)
+    xs, ys = np.nonzero(alive[q.mult_many(live[:, None], live)])
+    pairs = list(zip(live[xs].tolist(), live[ys].tolist()))
+    if len(pairs) > max_pairs:
+        rng = np.random.default_rng(seed)
+        idx = rng.choice(len(pairs), size=max_pairs, replace=False)
+        pairs = [pairs[i] for i in idx]
+        notes.append(f"sampled {max_pairs} live pairs (seed {seed})")
     identity_witnesses = []
     representation_witnesses = []
     a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T

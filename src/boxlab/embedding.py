@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxspace import BoxPoint, BoxSpace, format_point
-from .errors import ControlSampleError
+from .errors import ControlSampleError, InvalidArgumentError
 from .lpspace import lp_norm
 
 __all__ = [
@@ -107,34 +107,33 @@ def profile(f: CoarseEmbeddingMap) -> ControlPair:
         seen[t] = True
     ts = np.flatnonzero(seen)
     if not ts.size:
-        raise ValueError("domain has a single point, no realized distances")
+        raise InvalidArgumentError("domain has a single point, no realized distances")
     lo = np.minimum.accumulate(low[ts][::-1])[::-1]
     hi = np.maximum.accumulate(high[ts])
     return ControlPair(dict(zip(ts.tolist(), lo.tolist())), dict(zip(ts.tolist(), hi.tolist())))
 
 
-def linf_embedding(space: BoxSpace, basepoint: BoxPoint | None = None) -> CoarseEmbeddingMap:
-    """Distance-difference embedding x -> (d(x, y) - d(x0, y))_y, isometric into l^inf."""
+def linf_embedding(space: BoxSpace) -> CoarseEmbeddingMap:
+    """Distance-difference embedding x -> (d(x, y) - d(x0, y))_y, isometric into l^inf.
+
+    The base point x0 is the identity of level 0.
+    """
     pts = space.points()
-    if basepoint is None:
-        basepoint = space.identity_point(0)
     dist = space.distance_matrix()
-    base_row = dist[space.point_index(basepoint)]
+    base_row = dist[space.point_index(space.identity_point(0))]
     table = {pt: dist[i] - base_row for i, pt in enumerate(pts)}
     return CoarseEmbeddingMap(space, math.inf, len(pts), table)
 
 
 def cycle_plane_embedding(space: BoxSpace, p: float = 2.0) -> CoarseEmbeddingMap:
-    """Each cyclic level mapped to the unit circle of the plane with the p-norm."""
-    table = {}
+    """Each cyclic level mapped to the unit circle of the plane with the p-norm.
+
+    On rank-one levels this is the torus coordinate embedding.
+    """
     for i, q in enumerate(space.chain.levels):
-        if not hasattr(q, "moduli") or len(q.moduli) != 1:
-            raise ValueError(f"level {i} is not a rank-one cyclic quotient")
-        m = q.moduli[0]
-        for k in range(q.order):
-            angle = 2.0 * math.pi * k / m
-            table[BoxPoint(i, k)] = np.array([math.cos(angle), math.sin(angle)])
-    return CoarseEmbeddingMap(space, p, 2, table)
+        if len(getattr(q, "moduli", ())) != 1:
+            raise InvalidArgumentError(f"level {i} is not a rank-one cyclic quotient")
+    return torus_coordinate_embedding(space, p)
 
 
 def torus_coordinate_embedding(space: BoxSpace, p: float = 2.0) -> CoarseEmbeddingMap:
@@ -142,7 +141,7 @@ def torus_coordinate_embedding(space: BoxSpace, p: float = 2.0) -> CoarseEmbeddi
     ranks = set()
     for i, q in enumerate(space.chain.levels):
         if not hasattr(q, "moduli"):
-            raise ValueError(f"level {i} is not a cyclic product quotient")
+            raise InvalidArgumentError(f"level {i} is not a cyclic product quotient")
         ranks.add(len(q.moduli))
     if len(ranks) != 1:
         raise ValueError(f"levels mix coordinate counts {sorted(ranks)}")
@@ -220,7 +219,7 @@ def verify_coarse(
         ts = sorted(sample)
         vals = [sample[t] for t in ts]
         if any(b < a for a, b in zip(vals, vals[1:])):
-            raise ValueError(f"{name} samples are not nondecreasing")
+            raise InvalidArgumentError(f"{name} samples are not nondecreasing")
     pts = f.domain.points()
     dist = f.domain.distance_matrix()
     mat = f.matrix()

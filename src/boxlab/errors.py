@@ -7,6 +7,10 @@ class BoxlabError(Exception):
     """Base class for structural errors raised by this package."""
 
 
+class InvalidArgumentError(BoxlabError, ValueError):
+    """An argument lies outside the values a function accepts."""
+
+
 class InvalidGroupError(BoxlabError):
     """A quotient description does not define a marked group."""
 

@@ -18,7 +18,12 @@ import numpy as np
 
 from .boxspace import BoxPoint, BoxSpace, format_point
 from .embedding import CoarseEmbeddingMap, _control_table
-from .errors import ActionCheckError, ControlSampleError, MissingTrivializationError
+from .errors import (
+    ActionCheckError,
+    ControlSampleError,
+    InvalidArgumentError,
+    MissingTrivializationError,
+)
 from .groups import (
     FREE_ABELIAN,
     ambient_from_letters,
@@ -217,7 +222,7 @@ def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) ->
         raise ValueError(f"precheck depth must be >= 1, got {r_max}")
     chain = space.chain
     if chain.ambient.family != FREE_ABELIAN:
-        raise ValueError(
+        raise InvalidArgumentError(
             "proper-action fibrations need a free abelian ambient group;"
             f" got family {chain.ambient.family!r}"
         )
@@ -336,7 +341,7 @@ def _candidate_sets(space, allowed, dist, r: int, mode: str, max_all_points: int
                 push((x, allowed[k + 1 + m]))
     if mode == "all":
         if len(allowed) > max_all_points:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"mode 'all' over {len(allowed)} points exceeds the cap of"
                 f" {max_all_points}; use balls+pairs or raise max_all_points"
             )
@@ -397,7 +402,7 @@ def verify_fce(
     transition at every shared point compared with the one at the first.
     """
     if r < 1:
-        raise ValueError(f"scale must be >= 1, got {r}")
+        raise InvalidArgumentError(f"scale must be >= 1, got {r}")
     space = fib.space
     K = fib.excluded(r)
     allowed = [pt for pt in space.points() if pt not in K]

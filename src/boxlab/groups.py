@@ -39,7 +39,6 @@ __all__ = [
     "reduce_word",
     "ambient_word_length",
     "ambient_mult",
-    "ambient_inv",
     "ambient_identity",
     "ambient_from_letters",
     "ambient_sphere",
@@ -452,15 +451,6 @@ def ambient_mult(chain: "GroupChain", g, h):
     return chain.levels[-1].mult(g, h)
 
 
-def ambient_inv(chain: "GroupChain", g):
-    family = chain.ambient.family
-    if family == FREE:
-        return tuple(-letter for letter in reversed(g))
-    if family == FREE_ABELIAN:
-        return tuple(-a for a in g)
-    return chain.levels[-1].inv(g)
-
-
 def ambient_from_letters(chain: "GroupChain", word):
     """Ambient element spelled by signed letters."""
     family = chain.ambient.family
@@ -505,76 +495,53 @@ def ambient_word_length(chain: "GroupChain", g) -> int:
     return values[-1]
 
 
-def _abelian_sphere(rank: int, radius: int):
-    """Integer vectors with L1 norm exactly ``radius``."""
-    if radius == 0:
-        yield (0,) * rank
-        return
-    for cut in itertools.combinations(range(radius + rank - 1), rank - 1):
-        parts = []
-        prev = -1
-        for c in cut:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(radius + rank - 2 - prev)
-        nonzero = [i for i, p in enumerate(parts) if p]
-        for signs in itertools.product((1, -1), repeat=len(nonzero)):
-            vec = list(parts)
-            for i, s in zip(nonzero, signs):
-                vec[i] *= s
-            yield tuple(vec)
+def _next_sphere(chain: "GroupChain", rows: np.ndarray):
+    """The ambient sphere one letter further out than the sphere ``rows``.
+
+    A sphere is held as integer rows: signed letters for free words,
+    coordinates for free abelian vectors.  Returns the new rows, each row's
+    parent row and its letter's index into ``letters()``, in the order of
+    ``ambient_sphere``: free words parent-major, letter-minor; vectors
+    lexicographically by their absolute values, then by their signs,
+    positive before negative, coordinate by coordinate.
+    """
+    rank = chain.ambient.rank
+    letters = np.array(chain.levels[0].letters(), dtype=np.int64)
+    if chain.ambient.family == FREE:
+        # every letter that does not cancel the last one; the empty word has none
+        last = rows[:, -1:] if rows.shape[1] else np.zeros((len(rows), 1), dtype=np.int64)
+        parent, step = np.nonzero(last != -letters)
+        return np.column_stack([rows[parent], letters[step]]), parent, step
+    # each vector once, from the parent that shortens its first nonzero coordinate
+    coord, sign = np.abs(letters) - 1, np.sign(letters)
+    nonzero = rows != 0
+    first = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), rank)
+    parent, step = np.nonzero((coord <= first[:, None]) & (rows[:, coord] * sign >= 0))
+    out = rows[parent]
+    out[np.arange(len(out)), coord[step]] += sign[step]
+    order = np.lexsort(np.vstack([(out < 0).T[::-1], np.abs(out).T[::-1]]))
+    return out[order], parent[order], step[order]
 
 
 def ambient_sphere(chain: "GroupChain", radius: int) -> list:
     """All ambient elements of word length exactly ``radius`` (free families only)."""
-    family = chain.ambient.family
-    if family == FREE:
-        rank = chain.ambient.rank
-        letters = [l for k in range(1, rank + 1) for l in (k, -k)]
-        sphere: list[tuple[int, ...]] = [()]
-        for _ in range(radius):
-            sphere = [w + (l,) for w in sphere for l in letters if not w or w[-1] != -l]
-        return sphere
-    if family == FREE_ABELIAN:
-        return list(_abelian_sphere(chain.ambient.rank, radius))
-    raise ValueError("sphere enumeration needs a free or free abelian ambient")
-
-
-def _signed_images(q: MarkedQuotient) -> np.ndarray:
-    """Image of each letter ``-rank..rank`` at index ``letter + rank``; letter 0 is the identity."""
-    return np.array([q.letter_image(l) if l else q.identity for l in range(-q.rank, q.rank + 1)])
-
-
-def _letter_rows(chain: "GroupChain", gs) -> np.ndarray:
-    """Free words of one length, or free abelian vectors, as rows of signed letters.
-
-    A vector is spelled coordinate by coordinate; its row is padded with the
-    letter 0, which acts as the identity.
-    """
-    rows = np.array(gs, dtype=np.int64)
-    if chain.ambient.family == FREE:
-        return rows
-    counts = np.abs(rows)[:, :, None]
-    letters = (np.sign(rows) * np.arange(1, chain.ambient.rank + 1))[:, :, None]
-    steps = np.arange(counts.max(initial=0))
-    return np.where(steps < counts, letters, 0).reshape(len(rows), -1)
-
-
-def _project_many(chain: "GroupChain", gs, level: int) -> np.ndarray:
-    """Images of a sequence of ambient elements in the given level."""
-    if chain.ambient.family == EXPLICIT_CHAIN_LIMIT:
-        return chain.composed_map_to(level)[np.asarray(gs, dtype=np.int64)]
-    q = chain.levels[level]
-    images = _signed_images(q)
-    x = np.full(len(gs), q.identity, dtype=np.int64)
-    for column in _letter_rows(chain, gs).T:
-        x = q.mult_many(x, images[column + q.rank])
-    return x
+    if chain.ambient.family not in (FREE, FREE_ABELIAN):
+        raise ValueError("sphere enumeration needs a free or free abelian ambient")
+    rows = np.array([ambient_identity(chain)], dtype=np.int64)
+    for _ in range(radius):
+        rows = _next_sphere(chain, rows)[0]
+    return [tuple(row) for row in rows.tolist()]
 
 
 def project_to_level(chain: "GroupChain", g, level: int) -> int:
     """Image of an ambient element in the given level."""
-    return int(_project_many(chain, [g], level)[0])
+    family = chain.ambient.family
+    if family == EXPLICIT_CHAIN_LIMIT:
+        return int(chain.composed_map_to(level)[g])
+    if family == FREE_ABELIAN:
+        # spelled coordinate by coordinate; the generator images commute
+        g = [k if c > 0 else -k for k, c in enumerate(g, start=1) for _ in range(abs(c))]
+    return chain.levels[level].evaluate_word(g)
 
 
 # -- chains -----------------------------------------------------------------
@@ -741,10 +708,16 @@ def _compute_radius(chain: GroupChain, level: int) -> int:
     dist = quotient.distance_from_identity()
     family = chain.ambient.family
     if family in (FREE, FREE_ABELIAN):
+        # each sphere's images are its parents' images times one letter
+        perms = quotient.letter_perms()
+        rows = np.array([ambient_identity(chain)], dtype=np.int64)
+        images = np.array([quotient.identity])
         D = 0
         while True:
             D += 1
-            if (dist[_project_many(chain, ambient_sphere(chain, D), level)] != D).any():
+            rows, parent, step = _next_sphere(chain, rows)
+            images = perms[step, images[parent]]
+            if (dist[images] != D).any():
                 return D
     deepest = chain.levels[-1]
     lengths = deepest.distance_from_identity()

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidArgumentError
 from .groups import GroupChain, MarkedQuotient
 
 __all__ = [
@@ -88,7 +89,7 @@ def expander_scan(chain: GroupChain, epsilon: float) -> SpectralScan:
     statement about deeper levels is implied.
     """
     if not epsilon > 0:
-        raise ValueError(f"threshold must be positive, got {epsilon}")
+        raise InvalidArgumentError(f"threshold must be positive, got {epsilon}")
     rows = []
     notes = ["finite prefix only: the verdict covers the listed levels"]
     verdict = True

@@ -1,12 +1,15 @@
 """Command line behaviour: exit codes, file outputs, determinism."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from boxlab import cli
 from boxlab.cli import main
 
 DYADIC = {
@@ -361,3 +364,70 @@ class TestParsing:
         )
         assert result.returncode == 0
         assert "isometry radius 9" in result.stdout
+
+
+def perfbench_sl2_chain(seed):
+    """The relabelled SL2(Z/3), SL2(Z/9) chain of the benchmark corpus, over a free ambient."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus.sl2_chain(seed)
+
+
+class TestExitCodes:
+    """Bad input exits 2 with its message; a fault inside the program exits 3."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, chains, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        paths = dict(chains)
+        one = {"ambient": {"family": "free_abelian", "rank": 1},
+               "levels": [{"kind": "cyclic", "moduli": [1]}]}
+        for name, data in (("one", one), ("sl2", perfbench_sl2_chain(1))):
+            paths[name] = str(root / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(data))
+        paths["decreasing"] = str(root / "decreasing.csv")
+        Path(paths["decreasing"]).write_text("t,rho_minus,rho_plus\n0,0,0\n1,2,2\n2,1,1\n")
+        return paths
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("fce-verify --chain {dyadic} --r 0", "scale must be >= 1, got 0"),
+            ("forge --mode fce --chain {dyadic} --r 0", "scale must be >= 1, got 0"),
+            (
+                "fce-verify --chain {dyadic} --r 3 --subsets all --fibration trivial:linf",
+                "mode 'all' over 28 points exceeds the cap of 16; use balls+pairs"
+                " or raise max_all_points",
+            ),
+            (
+                "fce-verify --chain {sl2} --r 2 --fibration translation",
+                "proper-action fibrations need a free abelian ambient group; got family 'free'",
+            ),
+            (
+                "profile --chain {torus} --embedding cycle-plane",
+                "level 0 is not a rank-one cyclic quotient",
+            ),
+            ("profile --chain {sl2} --embedding torus-lp", "level 0 is not a cyclic product quotient"),
+            ("spectral --chain {dyadic} --epsilon 0", "threshold must be positive, got 0.0"),
+            ("profile --chain {one}", "domain has a single point, no realized distances"),
+            (
+                "profile --chain {dyadic} --controls {decreasing}",
+                "rho_minus samples are not nondecreasing",
+            ),
+        ],
+    )
+    def test_bad_input_exits_two(self, inputs, argv, message, capsys):
+        assert main(argv.format(**inputs).split()) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_internal_error_exits_three_with_traceback(self, chains, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("broken verifier")
+
+        monkeypatch.setattr(cli, "verify_fce", broken)
+        assert main(["fce-verify", "--chain", chains["dyadic"], "--r", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert err.endswith("ValueError: broken verifier\n")

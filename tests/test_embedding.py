@@ -144,6 +144,19 @@ class TestEmbeddingMaps:
         with pytest.raises(ValueError):
             bl.cycle_plane_embedding(space)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("space", ["dyadic_space", "deep_space"])
+    def test_plane_table_is_torus_table_on_rank_one(self, space, p, request):
+        space = request.getfixturevalue(space)
+        plane = bl.cycle_plane_embedding(space, p)
+        torus = bl.torus_coordinate_embedding(space, p)
+        assert (plane.p, plane.dim) == (torus.p, torus.dim) == (p, 2)
+        assert list(plane.table) == list(torus.table) == space.points()
+        for pt, v in plane.table.items():
+            angle = 2.0 * math.pi * pt.element / space.chain.levels[pt.level].moduli[0]
+            assert v.tobytes() == torus.table[pt].tobytes()
+            assert v.tolist() == [math.cos(angle), math.sin(angle)]
+
     def test_torus_embedding_dimension(self, torus_chain):
         space = bl.assemble_box_space(torus_chain)
         f = bl.torus_coordinate_embedding(space, 1.0)

@@ -11,12 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxlab as bl
-from boxlab.errors import ChainExhaustedError, ChainValidationError, InvalidGroupError
+from boxlab.errors import (
+    ChainExhaustedError,
+    ChainValidationError,
+    InvalidGroupError,
+    NonStabilizedLengthError,
+)
 from boxlab.groups import (
+    _next_sphere,
     _quotient_from_permutations,
     ambient_from_letters,
     ambient_identity,
-    ambient_inv,
     ambient_mult,
     ambient_sphere,
     ambient_word_length,
@@ -170,7 +175,6 @@ class TestAmbientOps:
         )
         e = ambient_identity(chain)
         g, h = (2, -1), (-3, 4)
-        assert ambient_mult(chain, g, ambient_inv(chain, g)) == e
         assert ambient_mult(chain, e, h) == h
         assert ambient_from_letters(chain, (1, 1, -2)) == (2, -1)
 
@@ -376,22 +380,27 @@ class TestKernel:
 
     @pytest.mark.parametrize("family", ["free", "free_abelian"])
     def test_sphere_projection_matches_word_evaluation(self, family):
-        from boxlab.groups import _project_many
-
         level = (
             bl.build_quotient(regular_dihedral(3, list(range(6)), 0))
             if family == "free"
             else bl.CyclicQuotient([3, 5])
         )
         chain = bl.build_chain(bl.AmbientGroup(family, 2), [level], check_radii=False)
-        for radius in range(5):
-            sphere = ambient_sphere(chain, radius)
+        perms = level.letter_perms()
+        rows = np.array([ambient_identity(chain)], dtype=np.int64)
+        images = np.array([level.identity])
+        for radius in range(1, 5):
+            rows, parent, step = _next_sphere(chain, rows)
+            images = perms[step, images[parent]]
+            sphere = [tuple(g) for g in rows.tolist()]
             words = [
                 g if family == "free" else (1,) * g[0] + (-1,) * -g[0] + (2,) * g[1] + (-2,) * -g[1]
                 for g in sphere
             ]
             want = [level.evaluate_word(w) for w in words]
-            assert _project_many(chain, sphere, 0).tolist() == want
+            assert images.tolist() == want
+            assert [project_to_level(chain, g, 0) for g in sphere] == want
+            assert column_projection(chain, sphere, 0).tolist() == want
 
 
 class TestSampledValidation:
@@ -590,3 +599,192 @@ class TestBreadthFirst:
         with pytest.raises(InvalidGroupError) as exc:
             bl.build_quotient(spec)
         assert str(exc.value) == message
+
+
+# -- ambient spheres and the isometry radius ---------------------------------
+
+
+def loop_abelian_sphere(rank: int, radius: int):
+    """Integer vectors with L1 norm exactly ``radius``: compositions, then sign products."""
+    if radius == 0:
+        yield (0,) * rank
+        return
+    for cut in itertools.combinations(range(radius + rank - 1), rank - 1):
+        parts = []
+        prev = -1
+        for c in cut:
+            parts.append(c - prev - 1)
+            prev = c
+        parts.append(radius + rank - 2 - prev)
+        nonzero = [i for i, p in enumerate(parts) if p]
+        for signs in itertools.product((1, -1), repeat=len(nonzero)):
+            vec = list(parts)
+            for i, s in zip(nonzero, signs):
+                vec[i] *= s
+            yield tuple(vec)
+
+
+def loop_free_sphere(rank: int, radius: int) -> list:
+    """Reduced words of length exactly ``radius``, extended one letter at a time."""
+    letters = [l for k in range(1, rank + 1) for l in (k, -k)]
+    sphere: list[tuple[int, ...]] = [()]
+    for _ in range(radius):
+        sphere = [w + (l,) for w in sphere for l in letters if not w or w[-1] != -l]
+    return sphere
+
+
+def loop_sphere(chain, radius: int) -> list:
+    if chain.ambient.family == "free":
+        return loop_free_sphere(chain.ambient.rank, radius)
+    return list(loop_abelian_sphere(chain.ambient.rank, radius))
+
+
+def column_projection(chain, gs, level: int) -> np.ndarray:
+    """Images of free words, or free abelian vectors, one letter column at a time.
+
+    A vector is spelled coordinate by coordinate and padded with the letter
+    0, which stands for the identity.
+    """
+    q = chain.levels[level]
+    images = np.array([q.letter_image(l) if l else q.identity for l in range(-q.rank, q.rank + 1)])
+    rows = np.array(gs, dtype=np.int64)
+    if chain.ambient.family == "free_abelian":
+        counts = np.abs(rows)[:, :, None]
+        letters = (np.sign(rows) * np.arange(1, chain.ambient.rank + 1))[:, :, None]
+        steps = np.arange(counts.max(initial=0))
+        rows = np.where(steps < counts, letters, 0).reshape(len(rows), -1)
+    x = np.full(len(gs), q.identity, dtype=np.int64)
+    for column in rows.T:
+        x = q.mult_many(x, images[column + q.rank])
+    return x
+
+
+def sphere_radius_oracle(chain, level: int) -> int:
+    """The first radius at which an enumerated ambient sphere projects off its distance."""
+    dist = chain.levels[level].distance_from_identity()
+    D = 0
+    while True:
+        D += 1
+        if (dist[column_projection(chain, loop_sphere(chain, D), level)] != D).any():
+            return D
+
+
+def bare_chain(family: str, levels) -> bl.GroupChain:
+    return bl.build_chain(bl.AmbientGroup(family, levels[0].rank), levels, check_radii=False)
+
+
+class TestSpheres:
+    """Sphere steps against the itertools and list-comprehension enumerations."""
+
+    @given(
+        st.sampled_from(["free", "free_abelian"]).flatmap(
+            lambda family: st.tuples(
+                st.just(family),
+                st.integers(1, 3),
+                st.integers(0, 4 if family == "free" else 6),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ambient_sphere_matches_loop(self, case):
+        family, rank, radius = case
+        chain = bare_chain(family, [bl.CyclicQuotient([2] * rank)])
+        assert ambient_sphere(chain, radius) == loop_sphere(chain, radius)
+
+    @pytest.mark.parametrize("family, rank", [("free", 2), ("free_abelian", 3)])
+    def test_steps_name_parent_and_letter(self, family, rank):
+        chain = bare_chain(family, [bl.CyclicQuotient([2] * rank)])
+        letters = chain.levels[0].letters()
+        rows = np.array([ambient_identity(chain)], dtype=np.int64)
+        for radius in range(1, 5):
+            old = [tuple(g) for g in rows.tolist()]
+            rows, parent, step = _next_sphere(chain, rows)
+            assert [tuple(g) for g in rows.tolist()] == loop_sphere(chain, radius)
+            for g, k, l in zip(rows.tolist(), parent.tolist(), step.tolist()):
+                assert tuple(g) == ambient_mult(chain, old[k], ambient_from_letters(chain, [letters[l]]))
+
+
+class TestRadiusAgainstSphereProjection:
+    """Layered radii against projecting whole enumerated spheres, one letter column at a time."""
+
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=3), st.sampled_from(["free", "free_abelian"]))
+    @settings(max_examples=40, deadline=None)
+    def test_cyclic_levels(self, moduli, family):
+        chain = bare_chain(family, [bl.CyclicQuotient(moduli)])
+        assert chain.radius(0) == sphere_radius_oracle(chain, 0)
+
+    @pytest.mark.parametrize(
+        "moduli, rank", [((64, 128, 256, 512, 1024), 1), ((8, 16, 32), 2)]
+    )
+    def test_baseline_chains(self, moduli, rank):
+        chain = bare_chain("free_abelian", [bl.CyclicQuotient([m] * rank) for m in moduli])
+        assert [chain.radius(i) for i in range(len(moduli))] == [
+            sphere_radius_oracle(chain, i) for i in range(len(moduli))
+        ]
+
+    @given(dihedral_specs)
+    @settings(max_examples=25, deadline=None)
+    def test_dihedral_levels_over_free_ambient(self, spec):
+        chain = bare_chain("free", [bl.build_quotient(spec)])
+        assert chain.radius(0) == sphere_radius_oracle(chain, 0)
+
+    @pytest.mark.parametrize("seed", [1, 301])
+    def test_sl2_levels(self, seed):
+        chain = bare_chain("free", [bl.build_quotient(s) for s in perfbench_sl2_levels(seed)])
+        assert [chain.radius(i) for i in range(2)] == [sphere_radius_oracle(chain, i) for i in range(2)]
+
+
+def chain_limit(levels) -> bl.GroupChain:
+    return bl.build_chain(bl.AmbientGroup("explicit_chain_limit", levels[0].rank), levels)
+
+
+def composed_projection(chain, x: int, level: int) -> int:
+    for i in range(len(chain.levels) - 2, level - 1, -1):
+        x = int(chain.connecting_maps[i][x])
+    return x
+
+
+class TestChainLimit:
+    """An ambient given only as its deepest level, against breadth-first oracles."""
+
+    CHAINS = [
+        [bl.CyclicQuotient([m]) for m in (4, 8, 16)],
+        [bl.CyclicQuotient([m, m]) for m in (4, 8)],
+        [bl.build_quotient(regular_dihedral(m, list(range(2 * m)), 0)) for m in (3, 6, 12)],
+    ]
+
+    @pytest.mark.parametrize("levels", CHAINS)
+    def test_radius_length_and_projection(self, levels):
+        chain = chain_limit(levels)
+        deep = chain.levels[-1]
+        length = bfs_distances(deep)
+        below = bfs_distances(chain.levels[-2])
+        stable = {x: below[composed_projection(chain, x, len(levels) - 2)] == length[x] for x in length}
+        for x in deep.elements():
+            if stable[x]:
+                assert ambient_word_length(chain, x) == length[x]
+            else:
+                with pytest.raises(NonStabilizedLengthError) as exc:
+                    ambient_word_length(chain, x)
+                assert exc.value.last_values == (below[composed_projection(chain, x, len(levels) - 2)], length[x])
+        for level, q in enumerate(chain.levels):
+            level_length = bfs_distances(q)
+            for x in deep.elements():
+                assert project_to_level(chain, x, level) == composed_projection(chain, x, level)
+                assert project_to_level(chain, x, level) == q.evaluate_word(deep.canonical_word(x))
+            # the first length at which a stable element projects off its length or an
+            # unstable one appears; past the deepest diameter every length is certified
+            off = [
+                length[x]
+                for x in deep.elements()
+                if not stable[x] or level_length[composed_projection(chain, x, level)] != length[x]
+            ]
+            assert chain.radius(level) == min(off, default=max(length.values()) + 1)
+
+    def test_single_level_certifies_no_length(self):
+        chain = chain_limit([bl.CyclicQuotient([6])])
+        with pytest.raises(NonStabilizedLengthError) as exc:
+            ambient_word_length(chain, 2)
+        assert str(exc.value) == "single-level chain cannot certify a word length (deepest value 2)"
+        assert exc.value.last_values == (2,)
+        assert chain.radius(0) == 1

@@ -8,6 +8,7 @@ separation stays inside a single level.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,7 +42,6 @@ class BoxSpace:
 
     def __post_init__(self):
         self._points: list[BoxPoint] | None = None
-        self._index: dict[BoxPoint, int] | None = None
         self._matrix: np.ndarray | None = None
 
     def points(self) -> list[BoxPoint]:
@@ -57,9 +57,19 @@ class BoxSpace:
         return sum(q.order for q in self.chain.levels)
 
     def point_index(self, point: BoxPoint) -> int:
-        if self._index is None:
-            self._index = {p: i for i, p in enumerate(self.points())}
-        return self._index[point]
+        return int(self.point_indices([point])[0])
+
+    def point_indices(self, points) -> np.ndarray:
+        """Indices into ``points()`` of many points; ValueError names the first stranger."""
+        orders = np.array([q.order for q in self.chain.levels], dtype=np.int64)
+        level, element = np.array(points, dtype=np.int64).reshape(-1, 2).T
+        known = (0 <= level) & (level < len(orders))
+        known[known] &= (0 <= element[known]) & (element[known] < orders[level[known]])
+        if not known.all():
+            k = int(np.argmin(known))
+            stranger = BoxPoint(int(level[k]), int(element[k]))
+            raise ValueError(f"{format_point(stranger)} is not a point of the space")
+        return (np.cumsum(orders) - orders)[level] + element
 
     def identity_point(self, level: int) -> BoxPoint:
         return BoxPoint(level, self.chain.levels[level].identity)
@@ -94,7 +104,16 @@ class BoxSpace:
         return self._matrix
 
     def diameter(self) -> int:
-        return int(self.distance_matrix().max())
+        """Largest distance, without the matrix.
+
+        Levels are vertex-transitive, so a point at distance ``diam_i`` from
+        level i's identity exists; the farthest pair either lies in one
+        level or joins such points of levels i < j through the identities.
+        """
+        diams = [q.diameter() for q in self.chain.levels]
+        off = self.level_offsets
+        pairs = itertools.combinations(range(len(diams)), 2)
+        return max([*diams, *(diams[i] + off[j] - off[i] + diams[j] for i, j in pairs)])
 
 
 def assemble_box_space(chain: GroupChain) -> BoxSpace:

@@ -270,7 +270,7 @@ def local_cocycle_from_fce(
     row = np.full(inside.shape, -1, dtype=np.int64)
     row[inside] = np.arange(np.count_nonzero(inside))
     balls = [tuple(BoxPoint(level, w) for w in np.flatnonzero(ball).tolist()) for ball in inside]
-    stack, moved = fib.trivialize_stacked(balls, r)
+    stack, moved = fib.trivialize(balls, r)
 
     values = {}
     images = {}

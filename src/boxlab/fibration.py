@@ -2,15 +2,14 @@
 
 The model keeps the data of the definition explicit: a section assigning a
 vector to every point, an exclusion set per scale r, and a trivialization
-oracle that serves local isometric identifications.  Verification enumerates
-witness sets at a given scale and checks the two conditions: the sandwich on
-trivialized section differences, and constancy of transition isometries on
-overlaps.
+oracle that serves local isometric identifications, one stack of rows for
+many sets.  Verification enumerates witness sets at a given scale and checks
+the two conditions: the sandwich on trivialized section differences, and
+constancy of transition isometries on overlaps.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,19 +43,21 @@ __all__ = [
 ]
 
 SetOfPoints = tuple[BoxPoint, ...]
-Trivialization = dict[BoxPoint, AffineIsometry]
+# mode 'all' refuses more non-excluded points than this
+MAX_ALL_POINTS = 16
 
 
 @dataclass
 class FibredEmbedding:
     """Section + exclusion + trivialization oracle over a box space.
 
-    ``trivialization(C, r)`` returns one isometry of this fibration's l^p
-    space per point of ``C`` or raises MissingTrivializationError when the
-    contract cannot serve the request.  Verifiers only ever request sets of
-    diameter below ``r``, but the oracle may serve more (the proper-action
-    construction serves any single-level set whose covering radius is below
-    ``r``).
+    ``trivialization(sets, r)`` returns one ``IsometryStack`` of this
+    fibration's l^p space with a row per (set, point), sets in order and
+    points in the order each set lists them, or raises
+    MissingTrivializationError for the first set it cannot serve.  Verifiers
+    only ever request sets of diameter below ``r``, but the oracle may serve
+    more (the proper-action construction serves any single-level set whose
+    covering radius is below ``r``).
     """
 
     space: BoxSpace
@@ -64,7 +65,7 @@ class FibredEmbedding:
     dim: int
     section: dict[BoxPoint, np.ndarray]
     exclusion: Callable[[int], frozenset[BoxPoint]]
-    trivialization: Callable[[SetOfPoints, int], Trivialization]
+    trivialization: Callable[[list[SetOfPoints], int], IsometryStack]
     note: str = ""
 
     def __post_init__(self):
@@ -78,46 +79,47 @@ class FibredEmbedding:
                 raise ValueError(f"section missing point {format_point(pt)}")
             if v.shape != (self.dim,):
                 raise ValueError(f"section at {format_point(pt)} has shape {v.shape}")
+        self._section_rows = np.array(
+            [self.section[pt] for pt in self.space.points()], dtype=np.float64
+        ).reshape(-1, self.dim)
 
     def excluded(self, r: int) -> frozenset[BoxPoint]:
         if r < 1:
             raise ValueError(f"scale must be >= 1, got {r}")
         return self.exclusion(r)
 
-    def trivialize(self, points, r: int) -> Trivialization:
-        C = tuple(sorted(set(points)))
-        if not C:
-            raise ValueError("cannot trivialize an empty set")
-        for pt in C:
-            if not self.space.contains(pt):
-                raise ValueError(f"{format_point(pt)} is not a point of the space")
-        triv = self.trivialization(C, int(r))
-        for pt in C:
-            if pt not in triv:
-                raise MissingTrivializationError(
-                    f"oracle returned no isometry for {format_point(pt)}"
-                )
-            iso = triv[pt]
-            if iso.p != self.p or iso.dim != self.dim:
-                raise ValueError(
-                    f"oracle returned an isometry of l^{iso.p:g} in dimension {iso.dim}"
-                    f" at {format_point(pt)}; the fibration lives in l^{self.p:g}"
-                    f" in dimension {self.dim}"
-                )
-        return triv
+    def trivialize(self, sets, r: int) -> tuple[IsometryStack, np.ndarray]:
+        """Serve nonempty sets of points and check the served rows once.
 
-    def trivialize_stacked(self, sets, r: int) -> tuple[IsometryStack, np.ndarray]:
-        """Serve each set and stack the isometries, one row per (set, point) in order.
-
-        Also returns each row's isometry applied to the section at its point.
+        Returns the oracle's stack, one row per (set, point) in order, and
+        each row's isometry applied to the section at its point.
         """
-        isos = []
-        for C in sets:
-            triv = self.trivialize(C, r)
-            isos.extend(triv[pt] for pt in C)
-        stack = IsometryStack.of(isos, self.dim)
-        sections = np.array([self.section[pt] for C in sets for pt in C], dtype=np.float64)
-        return stack, stack.apply(sections.reshape(len(isos), self.dim))
+        sets = [tuple(C) for C in sets]
+        if not all(sets):
+            raise ValueError("cannot trivialize an empty set")
+        members = [pt for C in sets for pt in C]
+        where = self.space.point_indices(members)
+        stack = self.trivialization(sets, int(r))
+        if not isinstance(stack, IsometryStack):
+            raise TypeError(f"oracle returned {type(stack).__name__}, not an IsometryStack")
+        stack = IsometryStack(
+            *(np.asarray(a, dtype=t) for a, t in zip(stack, (np.int64, np.int64, np.float64)))
+        )
+        shape = (len(members), self.dim)
+        for a in stack:
+            if a.shape != shape:
+                raise ValueError(
+                    f"oracle returned rows of shape {a.shape} for {len(members)} points;"
+                    f" the fibration lives in dimension {self.dim}"
+                )
+        valid = (np.sort(stack.perm, axis=1) == np.arange(self.dim)).all(axis=1)
+        valid &= (np.abs(stack.signs) == 1).all(axis=1)
+        if not valid.all():
+            raise ValueError(
+                "oracle returned a row that is not a signed permutation at"
+                f" {format_point(members[int(np.argmin(valid))])}"
+            )
+        return stack, stack.apply(self._section_rows[where])
 
 
 def trivial_fibration(f: CoarseEmbeddingMap) -> FibredEmbedding:
@@ -126,10 +128,9 @@ def trivial_fibration(f: CoarseEmbeddingMap) -> FibredEmbedding:
     Satisfies the overlap condition by construction; the sandwich condition
     reduces to the coarse controls of ``f`` itself.
     """
-    ident = identity_isometry(f.p, f.dim)
 
-    def serve(C: SetOfPoints, r: int) -> Trivialization:
-        return {pt: ident for pt in C}
+    def serve(sets: list[SetOfPoints], r: int) -> IsometryStack:
+        return IsometryStack.identity(sum(map(len, sets)), f.dim)
 
     return FibredEmbedding(
         space=f.domain,
@@ -183,22 +184,54 @@ def translation_action(rank: int, p: float) -> ProperAction:
     return ProperAction(p=float(p), dim=rank, rule=rule, label=f"translation rank {rank}")
 
 
-def _check_action(
-    chain, action: ProperAction, r_max: int, tol: float = 1e-9, max_pairs: int = 20000
-) -> None:
+def _check_action(chain, action: ProperAction, r_max: int, tol: float = 1e-9) -> None:
+    """Check T(e) = id and T(gs) = T(g)T(s) for |g| < 2 r_max and every letter s.
+
+    By induction on the length of b this gives T(a)T(b) = T(ab) whenever
+    |a|, |b| <= r_max, up to r_max times ``tol``.  A failure names the first
+    (g, s) with g in sphere order and s in letter order.
+    """
     e = ambient_identity(chain)
     if not action.isometry(e).close_to(identity_isometry(action.p, action.dim), tol):
         raise ActionCheckError("identity element does not act as the identity")
-    ball = [g for n in range(r_max + 1) for g in ambient_sphere(chain, n)]
-    pairs = list(itertools.product(ball, repeat=2))
-    if len(pairs) > max_pairs:
-        rng = np.random.default_rng(0)
-        idx = rng.choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[i] for i in idx]
-    for a, b in pairs:
-        combined = action.isometry(a).compose(action.isometry(b))
-        if not combined.close_to(action.isometry(ambient_mult(chain, a, b)), tol):
-            raise ActionCheckError(f"action is not multiplicative at {a}, {b}")
+    spheres = [ambient_sphere(chain, n) for n in range(2 * r_max + 1)]
+    ball = [g for sphere in spheres for g in sphere]
+    index = {g: k for k, g in enumerate(ball)}
+    letters = [ambient_from_letters(chain, (l,)) for l in chain.levels[0].letters()]
+    g, s = np.divmod(np.arange((len(ball) - len(spheres[-1])) * len(letters)), len(letters))
+    gs = [index[ambient_mult(chain, ball[a], letters[b])] for a, b in zip(g.tolist(), s.tolist())]
+    act = IsometryStack.of([action.isometry(h) for h in ball], action.dim)
+    at = np.array([index[h] for h in letters], dtype=np.int64)
+    bad = np.flatnonzero(act.take(g).compose(act.take(at[s])).differs(act.take(gs), tol))
+    if bad.size:
+        k = bad[0]
+        raise ActionCheckError(f"action is not multiplicative at {ball[g[k]]}, {letters[s[k]]}")
+
+
+# entries of one (members, order) block of the one-centre search: 128 KB of
+# int64 per temporary; smaller blocks cost more calls than they save
+_CENTRE_ENTRIES = 1 << 14
+
+
+def _one_centres(q, elements: np.ndarray, sizes: np.ndarray):
+    """Per set, the first element minimizing the largest distance to the set, and that distance.
+
+    The sets' members lie one after another in ``elements``.  Distances from
+    every element to the members are taken a segment of sets at a time.
+    """
+    centre = np.empty(len(sizes), dtype=np.int64)
+    cover = np.empty(len(sizes), dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    inverse = q.inv_many(np.arange(q.order))
+    length = q.distance_from_identity()
+    for first, stop in _segments(sizes * q.order, _CENTRE_ENTRIES):
+        lo, hi = starts[first], starts[stop - 1] + sizes[stop - 1]
+        # far[k, z]: the largest |z^-1 y| over the members y of set k
+        far = length[q.mult_many(inverse, elements[lo:hi, None])]
+        far = np.maximum.reduceat(far, starts[first:stop] - lo, axis=0)
+        centre[first:stop] = far.argmin(axis=1)  # the first minimum: ties go to the smallest
+        cover[first:stop] = far[np.arange(stop - first), centre[first:stop]]
+    return centre, cover
 
 
 def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) -> FibredEmbedding:
@@ -214,9 +247,11 @@ def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) ->
     group element, which is what makes the overlap condition hold.  That
     pinning argument needs commutativity, hence the abelian restriction.
 
-    ``r_max`` bounds the depth of the multiplicativity precheck on the action
-    (all products of elements of length up to r_max, sampled past 20000
-    pairs); serving itself is uniform in the scale.
+    Each served level's lifts and their inverse action isometries are built
+    once, one row per element; a point x of a set centred at z is served the
+    row of z^-1 x.  ``r_max`` bounds the multiplicativity precheck on the
+    action (exact for products of elements of length up to r_max, see
+    ``_check_action``); serving itself is uniform in the scale.
     """
     if r_max < 1:
         raise ValueError(f"precheck depth must be >= 1, got {r_max}")
@@ -231,37 +266,74 @@ def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) ->
     zero = np.zeros(action.dim)
     section = {pt: zero.copy() for pt in space.points()}
 
+    radius = np.array([chain.radius(i) for i in range(chain.level_count())])
+
     def exclusion(r: int) -> frozenset[BoxPoint]:
         out = []
         for i, q in enumerate(chain.levels):
-            if chain.radius(i) < 2 * r:
+            if radius[i] < 2 * r:
                 out.extend(BoxPoint(i, x) for x in range(q.order))
         return frozenset(out)
 
-    def serve(C: SetOfPoints, r: int) -> Trivialization:
-        levels = {pt.level for pt in C}
-        if len(levels) != 1:
+    inverse_lifts: dict[int, IsometryStack] = {}
+
+    def lifted(i: int) -> IsometryStack:
+        if i not in inverse_lifts:
+            q = chain.levels[i]
+            dist = q.distance_from_identity()
+            letters = np.array(q.letters(), dtype=np.int64)
+            # each element's breadth-first word as an ambient vector, one
+            # layer at a time: its parent's vector plus one letter
+            lift = np.zeros((q.order, chain.ambient.rank), dtype=np.int64)
+            for d in range(1, int(dist.max()) + 1):
+                layer = np.flatnonzero(dist == d)
+                step = letters[q._parent_letter[layer]]
+                lift[layer] = lift[q._parent[layer]]
+                lift[layer, np.abs(step) - 1] += np.sign(step)
+            isos = [action.isometry(g) for g in map(tuple, lift.tolist())]
+            inverse_lifts[i] = IsometryStack.of(isos, action.dim).inverse()
+        return inverse_lifts[i]
+
+    def serve(sets: list[SetOfPoints], r: int) -> IsometryStack:
+        sizes = np.array([len(C) for C in sets], dtype=np.int64)
+        level, elem = np.array([pt for C in sets for pt in C], dtype=np.int64).reshape(-1, 2).T
+        out = IsometryStack.identity(len(level), action.dim)
+        if not len(sets):
+            return out
+        starts = np.cumsum(sizes) - sizes
+        low = np.minimum.reduceat(level, starts)
+        spans = low != np.maximum.reduceat(level, starts)
+        excluded = ~spans & (radius[low] < 2 * r)
+        home = np.where(spans | excluded, -1, low)  # the level serving each set
+        served = np.unique(home[home >= 0]).tolist()
+        owner = np.repeat(np.arange(len(sets)), sizes)
+        centre = np.zeros(len(sets), dtype=np.int64)
+        cover = np.zeros(len(sets), dtype=np.int64)
+        for i in served:
+            at = np.flatnonzero(home == i)
+            centre[at], cover[at] = _one_centres(chain.levels[i], elem[home[owner] == i], sizes[at])
+        failed = spans | excluded | (cover >= r)
+        if failed.any():
+            k = int(failed.argmax())
+            if spans[k]:
+                raise MissingTrivializationError(
+                    f"set spans levels {sorted(set(level[owner == k].tolist()))};"
+                    " only single-level sets are served"
+                )
+            if excluded[k]:
+                raise MissingTrivializationError(
+                    f"level {low[k]} is excluded at scale {r}: isometry radius"
+                    f" {radius[low[k]]} < {2 * r}"
+                )
             raise MissingTrivializationError(
-                f"set spans levels {sorted(levels)}; only single-level sets are served"
+                f"covering radius {cover[k]} of the set is not below scale {r}"
             )
-        i = levels.pop()
-        radius = chain.radius(i)
-        if radius < 2 * r:
-            raise MissingTrivializationError(
-                f"level {i} is excluded at scale {r}: isometry radius {radius} < {2 * r}"
-            )
-        q = chain.levels[i]
-        elems = [pt.element for pt in C]
-        cover = q.cayley_matrix(ys=elems).max(axis=1)
-        best_z = int(cover.argmin())  # the first minimum: ties go to the smallest element
-        if cover[best_z] >= r:
-            raise MissingTrivializationError(
-                f"covering radius {cover[best_z]} of the set is not below scale {r}"
-            )
-        out = {}
-        for pt, x in zip(C, q.mult_many(q.inv(best_z), elems).tolist()):
-            word = q.canonical_word(x)
-            out[pt] = action.isometry(ambient_from_letters(chain, word)).inverse()
+        for i in served:
+            q = chain.levels[i]
+            rows = home[owner] == i
+            x = q.mult_many(q.inv_many(centre[owner[rows]]), elem[rows])
+            for whole, part in zip(out, lifted(i).take(x)):
+                whole[rows] = part
         return out
 
     return FibredEmbedding(
@@ -322,8 +394,8 @@ def _set_label(C: SetOfPoints) -> str:
     return "{" + body + (",..." if len(C) > 4 else "") + "}"
 
 
-def _candidate_sets(space, allowed, dist, r: int, mode: str, max_all_points: int):
-    ix = np.array([space.point_index(pt) for pt in allowed], dtype=np.int64)
+def _candidate_sets(space, allowed, dist, r: int, mode: str):
+    ix = space.point_indices(allowed)
     sets: list[SetOfPoints] = []
     seen: set[SetOfPoints] = set()
 
@@ -340,10 +412,10 @@ def _candidate_sets(space, allowed, dist, r: int, mode: str, max_all_points: int
             for m in np.flatnonzero(dist[ix[k], ix[k + 1 :]] < r).tolist():
                 push((x, allowed[k + 1 + m]))
     if mode == "all":
-        if len(allowed) > max_all_points:
+        if len(allowed) > MAX_ALL_POINTS:
             raise InvalidArgumentError(
                 f"mode 'all' over {len(allowed)} points exceeds the cap of"
-                f" {max_all_points}; use balls+pairs or raise max_all_points"
+                f" {MAX_ALL_POINTS}; use balls+pairs"
             )
         near = np.triu(dist[np.ix_(ix, ix)] < r, 1)
         # grow the cliques of `near` one point at a time: extending each
@@ -390,7 +462,6 @@ def verify_fce(
     rho_plus,
     mode: str = "balls+pairs",
     tolerance: float = 1e-9,
-    max_all_points: int = 16,
 ) -> FceReport:
     """Check both fibred-embedding conditions at scale ``r``.
 
@@ -407,11 +478,11 @@ def verify_fce(
     K = fib.excluded(r)
     allowed = [pt for pt in space.points() if pt not in K]
     dist = space.distance_matrix()
-    sets = _candidate_sets(space, allowed, dist, r, mode, max_all_points)
+    sets = _candidate_sets(space, allowed, dist, r, mode)
     # one row per (set, point): sets in order, points sorted within a set
     members = [pt for C in sets for pt in C]
-    stack, moved = fib.trivialize_stacked(sets, r)
-    where = np.array([space.point_index(pt) for pt in members], dtype=np.int64)
+    stack, moved = fib.trivialize(sets, r)
+    where = space.point_indices(members)
     sizes = np.array([len(C) for C in sets], dtype=np.int64)
     ends = np.cumsum(sizes)
     owner = np.repeat(np.arange(len(sets)), sizes)

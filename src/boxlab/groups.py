@@ -28,7 +28,6 @@ __all__ = [
     "FREE",
     "FREE_ABELIAN",
     "EXPLICIT_CHAIN_LIMIT",
-    "EXHAUSTIVE_THRESHOLD",
     "AmbientGroup",
     "MarkedQuotient",
     "CyclicQuotient",
@@ -52,9 +51,8 @@ FREE_ABELIAN = "free_abelian"
 EXPLICIT_CHAIN_LIMIT = "explicit_chain_limit"
 _FAMILIES = (FREE, FREE_ABELIAN, EXPLICIT_CHAIN_LIMIT)
 
-# Exhaustive invariant checks switch to random sampling above this order.
-EXHAUSTIVE_THRESHOLD = 512
-_SAMPLE_TRIPLES = 20000
+# entries of one (rows, order) block of the associativity check
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -199,58 +197,50 @@ class MarkedQuotient:
 
     # -- validation --------------------------------------------------------
 
-    def validate(self, threshold: int = EXHAUSTIVE_THRESHOLD, seed: int = 0) -> None:
-        """Check the group law and that the marking generates.
+    def validate(self) -> None:
+        """Check the group law and that the marking generates, exactly.
 
-        Exhaustive below ``threshold``, randomized sampling above.
+        Identity and inverses cost O(n).  Associativity is Light's test with
+        the generator last: if right multiplication by the generator images
+        alone reaches every element from the identity, and ``(xy)s = x(ys)``
+        for every x, y and generator image s, the law is associative.  The
+        elements c with ``(xa)c = x(ac)`` for all x, a contain the identity
+        and are closed under products (Clifford and Preston, *The Algebraic
+        Theory of Semigroups* I, 1961, section 1.2), and every element is a
+        product of generator images.  Each block of rows of the table is
+        built once and compared for every generator by two gathers; a
+        failure names the first (x, y, s) in that order.
         """
         if self._validated:
             return
-        n = self.order
+        n, e = self.order, self.identity
         idx = np.arange(n)
-        if n <= threshold:
-            table = self.mult_many(idx[:, None], idx)
-            if table.min() < 0 or table.max() >= n:
-                raise InvalidGroupError("multiplication table entry out of range")
-            if not (table[self.identity] == idx).all():
-                raise InvalidGroupError("identity fails on the left")
-            if not (table[:, self.identity] == idx).all():
-                raise InvalidGroupError("identity fails on the right")
-            if not (table == self.identity).any(axis=1).all():
-                raise InvalidGroupError("some element has no inverse")
-            for a in range(n):
-                lhs = table[table[a]]
-                rhs = np.take(table[a], table)
-                if not (lhs == rhs).all():
-                    b, c = map(int, np.argwhere(lhs != rhs)[0])
-                    raise InvalidGroupError(
-                        f"associativity fails at ({a}, {b}, {c}):"
-                        f" ({a}{b}){c} = {lhs[b, c]}, {a}({b}{c}) = {rhs[b, c]}"
-                    )
-        else:
-            rng = np.random.default_rng(seed)
-            a, b, c = rng.integers(0, n, size=(_SAMPLE_TRIPLES, 3)).T
-            lhs = self.mult_many(self.mult_many(a, b), c)
-            bad = np.flatnonzero(lhs != self.mult_many(a, self.mult_many(b, c)))
+        for side, law in (("left", self.mult_many(e, idx)), ("right", self.mult_many(idx, e))):
+            bad = np.flatnonzero(law != idx)
             if bad.size:
-                i = bad[0]
-                raise InvalidGroupError(f"associativity fails at ({a[i]}, {b[i]}, {c[i]})")
-            xs = rng.integers(0, n, size=200)
-            e = self.identity
-            no_identity = (self.mult_many(e, xs) != xs) | (self.mult_many(xs, e) != xs)
-            no_inverse = ~(self.mult_many(xs[:, None], idx) == e).any(axis=1)
-            bad = np.flatnonzero(no_identity | no_inverse)
-            if bad.size:
-                i = bad[0]
-                if no_identity[i]:
-                    raise InvalidGroupError(f"identity fails at {xs[i]}")
-                raise InvalidGroupError(f"element {xs[i]} has no inverse")
-        dist = self.distance_from_identity()
-        if (dist < 0).any():
-            missing = int(np.flatnonzero(dist < 0)[0])
+                raise InvalidGroupError(f"identity fails on the {side} at {bad[0]}")
+        bad = np.flatnonzero(self.mult_many(idx, self.inv_many(idx)) != e)
+        if bad.size:
+            raise InvalidGroupError(f"element {bad[0]} has no inverse")
+        gens = np.array(self.gen_images, dtype=np.int64)
+        right = self.mult_many(idx, gens[:, None])  # x -> xs, one row per generator image
+        reached = _breadth_first(right, e)[0]
+        if (reached < 0).any():
+            missing = int(np.flatnonzero(reached < 0)[0])
             raise InvalidGroupError(
                 f"generators do not generate: element {missing} unreachable"
             )
+        rows = max(1, _BLOCK_ENTRIES // n)
+        for start in range(0, n, rows):
+            block = self.mult_many(idx[start : start + rows, None], idx)  # xy
+            bad = [r[block] != block[:, r] for r in right]  # (xy)s against x(ys)
+            if any(b.any() for b in bad):
+                i, y, k = map(int, np.argwhere(np.stack(bad, axis=-1))[0])
+                x, s = start + i, int(gens[k])
+                raise InvalidGroupError(
+                    f"associativity fails at ({x}, {y}, {s}):"
+                    f" ({x}{y}){s} = {right[k, block[i, y]]}, {x}({y}{s}) = {block[i, right[k, y]]}"
+                )
         self._validated = True
 
 
@@ -288,8 +278,10 @@ class CyclicQuotient(MarkedQuotient):
         a, b = np.asarray(a), np.asarray(b)
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
         for m, w in zip(self.moduli, self._weights):
-            digit = a // w + b // w
-            digit %= m
+            # digits on the operands' own shapes; their sum is below 2m, so
+            # one subtraction replaces a remainder on the broadcast shape
+            digit = np.asarray(a // w % m + b // w % m)
+            np.subtract(digit, m, out=digit, where=digit >= m)
             digit *= w
             out += digit
         return out
@@ -400,7 +392,7 @@ def _quotient_from_permutations(degree: int, gens, base: int) -> TableQuotient:
     return TableQuotient(table, 0, moves[::2, 0])
 
 
-def build_quotient(spec, threshold: int = EXHAUSTIVE_THRESHOLD, seed: int = 0) -> MarkedQuotient:
+def build_quotient(spec) -> MarkedQuotient:
     """Build and validate a marked quotient from a description mapping.
 
     Recognized kinds: ``cyclic`` (field ``moduli``), ``table`` (fields
@@ -426,7 +418,7 @@ def build_quotient(spec, threshold: int = EXHAUSTIVE_THRESHOLD, seed: int = 0) -
         q = TableQuotient(spec["mult"], spec["identity"], spec["gen_images"])
     else:
         q = _quotient_from_permutations(spec["degree"], spec["gens"], spec["base"])
-    q.validate(threshold=threshold, seed=seed)
+    q.validate()
     return q
 
 
@@ -602,20 +594,26 @@ def infer_connecting_map(upper: MarkedQuotient, lower: MarkedQuotient) -> np.nda
 
 
 def _validate_connecting_map(
-    phi: np.ndarray,
-    upper: MarkedQuotient,
-    lower: MarkedQuotient,
-    index: int,
-    threshold: int,
-    seed: int,
+    phi: np.ndarray, upper: MarkedQuotient, lower: MarkedQuotient, index: int
 ) -> None:
+    """Check that ``phi`` is a surjective homomorphism keeping the marking.
+
+    With ``phi(e) = e'``, the identity ``phi(xs) = phi(x)s'`` for every x and
+    letter s gives ``phi(xy) = phi(x)phi(y)`` by induction on the word length
+    of y: one array comparison over the letters.
+    """
     if phi.shape != (upper.order,):
         raise ChainValidationError(
             f"connecting map {index} has {phi.shape[0]} entries, expected {upper.order}"
         )
     if phi.min() < 0 or phi.max() >= lower.order:
         raise ChainValidationError(f"connecting map {index} has out-of-range values")
-    if len(set(phi.tolist())) != lower.order:
+    if phi[upper.identity] != lower.identity:
+        raise ChainValidationError(
+            f"connecting map {index} sends the identity to {int(phi[upper.identity])},"
+            f" expected {lower.identity}"
+        )
+    if np.unique(phi).size != lower.order:
         raise ChainValidationError(f"connecting map {index} is not surjective")
     for k, (gu, gl) in enumerate(zip(upper.gen_images, lower.gen_images)):
         if int(phi[gu]) != gl:
@@ -623,18 +621,12 @@ def _validate_connecting_map(
                 f"connecting map {index} sends generator image {k} to"
                 f" {int(phi[gu])}, expected {gl}"
             )
-    if upper.order <= threshold:
-        b = np.arange(upper.order)
-        a = b[:, None]
-    else:
-        rng = np.random.default_rng(seed)
-        a, b = rng.integers(0, upper.order, size=(_SAMPLE_TRIPLES // 2, 2)).T
-    bad = np.argwhere(phi[upper.mult_many(a, b)] != lower.mult_many(phi[a], phi[b]))
-    if bad.size:
-        a, b = np.broadcast_arrays(a, b)
-        i = tuple(bad[0])
+    bad = phi[upper.letter_perms()] != lower.letter_perms()[:, phi]
+    if bad.any():
+        x, letter = map(int, np.argwhere(bad.T)[0])
+        s = upper.letter_image(upper.letters()[letter])
         raise ChainValidationError(
-            f"connecting map {index} is not a homomorphism at ({a[i]}, {b[i]})"
+            f"connecting map {index} is not a homomorphism at ({x}, {s})"
         )
 
 
@@ -643,8 +635,6 @@ def build_chain(
     levels,
     connecting_maps=None,
     *,
-    threshold: int = EXHAUSTIVE_THRESHOLD,
-    seed: int = 0,
     check_radii: bool = True,
 ) -> GroupChain:
     """Assemble and validate a chain; connecting maps are inferred when omitted."""
@@ -652,7 +642,7 @@ def build_chain(
     if not levels:
         raise ChainValidationError("a chain needs at least one level")
     for i, q in enumerate(levels):
-        q.validate(threshold=threshold, seed=seed)
+        q.validate()
         if q.rank != ambient.rank:
             raise ChainValidationError(
                 f"level {i} has {q.rank} generator images, ambient rank is {ambient.rank}"
@@ -680,7 +670,7 @@ def build_chain(
                 f"expected {len(levels) - 1} connecting maps, got {len(maps)}"
             )
     for i, phi in enumerate(maps):
-        _validate_connecting_map(phi, levels[i + 1], levels[i], i, threshold, seed)
+        _validate_connecting_map(phi, levels[i + 1], levels[i], i)
     chain = GroupChain(ambient, levels, maps)
     if check_radii:
         radii = [chain.radius(i) for i in range(len(levels))]

@@ -67,7 +67,7 @@ class SignedPermutation:
             raise ValueError("perm and signs must have equal length")
         if sorted(self.perm.tolist()) != list(range(n)):
             raise ValueError(f"not a permutation: {self.perm.tolist()}")
-        if not np.isin(self.signs, (-1, 1)).all():
+        if not (np.abs(self.signs) == 1).all():
             raise ValueError("signs must be +1 or -1")
 
     @property
@@ -169,21 +169,36 @@ class IsometryStack(NamedTuple):
             np.array([iso.translation for iso in isos], dtype=np.float64).reshape(shape),
         )
 
+    @classmethod
+    def identity(cls, rows: int, dim: int) -> "IsometryStack":
+        shape = (rows, dim)
+        return cls(
+            np.tile(np.arange(dim, dtype=np.int64), (rows, 1)),
+            np.ones(shape, dtype=np.int64),
+            np.zeros(shape, dtype=np.float64),
+        )
+
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         """Row k applied to ``vectors[k]``."""
         return self.signs * np.take_along_axis(vectors, self.perm, axis=1) + self.translation
 
+    def compose(self, other: "IsometryStack") -> "IsometryStack":
+        """Row k after row k of ``other``."""
+        return IsometryStack(
+            np.take_along_axis(other.perm, self.perm, axis=1),
+            self.signs * np.take_along_axis(other.signs, self.perm, axis=1),
+            self.apply(other.translation),
+        )
+
+    def inverse(self) -> "IsometryStack":
+        inv = np.argsort(self.perm, axis=1)
+        signs = np.take_along_axis(self.signs, inv, axis=1)
+        shift = -(signs * np.take_along_axis(self.translation, inv, axis=1))
+        return IsometryStack(inv, signs, shift)
+
     def transitions(self, a, b) -> "IsometryStack":
         """Rows ``a[k]`` after the inverse of rows ``b[k]``, as ``compose(inverse())``."""
-        inv = np.argsort(self.perm[b], axis=1)
-        inv_signs = np.take_along_axis(self.signs[b], inv, axis=1)
-        inv_shift = -(inv_signs * np.take_along_axis(self.translation[b], inv, axis=1))
-        pa, sa = self.perm[a], self.signs[a]
-        return IsometryStack(
-            np.take_along_axis(inv, pa, axis=1),
-            sa * np.take_along_axis(inv_signs, pa, axis=1),
-            sa * np.take_along_axis(inv_shift, pa, axis=1) + self.translation[a],
-        )
+        return self.take(a).compose(self.take(b).inverse())
 
     def differs(self, other: "IsometryStack", tol: float = _TOL) -> np.ndarray:
         """Rows that ``close_to`` rejects against the same row of ``other``."""

@@ -1,6 +1,7 @@
 import pytest
 
 import boxlab as bl
+from boxlab.lpspace import AffineIsometry, IsometryStack, SignedPermutation
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -20,6 +21,32 @@ def record_criterion():
         assert ok, line
 
     return record
+
+
+def stacked(serve_one, dim: int):
+    """The stacked trivialization contract over an oracle serving one set as a dict.
+
+    ``serve_one(C, r)`` maps each point of ``C`` to an ``AffineIsometry``.
+    """
+
+    def serve(sets, r):
+        isos = []
+        for C in sets:
+            triv = serve_one(C, r)
+            isos.extend(triv[pt] for pt in C)
+        return IsometryStack.of(isos, dim)
+
+    return serve
+
+
+def served_dict(fib, C, r) -> dict:
+    """The rows ``fib`` serves for the one set ``C``, as a dict of ``AffineIsometry``."""
+    C = tuple(C)
+    stack, _ = fib.trivialize([C], r)
+    return {
+        pt: AffineIsometry(fib.p, SignedPermutation(perm, signs), shift)
+        for pt, perm, signs, shift in zip(C, *stack)
+    }
 
 
 def cyclic_chain(*moduli_per_level, rank: int = 1) -> bl.GroupChain:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import boxlab as bl
+from conftest import served_dict, stacked
 
 
 @pytest.fixture(scope="module")
@@ -249,14 +250,16 @@ def test_criterion_11_mutation_detection(line_fibrations, record_criterion):
     flip = bl.AffineIsometry(base.p, bl.SignedPermutation((0,), (-1,)), np.zeros(1))
     controls = bl.identity_controls(range(7))
     caught_trivs = 0
+    clean = {}  # the base oracle's rows per (set, scale), served once for all mutants
     for _ in range(100):
         target_set = balls[int(rng.integers(len(balls)))]
         target_pt = target_set[int(rng.integers(len(target_set)))]
 
         def corrupt(C, r, _set=target_set, _pt=target_pt):
-            triv = base.trivialization(C, r)
+            if (C, r) not in clean:
+                clean[C, r] = served_dict(base, C, r)
+            triv = dict(clean[C, r])
             if tuple(C) == _set:
-                triv = dict(triv)
                 triv[_pt] = flip.compose(triv[_pt])
             return triv
 
@@ -266,7 +269,7 @@ def test_criterion_11_mutation_detection(line_fibrations, record_criterion):
             dim=base.dim,
             section=base.section,
             exclusion=base.exclusion,
-            trivialization=corrupt,
+            trivialization=stacked(corrupt, base.dim),
             note="one sign flipped",
         )
         report = bl.verify_fce(

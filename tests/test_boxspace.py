@@ -1,6 +1,8 @@
 """Box space assembly and the coarse-union metric."""
 
+import importlib.util
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,3 +150,56 @@ def test_box_distance_function_agrees(i, a, j, b):
     y = BoxPoint(j, b % chain.levels[j].order)
     idx, idy = space.point_index(x), space.point_index(y)
     assert box_distance(space, x, y) == space.distance_matrix()[idx, idy]
+
+
+def _dihedral_chain():
+    # D_3 -> D_6 over the free group of rank 2: rotation and reflection
+    levels = []
+    for m in (3, 6):
+        rot = [2 * ((i + 1) % m) + e for i in range(m) for e in range(2)]
+        flip = [2 * (-i % m) + 1 - e for i in range(m) for e in range(2)]
+        spec = {"kind": "permutation", "degree": 2 * m, "gens": [rot, flip], "base": 0}
+        levels.append(bl.build_quotient(spec))
+    return bl.build_chain(bl.AmbientGroup("free", 2), levels)
+
+
+def _perfbench_sl2_chain():
+    """The relabelled SL2(Z/3), SL2(Z/9) chain of the benchmark corpus at seed 1."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return bl.parse_chain(corpus.sl2_chain(1))
+
+
+def test_diameter_matches_matrix_on_test_chains(dyadic_chain, deep_chain, torus_chain, make_chain):
+    chains = [
+        dyadic_chain,
+        deep_chain,
+        torus_chain,
+        make_chain(2, 4, 8),
+        make_chain(12),
+        make_chain(4, 12, rank=2),
+        make_chain((2, 3), (4, 6), rank=2),
+        _dihedral_chain(),
+        _perfbench_sl2_chain(),
+    ]
+    for chain in chains:
+        space = bl.assemble_box_space(chain)
+        diameter = space.diameter()
+        assert space._matrix is None  # the closed form builds no matrix
+        assert diameter == space.distance_matrix().max()
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_diameter_matches_matrix_on_cyclic_chains(data):
+    rank = data.draw(st.integers(1, 3))
+    levels = [data.draw(st.lists(st.integers(1, 4), min_size=rank, max_size=rank))]
+    for _ in range(data.draw(st.integers(0, 2))):
+        factors = data.draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank))
+        levels.append([m * f for m, f in zip(levels[-1], factors)])
+    ambient = bl.AmbientGroup("free_abelian", rank)
+    chain = bl.build_chain(ambient, [bl.CyclicQuotient(m) for m in levels])
+    space = bl.assemble_box_space(chain)
+    assert space.diameter() == space.distance_matrix().max()

@@ -398,8 +398,7 @@ class TestExitCodes:
             ("forge --mode fce --chain {dyadic} --r 0", "scale must be >= 1, got 0"),
             (
                 "fce-verify --chain {dyadic} --r 3 --subsets all --fibration trivial:linf",
-                "mode 'all' over 28 points exceeds the cap of 16; use balls+pairs"
-                " or raise max_all_points",
+                "mode 'all' over 28 points exceeds the cap of 16; use balls+pairs",
             ),
             (
                 "fce-verify --chain {sl2} --r 2 --fibration translation",

@@ -8,6 +8,7 @@ from boxlab.boxspace import BoxPoint
 from boxlab.cocycles import BlockMap, LocalRepresentation, QuotientCarrier
 from boxlab.errors import ActionCheckError
 from boxlab.lpspace import AffineIsometry, SignedPermutation
+from conftest import served_dict, stacked
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +216,7 @@ class TestLocalFromFibration:
         )
 
         def corrupted(C, r):
-            out = base.trivialization(C, r)
+            out = served_dict(base, C, r)
             if tuple(C) == target:
                 out[C[0]] = flip.compose(out[C[0]])
             return out
@@ -226,7 +227,7 @@ class TestLocalFromFibration:
             dim=1,
             section=base.section,
             exclusion=base.exclusion,
-            trivialization=corrupted,
+            trivialization=stacked(corrupted, 1),
         )
         with pytest.raises(ActionCheckError):
             bl.local_cocycle_from_fce(fib, 3)
@@ -344,7 +345,7 @@ def _first_inconsistent_blocks(fib, r, level):
         tuple(BoxPoint(level, w) for w in q.elements() if q.cayley_distance(z, w) <= r - 1)
         for z in q.elements()
     ]
-    trivs = [fib.trivialize(ball, r) for ball in balls]
+    trivs = [served_dict(fib, ball, r) for ball in balls]
     for x in q.elements():
         if length[x] >= r:
             continue
@@ -380,7 +381,7 @@ def test_inconsistent_oracle_names_first_blocks(make_chain, moduli, rank, r, see
     offset[coord] = 1.1e-9
 
     def corrupted(C, scale):
-        out = base.trivialization(C, scale)
+        out = served_dict(base, C, scale)
         if tuple(C) == target:
             iso = out[victim]
             out[victim] = (
@@ -396,7 +397,7 @@ def test_inconsistent_oracle_names_first_blocks(make_chain, moduli, rank, r, see
         dim=rank,
         section=base.section,
         exclusion=base.exclusion,
-        trivialization=corrupted,
+        trivialization=stacked(corrupted, rank),
     )
     z, zx = _first_inconsistent_blocks(fib, r, level)
     with pytest.raises(ActionCheckError, match=rf"\(blocks {z}, {zx}\)$"):

@@ -6,13 +6,17 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boxlab as bl
 from boxlab.boxspace import BoxPoint
 from boxlab.errors import ActionCheckError, MissingTrivializationError
 from boxlab import fibration
-from boxlab.fibration import _candidate_sets
-from boxlab.lpspace import AffineIsometry, SignedPermutation, identity_isometry
+from boxlab.fibration import _candidate_sets, _check_action
+from boxlab.groups import ambient_from_letters, ambient_identity, ambient_mult, ambient_sphere
+from boxlab.lpspace import AffineIsometry, IsometryStack, SignedPermutation, identity_isometry
+from conftest import cyclic_chain, served_dict, stacked
 
 
 def identity_pair(top):
@@ -43,7 +47,7 @@ class TestTrivialFibration:
     def test_transitions_are_identity(self, make_chain):
         space = bl.assemble_box_space(make_chain(4))
         fib = bl.trivial_fibration(bl.linf_embedding(space))
-        triv = fib.trivialize(space.points(), 9)
+        triv = served_dict(fib, space.points(), 9)
         ident = identity_isometry(fib.p, fib.dim)
         for iso in triv.values():
             assert iso.close_to(ident, 0.0)
@@ -79,40 +83,51 @@ class TestProperActionFibration:
         fib = bl.from_proper_action(deep_space, bl.translation_action(1, 2.0))
         # a set with covering radius beyond the scale is refused
         far = (BoxPoint(5, 0), BoxPoint(5, 20))
-        with pytest.raises(MissingTrivializationError):
-            fib.trivialize(far, 3)
+        with pytest.raises(MissingTrivializationError, match="covering radius 10"):
+            fib.trivialize([far], 3)
         # cross-level sets are refused
-        with pytest.raises(MissingTrivializationError):
-            fib.trivialize((BoxPoint(4, 0), BoxPoint(5, 0)), 3)
+        with pytest.raises(MissingTrivializationError, match=r"spans levels \[4, 5\]"):
+            fib.trivialize([(BoxPoint(4, 0), BoxPoint(5, 0))], 3)
         # shallow levels are refused at large scales
-        with pytest.raises(MissingTrivializationError):
-            fib.trivialize((BoxPoint(0, 0), BoxPoint(0, 1)), 3)
+        with pytest.raises(MissingTrivializationError, match="level 0 is excluded at scale 3"):
+            fib.trivialize([(BoxPoint(0, 0), BoxPoint(0, 1))], 3)
+        # points outside the space and empty sets never reach the oracle
+        with pytest.raises(ValueError, match="L6:0 is not a point of the space"):
+            fib.trivialize([(BoxPoint(6, 0),)], 3)
+        with pytest.raises(ValueError, match="empty set"):
+            fib.trivialize([()], 3)
 
-    @pytest.mark.parametrize("p, dim", [(2.0, 2), (1.0, 1)])
-    def test_isometry_of_another_space_rejected(self, deep_space, p, dim):
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            # rows of dimension 2 in a fibration of dimension 1
+            (lambda s: IsometryStack(*(np.hstack([a, a]) for a in s)), r"shape \(3, 2\) for 3"),
+            # a row missing
+            (lambda s: s.take(slice(0, -1)), r"shape \(2, 1\) for 3 points"),
+            # a sign 0 or a coordinate 1 in the last row
+            (lambda s: s._replace(signs=np.vstack([s.signs[:-1], 0])), r"permutation at L4:8$"),
+            (lambda s: s._replace(perm=np.vstack([s.perm[:-1], 1])), r"permutation at L4:8$"),
+        ],
+        ids=["dimension", "missing-row", "sign", "permutation"],
+    )
+    def test_malformed_rows_rejected(self, deep_space, corrupt, message):
         # the line fibration lives in l^2 of dimension 1
         base = bl.from_proper_action(deep_space, bl.translation_action(1, 2.0))
-
-        def serve(C, r):
-            out = base.trivialization(C, r)
-            out[C[-1]] = identity_isometry(p, dim)
-            return out
-
         fib = bl.FibredEmbedding(
             space=deep_space,
             p=2.0,
             dim=1,
             section=base.section,
             exclusion=base.exclusion,
-            trivialization=serve,
+            trivialization=lambda sets, r: corrupt(base.trivialization(sets, r)),
         )
         ball = (BoxPoint(4, 6), BoxPoint(4, 7), BoxPoint(4, 8))
-        with pytest.raises(ValueError, match=r"at L4:8;"):
-            fib.trivialize(ball, 3)
+        with pytest.raises(ValueError, match=message):
+            fib.trivialize([ball], 3)
         lo, hi = identity_pair(12)
-        with pytest.raises(ValueError, match="oracle returned an isometry"):
+        with pytest.raises(ValueError, match="oracle returned"):
             bl.verify_fce(fib, 3, lo, hi)
-        with pytest.raises(ValueError, match="oracle returned an isometry"):
+        with pytest.raises(ValueError, match="oracle returned"):
             bl.local_cocycle_from_fce(fib, 3)
 
     def test_lift_distances_preserved(self, deep_space):
@@ -120,7 +135,7 @@ class TestProperActionFibration:
         fib = bl.from_proper_action(deep_space, bl.translation_action(1, 1.0))
         q = deep_space.chain.levels[4]
         ball = tuple(BoxPoint(4, x) for x in q.elements() if q.cayley_distance(7, x) <= 3)
-        triv = fib.trivialize(ball, 4)
+        triv = served_dict(fib, ball, 4)
         for x in ball:
             for y in ball:
                 moved = triv[x].apply(np.zeros(1)) - triv[y].apply(np.zeros(1))
@@ -155,9 +170,9 @@ class TestVerifierMechanics:
         space = bl.assemble_box_space(make_chain(8))
         allowed = space.points()
         dist = space.distance_matrix()
-        balls = _candidate_sets(space, allowed, dist, 5, "balls", 16)
+        balls = _candidate_sets(space, allowed, dist, 5, "balls")
         assert all(len(C) == 5 for C in balls)  # radius-2 balls in Z/8
-        pairs = _candidate_sets(space, allowed, dist, 3, "pairs", 16)
+        pairs = _candidate_sets(space, allowed, dist, 3, "pairs")
         assert all(len(C) == 2 for C in pairs)
         assert {tuple(sorted((x.element, y.element))) for x, y in pairs} == {
             (a, b) for a in range(8) for b in range(8) if a < b
@@ -197,7 +212,7 @@ class TestVerifierMechanics:
         )
 
         def corrupted(C, r):
-            out = base.trivialization(C, r)
+            out = served_dict(base, C, r)
             if tuple(C) == target_ball:
                 victim = C[0]
                 out[victim] = flip.compose(out[victim])
@@ -209,7 +224,7 @@ class TestVerifierMechanics:
             dim=1,
             section=base.section,
             exclusion=base.exclusion,
-            trivialization=corrupted,
+            trivialization=stacked(corrupted, 1),
         )
         lo, hi = identity_pair(12)
         report = bl.verify_fce(fib, 5, lo, hi, mode="balls")
@@ -226,7 +241,7 @@ class TestVerifierMechanics:
             balls.append(
                 tuple(BoxPoint(4, x) for x in q.elements() if q.cayley_distance(z, x) <= 2)
             )
-        trivs = [fib.trivialize(C, r) for C in balls]
+        trivs = [served_dict(fib, C, r) for C in balls]
         common = set(balls[0]) & set(balls[1]) & set(balls[2])
         assert common
         pt = sorted(common)[0]
@@ -257,7 +272,7 @@ def _gauged(base, rate, tol=1e-9):
     p, dim = base.p, base.dim
 
     def serve(C, r):
-        out = dict(base.trivialization(C, r))
+        out = served_dict(base, C, r)
         rng = _keyed_rng("set", C)
         lin = SignedPermutation(rng.permutation(dim), rng.choice([-1, 1], size=dim))
         gauge = AffineIsometry(p, lin, rng.normal(size=dim))
@@ -283,7 +298,7 @@ def _gauged(base, rate, tol=1e-9):
         dim=dim,
         section=base.section,
         exclusion=base.exclusion,
-        trivialization=serve,
+        trivialization=stacked(serve, dim),
     )
 
 
@@ -312,7 +327,7 @@ def _brute_force_report(fib, r, rho_minus, rho_plus, mode, tol=1e-9):
             for C in itertools.combinations(allowed, size):
                 if all(d(x, y) < r for x, y in itertools.combinations(C, 2)):
                     push(C)
-    trivs = [fib.trivialize(C, r) for C in sets]
+    trivs = [served_dict(fib, C, r) for C in sets]
 
     sandwich, sandwich_pairs = [], 0
     for C, triv in zip(sets, trivs):
@@ -412,3 +427,182 @@ class TestReportOracle:
         monkeypatch.setattr(fibration, "_BATCH_ENTRIES", entries)
         assert bl.verify_fce(*args) == whole
         assert whole.overlap_witnesses and whole.vacuous_overlaps
+
+
+def reference_serve(space, action):
+    """The per-set proper-action oracle the stacked one replaced: one dict per set.
+
+    Each point is served the inverse action of its canonical word from the
+    set's one-centre, built point by point.
+    """
+    chain = space.chain
+
+    def serve(C, r):
+        levels = {pt.level for pt in C}
+        if len(levels) != 1:
+            raise MissingTrivializationError(
+                f"set spans levels {sorted(levels)}; only single-level sets are served"
+            )
+        i = levels.pop()
+        radius = chain.radius(i)
+        if radius < 2 * r:
+            raise MissingTrivializationError(
+                f"level {i} is excluded at scale {r}: isometry radius {radius} < {2 * r}"
+            )
+        q = chain.levels[i]
+        elems = [pt.element for pt in C]
+        cover = q.cayley_matrix(ys=elems).max(axis=1)
+        best_z = int(cover.argmin())
+        if cover[best_z] >= r:
+            raise MissingTrivializationError(
+                f"covering radius {cover[best_z]} of the set is not below scale {r}"
+            )
+        out = {}
+        for pt, x in zip(C, q.mult_many(q.inv(best_z), elems).tolist()):
+            word = q.canonical_word(x)
+            out[pt] = action.isometry(ambient_from_letters(chain, word)).inverse()
+        return out
+
+    return serve
+
+
+def twisted_action(rank, p):
+    """Z^rank on l^p of dimension rank + 2: translation by g, and the last two
+    coordinates turned a quarter (a signed permutation of order 4) per unit of g_0."""
+    quarter = SignedPermutation([*range(rank), rank + 1, rank], [*([1] * rank), -1, 1])
+
+    def rule(g):
+        linear = SignedPermutation.identity(rank + 2)
+        for _ in range(g[0] % 4):
+            linear = quarter.compose(linear)
+        return AffineIsometry(p, linear, np.array([*g, 0, 0], dtype=float))
+
+    return bl.ProperAction(p=p, dim=rank + 2, rule=rule, label="twisted")
+
+
+def _outcome(serve, sets, r):
+    try:
+        return serve(sets, r)
+    except MissingTrivializationError as exc:
+        return str(exc)
+
+
+_SPACES: dict = {}
+
+
+class TestStackedServing:
+    """The stacked proper-action oracle against the per-set one it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from([((2, 4, 8, 16), 1), ((4, 8, 16), 2), ((2, 4, 8), 3)]),
+        twisted=st.booleans(),
+        r=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_rows_and_messages_match_per_set_serving(self, make_chain, case, twisted, r, data):
+        moduli, rank = case
+        if case not in _SPACES:
+            _SPACES[case] = bl.assemble_box_space(make_chain(*moduli, rank=rank))
+        space = _SPACES[case]
+        action = (twisted_action if twisted else bl.translation_action)(rank, 2.0)
+        fib = bl.from_proper_action(space, action, r_max=2)
+        sets = []
+        deepest = len(moduli) - 1
+        for _ in range(data.draw(st.integers(1, 4))):
+            # mostly the deepest level, which every scale here leaves unexcluded
+            i = data.draw(st.sampled_from([deepest] * 8 + list(range(deepest))))
+            q = space.chain.levels[i]
+            centre = data.draw(st.integers(0, q.order - 1))
+            # mostly points near a centre; sometimes a far point or one of another level
+            reach = data.draw(st.sampled_from([r - 1] * 6 + [r, q.diameter()]))
+            near = np.flatnonzero(q.cayley_matrix([centre])[0] <= max(reach, 0)).tolist()
+            chosen = data.draw(st.lists(st.sampled_from(near), min_size=1, max_size=6, unique=True))
+            C = [BoxPoint(i, x) for x in sorted(chosen)]
+            if data.draw(st.integers(0, 29)) == 0:
+                C.append(BoxPoint((i + 1) % len(moduli), 0))
+            sets.append(tuple(C))
+        want = _outcome(stacked(reference_serve(space, action), action.dim), sets, r)
+        got = _outcome(fib.trivialization, sets, r)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def all_pairs_action_check(chain, action, r_max, tol=1e-9) -> bool:
+    """T(e) = id and T(a)T(b) = T(ab) over every pair of the ball of radius r_max."""
+    e = ambient_identity(chain)
+    if not action.isometry(e).close_to(identity_isometry(action.p, action.dim), tol):
+        return False
+    ball = [g for n in range(r_max + 1) for g in ambient_sphere(chain, n)]
+    return all(
+        action.isometry(a).compose(action.isometry(b)).close_to(
+            action.isometry(ambient_mult(chain, a, b)), tol
+        )
+        for a, b in itertools.product(ball, repeat=2)
+    )
+
+
+class TestActionCheck:
+    """The check on generators against all pairs of the ball."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rank=st.integers(1, 2),
+        twisted=st.booleans(),
+        r_max=st.integers(1, 3),
+        corrupt=st.sampled_from(["none", "shift", "sign"]),
+        data=st.data(),
+    )
+    def test_matches_all_pairs(self, make_chain, rank, twisted, r_max, corrupt, data):
+        chain = make_chain(4, rank=rank)
+        base = (twisted_action if twisted else bl.translation_action)(rank, 1.0)
+        # one element of the ball of radius 2 r_max + 1 acts wrongly; past
+        # 2 r_max neither check can see it
+        radius = data.draw(st.integers(0, 2 * r_max + 1))
+        target = data.draw(st.sampled_from(ambient_sphere(chain, radius)))
+
+        def rule(g):
+            iso = base.rule(g)
+            if g != target or corrupt == "none":
+                return iso
+            if corrupt == "shift":
+                return AffineIsometry(iso.p, iso.linear, iso.translation + 0.5)
+            signs = iso.linear.signs.copy()
+            signs[-1] *= -1
+            return AffineIsometry(iso.p, SignedPermutation(iso.linear.perm, signs), iso.translation)
+
+        action = bl.ProperAction(p=1.0, dim=base.dim, rule=rule)
+        fine = all_pairs_action_check(chain, action, r_max)
+        if fine:
+            _check_action(chain, action, r_max)
+        else:
+            with pytest.raises(ActionCheckError):
+                _check_action(chain, action, r_max)
+        assert fine == (corrupt == "none" or radius > 2 * r_max)
+
+    def test_first_witness(self, deep_space):
+        def broken(g):
+            shift = float(g[0]) if g[0] != 2 else 5.0
+            return AffineIsometry(1.0, SignedPermutation.identity(1), np.array([shift]))
+
+        with pytest.raises(ActionCheckError, match=r"not multiplicative at \(1,\), \(1,\)$"):
+            bl.from_proper_action(deep_space, bl.ProperAction(1.0, 1, broken), r_max=3)
+
+
+def test_no_random_draws(monkeypatch):
+    """Loading the test chains, serving and verifying the proper-action path draws nothing."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for moduli, rank in (((4, 8, 16), 1), ((2, 4, 8, 16, 32, 64), 1), ((4, 8, 16), 2)):
+        space = bl.assemble_box_space(cyclic_chain(*moduli, rank=rank))
+        fib = bl.from_proper_action(space, bl.translation_action(rank, 2.0), r_max=5)
+        ctrl = bl.norm_equivalence_controls(range(space.diameter() + 1), rank, 2.0)
+        for r in (1, 2, 3):
+            assert bl.verify_fce(fib, r, ctrl.rho_minus, ctrl.rho_plus).passed
+        bl.local_cocycle_from_fce(fib, 2)

@@ -20,6 +20,7 @@ from boxlab.errors import (
 from boxlab.groups import (
     _next_sphere,
     _quotient_from_permutations,
+    _validate_connecting_map,
     ambient_from_letters,
     ambient_identity,
     ambient_mult,
@@ -403,14 +404,77 @@ class TestKernel:
             assert column_projection(chain, sphere, 0).tolist() == want
 
 
-class TestSampledValidation:
-    """Validation above the exhaustive threshold: same draws, first failing sample reported."""
+def exhaustive_associativity(table):
+    """The first (a, b, c) with (ab)c != a(bc), one n x n check per a, or None."""
+    for a in range(len(table)):
+        lhs = table[table[a]]
+        rhs = np.take(table[a], table)
+        if not (lhs == rhs).all():
+            b, c = map(int, np.argwhere(lhs != rhs)[0])
+            return a, b, c
+    return None
+
+
+def right_closure(table, identity, gens):
+    """Elements reached from the identity by right multiplication by ``gens``."""
+    seen, todo = {identity}, [identity]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = int(table[x, g])
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def random_loop(n, rng):
+    """A random Latin square on 0..n-1 with identity 0, filled cell by cell."""
+    table = np.full((n, n), -1, dtype=np.int64)
+    table[0] = table[:, 0] = np.arange(n)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(table[i, :j].tolist()) | set(table[:i, j].tolist())
+        for v in rng.permutation(n).tolist():
+            if v not in used:
+                table[i, j] = v
+                if fill(k + 1):
+                    return True
+        table[i, j] = -1
+        return False
+
+    assert fill(0)
+    return table
+
+
+def relabelled_group(kind, n, rng):
+    """The table of Z/n or of the dihedral group of order n, relabelled with the identity at 0."""
+    if kind == "cyclic":
+        base = np.add.outer(np.arange(n), np.arange(n)) % n
+    else:
+        m = n // 2
+        # r^i s^e is 2i + e; (r^i s^e)(r^j s^f) = r^(i + (-1)^e j) s^(e + f)
+        i, e = np.divmod(np.arange(n), 2)
+        rot = (i[:, None] + np.where(e[:, None] == 1, -i, i)) % m
+        base = 2 * rot + (e[:, None] + e) % 2
+    label = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+    table = np.empty_like(base)
+    table[np.ix_(label, label)] = label[base]
+    return table
+
+
+class TestExactValidation:
+    """Identity, inverses and Light's associativity test against the exhaustive checks."""
 
     def test_valid_quotients_and_chain_pass(self):
         for spec in ({"kind": "cyclic", "moduli": [3, 4]}, regular_dihedral(4, list(range(8)), 0)):
-            assert bl.build_quotient(spec, threshold=4).order in (12, 8)
+            assert bl.build_quotient(spec).order in (12, 8)
         ambient = bl.AmbientGroup("free_abelian", 1)
-        chain = bl.build_chain(ambient, [bl.CyclicQuotient([4]), bl.CyclicQuotient([8])], threshold=4)
+        chain = bl.build_chain(ambient, [bl.CyclicQuotient([4]), bl.CyclicQuotient([8])])
         assert chain.connecting_maps[0].tolist() == [0, 1, 2, 3, 0, 1, 2, 3]
 
     @pytest.mark.parametrize(
@@ -420,26 +484,104 @@ class TestSampledValidation:
             (
                 [[6 if (a, b) == (2, 3) else (a + b) % 8 for b in range(8)] for a in range(8)],
                 0,
-                "associativity fails at (2, 2, 1)",
+                "associativity fails at (2, 2, 1): (22)1 = 5, 2(21) = 6",
             ),
             # the multiplicative monoid of Z/8: associative, with identity 1
-            ([[a * b % 8 for b in range(8)] for a in range(8)], 1, "element 4 has no inverse"),
+            ([[a * b % 8 for b in range(8)] for a in range(8)], 1, "element 0 has 0 inverses"),
             # the left-zero semigroup ab = a
-            ([[a] * 8 for a in range(8)], 0, "identity fails at 7"),
+            ([[a] * 8 for a in range(8)], 0, "identity fails on the left at 1"),
+            # the right-zero semigroup ab = b
+            ([list(range(8))] * 8, 0, "identity fails on the right at 1"),
         ],
     )
     def test_bad_table_rejected(self, table, identity, message):
         spec = {"kind": "table", "mult": table, "identity": identity, "gen_images": [1]}
         with pytest.raises(InvalidGroupError) as exc:
-            bl.build_quotient(spec, threshold=4)
+            bl.build_quotient(spec)
         assert str(exc.value) == message
 
-    def test_non_homomorphism_rejected(self):
+    @pytest.mark.parametrize(
+        "phi, message",
+        [
+            ([0, 1, 2, 3, 1, 1, 2, 3], "is not a homomorphism at (3, 1)"),
+            ([1, 2, 3, 0, 1, 2, 3, 0], "sends the identity to 1, expected 0"),
+            ([0, 1, 2, 1, 0, 1, 2, 1], "is not surjective"),
+            ([0, 3, 2, 1, 0, 3, 2, 1], "sends generator image 0 to 3, expected 1"),
+        ],
+    )
+    def test_bad_map_rejected(self, phi, message):
         ambient = bl.AmbientGroup("free_abelian", 1)
         levels = [bl.CyclicQuotient([4]), bl.CyclicQuotient([8])]
         with pytest.raises(ChainValidationError) as exc:
-            bl.build_chain(ambient, levels, [[0, 1, 2, 3, 1, 1, 2, 3]], threshold=4)
-        assert str(exc.value) == "connecting map 0 is not a homomorphism at (4, 2)"
+            bl.build_chain(ambient, levels, [phi])
+        assert str(exc.value) == f"connecting map 0 {message}"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["loop", "cyclic", "dihedral"]),
+        n=st.integers(2, 7),
+        seed=st.integers(0, 2**32 - 1),
+        gen_count=st.integers(1, 2),
+    )
+    def test_light_matches_exhaustive(self, kind, n, seed, gen_count):
+        rng = np.random.default_rng(seed)
+        if kind == "dihedral" and n % 2:
+            n += 1
+        if kind == "loop":
+            # every loop of order 4 or less is a group
+            n = max(n, 5)
+        table = random_loop(n, rng) if kind == "loop" else relabelled_group(kind, n, rng)
+        gens = rng.choice(n, size=gen_count).tolist()
+        spec = {"kind": "table", "mult": table.tolist(), "identity": 0, "gen_images": gens}
+        witness = exhaustive_associativity(table)
+        generated = len(right_closure(table, 0, gens)) == n
+        if witness is None and generated:
+            bl.build_quotient(spec)
+            return
+        with pytest.raises(InvalidGroupError) as exc:
+            bl.build_quotient(spec)
+        if not generated:
+            assert str(exc.value).startswith("generators do not generate")
+            return
+        x, y, s = map(int, str(exc.value).split("(")[1].split(")")[0].split(", "))
+        assert s in gens
+        assert table[table[x, y], s] != table[x, table[y, s]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        moduli=st.sampled_from([((4,), (8,)), ((3,), (12,)), ((2, 4), (4, 8)), ((2, 3), (4, 6))]),
+        data=st.data(),
+    )
+    def test_map_check_matches_all_pairs(self, moduli, data):
+        lower, upper = (bl.CyclicQuotient(m) for m in moduli)
+        phi = bl.groups.infer_connecting_map(upper, lower).copy()
+        for _ in range(data.draw(st.integers(0, 2))):
+            phi[data.draw(st.integers(0, upper.order - 1))] = data.draw(
+                st.integers(0, lower.order - 1)
+            )
+        idx = np.arange(upper.order)
+        products = phi[upper.mult_many(idx[:, None], idx)]
+        keeps = (
+            np.unique(phi).size == lower.order
+            and all(phi[gu] == gl for gu, gl in zip(upper.gen_images, lower.gen_images))
+            and (products == lower.mult_many(phi[:, None], phi)).all()
+        )
+        if keeps:
+            _validate_connecting_map(phi, upper, lower, 0)
+        else:
+            with pytest.raises(ChainValidationError):
+                _validate_connecting_map(phi, upper, lower, 0)
+
+    def test_no_random_draws(self, monkeypatch):
+        specs = perfbench_sl2_levels(1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validation drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        levels = [bl.build_quotient(spec) for spec in specs]
+        assert [q.order for q in levels] == [24, 648]
+        bl.build_chain(bl.AmbientGroup("free", 2), levels)
 
 
 def loop_bfs(q):

@@ -193,12 +193,17 @@ def cmd_build(args) -> int:
         if space.point_count() <= _DISTANCE_DUMP_CAP:
             names = [format_point(pt) for pt in space.points()]
             dist = space.distance_matrix()
-            # one matrix row at a time, so the dump never holds all pairs
+            cells = [f",{y}," for y in names]
+            ends = [f"{d}\n" for d in range(space.diameter() + 1)]
+            # one matrix row at a time, so the dump never holds all pairs; each
+            # row's (x, ",y,", "d\n") triples are filled by slices, not a Python loop
             with open(out / "distances.csv", "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("point,point,distance\n")
-                for i, x in enumerate(names):
-                    row = zip(names[i + 1 :], dist[i, i + 1 :].tolist())
-                    fh.write("".join(f"{x},{y},{d}\n" for y, d in row))
+                for i, x in enumerate(names[:-1]):
+                    parts = [x] * (3 * (len(names) - 1 - i))
+                    parts[1::3] = cells[i + 1 :]
+                    parts[2::3] = map(ends.__getitem__, dist[i, i + 1 :].tolist())
+                    fh.write("".join(parts))
         else:
             print(
                 f"distance dump skipped: {space.point_count()} points exceed the cap"

@@ -62,6 +62,38 @@ class CoarseEmbeddingMap:
         return np.vstack([self.table[pt] for pt in self.domain.points()])
 
 
+def _difference_dtype(mat: np.ndarray) -> np.dtype:
+    """Narrowest integer dtype holding every row difference of ``mat`` exactly.
+
+    Only finite integer-valued tables qualify, and 2 max|v| must fit; anything
+    else, NaN and infinities included, stays float64.
+    """
+    top = float(np.abs(mat).max(initial=0.0))
+    if not math.isfinite(top) or not (mat == np.floor(mat)).all():
+        return np.dtype(np.float64)
+    for dtype in (np.int8, np.int16, np.int32):
+        if 2 * top <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.float64)
+
+
+def _pair_norms(f: CoarseEmbeddingMap, above: int):
+    """Yield ``(i, norms)`` with norms[k] = |f(x_{i+above+k}) - f(x_i)|_p, row by row.
+
+    Every row is subtracted into one reused buffer, in the narrowest dtype in
+    which the differences are exact, so the norms equal those of float64
+    differences bit for bit.
+    """
+    mat = f.matrix()
+    dtype = _difference_dtype(mat)
+    rows = mat.astype(dtype, copy=False)
+    buf = np.empty((len(rows) - above, f.dim), dtype=dtype)
+    for i in range(len(rows) - above):
+        diff = buf[: len(rows) - above - i]
+        np.subtract(rows[i + above :], rows[i], out=diff)
+        yield i, lp_norm(diff, f.p, axis=1)
+
+
 @dataclass
 class ControlPair:
     """Monotone lower/upper envelopes sampled on realized distances."""
@@ -94,14 +126,12 @@ def profile(f: CoarseEmbeddingMap) -> ControlPair:
     if not pts:
         raise ValueError("empty domain")
     dist = f.domain.distance_matrix()
-    mat = f.matrix()
     # per-distance extremes, one row of pairs at a time: never an (n^2, dim) array
     low = np.full(int(dist.max()) + 1, np.inf)
     high = np.full(len(low), -np.inf)
     seen = np.zeros(len(low), dtype=bool)
-    for i in range(len(pts) - 1):
+    for i, norms in _pair_norms(f, above=1):
         t = dist[i, i + 1 :]
-        norms = lp_norm(mat[i + 1 :] - mat[i], f.p, axis=1)
         np.minimum.at(low, t, norms)
         np.maximum.at(high, t, norms)
         seen[t] = True
@@ -222,19 +252,17 @@ def verify_coarse(
             raise InvalidArgumentError(f"{name} samples are not nondecreasing")
     pts = f.domain.points()
     dist = f.domain.distance_matrix()
-    mat = f.matrix()
     max_t = int(dist.max(initial=0))
     lo_at, has_lo = _control_table(rho_minus, max_t)
     hi_at, has_hi = _control_table(rho_plus, max_t)
     witnesses = []
-    for i in range(len(pts)):
+    for i, norms in _pair_norms(f, above=0):
         t = dist[i, i:]
         missing = np.flatnonzero(~(has_lo[t] & has_hi[t]))
         if missing.size:
             t0 = int(t[missing[0]])
             which = "rho_plus" if has_lo[t0] else "rho_minus"
             raise ControlSampleError(f"{which} sample missing realized distance {t0}")
-        norms = lp_norm(mat[i:] - mat[i], f.p, axis=1)
         lo, hi = lo_at[t], hi_at[t]
         for k in np.flatnonzero((norms < lo - tolerance) | (norms > hi + tolerance)).tolist():
             witnesses.append(

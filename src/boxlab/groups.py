@@ -293,6 +293,13 @@ class CyclicQuotient(MarkedQuotient):
             out += (-(a // w) % m) * w
         return out
 
+    def validate(self) -> None:
+        """Nothing to check beyond the moduli, which ``__init__`` checked.
+
+        The mixed-radix law is a group, generated by the unit vectors, by
+        construction; the tests hold Light's test on it as the oracle.
+        """
+
 
 class TableQuotient(MarkedQuotient):
     """Marked group given by an explicit multiplication table."""

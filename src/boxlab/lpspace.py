@@ -34,9 +34,22 @@ def _check_p(p) -> float:
 
 
 def lp_norm(values, p, axis=None):
-    """l^p norm along ``axis`` (whole array when None); p may be ``inf``."""
+    """l^p norm along ``axis`` (whole array when None); p may be ``inf``.
+
+    Integer input of at most 32 bits is exact for p in {1, inf}: the maximum
+    is taken in its own dtype and the sum accumulates in uint64.  Every other
+    input and p goes through float64.  The result is float64.
+    """
     p = _check_p(p)
-    arr = np.abs(np.asarray(values, dtype=np.float64))
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu" and arr.dtype.itemsize <= 4 and (math.isinf(p) or p == 1.0):
+        if arr.dtype.kind == "i":
+            # |v| wraps at the dtype's minimum, whose bits read unsigned are exactly |v|
+            arr = np.abs(arr).view(arr.dtype.str.replace("i", "u"))
+        if math.isinf(p):
+            return arr.max(axis=axis, initial=0).astype(np.float64)
+        return arr.sum(axis=axis, dtype=np.uint64).astype(np.float64)
+    arr = np.abs(arr.astype(np.float64, copy=False))
     if math.isinf(p):
         return arr.max(axis=axis, initial=0.0)
     if p == 1.0:

@@ -8,6 +8,7 @@ import pytest
 
 import boxlab as bl
 from boxlab.boxspace import BoxPoint
+from boxlab.embedding import _difference_dtype
 from boxlab.errors import ControlSampleError
 
 
@@ -260,8 +261,88 @@ def _sandwich_map(space, kind, p):
     return bl.torus_coordinate_embedding(space, p)
 
 
+def _row_loop_profile(f):
+    """Realized distances and envelopes from float64 differences, one row at a time."""
+    dist = f.domain.distance_matrix()
+    mat = f.matrix()
+    low = np.full(int(dist.max()) + 1, np.inf)
+    high = np.full(len(low), -np.inf)
+    seen = np.zeros(len(low), dtype=bool)
+    for i in range(len(mat) - 1):
+        t = dist[i, i + 1 :]
+        norms = bl.lp_norm(mat[i + 1 :] - mat[i], f.p, axis=1)
+        np.minimum.at(low, t, norms)
+        np.maximum.at(high, t, norms)
+        seen[t] = True
+    ts = np.flatnonzero(seen)
+    return ts, np.minimum.accumulate(low[ts][::-1])[::-1], np.maximum.accumulate(high[ts])
+
+
+def _row_loop_witnesses(f, rho_minus, rho_plus, tol):
+    pts = f.domain.points()
+    dist = f.domain.distance_matrix()
+    mat = f.matrix()
+    out = []
+    for i in range(len(pts)):
+        norms = bl.lp_norm(mat[i:] - mat[i], f.p, axis=1)
+        for k, t in enumerate(dist[i, i:].tolist()):
+            lo, hi = float(rho_minus[t]), float(rho_plus[t])
+            if norms[k] < lo - tol or norms[k] > hi + tol:
+                out.append((pts[i], pts[i + k], t, float(norms[k]), lo, hi))
+    return out
+
+
+def _integer_table(top):
+    """Random integers in [-top, top], both ends attained."""
+
+    def build(space, rng):
+        shape = (space.point_count(), 5)
+        table = rng.integers(-top, top + 1, size=shape).astype(np.float64)
+        table[0, 0], table[-1, -1] = top, -top
+        return table
+
+    return build
+
+
+def _with_entries(*values):
+    """A small integer table with ``values`` written into its first row."""
+
+    def build(space, rng):
+        table = rng.integers(-5, 6, size=(space.point_count(), 5)).astype(np.float64)
+        table[0, : len(values)] = values
+        return table
+
+    return build
+
+
+KERNEL_TABLES = [
+    pytest.param(lambda space, rng: bl.linf_embedding(space).matrix(), np.int8, id="linf"),
+    pytest.param(
+        lambda space, rng: bl.torus_coordinate_embedding(space).matrix(), np.float64, id="torus"
+    ),
+    pytest.param(_integer_table(63), np.int8, id="int8-top"),
+    pytest.param(_integer_table(64), np.int16, id="int16-bottom"),
+    pytest.param(_integer_table(2**14 - 1), np.int16, id="int16-top"),
+    pytest.param(_integer_table(2**14), np.int32, id="int32-bottom"),
+    pytest.param(_integer_table(2**30 - 1), np.int32, id="int32-top"),
+    pytest.param(_integer_table(2**30), np.float64, id="too-wide"),
+    pytest.param(
+        lambda space, rng: 10.0 * rng.standard_normal((space.point_count(), 5)),
+        np.float64,
+        id="fractional",
+    ),
+    pytest.param(_with_entries(np.nan), np.float64, id="nan"),
+    pytest.param(_with_entries(np.inf, -np.inf), np.float64, id="inf"),
+    pytest.param(
+        lambda space, rng: np.where(rng.random((space.point_count(), 5)) < 0.5, -0.0, 3.0),
+        np.int8,
+        id="negative-zero",
+    ),
+]
+
+
 class TestSandwichOracle:
-    """Array sandwich checks against the per-pair loops they replace."""
+    """Array sandwich checks against the per-pair and per-row loops they replace."""
 
     @pytest.mark.parametrize("kind, p", SANDWICH_MAPS)
     def test_profile_matches_pair_loop(self, make_chain, kind, p):
@@ -316,3 +397,37 @@ class TestSandwichOracle:
         message = rf"^{which} sample missing realized distance {first}$"
         with pytest.raises(ControlSampleError, match=message):
             bl.verify_coarse(f, lo, hi)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("build, dtype", KERNEL_TABLES)
+    def test_matches_row_loop(self, make_chain, build, dtype, p):
+        space = bl.assemble_box_space(make_chain(4, 8, 16))
+        table = build(space, np.random.default_rng(7))
+        f = bl.CoarseEmbeddingMap(space, p, table.shape[1], dict(zip(space.points(), table)))
+        assert _difference_dtype(f.matrix()) == dtype
+        with np.errstate(invalid="ignore"):  # inf - inf in the inf table
+            ctrl = bl.profile(f)
+            ts, lo, hi = _row_loop_profile(f)
+            assert sorted(ctrl.rho_minus) == sorted(ctrl.rho_plus) == ts.tolist()
+            assert np.array([ctrl.rho_minus[t] for t in ts]).tobytes() == lo.tobytes()
+            assert np.array([ctrl.rho_plus[t] for t in ts]).tobytes() == hi.tobytes()
+            # one envelope pinched below the middle of the attained range, kept finite
+            mid = np.nan_to_num(0.4995 * (lo + hi), nan=0.0, posinf=0.0, neginf=0.0)
+            pinched = {0: 0.0, **dict(zip(ts.tolist(), np.maximum.accumulate(mid).tolist()))}
+            report = bl.verify_coarse(f, pinched, pinched)
+            want = _row_loop_witnesses(f, pinched, pinched, 1e-9)
+        assert want and not report.passed
+        assert [w[:3] for w in report.witnesses] == [w[:3] for w in want]
+        got_values = np.array([w[3:] for w in report.witnesses])
+        assert got_values.tobytes() == np.array([w[3:] for w in want]).tobytes()
+
+    def test_violation_on_integer_table_names_same_first_witness(self, make_chain):
+        space = bl.assemble_box_space(make_chain(4, 8, 16))
+        f = bl.linf_embedding(space)
+        assert _difference_dtype(f.matrix()) == np.int8
+        ts = range(space.diameter() + 1)
+        lo = {t: float(t) for t in ts}
+        hi = {t: float(max(t - 1, min(t, 2))) for t in ts}  # t - 1 from t = 3 on
+        report = bl.verify_coarse(f, lo, hi)
+        want = _pair_loop_witnesses(f, lo, hi, 1e-9)
+        assert not report.passed and report.witnesses[0] == want[0]

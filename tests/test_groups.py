@@ -500,6 +500,13 @@ class TestExactValidation:
             bl.build_quotient(spec)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("moduli", [[1], [7], [1, 4], [3, 1], [2, 3, 4], [4, 1, 2]])
+    def test_cyclic_law_passes_the_exact_check(self, moduli):
+        # CyclicQuotient.validate trusts its construction; the exact check is the oracle
+        q = bl.CyclicQuotient(moduli)
+        bl.MarkedQuotient.validate(q)
+        assert q._validated
+
     @pytest.mark.parametrize(
         "phi, message",
         [

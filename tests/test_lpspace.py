@@ -66,6 +66,20 @@ def test_norm_of_no_rows_and_of_empty_rows(p):
     assert lp_norm(np.zeros(0), p) == 0.0
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint8, np.uint32])
+@pytest.mark.parametrize("p", [1, math.inf])
+def test_norm_of_narrow_integers_is_exact(dtype, p):
+    info = np.iinfo(dtype)
+    rows = np.array([[info.min, info.max, 1], [1, info.min, info.max]], dtype=dtype)
+    magnitudes = [[abs(int(v)) for v in row] for row in rows.tolist()]
+    want = [float(max(m) if math.isinf(p) else sum(m)) for m in magnitudes]
+    got = lp_norm(rows, p, axis=1)
+    assert got.dtype == np.float64 and got.tolist() == want
+    assert lp_norm(rows[0], p) == want[0]
+    assert lp_norm(np.zeros((0, 3), dtype), p, axis=1).shape == (0,)
+    assert lp_norm(np.zeros((2, 0), dtype), p, axis=1).tolist() == [0.0, 0.0]
+
+
 perm_strategy = st.permutations(range(5))
 signs_strategy = st.lists(st.sampled_from([1, -1]), min_size=5, max_size=5)
 

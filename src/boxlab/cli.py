@@ -345,7 +345,6 @@ def _replay(path, lines) -> int:
 def cmd_forge(args) -> int:
     chain = load_chain(args.chain)
     space = assemble_box_space(chain)
-    p = args.p if args.p is not None else 2.0
     out = _out_dir(args)
 
     if args.mode == "averaged":
@@ -354,19 +353,21 @@ def cmd_forge(args) -> int:
             raise SpecFormatError(f"level {level} out of range")
         q = chain.levels[level]
         f = _resolve_embedding(args.embedding, space, args.p)
+        if args.p is not None and args.p != f.p:
+            raise SpecFormatError(
+                f"--p {_fmt(args.p)} disagrees with p={_fmt(f.p)} of embedding {args.embedding!r}"
+            )
         table = np.stack([f(BoxPoint(level, x)) for x in q.elements()])
-        rep, coc = averaged_cocycle(table, q, p)
+        rep, coc = averaged_cocycle(table, q, f.p)
         report = verify_local_action(rep, coc, tolerance=args.tolerance)
         lines = _cocycle_lines(coc, str, list(q.elements()))
     elif args.mode in ("fce", "lift"):
         r = args.r if args.r is not None else 4
-        fib, _ = _make_fibration("translation", space, p, r)
+        fib, _ = _make_fibration("translation", space, args.p, r)
         coc = local_cocycle_from_fce(fib, r)
         report = verify_local_action(coc.companion, coc, tolerance=args.tolerance)
         if args.mode == "fce":
-            q = coc.carrier.quotient
-            live = [x for x in q.elements() if coc.live(x)]
-            lines = _cocycle_lines(coc, str, live)
+            lines = _cocycle_lines(coc, str, coc.elements.tolist())
         else:
             lifted = lift_to_group(coc, chain)
             lines = _lift_lines(lifted, _ambient_ball(chain, r))
@@ -375,7 +376,7 @@ def cmd_forge(args) -> int:
         if r < 2:
             raise SpecFormatError(f"ultra mode needs a top scale >= 2, got {r}")
         # the fibration's default controls reach length r + 1 >= 3, the ball's radius
-        fib, (lo, hi) = _make_fibration("translation", space, p, r)
+        fib, (lo, hi) = _make_fibration("translation", space, args.p, r)
         family = family_from_fce(fib, range(2, r + 1))
         elements = _ambient_ball(chain, 3)
         report = ultraproduct_hypothesis_check(family, elements, lo, hi, tolerance=args.tolerance)

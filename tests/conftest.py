@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import boxlab as bl
@@ -47,6 +48,20 @@ def served_dict(fib, C, r) -> dict:
         pt: AffineIsometry(fib.p, SignedPermutation(perm, signs), shift)
         for pt, perm, signs, shift in zip(C, *stack)
     }
+
+
+def twisted_action(rank, p):
+    """Z^rank on l^p of dimension rank + 2: translation by g, and the last two
+    coordinates turned a quarter (a signed permutation of order 4) per unit of g_0."""
+    quarter = SignedPermutation([*range(rank), rank + 1, rank], [*([1] * rank), -1, 1])
+
+    def rule(g):
+        linear = SignedPermutation.identity(rank + 2)
+        for _ in range(g[0] % 4):
+            linear = quarter.compose(linear)
+        return AffineIsometry(p, linear, np.array([*g, 0, 0], dtype=float))
+
+    return bl.ProperAction(p=p, dim=rank + 2, rule=rule, label="twisted")
 
 
 def cyclic_chain(*moduli_per_level, rank: int = 1) -> bl.GroupChain:

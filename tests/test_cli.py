@@ -267,6 +267,32 @@ class TestForge:
         assert len(head) == 2 + 16
         assert "PASS" in (out / "report.txt").read_text()
 
+    def test_averaged_takes_p_from_the_embedding(self, chains, tmp_path):
+        out = tmp_path / "avg-linf"
+        code = main(
+            ["forge", "--chain", chains["dyadic"], "--mode", "averaged", "--level", "0",
+             "--embedding", "linf", "--out", str(out)]
+        )
+        assert code == 0
+        head = (out / "cocycle.csv").read_text().splitlines()
+        assert head[0] == "# p=inf dim=28 blocks=4 scale=global"
+
+    @pytest.mark.parametrize("embedding", ["linf", "csv"])
+    def test_averaged_refuses_a_disagreeing_p(self, chains, tmp_path, capsys, embedding):
+        if embedding == "csv":
+            assert main(["profile", "--chain", chains["dyadic"], "--embedding", "linf",
+                         "--dump-map", "--out", str(tmp_path)]) == 0
+            embedding = str(tmp_path / "embedding.csv")
+        capsys.readouterr()
+        code = main(
+            ["forge", "--chain", chains["dyadic"], "--mode", "averaged", "--level", "0",
+             "--embedding", embedding, "--p", "2", "--out", str(tmp_path / "avg")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--p 2" in err and "p=inf" in err
+        assert not (tmp_path / "avg").exists()
+
     def test_fce_mode_dumps_live_elements(self, chains, tmp_path):
         out = tmp_path / "fce"
         code = main(

@@ -8,7 +8,7 @@ from boxlab.boxspace import BoxPoint
 from boxlab.cocycles import BlockMap, LocalRepresentation, QuotientCarrier
 from boxlab.errors import ActionCheckError
 from boxlab.lpspace import AffineIsometry, SignedPermutation
-from conftest import served_dict, stacked
+from conftest import served_dict, stacked, twisted_action
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +17,52 @@ def line_fibrations(deep_space):
         p: bl.from_proper_action(deep_space, bl.translation_action(1, p), r_max=5)
         for p in (1.0, 2.0)
     }
+
+
+def _zero_cocycle(q, r):
+    """The zero cocycle at scale ``r`` on ``q``, with the identity as companion."""
+    carrier = QuotientCarrier(q)
+    live = int(np.count_nonzero(q.distance_from_identity() < r))
+    tau = np.tile(np.arange(q.order), (live, 1))
+    rep = LocalRepresentation(carrier=carrier, p=1.0, dim=1, r=r, tau=tau)
+    return bl.LocalCocycle(
+        carrier=carrier, p=1.0, dim=1, r=r, values=np.zeros((live, q.order, 1)), companion=rep
+    )
+
+
+def _loop_check(rep, coc, mode="atol", tolerance=1e-9):
+    """The per-pair check: one apply, compose and equals per live pair, x-major.
+
+    Returns the pair count and the identity and representation witnesses.
+    """
+    q = coc.carrier.quotient
+    live = [x for x in q.elements() if coc.live(x)]
+    pairs = [(x, y) for x in live for y in live if coc.live(q.mult(x, y))]
+    identity, representation = [], []
+    for x, y in pairs:
+        xy = q.mult(x, y)
+        lhs = coc.value(xy)
+        rhs = rep.image(x).apply(coc.value(y)) + coc.value(x)
+        if mode == "exact":
+            ok = np.array_equal(lhs, rhs)
+        else:
+            ok = np.allclose(lhs, rhs, rtol=0.0, atol=tolerance)
+        if not ok:
+            identity.append((x, y, float(np.max(np.abs(lhs - rhs)))))
+        if not rep.image(x).compose(rep.image(y)).equals(rep.image(xy)):
+            representation.append((x, y))
+    return len(pairs), identity, representation
+
+
+def _assert_matches_loop(rep, coc, mode="atol", tolerance=1e-9):
+    report = bl.verify_local_action(rep, coc, mode=mode, tolerance=tolerance)
+    checked, identity, representation = _loop_check(rep, coc, mode, tolerance)
+    assert report.identity_checked == report.representation_checked == checked
+    # repr tells floats apart bit for bit, and a NaN deviation from any other value
+    assert repr(report.identity_witnesses) == repr(identity)
+    assert report.representation_witnesses == representation
+    assert report.passed == (not identity and not representation)
+    return report
 
 
 class TestBlockMap:
@@ -95,6 +141,23 @@ class TestBlockMap:
     def test_constructor_rejects_bad_twist(self, perm, signs, message):
         with pytest.raises(ValueError, match=message):
             BlockMap([1, 0], perm, signs)
+
+
+class TestLocalRepresentation:
+    @pytest.mark.parametrize(
+        "tau, perm, signs, message",
+        [
+            (np.zeros((3, 2)), None, None, "tau of shape"),
+            (np.zeros((2, 2)), np.zeros((2, 2, 2)), None, "twist of shapes"),
+            (np.zeros((2, 2)), np.zeros((2, 2, 1)), np.ones((2, 2, 1)), "twist of shapes"),
+            (np.zeros((2, 2)), np.zeros((2, 2, 2)), np.ones((2, 2, 2)), "not a permutation"),
+            (np.zeros((2, 2)), [[[0, 1]] * 2] * 2, np.full((2, 2, 2), 2), "signs must be"),
+        ],
+    )
+    def test_representation_rejects_bad_rows(self, tau, perm, signs, message):
+        carrier = QuotientCarrier(bl.CyclicQuotient([2]))
+        with pytest.raises(ValueError, match=message):
+            LocalRepresentation(carrier=carrier, p=1.0, dim=2, r=None, tau=tau, perm=perm, signs=signs)
 
 
 class TestAveraged:
@@ -234,9 +297,8 @@ class TestLocalFromFibration:
 
     def test_corrupted_value_caught(self, line_fibrations):
         coc = bl.local_cocycle_from_fce(line_fibrations[2.0], 4)
-        x0 = next(x for x in coc.values if x != 0)
-        coc.values[x0] = coc.values[x0].copy()
-        coc.values[x0][5, 0] += 1.0
+        assert coc.elements[0] == 0  # row 1 is the first live element after the identity
+        coc.values[1, 5, 0] += 1.0
         report = bl.verify_local_action(coc.companion, coc)
         assert not report.passed
         assert report.identity_witnesses
@@ -246,6 +308,75 @@ class TestLocalFromFibration:
         coc4 = bl.local_cocycle_from_fce(line_fibrations[1.0], 4)
         with pytest.raises(ValueError):
             bl.verify_local_action(coc3.companion, coc4)
+
+
+class TestBatchedCheck:
+    """verify_local_action against the per-pair loop, witness for witness."""
+
+    @pytest.fixture(scope="class")
+    def cocycles(self, line_fibrations, torus_chain):
+        twisted = bl.from_proper_action(
+            bl.assemble_box_space(torus_chain), twisted_action(2, 2.0), r_max=2
+        )
+        return {
+            "twisted torus r=2": lambda: bl.local_cocycle_from_fce(twisted, 2),
+            "line p=1 r=4": lambda: bl.local_cocycle_from_fce(line_fibrations[1.0], 4),
+            "line p=2 r=4": lambda: bl.local_cocycle_from_fce(line_fibrations[2.0], 4),
+        }
+
+    @pytest.mark.parametrize("case", ["twisted torus r=2", "line p=1 r=4", "line p=2 r=4"])
+    @pytest.mark.parametrize("corrupt", ["none", "value", "sign", "tau"])
+    def test_witnesses_match_loop(self, cocycles, case, corrupt):
+        coc = cocycles[case]()
+        rep = coc.companion
+        assert rep.perm is not None
+        rng = np.random.default_rng(0)
+        i = int(rng.integers(1, len(coc.elements)))
+        z, c = int(rng.integers(coc.carrier.size)), int(rng.integers(coc.dim))
+        if corrupt == "value":
+            coc.values[i, z, c] += 0.5
+        elif corrupt == "sign":
+            rep.signs[i, z, c] *= -1
+        elif corrupt == "tau":
+            w = (z + 1) % coc.carrier.size
+            rep.tau[i, [z, w]] = rep.tau[i, [w, z]]
+        report = _assert_matches_loop(rep, coc)
+        assert report.passed == (corrupt == "none"), report.to_text()
+        if corrupt in ("sign", "tau"):
+            assert report.representation_witnesses
+        if case.startswith("twisted"):
+            assert (rep.signs == -1).any()
+
+    def test_every_pair_past_the_old_cap(self):
+        q = bl.CyclicQuotient([150])
+        table = np.random.default_rng(150).integers(-9, 10, size=(150, 2)).astype(float)
+        rep, coc = bl.averaged_cocycle(table, q, 1.0)
+        report = bl.verify_local_action(rep, coc, mode="exact")
+        assert report.passed
+        assert report.identity_checked == report.representation_checked == 22500
+        assert len(report.to_text().splitlines()) == 3
+        coc.values[37, 101, 1] += 1.0
+        report = _assert_matches_loop(rep, coc, mode="exact")
+        assert not report.passed and len(report.identity_witnesses) > 1
+
+    def test_exact_mode_sees_what_atol_forgives(self):
+        q = bl.CyclicQuotient([5])
+        rep, coc = bl.averaged_cocycle(np.array([[0.0], [1.0], [2.0], [2.0], [1.0]]), q, 1.0)
+        coc.values[2, 1, 0] += 1e-12
+        assert not _assert_matches_loop(rep, coc, mode="exact").passed
+        assert _assert_matches_loop(rep, coc, mode="atol").passed
+
+    # inf - inf in a failing pair's deviation warns, in the check as in the loop
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["exact", "atol"])
+    def test_non_finite_entries_compare_as_numpy_does(self, mode):
+        q = bl.CyclicQuotient([3])
+        rep, coc = bl.averaged_cocycle(np.array([[0.0], [1.0], [2.0]]), q, 1.0)
+        coc.values[1, 0, 0] = np.inf
+        coc.values[2, 1, 0] = np.nan
+        coc.values[0, 2, 0] = -np.inf
+        report = _assert_matches_loop(rep, coc, mode=mode)
+        assert not report.passed
 
 
 class TestLift:
@@ -265,12 +396,7 @@ class TestLift:
             assert np.array_equal(lifted.value((g,)), coc.value(x))
 
     def test_lift_scale_bounded_by_radius(self, deep_chain):
-        q = deep_chain.levels[1]  # Z/4, radius 3
-        carrier = QuotientCarrier(q)
-        rep = LocalRepresentation(carrier=carrier, p=1.0, dim=1, r=5, images={})
-        coc = bl.LocalCocycle(
-            carrier=carrier, p=1.0, dim=1, r=5, values={}, companion=rep
-        )
+        coc = _zero_cocycle(deep_chain.levels[1], 5)  # Z/4, radius 3
         with pytest.raises(ValueError):
             bl.lift_to_group(coc, deep_chain)
 
@@ -313,12 +439,7 @@ class TestFamily:
         members = {}
         for r in (2, 3):
             level = bl.select_level_for_r(deep_chain, 2 * r)
-            carrier = QuotientCarrier(deep_chain.levels[level])
-            rep = LocalRepresentation(carrier=carrier, p=1.0, dim=1, r=r, images={})
-            coc = bl.LocalCocycle(
-                carrier=carrier, p=1.0, dim=1, r=r, values={}, companion=rep
-            )
-            members[r] = bl.lift_to_group(coc, deep_chain)
+            members[r] = bl.lift_to_group(_zero_cocycle(deep_chain.levels[level], r), deep_chain)
         fam = bl.CocycleFamily(chain=deep_chain, members=members)
         ident = {n: float(n) for n in range(3)}
         report = bl.ultraproduct_hypothesis_check(fam, [(1,), (0,)], ident, ident)
@@ -330,8 +451,8 @@ class TestFamily:
     def test_corrupted_member_fails(self, line_fibrations):
         fam = bl.family_from_fce(line_fibrations[1.0], range(2, 6))
         victim = fam.members[4].base
-        x0 = next(x for x in victim.values if x != 0)
-        victim.values[x0] = victim.values[x0] + 7.0
+        x0 = int(victim.elements[1])  # the first live element after the identity
+        victim.values[1] += 7.0
         ident = {n: float(n) for n in range(4)}
         report = bl.ultraproduct_hypothesis_check(fam, [(x0 if x0 < 8 else x0 - 16,)], ident, ident)
         assert not report.passed

@@ -16,7 +16,7 @@ from boxlab import fibration
 from boxlab.fibration import _candidate_sets, _check_action
 from boxlab.groups import ambient_from_letters, ambient_identity, ambient_mult, ambient_sphere
 from boxlab.lpspace import AffineIsometry, IsometryStack, SignedPermutation, identity_isometry
-from conftest import cyclic_chain, served_dict, stacked
+from conftest import cyclic_chain, served_dict, stacked, twisted_action
 
 
 def identity_pair(top):
@@ -464,20 +464,6 @@ def reference_serve(space, action):
         return out
 
     return serve
-
-
-def twisted_action(rank, p):
-    """Z^rank on l^p of dimension rank + 2: translation by g, and the last two
-    coordinates turned a quarter (a signed permutation of order 4) per unit of g_0."""
-    quarter = SignedPermutation([*range(rank), rank + 1, rank], [*([1] * rank), -1, 1])
-
-    def rule(g):
-        linear = SignedPermutation.identity(rank + 2)
-        for _ in range(g[0] % 4):
-            linear = quarter.compose(linear)
-        return AffineIsometry(p, linear, np.array([*g, 0, 0], dtype=float))
-
-    return bl.ProperAction(p=p, dim=rank + 2, rule=rule, label="twisted")
 
 
 def _outcome(serve, sets, r):

@@ -450,13 +450,26 @@ def verify_local_action(
             perm = np.take_along_axis(P[at], P[x], axis=2)
             signs = S[x] * np.take_along_axis(S[at], P[x], axis=2)
             same &= (perm == P[xy]).all(axis=(1, 2)) & (signs == S[xy]).all(axis=(1, 2))
-        lhs, rhs = V[xy], moved + V[x]
+        # moved and lhs are fresh copies, so each is rewritten in place
+        moved += V[x]  # sigma(x)b(y) + b(x)
+        lhs = V[xy]  # b(xy)
         if mode == "exact":
-            ok = (lhs == rhs).all(axis=(1, 2))
+            bad = np.flatnonzero(~(lhs == moved).all(axis=(1, 2)))
+            dev = np.abs(lhs[bad] - moved[bad]).max(axis=(1, 2), initial=0.0)
         else:
-            ok = np.isclose(lhs, rhs, rtol=0.0, atol=tolerance).all(axis=(1, 2))
-        bad = np.flatnonzero(~ok)
-        dev = np.abs(lhs[bad] - rhs[bad]).max(axis=(1, 2), initial=0.0)
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN; np.isclose decides below
+                diff = np.abs(np.subtract(lhs, moved, out=lhs), out=lhs)
+                dev = diff.max(axis=(1, 2), initial=0.0)
+            # under a tolerance >= 0, np.isclose(rtol=0) passes finite entries
+            # within it; the rest take np.isclose itself: pairs with non-finite
+            # entries or an overflowing difference, and every pair otherwise
+            ok = dev <= tolerance
+            odd = np.flatnonzero(~np.isfinite(dev)) if tolerance >= 0 else np.arange(len(dev))
+            if odd.size:
+                close = np.isclose(V[xy[odd]], moved[odd], rtol=0.0, atol=tolerance)
+                ok[odd] = close.all(axis=(1, 2))
+            bad = np.flatnonzero(~ok)
+            dev = dev[bad]
         identity_witnesses += zip(live[x[bad]].tolist(), live[y[bad]].tolist(), dev.tolist())
         representation_witnesses += zip(live[x[~same]].tolist(), live[y[~same]].tolist())
     return CocycleReport(

@@ -305,7 +305,7 @@ def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) ->
         spans = low != np.maximum.reduceat(level, starts)
         excluded = ~spans & (radius[low] < 2 * r)
         home = np.where(spans | excluded, -1, low)  # the level serving each set
-        served = np.unique(home[home >= 0]).tolist()
+        served = np.flatnonzero(np.bincount(home[home >= 0])).tolist()
         owner = np.repeat(np.arange(len(sets)), sizes)
         centre = np.zeros(len(sets), dtype=np.int64)
         cover = np.zeros(len(sets), dtype=np.int64)

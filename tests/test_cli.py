@@ -456,3 +456,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" in err
         assert err.endswith("ValueError: broken verifier\n")
+
+
+class TestNoMaskedArrays:
+    """No benchmark command imports numpy.ma, which costs numpy 2 about 13 ms a process."""
+
+    COMMANDS = [
+        "build --chain {sl2}",
+        "profile --chain {sl2} --embedding linf",
+        "spectral --chain {sl2}",
+        "fce-verify --chain {torus} --fibration translation --r 2",
+        "forge --chain {torus} --mode lift --r 2",
+        "fce-verify --chain {line} --fibration trivial:linf --subsets all --r 2",
+    ]
+
+    def test_benchmark_commands_leave_numpy_ma_unloaded(self, tmp_path):
+        bare = "import sys, numpy; print('numpy.ma' in sys.modules)"
+        loaded = subprocess.run([sys.executable, "-c", bare], capture_output=True, text=True)
+        if loaded.stdout.strip() != "False":
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        paths = {}
+        for name, data in (
+            ("sl2", perfbench_sl2_chain(1)),
+            ("torus", {"ambient": TORUS["ambient"], "levels": TORUS["levels"][:2]}),
+            ("line", SMALL),
+        ):
+            paths[name] = str(tmp_path / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(data))
+        # each command's main in one process, one line per command: exit code, numpy.ma loaded
+        script = (
+            "import contextlib, io, sys\n"
+            "from boxlab.cli import main\n"
+            "for argv in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = main(argv.split())\n"
+            "    print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        argvs = [f"{c} --out {tmp_path / str(i)}".format(**paths) for i, c in enumerate(self.COMMANDS)]
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argvs], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["0 False"] * len(self.COMMANDS)

@@ -366,7 +366,7 @@ class TestBatchedCheck:
         assert not _assert_matches_loop(rep, coc, mode="exact").passed
         assert _assert_matches_loop(rep, coc, mode="atol").passed
 
-    # inf - inf in a failing pair's deviation warns, in the check as in the loop
+    # inf - inf in a failing pair's deviation warns in the loop and in the exact check
     @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
     @pytest.mark.parametrize("mode", ["exact", "atol"])
     def test_non_finite_entries_compare_as_numpy_does(self, mode):
@@ -377,6 +377,21 @@ class TestBatchedCheck:
         coc.values[0, 2, 0] = -np.inf
         report = _assert_matches_loop(rep, coc, mode=mode)
         assert not report.passed
+
+    # the atol check compares each pair's largest deviation with the tolerance
+    # and leaves pairs with a non-finite deviation to np.isclose
+    @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:One of rtol or atol is not valid:RuntimeWarning")
+    @pytest.mark.parametrize("tolerance", [0.5, 0.0, -1.0, np.nan, np.inf])
+    def test_atol_reads_the_tolerance_as_numpy_does(self, tolerance):
+        q = bl.CyclicQuotient([4])
+        rep, coc = bl.averaged_cocycle(np.array([[0.0], [1.0], [2.0], [1.0]]), q, 1.0)
+        coc.values[1, 2, 0] += 0.25
+        # finite entries whose differences overflow to inf
+        coc.values[2, 3, 0] = 1.5e308
+        coc.values[3, 1, 0] = -1.5e308
+        report = _assert_matches_loop(rep, coc, tolerance=tolerance)
+        assert len(report.identity_witnesses) < report.identity_checked
 
 
 class TestLift:

@@ -699,6 +699,7 @@ class TestBreadthFirst:
             assert q.table.tolist() == table.tolist()
             assert q.gen_images == gen_images
             assert_search_matches_loop(q)
+            assert_trusted_passes_light(q)
 
     @given(
         st.integers(1, 7).flatmap(
@@ -709,7 +710,8 @@ class TestBreadthFirst:
     )
     @settings(max_examples=150, deadline=None)
     def test_any_action_matches_loop(self, case):
-        # mostly not simply transitive: the same first failing point, or the same table
+        # mostly not simply transitive: the same first failing point, or the same
+        # table, marked validated exactly when the action is regular on the orbit
         gens, base = case
         try:
             want = loop_orbit_quotient(len(gens[0]), gens, base)
@@ -717,9 +719,13 @@ class TestBreadthFirst:
             with pytest.raises(InvalidGroupError) as got:
                 _quotient_from_permutations(len(gens[0]), gens, base)
             assert str(got.value) == str(exc)
+            assert not regular_on_orbit(gens, base)
         else:
             q = _quotient_from_permutations(len(gens[0]), gens, base)
             assert (q.table.tolist(), q.gen_images) == (want[0].tolist(), want[1])
+            assert q._validated == regular_on_orbit(gens, base)
+            if q._validated:
+                assert_trusted_passes_light(q)
 
     def test_unreached_elements_keep_minus_one(self):
         table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
@@ -748,6 +754,75 @@ class TestBreadthFirst:
         with pytest.raises(InvalidGroupError) as exc:
             bl.build_quotient(spec)
         assert str(exc.value) == message
+
+
+def assert_trusted_passes_light(q):
+    """A quotient its construction marked validated passes the full check afresh."""
+    assert q._validated
+    bl.TableQuotient(q.table, 0, q.gen_images).validate()
+
+
+def regular_on_orbit(gens, base) -> bool:
+    """Whether the group the permutations generate, restricted to the orbit of
+    ``base``, has as many elements as the orbit has points: a brute-force closure
+    of the identity under the generators, stopped once it outgrows the orbit."""
+    gens = [np.array(g) for g in gens]
+    points = [base]
+    for x in points:
+        for g in gens:
+            if int(g[x]) not in points:
+                points.append(int(g[x]))
+    points = np.array(points)
+    seen, frontier = {tuple(points)}, [points]
+    while frontier and len(seen) <= len(points):
+        fresh = []
+        for w in frontier:
+            for g in gens:
+                if tuple(g[w]) not in seen:
+                    seen.add(tuple(g[w]))
+                    fresh.append(g[w])
+        frontier = fresh
+    return len(seen) == len(points)
+
+
+class TestTrustedPermutations:
+    """Permutation levels marked validated by their construction, against Light's test."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["cyclic", "dihedral"]),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        gen_count=st.integers(1, 3),
+    )
+    def test_left_regular_actions_trusted(self, kind, n, seed, gen_count):
+        # a subgroup acts regularly, by left multiplication, on each of its cosets
+        rng = np.random.default_rng(seed)
+        if kind == "dihedral":
+            n = max(4, n + n % 2)
+        table = relabelled_group(kind, n, rng)
+        relabel = rng.permutation(n)
+        gens = []
+        for g in rng.choice(n, size=gen_count):
+            perm = np.empty(n, dtype=np.int64)
+            perm[relabel] = relabel[table[g]]
+            gens.append(perm.tolist())
+        base = int(rng.integers(n))
+        q = _quotient_from_permutations(n, gens, base)
+        assert_trusted_passes_light(q)
+        want, gen_images = loop_orbit_quotient(n, gens, base)
+        assert (q.table.tolist(), q.gen_images) == (want.tolist(), gen_images)
+
+    def test_light_rejects_a_corrupted_sl2_table(self):
+        spec = perfbench_sl2_levels(1)[1]
+        q = _quotient_from_permutations(spec["degree"], spec["gens"], spec["base"])
+        table = q.table.copy()
+        # off the identity's row and column and the generator columns, and
+        # neither value the identity, so only associativity can fail
+        x, y = 5, next(y for y in range(1, q.order) if y not in q.gen_images and table[5, y])
+        table[x, y] = next(v for v in range(1, q.order) if v != table[x, y])
+        with pytest.raises(InvalidGroupError, match="^associativity fails at "):
+            bl.TableQuotient(table, 0, q.gen_images).validate()
 
 
 # -- ambient spheres and the isometry radius ---------------------------------

@@ -300,11 +300,12 @@ def local_cocycle_from_fce(
 
     blocks = np.arange(q.order)
     taus = q.mult_many(blocks, _live_elements(q, r)[:, None])  # taus[i, z] = z * live[i]
+    inverse = stack.inverse()
     # the transition between the balls around z and zx, read off at zx
-    transitions = stack.transitions(row[blocks, taus].ravel(), row[taus, taus].ravel())
+    transitions = stack.after(inverse, row[blocks, taus].ravel(), row[taus, taus].ravel())
     for i, tau in enumerate(taus):
         zs, ws = np.nonzero(inside & inside[tau])
-        cand = stack.transitions(row[zs, ws], row[tau[zs], ws])
+        cand = stack.after(inverse, row[zs, ws], row[tau[zs], ws])
         bad = np.flatnonzero(cand.differs(transitions.take(i * q.order + zs), 1e-9))
         if bad.size:
             z = int(zs[bad[0]])

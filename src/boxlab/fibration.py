@@ -202,7 +202,7 @@ def _check_action(chain, action: ProperAction, r_max: int, tol: float = 1e-9) ->
     gs = [index[ambient_mult(chain, ball[a], letters[b])] for a, b in zip(g.tolist(), s.tolist())]
     act = IsometryStack.of([action.isometry(h) for h in ball], action.dim)
     at = np.array([index[h] for h in letters], dtype=np.int64)
-    bad = np.flatnonzero(act.take(g).compose(act.take(at[s])).differs(act.take(gs), tol))
+    bad = np.flatnonzero(act.after(act, g, at[s]).differs(act.take(gs), tol))
     if bad.size:
         k = bad[0]
         raise ActionCheckError(f"action is not multiplicative at {ball[g[k]]}, {letters[s[k]]}")
@@ -434,9 +434,12 @@ def _candidate_sets(space, allowed, dist, r: int, mode: str):
     return sets
 
 
-# entries of one (rows, dim) array in a batch of the array checks: 32 KB of
-# float64, so the batch temporaries stay small next to the interpreter's own
-# memory (one pass over all rows of the all-subsets Z/16 run doubled its peak)
+# entries of one (rows, dim) array in a batch of the array checks (32 KB of
+# float64), and index rows of one segment of the overlap pass.  On Z/16 with
+# `fce-verify --subsets all --r 5` (dim 16; 2 vCPU, Python 3.11, numpy 2.4),
+# peak RSS in a fresh process reads 32.5, 33.4, 34.3 and 36.6 MB at 2^12,
+# 2^13, 2^14 and 2^15, and verify_fce takes 7.4, 6.8 and 6.6 ms at 2^12,
+# 2^13 and 2^14: a larger batch buys under a millisecond per megabyte
 _BATCH_ENTRIES = 1 << 12
 
 
@@ -522,8 +525,9 @@ def verify_fce(
     overlap_witnesses = []
     overlap_pairs = 0
     vacuous = 0
+    inverse = stack.inverse()
     weights = np.bincount(owner, weights=at_point, minlength=len(sets))
-    for first, stop in _segments(weights, budget):
+    for first, stop in _segments(weights, _BATCH_ENTRIES):
         # member rows (a, b) of set pairs a < b, a in this segment of sets, at
         # each shared point; sorted by pair, then by point
         rows = np.arange(ends[first] - sizes[first], ends[stop - 1])
@@ -541,9 +545,15 @@ def verify_fce(
         bad = np.zeros(len(a), dtype=bool)
         for k in range(0, len(a), budget):
             batch = slice(k, k + budget)
-            trans = stack.transitions(a[batch], b[batch])
-            ref = stack.transitions(a[base[batch]], b[base[batch]])
+            trans = stack.after(inverse, a[batch], b[batch])
+            lead = base[batch] - k  # each row's pair's first row, negative before the batch
+            ref = trans.take(np.maximum(lead, 0))
+            if lead[0] < 0:  # a pair begun in an earlier batch: compare with its kept first row
+                for whole, part in zip(ref, head):
+                    whole[lead < 0] = part
             bad[batch] = trans.differs(ref, tolerance)
+            if lead[-1] >= 0:  # keep the last pair's first row for the next batch
+                head = trans.take(lead[-1:])
         bad[base == np.arange(len(base))] = False
         pairs, at = np.unique(base[bad], return_index=True)
         overlap_witnesses += [

@@ -374,10 +374,29 @@ def _quotient_from_permutations(degree: int, gens, base: int) -> TableQuotient:
     n distinct points, so the action is regular and ``table[i, j]``, the index
     of ``w_i w_j``, is W's multiplication table.  Associativity, identity,
     inverses and generation hold by construction, and the quotient is returned
-    validated.  Otherwise the first edge, in search order, whose word differs
-    from its end's on the points found before it is reported; when there is
-    none the quotient is returned unvalidated, for ``validate`` to name what
-    fails.
+    validated.  Otherwise the first edge (point i, letter l), in search order,
+    whose ``l w_i`` differs from ``w_{l(i)}`` at a point found before the edge
+    is reported.
+
+    There always is one.  Suppose every edge agrees with its end at the points
+    found before it, and let ``f_k(i) = w_i(p_k)``, column k of the table; the
+    edge (i, l) agrees at ``p_k`` exactly when ``f_k`` commutes with l at i.
+    By induction on k, each ``f_k`` commutes with every letter at every point,
+    which is the comparison above.  ``f_0`` is the identity.  If ``p_k`` was
+    found from a point ``q > 0`` by a letter l, then ``p_a = l(p_0)`` was found
+    earlier, and ``f_k = f_q f_a``: ``f_q`` commutes with the action and takes
+    ``p_0`` to ``p_q``, so ``f_q(w_i(p_a)) = w_i l(p_q) = w_i(p_k)``.  If
+    ``p_k`` was found from ``p_0``, every edge out of another point was
+    searched after it, so ``f_k`` commutes with every letter away from
+    ``p_0``, and at ``p_0`` with each l that moves it (through the edge from
+    ``l(p_0)`` by the inverse letter).  Then ``f_k`` is injective: walk from
+    ``x != y`` with ``f_k(x) = f_k(y)`` by the letters of a shortest path from
+    x to ``p_0``; the two walks stay apart and keep equal images until one
+    reaches ``p_0``, where the other is at some ``z != p_0`` with ``f_k(z) =
+    f_k(p_0)``.  The image of the orbit without ``p_0`` would then be closed
+    under every letter, hence the whole orbit, with one point too few.  So
+    ``l f_k`` and ``f_k l`` are bijections that agree away from ``p_0``, and
+    at ``p_0`` too.
     """
     letters = []
     for i, p in enumerate(gens):
@@ -401,26 +420,25 @@ def _quotient_from_permutations(degree: int, gens, base: int) -> TableQuotient:
     for d in range(1, int(dist.max()) + 1):
         i = np.flatnonzero(dist[orbit] == d)
         table[i] = moves[letter[orbit[i], None], table[position[parent[orbit[i]]]]]
-    quotient = TableQuotient(table, 0, moves[::2, 0])
-    if all((move[table] == table[move]).all() for move in moves[::2]):
-        quotient._validated = True
-        return quotient
-    # not regular: the first (orbit point, letter) edge, taken in search order,
-    # whose word differs from its end's on the orbit points found before the edge
-    tree_edges = position[parent[orbit[1:]]] * k + letter[orbit[1:]]
-    failure = None
-    for l, move in enumerate(moves):
-        known = 1 + np.searchsorted(tree_edges, np.arange(n) * k + l)
-        differs = move[table] != table[move]
-        first = np.where(differs.any(axis=1), differs.argmax(axis=1), n)
-        bad = np.flatnonzero(first < known)
-        if bad.size and (failure is None or bad[0] < failure[0]):
-            failure = (bad[0], orbit[move[bad[0]]])
-    if failure is not None:
+    if not all((move[table] == table[move]).all() for move in moves[::2]):
+        # not regular: the first (orbit point, letter) edge, taken in search
+        # order, whose word differs from its end's on the orbit points found
+        # before the edge; the docstring shows there is one
+        tree_edges = position[parent[orbit[1:]]] * k + letter[orbit[1:]]
+        failure = None
+        for l, move in enumerate(moves):
+            known = 1 + np.searchsorted(tree_edges, np.arange(n) * k + l)
+            differs = move[table] != table[move]
+            first = np.where(differs.any(axis=1), differs.argmax(axis=1), n)
+            bad = np.flatnonzero(first < known)
+            if bad.size and (failure is None or bad[0] < failure[0]):
+                failure = (bad[0], orbit[move[bad[0]]])
         raise InvalidGroupError(
             f"orbit of {base} is not simply transitive:"
             f" two words differ on the orbit at point {failure[1]}"
         )
+    quotient = TableQuotient(table, 0, moves[::2, 0])
+    quotient._validated = True
     return quotient
 
 

@@ -6,6 +6,9 @@ for every p; they are the only linear parts.  Values are validated once, where
 a caller constructs them: ``compose``, ``inverse`` and ``identity`` results are
 valid by construction and skip the checks.  ``IsometryStack`` holds many
 isometries of one space as arrays, for verifiers that compare them in bulk.
+Its one composition kernel, ``after``, composes chosen rows of two stacks by
+gathering through flat indices; verifiers invert a stack once and derive every
+transition between its rows from that inverse.
 """
 
 from __future__ import annotations
@@ -195,23 +198,29 @@ class IsometryStack(NamedTuple):
         """Row k applied to ``vectors[k]``."""
         return self.signs * np.take_along_axis(vectors, self.perm, axis=1) + self.translation
 
-    def compose(self, other: "IsometryStack") -> "IsometryStack":
-        """Row k after row k of ``other``."""
-        return IsometryStack(
-            np.take_along_axis(other.perm, self.perm, axis=1),
-            self.signs * np.take_along_axis(other.signs, self.perm, axis=1),
-            self.apply(other.translation),
-        )
-
     def inverse(self) -> "IsometryStack":
         inv = np.argsort(self.perm, axis=1)
         signs = np.take_along_axis(self.signs, inv, axis=1)
         shift = -(signs * np.take_along_axis(self.translation, inv, axis=1))
         return IsometryStack(inv, signs, shift)
 
-    def transitions(self, a, b) -> "IsometryStack":
-        """Rows ``a[k]`` after the inverse of rows ``b[k]``, as ``compose(inverse())``."""
-        return self.take(a).compose(self.take(b).inverse())
+    def after(self, other: "IsometryStack", a, b) -> "IsometryStack":
+        """Row ``a[k]`` of this stack after row ``b[k]`` of ``other``; a, b of any one shape.
+
+        Entries of ``other`` are gathered through flat indices ``b * dim +
+        perm[a]`` into its raveled arrays, with no copy of its rows.  A
+        transition between two rows of one stack is ``stack.after(inverse, a,
+        b)`` with ``inverse = stack.inverse()`` computed once.
+        """
+        b = np.asarray(b)
+        flat = self.perm[a]
+        flat += (b * self.perm.shape[-1])[..., None]
+        signs = self.signs[a]
+        return IsometryStack(
+            np.take(other.perm, flat),
+            signs * np.take(other.signs, flat),
+            signs * np.take(other.translation, flat) + self.translation[a],
+        )
 
     def differs(self, other: "IsometryStack", tol: float = _TOL) -> np.ndarray:
         """Rows that ``close_to`` rejects against the same row of ``other``."""

@@ -428,6 +428,61 @@ class TestReportOracle:
         assert bl.verify_fce(*args) == whole
         assert whole.overlap_witnesses and whole.vacuous_overlaps
 
+    @pytest.mark.parametrize("entries", [1, 64, fibration._BATCH_ENTRIES])
+    def test_nan_translation_at_a_first_shared_point(self, make_chain, monkeypatch, entries):
+        """A NaN transition at a pair's first shared point differs from itself under
+        ``isclose``; the pair is reported at its second shared point, at every batch size."""
+        space = bl.assemble_box_space(make_chain(12, rank=1))
+        gauged = _gauged(_trivial_linf(space, None), 0.0)
+        first = space.points()[0]  # the first shared point of every pair holding it
+
+        def serve(C, r):
+            out = served_dict(gauged, C, r)
+            if first in out:
+                shift = out[first].translation.copy()
+                shift[0] = np.nan
+                out[first] = AffineIsometry(gauged.p, out[first].linear, shift)
+            return out
+
+        fib = bl.FibredEmbedding(
+            space=space,
+            p=gauged.p,
+            dim=gauged.dim,
+            section=gauged.section,
+            exclusion=gauged.exclusion,
+            trivialization=stacked(serve, gauged.dim),
+        )
+        lo, hi = identity_pair(space.diameter())
+        whole = bl.verify_fce(fib, 4, lo, hi, mode="all")
+        monkeypatch.setattr(fibration, "_BATCH_ENTRIES", entries)
+        assert bl.verify_fce(fib, 4, lo, hi, mode="all") == whole
+        _, _, compared, vacuous, _, overlap = _brute_force_report(fib, 4, lo, hi, "all")
+        assert (whole.overlap_pairs, whole.vacuous_overlaps) == (compared, vacuous)
+        assert whole.overlap_witnesses == overlap
+        assert overlap and {x0 for _, _, x0, _ in overlap} == {first}
+
+    @pytest.mark.parametrize("entries", [1, 64, 1024])
+    @pytest.mark.parametrize("mode", ["all", "balls+pairs"])
+    def test_kernel_gathers_stay_within_a_batch(self, make_chain, monkeypatch, entries, mode):
+        """No composition in ``verify_fce`` gathers more than one batch of entries,
+        or one row where a row alone is larger, even when one set outweighs a batch."""
+        space = bl.assemble_box_space(make_chain(4, 12, rank=1))
+        fib = _gauged(_trivial_linf(space, None), 0.04)
+        lo, hi = identity_pair(space.diameter())
+        whole = bl.verify_fce(fib, 4, lo, hi, mode=mode)
+        gathered = []
+        after = IsometryStack.after
+
+        def counted(self, other, a, b):
+            gathered.append(np.size(a) * self.perm.shape[-1])
+            return after(self, other, a, b)
+
+        monkeypatch.setattr(IsometryStack, "after", counted)
+        monkeypatch.setattr(fibration, "_BATCH_ENTRIES", entries)
+        assert bl.verify_fce(fib, 4, lo, hi, mode=mode) == whole
+        assert whole.overlap_pairs and whole.overlap_witnesses
+        assert gathered and max(gathered) <= max(entries, fib.dim)
+
 
 def reference_serve(space, action):
     """The per-set proper-action oracle the stacked one replaced: one dict per set.

@@ -727,6 +727,21 @@ class TestBreadthFirst:
             if q._validated:
                 assert_trusted_passes_light(q)
 
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_a_failed_comparison_always_names_a_point(self, degree):
+        # every pair of permutations from every base: the first-witness search
+        # raises whenever the per-generator comparison fails, so whatever comes
+        # back is regular on the orbit and validated
+        perms = list(itertools.permutations(range(degree)))
+        for gens in itertools.product(perms, repeat=2):
+            for base in range(degree):
+                try:
+                    q = _quotient_from_permutations(degree, gens, base)
+                except InvalidGroupError:
+                    assert not regular_on_orbit(gens, base)
+                else:
+                    assert q._validated and regular_on_orbit(gens, base)
+
     def test_unreached_elements_keep_minus_one(self):
         table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
         q = bl.TableQuotient(table, 0, [2])

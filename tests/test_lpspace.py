@@ -182,17 +182,29 @@ def isometry_rows(draw):
     return dim, isos, a, b, base
 
 
-@given(isometry_rows(), st.sampled_from([0.0, 1e-9, 1e-3, 10.0]))
+@given(isometry_rows(), st.sampled_from([0.0, 1e-9, 1e-3, 10.0]), st.integers(1, 4))
 @settings(max_examples=150, deadline=None)
-def test_stack_transitions_match_scalar_algebra(rows, tol):
+def test_stack_transitions_match_scalar_algebra(rows, tol, width):
     dim, isos, a, b, base = rows
     stack = IsometryStack.of(isos, dim)
-    trans = stack.transitions(np.array(a), np.array(b))
+    inverse = stack.inverse()
+    trans = stack.after(inverse, np.array(a), np.array(b))
     scalar = [isos[i].compose(isos[j].inverse()) for i, j in zip(a, b)]
+
+    def same_bits(rows, want):
+        assert np.array_equal(rows.perm, want.linear.perm)
+        assert np.array_equal(rows.signs, want.linear.signs)
+        assert rows.translation.tobytes() == want.translation.tobytes()
+
     for k, want in enumerate(scalar):
-        assert np.array_equal(trans.perm[k], want.linear.perm)
-        assert np.array_equal(trans.signs[k], want.linear.signs)
-        assert trans.translation[k].tobytes() == want.translation.tobytes()
+        same_bits(IsometryStack(*(x[k] for x in trans)), want)
+    # index arrays of shape (m, k), rows repeated: one composite per entry, in place
+    grid = np.array(a * width).reshape(-1, width)
+    other = np.array(b * width).reshape(-1, width)
+    square = stack.after(stack, grid, other)
+    assert square.perm.shape == (*grid.shape, dim)
+    for (m, k), i in np.ndenumerate(grid):
+        same_bits(IsometryStack(*(x[m, k] for x in square)), isos[i].compose(isos[other[m, k]]))
     # row comparison agrees with close_to, row by row
     differs = trans.differs(trans.take(np.array(base)), tol)
     assert differs.tolist() == [not scalar[k].close_to(scalar[m], tol) for k, m in enumerate(base)]

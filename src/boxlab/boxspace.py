@@ -9,7 +9,6 @@ separation stays inside a single level.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,15 +31,13 @@ class BoxPoint(NamedTuple):
     element: int
 
 
-@dataclass
 class BoxSpace:
     """Disjoint union of chain levels with separated identity baselines."""
 
-    chain: GroupChain
-    separations: tuple[int, ...]
-    level_offsets: tuple[int, ...]
-
-    def __post_init__(self):
+    def __init__(
+        self, chain: GroupChain, separations: tuple[int, ...], level_offsets: tuple[int, ...]
+    ):
+        self.chain, self.separations, self.level_offsets = chain, separations, level_offsets
         self._points: list[BoxPoint] | None = None
         self._matrix: np.ndarray | None = None
 

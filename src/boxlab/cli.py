@@ -37,7 +37,7 @@ from .embedding import (
 )
 from .errors import BoxlabError, SpecFormatError
 from .fibration import from_proper_action, translation_action, trivial_fibration, verify_fce
-from .groups import ambient_sphere, ambient_word_length
+from .groups import _ambient_spheres, ambient_word_length
 from .spectral import expander_scan, write_gap_csv
 
 __all__ = ["main"]
@@ -61,6 +61,16 @@ def _parse_p(text: str) -> float:
     if p < 1:
         raise argparse.ArgumentTypeError(f"norm exponent must be >= 1, got {text}")
     return p
+
+
+def _parse_tolerance(text: str) -> float:
+    try:
+        tolerance = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(tolerance):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite, got {text}")
+    return tolerance
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -320,7 +330,7 @@ def _family_lines(family, elements) -> list[str]:
 
 
 def _ambient_ball(chain, radius: int) -> list[tuple]:
-    return [g for n in range(radius + 1) for g in sorted(ambient_sphere(chain, n))]
+    return [g for sphere in _ambient_spheres(chain, radius) for g in sorted(sphere)]
 
 
 def _replay(path, lines) -> int:
@@ -420,7 +430,7 @@ def _add_common(sub, *, tolerance=True):
     sub.add_argument("--out", help="directory for CSV/report output")
     if tolerance:
         sub.add_argument(
-            "--tolerance", type=float, default=1e-9, help="comparison tolerance"
+            "--tolerance", type=_parse_tolerance, default=1e-9, help="comparison tolerance"
         )
 
 

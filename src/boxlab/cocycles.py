@@ -12,11 +12,10 @@ with identity action, by convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .boxspace import BoxPoint
+from .embedding import _Record
 from .errors import ActionCheckError, InvalidArgumentError
 from .fibration import FibredEmbedding, _segments
 from .groups import (
@@ -46,11 +45,11 @@ __all__ = [
 ]
 
 
-@dataclass
 class QuotientCarrier:
     """Block index set: the elements of one finite quotient."""
 
-    quotient: MarkedQuotient
+    def __init__(self, quotient: MarkedQuotient):
+        self.quotient = quotient
 
     @property
     def size(self) -> int:
@@ -138,7 +137,6 @@ class BlockMap:
         return f"BlockMap({kind}, size={self.size})"
 
 
-@dataclass
 class LocalRepresentation:
     """Scale-local linear action by block maps on the combined block space.
 
@@ -148,19 +146,21 @@ class LocalRepresentation:
     means globally defined.
     """
 
-    carrier: QuotientCarrier
-    p: float
-    dim: int
-    r: int | None
-    tau: np.ndarray
-    perm: np.ndarray | None = None
-    signs: np.ndarray | None = None
-    elements: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.elements = _live_elements(self.carrier.quotient, self.r)
-        shape = (len(self.elements), self.carrier.size, self.dim)
-        self.tau = np.asarray(self.tau, dtype=np.int64)
+    def __init__(
+        self,
+        carrier: QuotientCarrier,
+        p: float,
+        dim: int,
+        r: int | None,
+        tau: np.ndarray,
+        perm: np.ndarray | None = None,
+        signs: np.ndarray | None = None,
+    ):
+        self.carrier, self.p, self.dim, self.r = carrier, p, dim, r
+        self.perm, self.signs = perm, signs
+        self.elements = _live_elements(carrier.quotient, r)
+        shape = (len(self.elements), carrier.size, dim)
+        self.tau = np.asarray(tau, dtype=np.int64)
         if self.tau.shape != shape[:2]:
             raise ValueError(f"tau of shape {self.tau.shape}, expected {shape[:2]}")
         if self.perm is not None or self.signs is not None:
@@ -180,7 +180,6 @@ class LocalRepresentation:
         return _unchecked(BlockMap, self.tau[i], *twist)
 
 
-@dataclass
 class LocalCocycle:
     """Cocycle on a finite quotient with block values over the same quotient.
 
@@ -189,20 +188,21 @@ class LocalCocycle:
     companion acts trivially.
     """
 
-    carrier: QuotientCarrier
-    p: float
-    dim: int
-    r: int | None
-    values: np.ndarray
-    companion: LocalRepresentation
-    label: str = ""
-    elements: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.p = float(self.p)
-        self.elements = _live_elements(self.carrier.quotient, self.r)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        shape = (len(self.elements), self.carrier.size, self.dim)
+    def __init__(
+        self,
+        carrier: QuotientCarrier,
+        p: float,
+        dim: int,
+        r: int | None,
+        values: np.ndarray,
+        companion: LocalRepresentation,
+        label: str = "",
+    ):
+        self.carrier, self.p, self.dim, self.r = carrier, float(p), dim, r
+        self.companion, self.label = companion, label
+        self.elements = _live_elements(carrier.quotient, r)
+        self.values = np.asarray(values, dtype=np.float64)
+        shape = (len(self.elements), carrier.size, dim)
         if self.values.shape != shape:
             raise ValueError(f"values of shape {self.values.shape}, expected {shape}")
 
@@ -330,7 +330,6 @@ def local_cocycle_from_fce(
     )
 
 
-@dataclass
 class LiftedCocycle:
     """Pullback of a quotient cocycle to the ambient group.
 
@@ -338,10 +337,8 @@ class LiftedCocycle:
     scale, zero with identity action outside.
     """
 
-    chain: GroupChain
-    level: int
-    base: LocalCocycle
-    r: int
+    def __init__(self, chain: GroupChain, level: int, base: LocalCocycle, r: int):
+        self.chain, self.level, self.base, self.r = chain, level, base, r
 
     @property
     def p(self) -> float:
@@ -382,17 +379,26 @@ def lift_to_group(coc: LocalCocycle, chain: GroupChain) -> LiftedCocycle:
     return LiftedCocycle(chain=chain, level=level, base=coc, r=int(r))
 
 
-@dataclass
-class CocycleReport:
+class CocycleReport(_Record):
     """Identity and representation checks on one cocycle."""
 
-    passed: bool
-    mode: str
-    tolerance: float
-    identity_checked: int
-    representation_checked: int
-    identity_witnesses: list = field(default_factory=list)
-    representation_witnesses: list = field(default_factory=list)
+    def __init__(
+        self,
+        passed: bool,
+        mode: str,
+        tolerance: float,
+        identity_checked: int,
+        representation_checked: int,
+        identity_witnesses: list | None = None,
+        representation_witnesses: list | None = None,
+    ):
+        self.passed, self.mode, self.tolerance = passed, mode, tolerance
+        self.identity_checked = identity_checked
+        self.representation_checked = representation_checked
+        self.identity_witnesses = [] if identity_witnesses is None else identity_witnesses
+        self.representation_witnesses = (
+            [] if representation_witnesses is None else representation_witnesses
+        )
 
     def to_text(self) -> str:
         lines = [
@@ -484,12 +490,11 @@ def verify_local_action(
     )
 
 
-@dataclass
 class CocycleFamily:
     """Lifted cocycles indexed by scale, over one chain."""
 
-    chain: GroupChain
-    members: dict[int, LiftedCocycle]
+    def __init__(self, chain: GroupChain, members: dict[int, LiftedCocycle]):
+        self.chain, self.members = chain, members
 
     def scales(self) -> list[int]:
         return sorted(self.members)
@@ -507,17 +512,16 @@ def family_from_fce(fib: FibredEmbedding, scales) -> CocycleFamily:
     return CocycleFamily(chain=chain, members=members)
 
 
-@dataclass
-class UltraReport:
+class UltraReport(_Record):
     """Norm behaviour of a cocycle family across scales, element by element.
 
     The family plays the role of a sequence approaching a limit object; the
     verdicts here are finite-scale evidence for that reading, not a proof.
     """
 
-    passed: bool
-    tolerance: float
-    rows: list  # (g, |g|, {r: norm}, upper_ok, lower_ok, constant_live)
+    def __init__(self, passed: bool, tolerance: float, rows: list):
+        # a row is (g, |g|, {r: norm}, upper_ok, lower_ok, constant_live)
+        self.passed, self.tolerance, self.rows = passed, tolerance, rows
 
     def to_text(self) -> str:
         lines = [f"cocycle family norms: {'PASS' if self.passed else 'FAIL'}"]

@@ -9,7 +9,6 @@ only report the attained range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,18 +32,22 @@ __all__ = [
 ]
 
 
-@dataclass
+class _Record:
+    """Base of the report records: equal field by field, shown by field, over ``vars``."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
 class CoarseEmbeddingMap:
     """Finite map from a box space into l^p, stored as a table."""
 
-    domain: BoxSpace
-    p: float
-    dim: int
-    table: dict[BoxPoint, np.ndarray]
-
-    def __post_init__(self):
-        self.p = float(self.p)
-        self.table = {pt: np.asarray(v, dtype=np.float64) for pt, v in self.table.items()}
+    def __init__(self, domain: BoxSpace, p: float, dim: int, table: dict[BoxPoint, np.ndarray]):
+        self.domain, self.p, self.dim = domain, float(p), dim
+        self.table = {pt: np.asarray(v, dtype=np.float64) for pt, v in table.items()}
         pts = self.domain.points()
         missing = [pt for pt in pts if pt not in self.table]
         if missing:
@@ -94,14 +97,11 @@ def _pair_norms(f: CoarseEmbeddingMap, above: int):
         yield i, lp_norm(diff, f.p, axis=1)
 
 
-@dataclass
-class ControlPair:
+class ControlPair(_Record):
     """Monotone lower/upper envelopes sampled on realized distances."""
 
-    rho_minus: dict[int, float]
-    rho_plus: dict[int, float]
-
-    def __post_init__(self):
+    def __init__(self, rho_minus: dict[int, float], rho_plus: dict[int, float]):
+        self.rho_minus, self.rho_plus = rho_minus, rho_plus
         for name, sample in (("rho_minus", self.rho_minus), ("rho_plus", self.rho_plus)):
             ts = sorted(sample)
             vals = [sample[t] for t in ts]
@@ -202,17 +202,19 @@ def norm_equivalence_controls(distances, rank: int, p) -> ControlPair:
     return ControlPair({t: t * scale for t in ts}, {t: float(t) for t in ts})
 
 
-@dataclass
-class CoarseReport:
-    """Outcome of a sandwich check, with witnesses for every violated pair."""
+class CoarseReport(_Record):
+    """Outcome of a sandwich check, with witnesses for every violated pair.
 
-    passed: bool
-    tolerance: float
-    pair_count: int
-    witnesses: list[tuple[BoxPoint, BoxPoint, int, float, float, float]] = field(
-        default_factory=list
-    )
-    divergence_note: str = ""
+    A witness is ``(x, y, d(x, y), norm, lower, upper)``.
+    """
+
+    def __init__(
+        self, passed: bool, tolerance: float, pair_count: int,
+        witnesses: list | None = None, divergence_note: str = "",
+    ):
+        self.passed, self.tolerance, self.pair_count = passed, tolerance, pair_count
+        self.witnesses = [] if witnesses is None else witnesses
+        self.divergence_note = divergence_note
 
     def to_text(self) -> str:
         lines = [f"coarse sandwich: {'PASS' if self.passed else 'FAIL'}"]
@@ -264,7 +266,8 @@ def verify_coarse(
             which = "rho_plus" if has_lo[t0] else "rho_minus"
             raise ControlSampleError(f"{which} sample missing realized distance {t0}")
         lo, hi = lo_at[t], hi_at[t]
-        for k in np.flatnonzero((norms < lo - tolerance) | (norms > hi + tolerance)).tolist():
+        # fails closed: a NaN norm, control or tolerance is a violation
+        for k in np.flatnonzero(~((lo - tolerance <= norms) & (norms <= hi + tolerance))).tolist():
             witnesses.append(
                 (pts[i], pts[i + k], int(t[k]), float(norms[k]), float(lo[k]), float(hi[k]))
             )
@@ -284,18 +287,16 @@ def verify_coarse(
     )
 
 
-@dataclass
-class PnormReport:
+class PnormReport(_Record):
     """Cube/annulus combination bound for block p-norms."""
 
-    block_count: int
-    p: float
-    scale: float
-    combined_norm: float
-    lower: float
-    upper: float
-    precondition_ok: bool
-    passed: bool
+    def __init__(
+        self, block_count: int, p: float, scale: float, combined_norm: float,
+        lower: float, upper: float, precondition_ok: bool, passed: bool,
+    ):
+        self.block_count, self.p, self.scale = block_count, p, scale
+        self.combined_norm, self.lower, self.upper = combined_norm, lower, upper
+        self.precondition_ok, self.passed = precondition_ok, passed
 
     def to_text(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -10,13 +10,12 @@ constancy of transition isometries on overlaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .boxspace import BoxPoint, BoxSpace, format_point
-from .embedding import CoarseEmbeddingMap, _control_table
+from .embedding import CoarseEmbeddingMap, _control_table, _Record
 from .errors import (
     ActionCheckError,
     ControlSampleError,
@@ -25,10 +24,10 @@ from .errors import (
 )
 from .groups import (
     FREE_ABELIAN,
+    _ambient_spheres,
     ambient_from_letters,
     ambient_identity,
     ambient_mult,
-    ambient_sphere,
 )
 from .lpspace import AffineIsometry, IsometryStack, SignedPermutation, identity_isometry, lp_norm
 
@@ -47,7 +46,6 @@ SetOfPoints = tuple[BoxPoint, ...]
 MAX_ALL_POINTS = 16
 
 
-@dataclass
 class FibredEmbedding:
     """Section + exclusion + trivialization oracle over a box space.
 
@@ -60,19 +58,19 @@ class FibredEmbedding:
     covering radius is below ``r``).
     """
 
-    space: BoxSpace
-    p: float
-    dim: int
-    section: dict[BoxPoint, np.ndarray]
-    exclusion: Callable[[int], frozenset[BoxPoint]]
-    trivialization: Callable[[list[SetOfPoints], int], IsometryStack]
-    note: str = ""
-
-    def __post_init__(self):
-        self.p = float(self.p)
-        self.section = {
-            pt: np.asarray(v, dtype=np.float64) for pt, v in self.section.items()
-        }
+    def __init__(
+        self,
+        space: BoxSpace,
+        p: float,
+        dim: int,
+        section: dict[BoxPoint, np.ndarray],
+        exclusion: Callable[[int], frozenset[BoxPoint]],
+        trivialization: Callable[[list[SetOfPoints], int], IsometryStack],
+        note: str = "",
+    ):
+        self.space, self.p, self.dim = space, float(p), dim
+        self.section = {pt: np.asarray(v, dtype=np.float64) for pt, v in section.items()}
+        self.exclusion, self.trivialization, self.note = exclusion, trivialization, note
         for pt in self.space.points():
             v = self.section.get(pt)
             if v is None:
@@ -143,7 +141,6 @@ def trivial_fibration(f: CoarseEmbeddingMap) -> FibredEmbedding:
     )
 
 
-@dataclass
 class ProperAction:
     """Affine isometric action of the ambient group on l^p, given by a rule.
 
@@ -152,11 +149,16 @@ class ProperAction:
     group and is not certified here, only spot-checked downstream.
     """
 
-    p: float
-    dim: int
-    rule: Callable[[tuple], AffineIsometry]
-    label: str = ""
-    _cache: dict = field(default_factory=dict, repr=False)
+    def __init__(
+        self,
+        p: float,
+        dim: int,
+        rule: Callable[[tuple], AffineIsometry],
+        label: str = "",
+        _cache: dict | None = None,
+    ):
+        self.p, self.dim, self.rule, self.label = p, dim, rule, label
+        self._cache = {} if _cache is None else _cache
 
     def isometry(self, g) -> AffineIsometry:
         key = tuple(g)
@@ -194,7 +196,7 @@ def _check_action(chain, action: ProperAction, r_max: int, tol: float = 1e-9) ->
     e = ambient_identity(chain)
     if not action.isometry(e).close_to(identity_isometry(action.p, action.dim), tol):
         raise ActionCheckError("identity element does not act as the identity")
-    spheres = [ambient_sphere(chain, n) for n in range(2 * r_max + 1)]
+    spheres = _ambient_spheres(chain, 2 * r_max)
     ball = [g for sphere in spheres for g in sphere]
     index = {g: k for k, g in enumerate(ball)}
     letters = [ambient_from_letters(chain, (l,)) for l in chain.levels[0].letters()]
@@ -347,22 +349,31 @@ def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) ->
     )
 
 
-@dataclass
-class FceReport:
+class FceReport(_Record):
     """Outcome of a fibred-embedding check at one scale."""
 
-    passed: bool
-    r: int
-    mode: str
-    tolerance: float
-    set_count: int
-    excluded_count: int
-    sandwich_pairs: int
-    overlap_pairs: int
-    vacuous_overlaps: int
-    sandwich_witnesses: list = field(default_factory=list)
-    overlap_witnesses: list = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        passed: bool,
+        r: int,
+        mode: str,
+        tolerance: float,
+        set_count: int,
+        excluded_count: int,
+        sandwich_pairs: int,
+        overlap_pairs: int,
+        vacuous_overlaps: int,
+        sandwich_witnesses: list | None = None,
+        overlap_witnesses: list | None = None,
+        notes: list[str] | None = None,
+    ):
+        self.passed, self.r, self.mode, self.tolerance = passed, r, mode, tolerance
+        self.set_count, self.excluded_count = set_count, excluded_count
+        self.sandwich_pairs, self.overlap_pairs = sandwich_pairs, overlap_pairs
+        self.vacuous_overlaps = vacuous_overlaps
+        self.sandwich_witnesses = [] if sandwich_witnesses is None else sandwich_witnesses
+        self.overlap_witnesses = [] if overlap_witnesses is None else overlap_witnesses
+        self.notes = [] if notes is None else notes
 
     def to_text(self) -> str:
         lines = [
@@ -515,7 +526,7 @@ def verify_fce(
             raise ControlSampleError(f"control sample missing realized distance {t[missing[0]]}")
         lo, hi = lo_at[t], hi_at[t]
         nrm = lp_norm(moved[u] - moved[v], fib.p, axis=1)
-        bad = (nrm < lo - tolerance) | (nrm > hi + tolerance)
+        bad = ~((lo - tolerance <= nrm) & (nrm <= hi + tolerance))  # NaN fails closed
         sandwich_pairs += len(t)
         sandwich_witnesses += [
             (sets[owner[m]], members[m], members[n], d, norm, low, high)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,18 +54,33 @@ _FAMILIES = (FREE, FREE_ABELIAN, EXPLICIT_CHAIN_LIMIT)
 _BLOCK_ENTRIES = 1 << 16
 
 
-@dataclass(frozen=True)
 class AmbientGroup:
-    """Marked group surjecting onto every level of a chain."""
+    """Marked group surjecting onto every level of a chain; immutable, equal by value."""
 
-    family: str
-    rank: int
+    def __init__(self, family: str, rank: int):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown ambient family {family!r}")
+        if rank < 1:
+            raise ValueError(f"ambient rank must be positive, got {rank}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown ambient family {self.family!r}")
-        if self.rank < 1:
-            raise ValueError(f"ambient rank must be positive, got {self.rank}")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not AmbientGroup:
+            return NotImplemented
+        return (self.family, self.rank) == (other.family, other.rank)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank))
+
+    def __repr__(self) -> str:
+        return f"AmbientGroup(family={self.family!r}, rank={self.rank!r})"
 
 
 def reduce_word(word) -> tuple[int, ...]:
@@ -161,17 +175,6 @@ class MarkedQuotient:
         if self._dist is None:
             self._run_bfs()
         return self._dist
-
-    def canonical_word(self, x: int) -> tuple[int, ...]:
-        """Letters of the breadth-first geodesic from the identity to ``x``."""
-        if self.distance_from_identity()[x] < 0:
-            raise InvalidGroupError(f"element {x} not generated by the marking")
-        out = []
-        while x != self.identity:
-            out.append(self.letters()[self._parent_letter[x]])
-            x = int(self._parent[x])
-        out.reverse()
-        return tuple(out)
 
     def evaluate_word(self, word) -> int:
         x = self.identity
@@ -565,14 +568,19 @@ def _next_sphere(chain: "GroupChain", rows: np.ndarray):
     return out[order], parent[order], step[order]
 
 
-def ambient_sphere(chain: "GroupChain", radius: int) -> list:
-    """All ambient elements of word length exactly ``radius`` (free families only)."""
+def _ambient_spheres(chain: "GroupChain", radius: int) -> list[list]:
+    """The ambient spheres 0..``radius`` in ``ambient_sphere`` order, from one walk."""
     if chain.ambient.family not in (FREE, FREE_ABELIAN):
         raise ValueError("sphere enumeration needs a free or free abelian ambient")
-    rows = np.array([ambient_identity(chain)], dtype=np.int64)
+    spheres = [np.array([ambient_identity(chain)], dtype=np.int64)]
     for _ in range(radius):
-        rows = _next_sphere(chain, rows)[0]
-    return [tuple(row) for row in rows.tolist()]
+        spheres.append(_next_sphere(chain, spheres[-1])[0])
+    return [[tuple(row) for row in rows.tolist()] for rows in spheres]
+
+
+def ambient_sphere(chain: "GroupChain", radius: int) -> list:
+    """All ambient elements of word length exactly ``radius`` (free families only)."""
+    return _ambient_spheres(chain, radius)[-1]
 
 
 def project_to_level(chain: "GroupChain", g, level: int) -> int:
@@ -589,7 +597,6 @@ def project_to_level(chain: "GroupChain", g, level: int) -> int:
 # -- chains -----------------------------------------------------------------
 
 
-@dataclass
 class GroupChain:
     """Nested sequence of marked quotients of one ambient group.
 
@@ -597,11 +604,14 @@ class GroupChain:
     as an index array.
     """
 
-    ambient: AmbientGroup
-    levels: list[MarkedQuotient]
-    connecting_maps: list[np.ndarray] = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        ambient: AmbientGroup,
+        levels: list[MarkedQuotient],
+        connecting_maps: list[np.ndarray] | None = None,
+    ):
+        self.ambient, self.levels = ambient, levels
+        self.connecting_maps = [] if connecting_maps is None else connecting_maps
         self._radius_cache: dict[int, int] = {}
         self._composed: dict[int, np.ndarray] = {}
         self.validation_note = (

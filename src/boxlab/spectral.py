@@ -9,10 +9,9 @@ collapsing as the levels grow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .embedding import _Record
 from .errors import InvalidArgumentError
 from .groups import GroupChain, MarkedQuotient
 
@@ -59,14 +58,13 @@ def laplacian_gap(q: MarkedQuotient) -> float:
     return float(1.0 - w[-2])
 
 
-@dataclass
-class SpectralScan:
+class SpectralScan(_Record):
     """Per-level gaps and an expansion verdict at one threshold."""
 
-    epsilon: float
-    rows: list  # (level, order, degree, gap or None)
-    verdict: bool
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, epsilon: float, rows: list, verdict: bool, notes: list[str] | None = None):
+        # a row is (level, order, degree, gap or None)
+        self.epsilon, self.rows, self.verdict = epsilon, rows, verdict
+        self.notes = [] if notes is None else notes
 
     def to_text(self) -> str:
         lines = [f"spectral scan at epsilon {self.epsilon:g}"]

@@ -24,6 +24,17 @@ def record_criterion():
     return record
 
 
+def canonical_word(q, x: int) -> tuple[int, ...]:
+    """Letters of the breadth-first geodesic from the identity to ``x``, read off
+    the parent arrays of ``q``'s breadth-first search."""
+    assert q.distance_from_identity()[x] >= 0, f"element {x} not generated by the marking"
+    out = []
+    while x != q.identity:
+        out.append(q.letters()[q._parent_letter[x]])
+        x = int(q._parent[x])
+    return tuple(reversed(out))
+
+
 def stacked(serve_one, dim: int):
     """The stacked trivialization contract over an oracle serving one set as a dict.
 

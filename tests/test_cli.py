@@ -382,6 +382,20 @@ class TestParsing:
             main(["profile", "--chain", chains["dyadic"], "--p", "0.3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_exits_two(self, chains, capsys, tolerance):
+        with pytest.raises(SystemExit) as exc:
+            main(["fce-verify", "--chain", chains["dyadic"], "--r", "2", f"--tolerance={tolerance}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"argument --tolerance: tolerance must be finite, got {tolerance}\n")
+
+    def test_unparsable_tolerance_keeps_the_float_message(self, chains, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["forge", "--chain", chains["dyadic"], "--mode", "fce", "--tolerance", "tiny"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("argument --tolerance: invalid float value: 'tiny'\n")
+
     def test_module_entry_point(self, chains):
         result = subprocess.run(
             [sys.executable, "-m", "boxlab.cli", "build", "--chain", chains["dyadic"]],

@@ -78,6 +78,22 @@ class TestVerifyCoarse:
         assert report.passed
         assert report.pair_count == 28 * 29 // 2
 
+    def test_one_nan_coordinate_fails_at_tolerance_zero(self, dyadic_space):
+        """Every pair at the NaN point has a NaN norm, and a NaN norm is a violation."""
+        f = bl.linf_embedding(dyadic_space)
+        point = dyadic_space.points()[5]
+        table = dict(f.table)
+        table[point] = table[point].copy()
+        table[point][0] = np.nan
+        g = bl.CoarseEmbeddingMap(dyadic_space, f.p, f.dim, table)
+        ident = bl.identity_controls(range(dyadic_space.diameter() + 1))
+        report = bl.verify_coarse(g, ident.rho_minus, ident.rho_plus, tolerance=0.0)
+        assert not report.passed
+        assert len(report.witnesses) == dyadic_space.point_count()
+        assert all(point in (x, y) and math.isnan(n) for x, y, _, n, _, _ in report.witnesses)
+        want = _pair_loop_witnesses(g, ident.rho_minus, ident.rho_plus, 0.0)
+        assert repr(report.witnesses) == repr(want)
+
     def test_violation_reported_with_witness(self, make_chain):
         space = single_level_space(make_chain, 8)
         f = bl.cycle_plane_embedding(space, 2.0)
@@ -287,7 +303,7 @@ def _row_loop_witnesses(f, rho_minus, rho_plus, tol):
         norms = bl.lp_norm(mat[i:] - mat[i], f.p, axis=1)
         for k, t in enumerate(dist[i, i:].tolist()):
             lo, hi = float(rho_minus[t]), float(rho_plus[t])
-            if norms[k] < lo - tol or norms[k] > hi + tol:
+            if not lo - tol <= norms[k] <= hi + tol:  # a NaN norm is a violation
                 out.append((pts[i], pts[i + k], t, float(norms[k]), lo, hi))
     return out
 

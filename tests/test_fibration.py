@@ -16,7 +16,7 @@ from boxlab import fibration
 from boxlab.fibration import _candidate_sets, _check_action
 from boxlab.groups import ambient_from_letters, ambient_identity, ambient_mult, ambient_sphere
 from boxlab.lpspace import AffineIsometry, IsometryStack, SignedPermutation, identity_isometry
-from conftest import cyclic_chain, served_dict, stacked, twisted_action
+from conftest import canonical_word, cyclic_chain, served_dict, stacked, twisted_action
 
 
 def identity_pair(top):
@@ -455,11 +455,17 @@ class TestReportOracle:
         lo, hi = identity_pair(space.diameter())
         whole = bl.verify_fce(fib, 4, lo, hi, mode="all")
         monkeypatch.setattr(fibration, "_BATCH_ENTRIES", entries)
-        assert bl.verify_fce(fib, 4, lo, hi, mode="all") == whole
-        _, _, compared, vacuous, _, overlap = _brute_force_report(fib, 4, lo, hi, "all")
+        # the sandwich witnesses hold NaN norms, which equal nothing, not even
+        # themselves; the repr shows every field, each float exactly
+        assert repr(bl.verify_fce(fib, 4, lo, hi, mode="all")) == repr(whole)
+        _, pairs, compared, vacuous, sandwich, overlap = _brute_force_report(fib, 4, lo, hi, "all")
         assert (whole.overlap_pairs, whole.vacuous_overlaps) == (compared, vacuous)
         assert whole.overlap_witnesses == overlap
         assert overlap and {x0 for _, _, x0, _ in overlap} == {first}
+        # the sandwich fails closed on the NaN norms, as the definition does
+        assert not whole.passed and whole.sandwich_pairs == pairs
+        assert sandwich and repr(whole.sandwich_witnesses) == repr(sandwich)
+        assert all(first in (x, y) and math.isnan(n) for _, x, y, _, n, _, _ in sandwich)
 
     @pytest.mark.parametrize("entries", [1, 64, 1024])
     @pytest.mark.parametrize("mode", ["all", "balls+pairs"])
@@ -514,7 +520,7 @@ def reference_serve(space, action):
             )
         out = {}
         for pt, x in zip(C, q.mult_many(q.inv(best_z), elems).tolist()):
-            word = q.canonical_word(x)
+            word = canonical_word(q, x)
             out[pt] = action.isometry(ambient_from_letters(chain, word)).inverse()
         return out
 

@@ -29,6 +29,7 @@ from boxlab.groups import (
     project_to_level,
     reduce_word,
 )
+from conftest import canonical_word
 
 
 def bfs_distances(quotient, start=None) -> dict[int, int]:
@@ -108,7 +109,7 @@ class TestQuotientMetric:
     def test_canonical_word_is_geodesic(self):
         q = bl.CyclicQuotient([9])
         for x in q.elements():
-            word = q.canonical_word(x)
+            word = canonical_word(q, x)
             assert len(word) == q.cayley_distance(0, x)
             assert q.evaluate_word(word) == x
 
@@ -311,7 +312,7 @@ def permutation_tables(q, spec):
     perms = []
     for x in q.elements():
         g = np.arange(spec["degree"])
-        for letter in q.canonical_word(x):
+        for letter in canonical_word(q, x):
             g = g[letters[letter]]
         perms.append(g)
     element = {tuple(g): x for x, g in enumerate(perms)}
@@ -1010,7 +1011,7 @@ class TestChainLimit:
             level_length = bfs_distances(q)
             for x in deep.elements():
                 assert project_to_level(chain, x, level) == composed_projection(chain, x, level)
-                assert project_to_level(chain, x, level) == q.evaluate_word(deep.canonical_word(x))
+                assert project_to_level(chain, x, level) == q.evaluate_word(canonical_word(deep, x))
             # the first length at which a stable element projects off its length or an
             # unstable one appears; past the deepest diameter every length is certified
             off = [

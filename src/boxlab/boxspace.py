@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SpecFormatError
-from .groups import GroupChain
+from .groups import _BLOCK_ENTRIES, GroupChain
 
 __all__ = [
     "BoxPoint",
@@ -78,16 +78,17 @@ class BoxSpace:
         return box_distance(self, x, y)
 
     def distance_matrix(self) -> np.ndarray:
-        """Dense distance matrix over ``points()`` order.
+        """Dense int32 distance matrix over ``points()`` order.
 
-        Diagonal blocks are the levels' Cayley matrices; across levels the
-        entry is ``|x| + |off_i - off_j| + |y|``.
+        Diagonal blocks are the levels' Cayley matrices, filled a bounded
+        number of rows at a time; across levels the entry is
+        ``|x| + |off_i - off_j| + |y|``.
         """
         if self._matrix is None:
             levels = self.chain.levels
             orders = [q.order for q in levels]
-            offset = np.repeat(np.array(self.level_offsets, dtype=np.int64), orders)
-            length = np.concatenate([q.distance_from_identity() for q in levels])
+            offset = np.repeat(np.array(self.level_offsets, dtype=np.int32), orders)
+            length = np.concatenate([q.distance_from_identity() for q in levels]).astype(np.int32)
             mat = offset[:, None] - offset
             np.abs(mat, out=mat)
             mat += length[:, None]
@@ -95,7 +96,11 @@ class BoxSpace:
             start = 0
             for q in levels:
                 end = start + q.order
-                mat[start:end, start:end] = q.cayley_matrix()
+                rows = max(1, _BLOCK_ENTRIES // q.order)
+                for first in range(0, q.order, rows):
+                    stop = min(first + rows, q.order)
+                    block = q.cayley_matrix(np.arange(first, stop))
+                    mat[start + first : start + stop, start:end] = block
                 start = end
             self._matrix = mat
         return self._matrix

@@ -101,6 +101,8 @@ def _read_controls(path) -> tuple[dict, dict]:
             t, low, high = int(parts[0]), float(parts[1]), float(parts[2])
         except ValueError:
             raise SpecFormatError(f"{where}: bad number in row {ln!r}") from None
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise SpecFormatError(f"{where}: non-finite value in row {ln!r}")
         if t in lo:
             raise SpecFormatError(f"{where}: duplicate row for t={t}")
         lo[t], hi[t] = low, high
@@ -146,6 +148,8 @@ def _read_embedding_csv(path, space) -> CoarseEmbeddingMap:
             vec = np.array([float(v) for v in parts[2:]])
         except ValueError:
             raise SpecFormatError(f"{where}: bad number in row {ln!r}") from None
+        if not np.isfinite(vec).all():
+            raise SpecFormatError(f"{where}: non-finite value in row {ln!r}")
         if not space.contains(pt):
             raise SpecFormatError(f"{where}: point {format_point(pt)} is outside the space")
         if pt in table:

@@ -443,13 +443,21 @@ def verify_local_action(
     xs, ys = np.nonzero(alive[products])
     xys = np.searchsorted(live, products[xs, ys])
     V, T, P, S = coc.values, rep.tau, rep.perm, rep.signs
+    blocks, rows = V.shape[1], V.reshape(-1, coc.dim)  # rows[y * blocks + z] = V[y, z]
+    segments = list(_segments(np.full(len(xs), q.order * coc.dim), _PAIR_ENTRIES))
+    # the (pairs, blocks, dim) gathers land in two buffers sized once per call:
+    # with wide blocks a batch is one pair, and each fresh gather would be a
+    # new allocation of a whole row of blocks
+    width = max((stop - first for first, stop in segments), default=0)
+    gathered, spare = np.empty((2, width, blocks, coc.dim))
     identity_witnesses = []
     representation_witnesses = []
-    for first, stop in _segments(np.full(len(xs), q.order * coc.dim), _PAIR_ENTRIES):
+    for first, stop in segments:
         x, y, xy = xs[first:stop], ys[first:stop], xys[first:stop]
         # sigma(x) moves block tau_x[z] of b(y) to z; sigma(x)sigma(y) has tau_y[tau_x]
         at = (y[:, None], T[x])
-        moved = V[at]
+        flat = y[:, None] * blocks + at[1]
+        moved = np.take(rows, flat, axis=0, out=gathered[: len(x)], mode="clip")
         same = (T[at] == T[xy]).all(axis=1)
         if P is not None:
             # x's twist at z, after y's at tau_x[z] in the composite, as in BlockMap.compose
@@ -457,9 +465,9 @@ def verify_local_action(
             perm = np.take_along_axis(P[at], P[x], axis=2)
             signs = S[x] * np.take_along_axis(S[at], P[x], axis=2)
             same &= (perm == P[xy]).all(axis=(1, 2)) & (signs == S[xy]).all(axis=(1, 2))
-        # moved and lhs are fresh copies, so each is rewritten in place
-        moved += V[x]  # sigma(x)b(y) + b(x)
-        lhs = V[xy]  # b(xy)
+        # moved and lhs are buffers or fresh copies, so each is rewritten in place
+        moved += np.take(V, x, axis=0, out=spare[: len(x)], mode="clip")  # sigma(x)b(y) + b(x)
+        lhs = np.take(V, xy, axis=0, out=spare[: len(x)], mode="clip")  # b(xy)
         if mode == "exact":
             bad = np.flatnonzero(~(lhs == moved).all(axis=(1, 2)))
             dev = np.abs(lhs[bad] - moved[bad]).max(axis=(1, 2), initial=0.0)

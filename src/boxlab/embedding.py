@@ -43,40 +43,61 @@ class _Record:
 
 
 class CoarseEmbeddingMap:
-    """Finite map from a box space into l^p, stored as a table."""
+    """Finite map from a box space into l^p, held as one read-only float64 matrix.
+
+    Row k of ``matrix()`` is the vector at ``points()[k]``; ``table`` maps
+    each point to its row, a view.
+    """
 
     def __init__(self, domain: BoxSpace, p: float, dim: int, table: dict[BoxPoint, np.ndarray]):
-        self.domain, self.p, self.dim = domain, float(p), dim
-        self.table = {pt: np.asarray(v, dtype=np.float64) for pt, v in table.items()}
-        pts = self.domain.points()
-        missing = [pt for pt in pts if pt not in self.table]
+        p = float(p)
+        table = {pt: np.asarray(v, dtype=np.float64) for pt, v in table.items()}
+        pts = domain.points()
+        missing = [pt for pt in pts if pt not in table]
         if missing:
             raise ValueError(f"table missing point {format_point(missing[0])}")
-        for pt, v in self.table.items():
-            if v.shape != (self.dim,):
+        for pt, v in table.items():
+            if v.shape != (dim,):
                 raise ValueError(
-                    f"vector at {format_point(pt)} has shape {v.shape}, expected ({self.dim},)"
+                    f"vector at {format_point(pt)} has shape {v.shape}, expected ({dim},)"
                 )
+        mat = np.empty((len(pts), dim))
+        for k, pt in enumerate(pts):
+            mat[k] = table[pt]
+        self._hold(domain, p, mat)
+
+    @classmethod
+    def _of_matrix(cls, domain: BoxSpace, p: float, mat: np.ndarray) -> "CoarseEmbeddingMap":
+        """A map over a fresh float64 matrix whose rows follow ``domain.points()``, not copied."""
+        f = cls.__new__(cls)
+        f._hold(domain, p, mat)
+        return f
+
+    def _hold(self, domain: BoxSpace, p: float, mat: np.ndarray) -> None:
+        self.domain, self.p, self.dim = domain, float(p), mat.shape[1]
+        mat.flags.writeable = False
+        self._matrix = mat
+        self.table = dict(zip(domain.points(), mat))
 
     def __call__(self, point: BoxPoint) -> np.ndarray:
         return self.table[point]
 
     def matrix(self) -> np.ndarray:
-        return np.vstack([self.table[pt] for pt in self.domain.points()])
+        return self._matrix
 
 
 def _difference_dtype(mat: np.ndarray) -> np.dtype:
     """Narrowest integer dtype holding every row difference of ``mat`` exactly.
 
     Only finite integer-valued tables qualify, and 2 max|v| must fit; anything
-    else, NaN and infinities included, stays float64.
+    else, NaN and infinities included, stays float64.  Integrality is the
+    narrow cast comparing equal to ``mat``, so no float64 temporary is made.
     """
-    top = float(np.abs(mat).max(initial=0.0))
-    if not math.isfinite(top) or not (mat == np.floor(mat)).all():
-        return np.dtype(np.float64)
-    for dtype in (np.int8, np.int16, np.int32):
-        if 2 * top <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
+    top = max(float(mat.max(initial=0.0)), -float(mat.min(initial=0.0)))
+    # a NaN or infinite top fits no integer dtype
+    fits = [dtype for dtype in (np.int8, np.int16, np.int32) if 2 * top <= np.iinfo(dtype).max]
+    if fits and np.array_equal(mat.astype(fits[0]), mat):
+        return np.dtype(fits[0])
     return np.dtype(np.float64)
 
 
@@ -105,11 +126,22 @@ class ControlPair(_Record):
         for name, sample in (("rho_minus", self.rho_minus), ("rho_plus", self.rho_plus)):
             ts = sorted(sample)
             vals = [sample[t] for t in ts]
-            if any(b < a for a, b in zip(vals, vals[1:])):
+            # fails closed: a NaN sample breaks monotonicity
+            if any(not a <= b for a, b in zip(vals, vals[1:])):
                 raise ValueError(f"{name} samples are not nondecreasing")
         for t in set(self.rho_minus) & set(self.rho_plus):
-            if self.rho_minus[t] > self.rho_plus[t]:
+            if not self.rho_minus[t] <= self.rho_plus[t]:
                 raise ValueError(f"rho_minus exceeds rho_plus at t={t}")
+
+    @classmethod
+    def _attained(cls, rho_minus: dict[int, float], rho_plus: dict[int, float]) -> "ControlPair":
+        """The pair ``profile`` attains, nondecreasing by construction.
+
+        A map with NaN pair norms attains NaN, which the checks above refuse.
+        """
+        pair = cls.__new__(cls)
+        pair.rho_minus, pair.rho_plus = rho_minus, rho_plus
+        return pair
 
     def realized_distances(self) -> list[int]:
         return sorted(set(self.rho_minus) | set(self.rho_plus))
@@ -140,7 +172,9 @@ def profile(f: CoarseEmbeddingMap) -> ControlPair:
         raise InvalidArgumentError("domain has a single point, no realized distances")
     lo = np.minimum.accumulate(low[ts][::-1])[::-1]
     hi = np.maximum.accumulate(high[ts])
-    return ControlPair(dict(zip(ts.tolist(), lo.tolist())), dict(zip(ts.tolist(), hi.tolist())))
+    return ControlPair._attained(
+        dict(zip(ts.tolist(), lo.tolist())), dict(zip(ts.tolist(), hi.tolist()))
+    )
 
 
 def linf_embedding(space: BoxSpace) -> CoarseEmbeddingMap:
@@ -148,11 +182,11 @@ def linf_embedding(space: BoxSpace) -> CoarseEmbeddingMap:
 
     The base point x0 is the identity of level 0.
     """
-    pts = space.points()
     dist = space.distance_matrix()
     base_row = dist[space.point_index(space.identity_point(0))]
-    table = {pt: dist[i] - base_row for i, pt in enumerate(pts)}
-    return CoarseEmbeddingMap(space, math.inf, len(pts), table)
+    return CoarseEmbeddingMap._of_matrix(
+        space, math.inf, np.subtract(dist, base_row, dtype=np.float64)
+    )
 
 
 def cycle_plane_embedding(space: BoxSpace, p: float = 2.0) -> CoarseEmbeddingMap:
@@ -175,16 +209,15 @@ def torus_coordinate_embedding(space: BoxSpace, p: float = 2.0) -> CoarseEmbeddi
         ranks.add(len(q.moduli))
     if len(ranks) != 1:
         raise ValueError(f"levels mix coordinate counts {sorted(ranks)}")
-    rank = ranks.pop()
-    table = {}
-    for i, q in enumerate(space.chain.levels):
-        for x, digits in enumerate(q.digits(np.arange(q.order)).tolist()):
+    rows = []
+    for q in space.chain.levels:
+        for digits in q.digits(np.arange(q.order)).tolist():
             coords = []
             for c, m in zip(digits, q.moduli):
                 angle = 2.0 * math.pi * c / m
                 coords.extend((math.cos(angle), math.sin(angle)))
-            table[BoxPoint(i, x)] = np.array(coords)
-    return CoarseEmbeddingMap(space, p, 2 * rank, table)
+            rows.append(coords)
+    return CoarseEmbeddingMap._of_matrix(space, p, np.array(rows, dtype=np.float64))
 
 
 def identity_controls(distances) -> ControlPair:

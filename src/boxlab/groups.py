@@ -50,7 +50,8 @@ FREE_ABELIAN = "free_abelian"
 EXPLICIT_CHAIN_LIMIT = "explicit_chain_limit"
 _FAMILIES = (FREE, FREE_ABELIAN, EXPLICIT_CHAIN_LIMIT)
 
-# entries of one (rows, order) block of the associativity check
+# entries of one (rows, order) block of a table-sized check or gather, so that
+# no temporary grows with the square of a level's order
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -184,13 +185,20 @@ class MarkedQuotient:
 
     def cayley_matrix(self, xs=None, ys=None) -> np.ndarray:
         """Word distances ``D[i, j] = |xs[i]^-1 ys[j]|``; ``None`` stands for every element."""
-        every = np.arange(self.order)
-        xs = every if xs is None else np.asarray(xs, dtype=np.int64)
-        ys = every if ys is None else np.asarray(ys, dtype=np.int64)
-        out = self.distance_from_identity()[self.mult_many(self.inv_many(xs)[:, None], ys)]
+        xs = np.arange(self.order) if xs is None else np.asarray(xs, dtype=np.int64)
+        inverses = self.inv_many(xs)
+        if ys is None:
+            products = self._left_rows(inverses)
+        else:
+            products = self.mult_many(inverses[:, None], np.asarray(ys, dtype=np.int64))
+        out = self.distance_from_identity()[products]
         if (out < 0).any():
             raise InvalidGroupError("marking does not generate the group")
         return out
+
+    def _left_rows(self, a: np.ndarray) -> np.ndarray:
+        """``a[i] y`` for every element y, one row per entry of ``a``."""
+        return self.mult_many(a[:, None], np.arange(self.order))
 
     def cayley_distance(self, x: int, y: int) -> int:
         return int(self.cayley_matrix([x], [y])[0, 0])
@@ -310,7 +318,10 @@ class CyclicQuotient(MarkedQuotient):
 
 
 class TableQuotient(MarkedQuotient):
-    """Marked group given by an explicit multiplication table."""
+    """Marked group given by an explicit multiplication table, held as int32.
+
+    ``mult_many`` and ``inv_many`` return int64, as for every quotient kind.
+    """
 
     def __init__(self, table, identity: int, gen_images):
         arr = np.asarray(table, dtype=np.int64)
@@ -319,11 +330,19 @@ class TableQuotient(MarkedQuotient):
         super().__init__(arr.shape[0], identity, gen_images)
         if arr.min() < 0 or arr.max() >= self.order:
             raise InvalidGroupError("multiplication table entry out of range")
-        self.table = arr
+        self.table = arr.astype(np.int32)
         self._inv_table: np.ndarray | None = None
 
+    @classmethod
+    def _trusted(cls, table: np.ndarray, identity: int, gen_images) -> "TableQuotient":
+        """A validated quotient over an int32 table whose construction proves the group law."""
+        q = cls.__new__(cls)
+        MarkedQuotient.__init__(q, len(table), identity, gen_images)
+        q.table, q._inv_table, q._validated = table, None, True
+        return q
+
     def mult_many(self, a, b) -> np.ndarray:
-        return self.table[a, b]
+        return self.table[a, b].astype(np.int64)
 
     def inv_many(self, a) -> np.ndarray:
         if self._inv_table is None:
@@ -334,6 +353,9 @@ class TableQuotient(MarkedQuotient):
                 raise InvalidGroupError(f"element {bad[0]} has {counts[bad[0]]} inverses")
             self._inv_table = hits.argmax(axis=1)
         return self._inv_table[a]
+
+    def _left_rows(self, a: np.ndarray) -> np.ndarray:
+        return self.table[a]  # a row gather, not a broadcast (len(a), order) index
 
 
 def _breadth_first(perms: np.ndarray, start: int):
@@ -370,8 +392,8 @@ def _quotient_from_permutations(degree: int, gens, base: int) -> TableQuotient:
     ``table[i]`` is the breadth-first word ``w_i`` of the i-th orbit point,
     acting on the orbit; ``w_0`` is the identity and ``w_i`` takes the base to
     the i-th point.  If ``s w_i = w_j`` on the orbit for every generator ``s``
-    and every i, where j is the point ``s`` sends the i-th point to (one array
-    comparison per generator), the set W of words is closed under the
+    and every i, where j is the point ``s`` sends the i-th point to (compared
+    a block of rows at a time), the set W of words is closed under the
     generators, and so, being finite, under their inverses.  Then W is the
     group the generators induce on the orbit; its n members send the base to
     n distinct points, so the action is regular and ``table[i, j]``, the index
@@ -417,13 +439,28 @@ def _quotient_from_permutations(degree: int, gens, base: int) -> TableQuotient:
     position = np.full(degree, -1, dtype=np.int32)
     position[orbit] = np.arange(n)
     moves = position[letters[:, orbit]]  # letter l sends orbit[i] to orbit[moves[l, i]]
-    # table[i]: the breadth-first word of orbit[i] acting on the orbit, in positions
+    # table[i]: the breadth-first word of orbit[i] acting on the orbit, in
+    # positions.  The orbit lists its points layer by layer, so each layer is
+    # a run of rows, gathered a block at a time from its parents' rows, built
+    # before it, by flat indices into ``moves`` straight into the table
     table = np.empty((n, n), dtype=np.int32)
     table[0] = np.arange(n)
-    for d in range(1, int(dist.max()) + 1):
-        i = np.flatnonzero(dist[orbit] == d)
-        table[i] = moves[letter[orbit[i], None], table[position[parent[orbit[i]]]]]
-    if not all((move[table] == table[move]).all() for move in moves[::2]):
+    rows = max(1, _BLOCK_ENTRIES // n)
+    depth = dist[orbit]
+    cuts = np.searchsorted(depth, np.arange(1, depth[-1] + 2))
+    for first, last in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        for start in range(first, last, rows):
+            stop = min(start + rows, last)
+            points = orbit[start:stop]
+            flat = table[position[parent[points]]]
+            flat += (letter[points] * n).astype(np.int32)[:, None]
+            np.take(moves.ravel(), flat, out=table[start:stop], mode="clip")
+    regular = all(
+        np.array_equal(move[table[start : start + rows]], table[move[start : start + rows]])
+        for start in range(0, n, rows)
+        for move in moves[::2]
+    )
+    if not regular:
         # not regular: the first (orbit point, letter) edge, taken in search
         # order, whose word differs from its end's on the orbit points found
         # before the edge; the docstring shows there is one
@@ -440,9 +477,7 @@ def _quotient_from_permutations(degree: int, gens, base: int) -> TableQuotient:
             f"orbit of {base} is not simply transitive:"
             f" two words differ on the orbit at point {failure[1]}"
         )
-    quotient = TableQuotient(table, 0, moves[::2, 0])
-    quotient._validated = True
-    return quotient
+    return TableQuotient._trusted(table, 0, moves[::2, 0])
 
 
 def build_quotient(spec) -> MarkedQuotient:

@@ -37,7 +37,11 @@ def averaging_matrix(q: MarkedQuotient) -> np.ndarray:
     if not len(perms):
         raise ValueError("quotient has no marking letters")
     A = np.zeros((q.order, q.order))
-    np.add.at(A, (np.arange(q.order), perms), 1.0)
+    rows = np.arange(q.order)
+    for perm in perms:
+        # a permutation repeats no target, so one fancy-index add per letter
+        # sums as ``np.add.at`` does, letter by letter
+        A[rows, perm] += 1.0
     A /= len(perms)
     return A
 

@@ -152,10 +152,10 @@ def test_box_distance_function_agrees(i, a, j, b):
     assert box_distance(space, x, y) == space.distance_matrix()[idx, idy]
 
 
-def _dihedral_chain():
+def _dihedral_chain(ms=(3, 6)):
     # D_3 -> D_6 over the free group of rank 2: rotation and reflection
     levels = []
-    for m in (3, 6):
+    for m in ms:
         rot = [2 * ((i + 1) % m) + e for i in range(m) for e in range(2)]
         flip = [2 * (-i % m) + 1 - e for i in range(m) for e in range(2)]
         spec = {"kind": "permutation", "degree": 2 * m, "gens": [rot, flip], "base": 0}
@@ -203,3 +203,20 @@ def test_diameter_matches_matrix_on_cyclic_chains(data):
     chain = bl.build_chain(ambient, [bl.CyclicQuotient(m) for m in levels])
     space = bl.assemble_box_space(chain)
     assert space.diameter() == space.distance_matrix().max()
+
+
+@pytest.mark.parametrize("block_entries", [25, 1 << 16])
+def test_matrix_on_a_table_chain_matches_box_distance(monkeypatch, block_entries):
+    # at 25 entries the 6-, 12- and 24-element levels fill 4, 2 and 1 rows at a
+    # time, so the first level ends in a short block
+    monkeypatch.setattr("boxlab.boxspace._BLOCK_ENTRIES", block_entries)
+    space = bl.assemble_box_space(_dihedral_chain((3, 6, 12)))
+    mat = space.distance_matrix()
+    assert mat.dtype == np.int32
+    pts = space.points()
+    assert mat.tolist() == [[box_distance(space, x, y) for y in pts] for x in pts]
+
+
+def test_matrix_is_int32_on_every_kind(torus_chain):
+    for chain in (_perfbench_sl2_chain(), torus_chain):
+        assert bl.assemble_box_space(chain).distance_matrix().dtype == np.int32

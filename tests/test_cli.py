@@ -35,6 +35,12 @@ SMALL = {
 }
 
 
+LINE = {
+    "ambient": {"family": "free_abelian", "rank": 1},
+    "levels": [{"kind": "cyclic", "moduli": [4]}, {"kind": "cyclic", "moduli": [8]}],
+}
+
+
 TORUS = {
     "ambient": {"family": "free_abelian", "rank": 2},
     "levels": [{"kind": "cyclic", "moduli": [m, m]} for m in (4, 8, 16)],
@@ -45,7 +51,8 @@ TORUS = {
 def chains(tmp_path_factory):
     root = tmp_path_factory.mktemp("chains")
     paths = {}
-    for name, data in (("dyadic", DYADIC), ("deep", DEEP), ("small", SMALL), ("torus", TORUS)):
+    named = (("dyadic", DYADIC), ("deep", DEEP), ("small", SMALL), ("torus", TORUS), ("line", LINE))
+    for name, data in named:
         path = root / f"{name}.json"
         path.write_text(json.dumps(data))
         paths[name] = str(path)
@@ -200,6 +207,61 @@ class TestStrictReaders:
         code, err = self.run_profile(chains, tmp_path, capsys, "--controls", lines)
         assert code == 2
         assert f"input.csv, {message}" in err
+
+
+class TestNonFiniteInput:
+    """A NaN or infinity in an input CSV exits 2, naming the file and line."""
+
+    @pytest.fixture
+    def linf_lines(self, chains, tmp_path):
+        out = tmp_path / "linf"
+        main(["profile", "--chain", chains["line"], "--embedding", "linf",
+              "--out", str(out), "--dump-map"])
+        return (out / "embedding.csv").read_text().splitlines()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_embedding_coordinate_exits_two(self, chains, tmp_path, capsys, linf_lines, value):
+        # one coordinate of the linf map on Z/4, Z/8 made non-finite
+        lines = list(linf_lines)
+        fields = lines[5].split(",")
+        fields[3] = value
+        lines[5] = ",".join(fields)
+        path = tmp_path / "map.csv"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        argv = ["fce-verify", "--chain", chains["line"], "--fibration", f"trivial:{path}"]
+        assert main(argv + ["--r", "3"]) == 2
+        assert f"map.csv, line 6: non-finite value in row '{lines[5]}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_control_column_exits_two(self, chains, tmp_path, capsys, linf_lines, column):
+        # the linf map scaled by 3 fails these controls; a NaN column must not pass them
+        scaled = linf_lines[:2] + [
+            ",".join(row.split(",")[:2] + [str(3 * int(v)) for v in row.split(",")[2:]])
+            for row in linf_lines[2:]
+        ]
+        embedding = tmp_path / "scaled.csv"
+        embedding.write_text("\n".join(scaled) + "\n")
+        rows = [[str(t), str(t), str(t)] for t in range(12)]
+        controls = tmp_path / "controls.csv"
+        argv = ["profile", "--chain", chains["line"], "--embedding", str(embedding)]
+        argv += ["--controls", str(controls)]
+
+        def write_controls():
+            lines = ["t,rho_minus,rho_plus"] + [",".join(row) for row in rows]
+            controls.write_text("\n".join(lines) + "\n")
+
+        write_controls()
+        capsys.readouterr()
+        assert main(argv) == 1
+        for row in rows:
+            row[column] = "nan"
+        write_controls()
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"controls.csv, line 2: non-finite value in row '{','.join(rows[0])}'" in (
+            capsys.readouterr().err
+        )
 
 
 class TestFceVerify:

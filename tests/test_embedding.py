@@ -185,6 +185,82 @@ class TestEmbeddingMaps:
         with pytest.raises(ValueError):
             bl.CoarseEmbeddingMap(space, 1.0, 1, table)
 
+    @pytest.mark.parametrize("build", ["linf", "torus", "table"])
+    def test_matrix_is_read_only_and_stacks_the_table(self, dyadic_space, build):
+        rng = np.random.default_rng(3)
+        f = {
+            "linf": lambda: bl.linf_embedding(dyadic_space),
+            "torus": lambda: bl.torus_coordinate_embedding(dyadic_space, 2.0),
+            "table": lambda: bl.CoarseEmbeddingMap(
+                dyadic_space, 3.0, 2,
+                {pt: rng.standard_normal(2) for pt in reversed(dyadic_space.points())},
+            ),
+        }[build]()
+        mat = f.matrix()
+        assert mat.dtype == np.float64 and not mat.flags.writeable
+        assert mat is f.matrix()
+        assert list(f.table) == dyadic_space.points()
+        assert mat.tobytes() == np.vstack([f.table[pt] for pt in dyadic_space.points()]).tobytes()
+        assert all(f(pt) is f.table[pt] for pt in dyadic_space.points())
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            f.table[dyadic_space.points()[0]][0] = 1.0
+
+    def test_table_is_copied(self, dyadic_space):
+        table = {pt: np.zeros(1) for pt in dyadic_space.points()}
+        f = bl.CoarseEmbeddingMap(dyadic_space, 1.0, 1, table)
+        table[dyadic_space.points()[0]][0] = 5.0
+        assert f.matrix().tolist() == [[0.0]] * dyadic_space.point_count()
+
+
+def _old_difference_dtype(mat):
+    """The narrowest exact difference dtype, as first written: through |mat| and floor(mat)."""
+    top = float(np.abs(mat).max(initial=0.0))
+    if not math.isfinite(top) or not (mat == np.floor(mat)).all():
+        return np.dtype(np.float64)
+    for dtype in (np.int8, np.int16, np.int32):
+        if 2 * top <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.float64)
+
+
+class TestDifferenceDtype:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_agrees_with_the_first_version(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(1, 7)), int(rng.integers(1, 6)))
+        top = float(rng.choice([1, 63, 64, 2**14 - 1, 2**14, 2**30 - 1, 2**30, 2**40]))
+        mat = rng.integers(-top, top + 1, size=shape).astype(np.float64)
+        if seed % 5 == 1:
+            mat += rng.choice([0.0, 0.5, 1e-9], size=shape)
+        elif seed % 5 == 2:
+            mat = 10.0 * rng.standard_normal(shape)
+        if seed % 4 == 3:
+            mat[tuple(rng.integers(0, shape))] = [np.nan, np.inf, -np.inf, -0.0][seed // 4 % 4]
+        if seed % 7 == 0:
+            mat.flat[0] = -top  # the negative end alone sets the width
+        with np.errstate(invalid="ignore"):
+            assert _difference_dtype(mat) == _old_difference_dtype(mat)
+
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            ([0.0, -63.0], np.int8),
+            ([0.0, -64.0], np.int16),
+            ([63.0, -64.0], np.int16),
+            ([0.5, 1.0], np.float64),
+            ([np.nan, 1.0], np.float64),
+            ([-np.inf, 1.0], np.float64),
+            ([np.inf, np.nan], np.float64),
+            ([-0.0, 2.0], np.int8),
+            ([], np.int8),
+        ],
+    )
+    def test_edges(self, values, dtype):
+        mat = np.array(values, dtype=np.float64).reshape(1, -1)
+        assert _difference_dtype(mat) == _old_difference_dtype(mat) == dtype
+
 
 class TestPnormPower:
     def test_uniform_blocks_exact(self):

@@ -841,6 +841,129 @@ class TestTrustedPermutations:
             bl.TableQuotient(table, 0, q.gen_images).validate()
 
 
+
+def regular_spec(elements, product, gens, rng) -> dict:
+    """A group acting on itself by left multiplication, its points relabelled at random.
+
+    ``elements`` lists the group, identity first, ``product`` multiplies two
+    of them and ``gens`` are the generating elements.
+    """
+    index = {g: i for i, g in enumerate(elements)}
+    relabel = rng.permutation(len(elements))
+    perms = []
+    for s in gens:
+        perm = np.empty(len(elements), dtype=np.int64)
+        for g in elements:
+            perm[relabel[index[g]]] = relabel[index[product(s, g)]]
+        perms.append(perm.tolist())
+    base = int(relabel[0])
+    return {"kind": "permutation", "degree": len(elements), "gens": perms, "base": base}
+
+
+def sl2_3_spec(rng) -> dict:
+    entries = itertools.product(range(3), repeat=4)
+    elements = [(1, 0, 0, 1)]
+    elements += [m for m in entries if (m[0] * m[3] - m[1] * m[2]) % 3 == 1 and m != elements[0]]
+
+    def product(a, b):
+        return tuple(
+            (a[2 * i] * b[j] + a[2 * i + 1] * b[2 + j]) % 3 for i in range(2) for j in range(2)
+        )
+
+    return regular_spec(elements, product, [(1, 1, 0, 1), (1, 0, 1, 1)], rng)
+
+
+REGULAR_ACTIONS = {
+    "sl2_3": sl2_3_spec,
+    "dihedral_8": lambda rng: regular_dihedral(4, rng.permutation(8).tolist(), 0),
+    "cyclic_12": lambda rng: regular_spec(list(range(12)), lambda a, b: (a + b) % 12, [1, 4], rng),
+}
+
+
+class TestBlockedPermutationTables:
+    """Permutation tables built a layer at a time and checked a block of rows at a time.
+
+    At 50 entries a block holds 2, 6 and 4 rows of SL2(Z/3), D8 and Z/12, so
+    D8's 8 rows end in a short block; at one entry every row is a block.
+    """
+
+    @pytest.mark.parametrize("block_entries", [1, 50, 1 << 16])
+    @pytest.mark.parametrize("group", sorted(REGULAR_ACTIONS))
+    def test_table_composes_the_breadth_first_words(self, monkeypatch, group, block_entries):
+        monkeypatch.setattr("boxlab.groups._BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(block_entries)
+        for _ in range(3):
+            spec = REGULAR_ACTIONS[group](rng)
+            q = bl.build_quotient(spec)
+            assert q.table.dtype == np.int32
+            assert q.table.tolist() == permutation_tables(q, spec)[0].tolist()
+            want, gen_images = loop_orbit_quotient(spec["degree"], spec["gens"], spec["base"])
+            assert (q.table.tolist(), q.gen_images) == (want.tolist(), gen_images)
+            every = np.arange(q.order)
+            assert q.mult_many(every[:, None], every).dtype == np.int64
+            assert q.inv_many(every).dtype == np.int64
+            assert_trusted_passes_light(q)
+
+    @pytest.mark.parametrize("block_entries", [1, 5])
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.permutations(range(n)), min_size=1, max_size=3), st.integers(0, n - 1)
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_blocks_keep_the_first_failure(self, block_entries, case):
+        gens, base = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("boxlab.groups._BLOCK_ENTRIES", block_entries)
+            try:
+                want = loop_orbit_quotient(len(gens[0]), gens, base)
+            except InvalidGroupError as exc:
+                with pytest.raises(InvalidGroupError) as got:
+                    _quotient_from_permutations(len(gens[0]), gens, base)
+                assert str(got.value) == str(exc)
+            else:
+                q = _quotient_from_permutations(len(gens[0]), gens, base)
+                assert (q.table.tolist(), q.gen_images) == (want[0].tolist(), want[1])
+
+    @pytest.mark.parametrize("block_entries", [1, 5])
+    @pytest.mark.parametrize(
+        "gens, base, point",
+        [
+            ([[1, 2, 3, 0], [0, 3, 2, 1]], 0, 0),
+            ([[0, 3, 2, 7, 1, 5, 6, 4], list(range(8)), [0, 1, 2, 3, 6, 5, 4, 7]], 3, 7),
+        ],
+    )
+    def test_non_regular_actions_keep_the_message(
+        self, monkeypatch, block_entries, gens, base, point
+    ):
+        monkeypatch.setattr("boxlab.groups._BLOCK_ENTRIES", block_entries)
+        message = (
+            f"orbit of {base} is not simply transitive:"
+            f" two words differ on the orbit at point {point}"
+        )
+        with pytest.raises(InvalidGroupError) as exc:
+            _quotient_from_permutations(len(gens[0]), gens, base)
+        assert str(exc.value) == message
+
+    def test_row_gather_matches_broadcast(self):
+        rng = np.random.default_rng(5)
+        levels = [bl.build_quotient(make(rng)) for make in REGULAR_ACTIONS.values()]
+        levels.append(bl.TableQuotient(np.add.outer(range(6), range(6)) % 6, 0, [1]))
+        for q in levels:
+            every = np.arange(q.order)
+            for xs in (every, np.array([q.order - 1, 0, q.order - 1, 1])):
+                # |x^-1 y| over a broadcast (len(xs), order) product index
+                want = q.distance_from_identity()[q.mult_many(q.inv_many(xs)[:, None], every)]
+                assert q.cayley_matrix(None if xs is every else xs).tolist() == want.tolist()
+                assert q.cayley_matrix(xs, every).tolist() == want.tolist()
+        q = bl.TableQuotient(np.add.outer(range(4), range(4)) % 4, 0, [2])
+        for ys in (None, [0, 1]):
+            with pytest.raises(InvalidGroupError, match="^marking does not generate the group$"):
+                q.cayley_matrix([0, 3], ys)
+
+
 # -- ambient spheres and the isometry radius ---------------------------------
 
 

@@ -17,6 +17,33 @@ def test_averaging_matrix_is_doubly_stochastic():
     assert np.allclose(A, A.T)
 
 
+def _dihedral_spec(m):
+    # the dihedral group of order 2m on itself; the reflection has order 2
+    rot = [2 * ((i + 1) % m) + e for i in range(m) for e in range(2)]
+    flip = [2 * (-i % m) + 1 - e for i in range(m) for e in range(2)]
+    return {"kind": "permutation", "degree": 2 * m, "gens": [rot, flip], "base": 0}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "cyclic", "moduli": [2]},
+        {"kind": "cyclic", "moduli": [5, 2]},
+        {"kind": "cyclic", "moduli": [1, 3]},
+        _dihedral_spec(2),
+        _dihedral_spec(5),
+    ],
+)
+def test_averaging_matrix_matches_add_at(spec):
+    # a generator of order 2 sends both of its letters to the same target
+    q = bl.build_quotient(spec)
+    perms = q.letter_perms()
+    want = np.zeros((q.order, q.order))
+    np.add.at(want, (np.arange(q.order), perms), 1.0)
+    want /= len(perms)
+    assert averaging_matrix(q).tobytes() == want.tobytes()
+
+
 def test_cycle_gap_closed_form():
     for n in range(3, 65):
         q = bl.CyclicQuotient([n])

@@ -10,6 +10,7 @@ inputs produce byte-identical bodies.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from pathlib import Path
@@ -40,7 +41,7 @@ from .fibration import from_proper_action, translation_action, trivial_fibration
 from .groups import _ambient_spheres, ambient_word_length
 from .spectral import expander_scan, write_gap_csv
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 _BUILTIN_EMBEDDINGS = ("linf", "cycle-plane", "torus-lp")
 
@@ -524,5 +525,24 @@ def main(argv=None) -> int:
         return 3
 
 
+def run(argv=None) -> int:
+    """Process entry point: ``main``, then a process exit that skips collecting numpy's cycles.
+
+    At exit the interpreter clears the module dicts and runs full collections
+    that free numpy's whole cyclic module graph.  ``gc.freeze`` moves every
+    tracked object to the permanent generation, so those collections skip
+    them and the OS reclaims the memory.  On a 2 vCPU Xeon with Python 3.11
+    and numpy 2.4, the exit of a benchmark command fell from about 30 ms to
+    about 8.5 ms.  Every output file is closed inside ``main``, and the
+    standard streams are flushed before the modules are torn down, so no
+    output depends on collecting cycles.  ``main`` itself makes no GC call,
+    because tests run it in process.
+    """
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

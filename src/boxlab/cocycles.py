@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .boxspace import BoxPoint
-from .embedding import _Record
+from .embedding import _check_tolerance, _Record
 from .errors import ActionCheckError, InvalidArgumentError
 from .fibration import FibredEmbedding, _segments
 from .groups import (
@@ -432,6 +432,7 @@ def verify_local_action(
     exactly (integer data) or within an absolute tolerance, one batch of
     pairs at a time; witnesses come in x-major pair order.
     """
+    _check_tolerance(tolerance)
     if mode not in ("exact", "atol"):
         raise ValueError(f"unknown mode {mode!r}")
     if rep.carrier is not coc.carrier or rep.r != coc.r or rep.p != coc.p:
@@ -561,6 +562,7 @@ def ultraproduct_hypothesis_check(
     A scale is live for g when it exceeds the length of g; below that the
     lift vanishes by construction and only the upper bound is meaningful.
     """
+    _check_tolerance(tolerance)
     rows = []
     passed = True
     for g in elements:

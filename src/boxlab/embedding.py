@@ -118,17 +118,26 @@ def _pair_norms(f: CoarseEmbeddingMap, above: int):
         yield i, lp_norm(diff, f.p, axis=1)
 
 
+def _check_tolerance(tolerance) -> None:
+    """Refuse a NaN or infinite tolerance, which would pass or fail every comparison."""
+    if not math.isfinite(tolerance):
+        raise InvalidArgumentError(f"tolerance must be finite, got {tolerance}")
+
+
+def _check_nondecreasing(rho_minus, rho_plus) -> None:
+    for name, sample in (("rho_minus", rho_minus), ("rho_plus", rho_plus)):
+        vals = [sample[t] for t in sorted(sample)]
+        # fails closed: a NaN sample breaks monotonicity
+        if any(not a <= b for a, b in zip(vals, vals[1:])):
+            raise InvalidArgumentError(f"{name} samples are not nondecreasing")
+
+
 class ControlPair(_Record):
     """Monotone lower/upper envelopes sampled on realized distances."""
 
     def __init__(self, rho_minus: dict[int, float], rho_plus: dict[int, float]):
         self.rho_minus, self.rho_plus = rho_minus, rho_plus
-        for name, sample in (("rho_minus", self.rho_minus), ("rho_plus", self.rho_plus)):
-            ts = sorted(sample)
-            vals = [sample[t] for t in ts]
-            # fails closed: a NaN sample breaks monotonicity
-            if any(not a <= b for a, b in zip(vals, vals[1:])):
-                raise ValueError(f"{name} samples are not nondecreasing")
+        _check_nondecreasing(rho_minus, rho_plus)
         for t in set(self.rho_minus) & set(self.rho_plus):
             if not self.rho_minus[t] <= self.rho_plus[t]:
                 raise ValueError(f"rho_minus exceeds rho_plus at t={t}")
@@ -280,11 +289,8 @@ def verify_coarse(
     The controls are mappings from realized distances to values and must be
     nondecreasing there.  Divergence is reported only as the attained range.
     """
-    for name, sample in (("rho_minus", rho_minus), ("rho_plus", rho_plus)):
-        ts = sorted(sample)
-        vals = [sample[t] for t in ts]
-        if any(b < a for a, b in zip(vals, vals[1:])):
-            raise InvalidArgumentError(f"{name} samples are not nondecreasing")
+    _check_tolerance(tolerance)
+    _check_nondecreasing(rho_minus, rho_plus)
     pts = f.domain.points()
     dist = f.domain.distance_matrix()
     max_t = int(dist.max(initial=0))
@@ -299,7 +305,7 @@ def verify_coarse(
             which = "rho_plus" if has_lo[t0] else "rho_minus"
             raise ControlSampleError(f"{which} sample missing realized distance {t0}")
         lo, hi = lo_at[t], hi_at[t]
-        # fails closed: a NaN norm, control or tolerance is a violation
+        # fails closed: a NaN norm or control is a violation
         for k in np.flatnonzero(~((lo - tolerance <= norms) & (norms <= hi + tolerance))).tolist():
             witnesses.append(
                 (pts[i], pts[i + k], int(t[k]), float(norms[k]), float(lo[k]), float(hi[k]))
@@ -351,6 +357,7 @@ def pnorm_power_check(
     tolerance: float = 1e-9,
 ) -> PnormReport:
     """Verify c*lower <= N <= c*upper with c = n^(1/p) for block norms in [lower, upper]."""
+    _check_tolerance(tolerance)
     p = float(p)
     norms = [float(b) for b in block_norms]
     if n < 1 or len(norms) != n:

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .boxspace import BoxPoint, BoxSpace, format_point
-from .embedding import CoarseEmbeddingMap, _control_table, _Record
+from .embedding import CoarseEmbeddingMap, _check_tolerance, _control_table, _Record
 from .errors import (
     ActionCheckError,
     ControlSampleError,
@@ -486,6 +486,7 @@ def verify_fce(
     sharing one point are a vacuous overlap; sets sharing more have their
     transition at every shared point compared with the one at the first.
     """
+    _check_tolerance(tolerance)
     if r < 1:
         raise InvalidArgumentError(f"scale must be >= 1, got {r}")
     space = fib.space

@@ -1,7 +1,9 @@
 """Command line behaviour: exit codes, file outputs, determinism."""
 
+import gc
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 import time
@@ -534,6 +536,21 @@ class TestExitCodes:
         assert err.endswith("ValueError: broken verifier\n")
 
 
+@pytest.fixture(scope="module")
+def benchmark_chains(tmp_path_factory):
+    """Small chains for the benchmark commands: SL2(Z/3), SL2(Z/9), (Z/4, Z/8)^2 and Z/2, Z/4."""
+    root = tmp_path_factory.mktemp("benchmark_chains")
+    paths = {}
+    for name, data in (
+        ("sl2", perfbench_sl2_chain(1)),
+        ("torus", {"ambient": TORUS["ambient"], "levels": TORUS["levels"][:2]}),
+        ("line", SMALL),
+    ):
+        paths[name] = str(root / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(data))
+    return paths
+
+
 class TestNoMaskedArrays:
     """No benchmark command imports numpy.ma, which costs numpy 2 about 13 ms a process."""
 
@@ -546,19 +563,12 @@ class TestNoMaskedArrays:
         "fce-verify --chain {line} --fibration trivial:linf --subsets all --r 2",
     ]
 
-    def test_benchmark_commands_leave_numpy_ma_unloaded(self, tmp_path):
+    def test_benchmark_commands_leave_numpy_ma_unloaded(self, benchmark_chains, tmp_path):
         bare = "import sys, numpy; print('numpy.ma' in sys.modules)"
         loaded = subprocess.run([sys.executable, "-c", bare], capture_output=True, text=True)
         if loaded.stdout.strip() != "False":
             pytest.skip("this numpy imports numpy.ma with numpy itself")
-        paths = {}
-        for name, data in (
-            ("sl2", perfbench_sl2_chain(1)),
-            ("torus", {"ambient": TORUS["ambient"], "levels": TORUS["levels"][:2]}),
-            ("line", SMALL),
-        ):
-            paths[name] = str(tmp_path / f"{name}.json")
-            Path(paths[name]).write_text(json.dumps(data))
+        paths = benchmark_chains
         # each command's main in one process, one line per command: exit code, numpy.ma loaded
         script = (
             "import contextlib, io, sys\n"
@@ -574,3 +584,66 @@ class TestNoMaskedArrays:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == ["0 False"] * len(self.COMMANDS)
+
+
+class TestProcessEntry:
+    """``run`` is the process entry: ``main``, then a frozen GC heap for the interpreter's exit."""
+
+    # what the console script's wrapper does
+    SCRIPT = "import sys; from boxlab.cli import run; sys.exit(run())"
+
+    @pytest.mark.parametrize("command", TestNoMaskedArrays.COMMANDS)
+    def test_module_matches_in_process_main(self, benchmark_chains, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = f"{command} --out {out}".format(**benchmark_chains).split()
+        child = subprocess.run([sys.executable, "-m", "boxlab.cli", *argv], capture_output=True)
+        written = {path.name: path.read_bytes() for path in out.iterdir()}
+        shutil.rmtree(out)
+        assert main(argv) == child.returncode == 0
+        captured = capsys.readouterr()
+        assert child.stdout == captured.out.encode()
+        assert child.stderr == captured.err.encode() == b""
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+
+    def test_failing_verification_exits_one(self, chains):
+        argv = ["spectral", "--chain", chains["deep"], "--epsilon", "0.5"]
+        child = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *argv], capture_output=True, text=True
+        )
+        assert child.returncode == 1
+        assert "FAIL" in child.stdout
+
+    def test_usage_error_exits_two_with_the_argparse_message(self, capsys):
+        child = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, "build"], capture_output=True, text=True
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["build"])
+        assert child.returncode == exc.value.code == 2
+        assert child.stderr == capsys.readouterr().err
+        assert child.stderr.endswith("error: the following arguments are required: --chain\n")
+
+    @pytest.mark.parametrize("argv, code", [("build --chain {dyadic}", 0), ("build", 2)])
+    def test_run_freezes_the_heap(self, chains, argv, code):
+        script = (
+            "import gc, sys\n"
+            "from boxlab.cli import run\n"
+            "before = gc.get_freeze_count()\n"
+            "try:\n"
+            "    code = run(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(code, before, gc.get_freeze_count() > 0)\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script, *argv.format(**chains).split()],
+            capture_output=True,
+            text=True,
+        )
+        assert child.stdout.splitlines()[-1] == f"{code} 0 True"
+
+    def test_main_leaves_the_collector_alone(self, chains, capsys):
+        before = gc.get_freeze_count()
+        assert main(["build", "--chain", chains["dyadic"]]) == 0
+        assert gc.get_freeze_count() == before
+        assert gc.isenabled()

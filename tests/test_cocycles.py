@@ -6,7 +6,7 @@ import pytest
 import boxlab as bl
 from boxlab.boxspace import BoxPoint
 from boxlab.cocycles import BlockMap, LocalRepresentation, QuotientCarrier
-from boxlab.errors import ActionCheckError
+from boxlab.errors import ActionCheckError, InvalidArgumentError
 from boxlab.lpspace import AffineIsometry, SignedPermutation
 from conftest import served_dict, stacked, twisted_action
 
@@ -381,8 +381,7 @@ class TestBatchedCheck:
     # the atol check compares each pair's largest deviation with the tolerance
     # and leaves pairs with a non-finite deviation to np.isclose
     @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:One of rtol or atol is not valid:RuntimeWarning")
-    @pytest.mark.parametrize("tolerance", [0.5, 0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("tolerance", [0.5, 0.0, -1.0])
     def test_atol_reads_the_tolerance_as_numpy_does(self, tolerance):
         q = bl.CyclicQuotient([4])
         rep, coc = bl.averaged_cocycle(np.array([[0.0], [1.0], [2.0], [1.0]]), q, 1.0)
@@ -392,6 +391,12 @@ class TestBatchedCheck:
         coc.values[3, 1, 0] = -1.5e308
         report = _assert_matches_loop(rep, coc, tolerance=tolerance)
         assert len(report.identity_witnesses) < report.identity_checked
+
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        rep, coc = bl.averaged_cocycle(np.array([[0.0], [1.0], [1.0]]), bl.CyclicQuotient([3]), 1.0)
+        with pytest.raises(InvalidArgumentError, match=f"^tolerance must be finite, got {tolerance}$"):
+            bl.verify_local_action(rep, coc, tolerance=tolerance)
 
 
 class TestLift:
@@ -449,6 +454,13 @@ class TestFamily:
             assert upper_ok and lower_ok and const
             live = [v for r, v in seq.items() if r > n]
             assert all(v == n for v in live)
+
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tolerance_rejected(self, line_fibrations, tolerance):
+        fam = bl.family_from_fce(line_fibrations[1.0], range(2, 4))
+        ident = {n: float(n) for n in range(2)}
+        with pytest.raises(InvalidArgumentError, match=f"^tolerance must be finite, got {tolerance}$"):
+            bl.ultraproduct_hypothesis_check(fam, [(1,)], ident, ident, tolerance=tolerance)
 
     def test_zero_family_fails_lower_bound(self, deep_chain):
         members = {}

@@ -9,7 +9,7 @@ import pytest
 import boxlab as bl
 from boxlab.boxspace import BoxPoint
 from boxlab.embedding import _difference_dtype
-from boxlab.errors import ControlSampleError
+from boxlab.errors import ControlSampleError, InvalidArgumentError
 
 
 def single_level_space(make_chain, m):
@@ -120,6 +120,24 @@ class TestVerifyCoarse:
         hi = {0: 3.0, 1: 2.0, 2: 3.0, 3: 3.0}
         with pytest.raises(ValueError):
             bl.verify_coarse(f, lo, hi)
+
+    @pytest.mark.parametrize("name", ["rho_minus", "rho_plus"])
+    def test_nan_control_sample_rejected(self, make_chain, name):
+        """A NaN sample breaks monotonicity, as in ControlPair, instead of failing every pair at it."""
+        space = bl.assemble_box_space(make_chain(4, 8))
+        ident = bl.identity_controls(range(space.diameter() + 1))
+        controls = {"rho_minus": dict(ident.rho_minus), "rho_plus": dict(ident.rho_plus)}
+        controls[name][3] = math.nan
+        with pytest.raises(InvalidArgumentError, match=f"^{name} samples are not nondecreasing$"):
+            bl.verify_coarse(bl.linf_embedding(space), **controls)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, dyadic_space, tolerance):
+        ident = bl.identity_controls(range(dyadic_space.diameter() + 1))
+        with pytest.raises(InvalidArgumentError, match=f"^tolerance must be finite, got {tolerance}$"):
+            bl.verify_coarse(
+                bl.linf_embedding(dyadic_space), ident.rho_minus, ident.rho_plus, tolerance=tolerance
+            )
 
 
 class TestNormEquivalenceControls:
@@ -293,6 +311,11 @@ class TestPnormPower:
     def test_block_count_mismatch(self):
         with pytest.raises(ValueError):
             bl.pnorm_power_check(3, 2.0, [1.0, 1.0], 1.0, 1.0)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        with pytest.raises(InvalidArgumentError, match=f"^tolerance must be finite, got {tolerance}$"):
+            bl.pnorm_power_check(2, 2.0, [1.0, 1.0], 1.0, 1.0, tolerance=tolerance)
 
     def test_randomized_sandwich(self):
         rng = np.random.default_rng(42)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import boxlab as bl
 from boxlab.boxspace import BoxPoint
-from boxlab.errors import ActionCheckError, MissingTrivializationError
+from boxlab.errors import ActionCheckError, InvalidArgumentError, MissingTrivializationError
 from boxlab import fibration
 from boxlab.fibration import _candidate_sets, _check_action
 from boxlab.groups import ambient_from_letters, ambient_identity, ambient_mult, ambient_sphere
@@ -178,6 +178,13 @@ class TestVerifierMechanics:
             (a, b) for a in range(8) for b in range(8) if a < b
             and min(b - a, 8 - (b - a)) in (1, 2)
         }
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, dyadic_space, tolerance):
+        fib = bl.trivial_fibration(bl.linf_embedding(dyadic_space))
+        lo, hi = identity_pair(dyadic_space.diameter())
+        with pytest.raises(InvalidArgumentError, match=f"^tolerance must be finite, got {tolerance}$"):
+            bl.verify_fce(fib, 3, lo, hi, tolerance=tolerance)
 
     def test_all_mode_cap(self, dyadic_space):
         fib = bl.trivial_fibration(bl.linf_embedding(dyadic_space))

@@ -26,6 +26,15 @@ __all__ = [
 ]
 
 
+def _point_rows(points) -> np.ndarray:
+    """The (level, element) rows of many points as one ``(n, 2)`` int64 array.
+
+    One flat iterator over the coordinates: ``np.array`` over a list of
+    tuples costs about eight times as much.
+    """
+    return np.fromiter(itertools.chain.from_iterable(points), dtype=np.int64).reshape(-1, 2)
+
+
 class BoxPoint(NamedTuple):
     level: int
     element: int
@@ -59,7 +68,7 @@ class BoxSpace:
     def point_indices(self, points) -> np.ndarray:
         """Indices into ``points()`` of many points; ValueError names the first stranger."""
         orders = np.array([q.order for q in self.chain.levels], dtype=np.int64)
-        level, element = np.array(points, dtype=np.int64).reshape(-1, 2).T
+        level, element = _point_rows(points).T
         known = (0 <= level) & (level < len(orders))
         known[known] &= (0 <= element[known]) & (element[known] < orders[level[known]])
         if not known.all():

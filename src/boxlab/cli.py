@@ -10,10 +10,11 @@ inputs produce byte-identical bodies.
 from __future__ import annotations
 
 import argparse
-import gc
 import math
+import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -525,24 +526,26 @@ def main(argv=None) -> int:
         return 3
 
 
-def run(argv=None) -> int:
-    """Process entry point: ``main``, then a process exit that skips collecting numpy's cycles.
+def run(argv=None) -> NoReturn:
+    """Process entry point: ``main``, flushed standard streams, then an exit without teardown.
 
-    At exit the interpreter clears the module dicts and runs full collections
-    that free numpy's whole cyclic module graph.  ``gc.freeze`` moves every
-    tracked object to the permanent generation, so those collections skip
-    them and the OS reclaims the memory.  On a 2 vCPU Xeon with Python 3.11
-    and numpy 2.4, the exit of a benchmark command fell from about 30 ms to
-    about 8.5 ms.  Every output file is closed inside ``main``, and the
-    standard streams are flushed before the modules are torn down, so no
-    output depends on collecting cycles.  ``main`` itself makes no GC call,
-    because tests run it in process.
+    The interpreter's teardown of a process that has imported numpy frees the
+    whole module graph only to hand its memory back to the OS.  Every output
+    file is closed inside ``main``, so after flushing the standard streams
+    ``os._exit`` ends the process with ``main``'s code.  A flush that fails,
+    as on a closed pipe, exits 120, as the interpreter's own exit does.
+    argparse's ``SystemExit`` (usage errors, ``--help``) takes the ordinary
+    exit with its own code.  Tests call ``main``, which leaves the process
+    alone.
     """
+    code = main(argv)
     try:
-        return main(argv)
-    finally:
-        gc.freeze()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe, or a stream closed under us
+        code = 120
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

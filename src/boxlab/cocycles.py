@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .boxspace import BoxPoint
-from .embedding import _check_tolerance, _Record
+from .embedding import _check_nondecreasing, _check_tolerance, _Record
 from .errors import ActionCheckError, InvalidArgumentError
 from .fibration import FibredEmbedding, _segments
 from .groups import (
@@ -561,8 +561,11 @@ def ultraproduct_hypothesis_check(
 
     A scale is live for g when it exceeds the length of g; below that the
     lift vanishes by construction and only the upper bound is meaningful.
+    The controls must be nondecreasing: a decreasing or NaN sample raises
+    InvalidArgumentError.
     """
     _check_tolerance(tolerance)
+    _check_nondecreasing(rho_minus, rho_plus)
     rows = []
     passed = True
     for g in elements:

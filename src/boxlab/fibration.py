@@ -14,8 +14,14 @@ from typing import Callable
 
 import numpy as np
 
-from .boxspace import BoxPoint, BoxSpace, format_point
-from .embedding import CoarseEmbeddingMap, _check_tolerance, _control_table, _Record
+from .boxspace import BoxPoint, BoxSpace, _point_rows, format_point
+from .embedding import (
+    CoarseEmbeddingMap,
+    _check_nondecreasing,
+    _check_tolerance,
+    _control_table,
+    _Record,
+)
 from .errors import (
     ActionCheckError,
     ControlSampleError,
@@ -26,10 +32,8 @@ from .groups import (
     FREE_ABELIAN,
     _ambient_spheres,
     ambient_from_letters,
-    ambient_identity,
-    ambient_mult,
 )
-from .lpspace import AffineIsometry, IsometryStack, SignedPermutation, identity_isometry, lp_norm
+from .lpspace import IsometryStack, lp_norm
 
 __all__ = [
     "FibredEmbedding",
@@ -100,9 +104,7 @@ class FibredEmbedding:
         stack = self.trivialization(sets, int(r))
         if not isinstance(stack, IsometryStack):
             raise TypeError(f"oracle returned {type(stack).__name__}, not an IsometryStack")
-        stack = IsometryStack(
-            *(np.asarray(a, dtype=t) for a, t in zip(stack, (np.int64, np.int64, np.float64)))
-        )
+        stack = IsometryStack.cast(stack)
         shape = (len(members), self.dim)
         for a in stack:
             if a.shape != shape:
@@ -110,8 +112,7 @@ class FibredEmbedding:
                     f"oracle returned rows of shape {a.shape} for {len(members)} points;"
                     f" the fibration lives in dimension {self.dim}"
                 )
-        valid = (np.sort(stack.perm, axis=1) == np.arange(self.dim)).all(axis=1)
-        valid &= (np.abs(stack.signs) == 1).all(axis=1)
+        valid = stack.signed_permutations()
         if not valid.all():
             raise ValueError(
                 "oracle returned a row that is not a signed permutation at"
@@ -142,35 +143,44 @@ def trivial_fibration(f: CoarseEmbeddingMap) -> FibredEmbedding:
 
 
 class ProperAction:
-    """Affine isometric action of the ambient group on l^p, given by a rule.
+    """Affine isometric action of the ambient group on l^p, given by a rule over rows.
 
-    ``rule`` receives an ambient element and returns the corresponding
-    isometry; results are cached.  Properness is a statement about all of the
-    group and is not certified here, only spot-checked downstream.
+    ``rule`` receives an ``(n, rank)`` int64 array of ambient elements of a
+    free abelian group, one per row, and returns an ``IsometryStack`` with the
+    isometry of each row.  ``act`` makes one rule call and checks its rows.
+    Properness is a statement about all of the group and is not certified
+    here, only spot-checked downstream.
     """
 
     def __init__(
         self,
         p: float,
         dim: int,
-        rule: Callable[[tuple], AffineIsometry],
+        rule: Callable[[np.ndarray], IsometryStack],
         label: str = "",
-        _cache: dict | None = None,
     ):
         self.p, self.dim, self.rule, self.label = p, dim, rule, label
-        self._cache = {} if _cache is None else _cache
 
-    def isometry(self, g) -> AffineIsometry:
-        key = tuple(g)
-        iso = self._cache.get(key)
-        if iso is None:
-            iso = self.rule(key)
-            if iso.p != float(self.p) or iso.dim != self.dim:
+    def act(self, rows) -> IsometryStack:
+        """The isometries of the ambient elements ``rows``, one per row."""
+        rows = np.asarray(rows, dtype=np.int64)
+        stack = self.rule(rows)
+        if not isinstance(stack, IsometryStack):
+            raise ActionCheckError(f"rule returned {type(stack).__name__}, not an IsometryStack")
+        stack = IsometryStack.cast(stack)
+        for a in stack:
+            if a.shape != (len(rows), self.dim):
                 raise ActionCheckError(
-                    f"rule returned an isometry of the wrong space at {key}"
+                    f"rule returned rows of shape {a.shape} for {len(rows)} elements;"
+                    f" the action lives in dimension {self.dim}"
                 )
-            self._cache[key] = iso
-        return iso
+        valid = stack.signed_permutations()
+        if not valid.all():
+            raise ActionCheckError(
+                "rule returned a row that is not a signed permutation at"
+                f" {tuple(rows[int(np.argmin(valid))].tolist())}"
+            )
+        return stack
 
 
 def translation_action(rank: int, p: float) -> ProperAction:
@@ -178,10 +188,10 @@ def translation_action(rank: int, p: float) -> ProperAction:
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
 
-    def rule(g: tuple) -> AffineIsometry:
-        if len(g) != rank:
-            raise ActionCheckError(f"expected {rank} coordinates, got {len(g)}")
-        return AffineIsometry(p, SignedPermutation.identity(rank), np.asarray(g, float))
+    def rule(rows: np.ndarray) -> IsometryStack:
+        if rows.ndim != 2 or rows.shape[1] != rank:
+            raise ActionCheckError(f"expected {rank} coordinates, got rows of shape {rows.shape}")
+        return IsometryStack.identity(len(rows), rank)._replace(translation=rows.astype(np.float64))
 
     return ProperAction(p=float(p), dim=rank, rule=rule, label=f"translation rank {rank}")
 
@@ -191,18 +201,20 @@ def _check_action(chain, action: ProperAction, r_max: int, tol: float = 1e-9) ->
 
     By induction on the length of b this gives T(a)T(b) = T(ab) whenever
     |a|, |b| <= r_max, up to r_max times ``tol``.  A failure names the first
-    (g, s) with g in sphere order and s in letter order.
+    (g, s) with g in sphere order and s in letter order.  The ambient group is
+    free abelian, so gs is the sum of the rows g and s.  The rule is called
+    once, on the whole ball.
     """
-    e = ambient_identity(chain)
-    if not action.isometry(e).close_to(identity_isometry(action.p, action.dim), tol):
-        raise ActionCheckError("identity element does not act as the identity")
     spheres = _ambient_spheres(chain, 2 * r_max)
-    ball = [g for sphere in spheres for g in sphere]
+    ball = [g for sphere in spheres for g in sphere]  # the identity first
+    rows = np.array(ball, dtype=np.int64)
+    act = action.act(rows)
+    if act.take([0]).differs(IsometryStack.identity(1, action.dim), tol)[0]:
+        raise ActionCheckError("identity element does not act as the identity")
     index = {g: k for k, g in enumerate(ball)}
     letters = [ambient_from_letters(chain, (l,)) for l in chain.levels[0].letters()]
     g, s = np.divmod(np.arange((len(ball) - len(spheres[-1])) * len(letters)), len(letters))
-    gs = [index[ambient_mult(chain, ball[a], letters[b])] for a, b in zip(g.tolist(), s.tolist())]
-    act = IsometryStack.of([action.isometry(h) for h in ball], action.dim)
+    gs = [index[h] for h in map(tuple, (rows[g] + np.array(letters)[s]).tolist())]
     at = np.array([index[h] for h in letters], dtype=np.int64)
     bad = np.flatnonzero(act.after(act, g, at[s]).differs(act.take(gs), tol))
     if bad.size:
@@ -210,30 +222,48 @@ def _check_action(chain, action: ProperAction, r_max: int, tol: float = 1e-9) ->
         raise ActionCheckError(f"action is not multiplicative at {ball[g[k]]}, {letters[s[k]]}")
 
 
-# entries of one (members, order) block of the one-centre search: 128 KB of
-# int64 per temporary; smaller blocks cost more calls than they save
+# entries of one (members, candidates) block of the one-centre search: 128 KB
+# of int64 per temporary; smaller blocks cost more calls than they save
 _CENTRE_ENTRIES = 1 << 14
 
 
-def _one_centres(q, elements: np.ndarray, sizes: np.ndarray):
-    """Per set, the first element minimizing the largest distance to the set, and that distance.
+def _one_centres(q, elements: np.ndarray, sizes: np.ndarray, candidates: np.ndarray):
+    """Per set, its first candidate minimizing the largest distance to the set, and that distance.
 
-    The sets' members lie one after another in ``elements``.  Distances from
-    every element to the members are taken a segment of sets at a time.
+    The sets' members lie one after another in ``elements``, and
+    ``candidates`` holds one ascending row of elements per set.  Distances
+    from the candidates to the members are taken a segment of sets at a time.
     """
     centre = np.empty(len(sizes), dtype=np.int64)
     cover = np.empty(len(sizes), dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
-    inverse = q.inv_many(np.arange(q.order))
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    inverse = q.inv_many(candidates)
     length = q.distance_from_identity()
-    for first, stop in _segments(sizes * q.order, _CENTRE_ENTRIES):
+    for first, stop in _segments(sizes * candidates.shape[1], _CENTRE_ENTRIES):
         lo, hi = starts[first], starts[stop - 1] + sizes[stop - 1]
-        # far[k, z]: the largest |z^-1 y| over the members y of set k
-        far = length[q.mult_many(inverse, elements[lo:hi, None])]
+        # far[k, j]: the largest |z^-1 y| over the members y of set k, z its candidate j
+        far = length[q.mult_many(inverse[owner[lo:hi]], elements[lo:hi, None])]
         far = np.maximum.reduceat(far, starts[first:stop] - lo, axis=0)
-        centre[first:stop] = far.argmin(axis=1)  # the first minimum: ties go to the smallest
-        cover[first:stop] = far[np.arange(stop - first), centre[first:stop]]
+        best = far.argmin(axis=1)  # the first minimum: ties go to the smallest
+        centre[first:stop] = candidates[np.arange(first, stop), best]
+        cover[first:stop] = far[np.arange(stop - first), best]
     return centre, cover
+
+
+def _near_centres(q, elements: np.ndarray, sizes: np.ndarray, r: int):
+    """``_one_centres`` over all of ``q`` wherever the cover is below ``r``.
+
+    A centre whose cover is below r lies within r - 1 of every member, so each
+    set's search runs over the ball of radius r - 1 around its first member:
+    it finds the same first minimizer.  A cover of r or more here only says
+    that the whole search finds no cover below r.
+    """
+    ball = np.flatnonzero(q.distance_from_identity() < r)
+    # z with |z^-1 x| <= r - 1 is x b^-1 for some b in the ball
+    candidates = q.mult_many(elements[np.cumsum(sizes) - sizes, None], q.inv_many(ball))
+    candidates.sort(axis=1)
+    return _one_centres(q, elements, sizes, candidates)
 
 
 def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) -> FibredEmbedding:
@@ -292,13 +322,12 @@ def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) ->
                 step = letters[q._parent_letter[layer]]
                 lift[layer] = lift[q._parent[layer]]
                 lift[layer, np.abs(step) - 1] += np.sign(step)
-            isos = [action.isometry(g) for g in map(tuple, lift.tolist())]
-            inverse_lifts[i] = IsometryStack.of(isos, action.dim).inverse()
+            inverse_lifts[i] = action.act(lift).inverse()
         return inverse_lifts[i]
 
     def serve(sets: list[SetOfPoints], r: int) -> IsometryStack:
         sizes = np.array([len(C) for C in sets], dtype=np.int64)
-        level, elem = np.array([pt for C in sets for pt in C], dtype=np.int64).reshape(-1, 2).T
+        level, elem = _point_rows(pt for C in sets for pt in C).T
         out = IsometryStack.identity(len(level), action.dim)
         if not len(sets):
             return out
@@ -313,7 +342,8 @@ def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) ->
         cover = np.zeros(len(sets), dtype=np.int64)
         for i in served:
             at = np.flatnonzero(home == i)
-            centre[at], cover[at] = _one_centres(chain.levels[i], elem[home[owner] == i], sizes[at])
+            members = elem[home[owner] == i]
+            centre[at], cover[at] = _near_centres(chain.levels[i], members, sizes[at], r)
         failed = spans | excluded | (cover >= r)
         if failed.any():
             k = int(failed.argmax())
@@ -327,8 +357,10 @@ def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) ->
                     f"level {low[k]} is excluded at scale {r}: isometry radius"
                     f" {radius[low[k]]} < {2 * r}"
                 )
+            q = chain.levels[low[k]]
+            _, full = _one_centres(q, elem[owner == k], sizes[k : k + 1], np.arange(q.order)[None])
             raise MissingTrivializationError(
-                f"covering radius {cover[k]} of the set is not below scale {r}"
+                f"covering radius {full[0]} of the set is not below scale {r}"
             )
         for i in served:
             q = chain.levels[i]
@@ -405,23 +437,49 @@ def _set_label(C: SetOfPoints) -> str:
     return "{" + body + (",..." if len(C) > 4 else "") + "}"
 
 
+# entries of one (rows, allowed) block of distances in the witness-set search,
+# so that no temporary grows with the square of the allowed points
+_NEAR_ENTRIES = 1 << 16
+
+
+def _near_pairs(dist, ix: np.ndarray, below: int, upper: bool):
+    """Index pairs (k, m) into ``ix`` with ``dist[ix[k], ix[m]] < below``, row-major.
+
+    Only m > k when ``upper``.  The distances are read a block of rows at a time.
+    """
+    width = max(len(ix), 1)
+    step = max(1, _NEAR_ENTRIES // width)
+    found = []
+    for start in range(0, width, step):
+        # rows, then columns, gathered by take; and flat indices, since
+        # np.nonzero on a 2-d mask costs about ten times as much
+        near = dist[ix[start : start + step]].take(ix, axis=1) < below
+        rows, cols = np.divmod(np.flatnonzero(near), width)
+        rows += start
+        keep = cols > rows if upper else slice(None)
+        found.append((rows[keep], cols[keep]))
+    return tuple(np.concatenate(part) for part in zip(*found))
+
+
 def _candidate_sets(space, allowed, dist, r: int, mode: str):
+    if mode not in ("balls", "pairs", "balls+pairs", "all"):
+        raise ValueError(f"unknown mode {mode!r}")
     ix = space.point_indices(allowed)
     sets: list[SetOfPoints] = []
-    seen: set[SetOfPoints] = set()
-
-    def push(C: SetOfPoints):
-        if len(C) >= 2 and C not in seen:
-            seen.add(C)
-            sets.append(C)
-
-    if mode in ("balls", "balls+pairs"):
-        for k in ix.tolist():
-            push(tuple(allowed[m] for m in np.flatnonzero(dist[k, ix] <= (r - 1) // 2).tolist()))
+    if mode in ("balls", "balls+pairs") and r >= 3:
+        # the ball of radius (r - 1) // 2 around each point, in the order of
+        # allowed; below r = 3 each ball is its centre alone, never a witness set
+        centre, member = _near_pairs(dist, ix, (r - 1) // 2 + 1, upper=False)
+        ends = np.cumsum(np.bincount(centre, minlength=len(ix))).tolist()
+        members = list(map(allowed.__getitem__, member.tolist()))
+        sets = list(dict.fromkeys(
+            tuple(members[a:b]) for a, b in zip([0, *ends[:-1]], ends) if b - a >= 2
+        ))
     if mode in ("pairs", "balls+pairs"):
-        for k, x in enumerate(allowed):
-            for m in np.flatnonzero(dist[ix[k], ix[k + 1 :]] < r).tolist():
-                push((x, allowed[k + 1 + m]))
+        k, m = _near_pairs(dist, ix, r, upper=True)
+        pairs = zip(map(allowed.__getitem__, k.tolist()), map(allowed.__getitem__, m.tolist()))
+        seen = {C for C in sets if len(C) == 2}  # pairs that are balls too
+        sets += [C for C in pairs if C not in seen] if seen else pairs
     if mode == "all":
         if len(allowed) > MAX_ALL_POINTS:
             raise InvalidArgumentError(
@@ -438,10 +496,7 @@ def _candidate_sets(space, allowed, dist, r: int, mode: str):
             parent, last = np.nonzero(common)
             cliques = np.column_stack([cliques[parent], last])
             common = common[parent] & near[last]
-            for combo in cliques.tolist():
-                push(tuple(allowed[i] for i in combo))
-    if mode not in ("balls", "pairs", "balls+pairs", "all"):
-        raise ValueError(f"unknown mode {mode!r}")
+            sets += [tuple(map(allowed.__getitem__, combo)) for combo in cliques.tolist()]
     return sets
 
 
@@ -482,11 +537,13 @@ def verify_fce(
     Witness sets are drawn from the non-excluded part of the space: balls of
     radius (r-1)//2, pairs closer than r, their union, or every subset of
     diameter below r (mode 'all', capped).  Controls are mappings from
-    realized distances; a missing sample raises ControlSampleError.  Two sets
+    realized distances, nondecreasing there (a decreasing or NaN sample raises
+    InvalidArgumentError); a missing sample raises ControlSampleError.  Two sets
     sharing one point are a vacuous overlap; sets sharing more have their
     transition at every shared point compared with the one at the first.
     """
     _check_tolerance(tolerance)
+    _check_nondecreasing(rho_minus, rho_plus)
     if r < 1:
         raise InvalidArgumentError(f"scale must be >= 1, got {r}")
     space = fib.space

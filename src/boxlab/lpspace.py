@@ -2,13 +2,13 @@
 
 For p other than 2 the linear isometries of finite-dimensional l^p are the
 signed permutations of the coordinates (Lamperti 1958), which are isometries
-for every p; they are the only linear parts.  Values are validated once, where
-a caller constructs them: ``compose``, ``inverse`` and ``identity`` results are
-valid by construction and skip the checks.  ``IsometryStack`` holds many
-isometries of one space as arrays, for verifiers that compare them in bulk.
-Its one composition kernel, ``after``, composes chosen rows of two stacks by
-gathering through flat indices; verifiers invert a stack once and derive every
-transition between its rows from that inverse.
+for every p; they are the only linear parts.  ``IsometryStack`` holds many
+isometries of one space as arrays, one per row; it is the one isometry type.
+Rows are validated once, where a caller hands them in (a proper action's rule,
+a fibration's oracle): ``inverse`` and ``after`` results are valid by
+construction.  The one composition kernel, ``after``, composes chosen rows of
+two stacks by gathering through flat indices; verifiers invert a stack once
+and derive every transition between its rows from that inverse.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "lp_norm",
-    "SignedPermutation",
-    "AffineIsometry",
-    "IsometryStack",
-    "identity_isometry",
-]
+__all__ = ["lp_norm", "IsometryStack"]
 
 _TOL = 1e-9
 
@@ -70,120 +64,17 @@ def _unchecked(cls, *values):
     return new
 
 
-class SignedPermutation:
-    """Linear map (Lv)_i = signs_i * v[perm_i]; an isometry of every l^p."""
-
-    __slots__ = ("perm", "signs")
-
-    def __init__(self, perm, signs):
-        self.perm = np.asarray(perm, dtype=np.int64)
-        self.signs = np.asarray(signs, dtype=np.int64)
-        n = self.perm.shape[0]
-        if self.signs.shape != (n,):
-            raise ValueError("perm and signs must have equal length")
-        if sorted(self.perm.tolist()) != list(range(n)):
-            raise ValueError(f"not a permutation: {self.perm.tolist()}")
-        if not (np.abs(self.signs) == 1).all():
-            raise ValueError("signs must be +1 or -1")
-
-    @property
-    def dim(self) -> int:
-        return self.perm.shape[0]
-
-    @classmethod
-    def identity(cls, dim: int) -> "SignedPermutation":
-        return _unchecked(cls, np.arange(dim, dtype=np.int64), np.ones(dim, dtype=np.int64))
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.signs * np.asarray(v)[..., self.perm]
-
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """self after other."""
-        return _unchecked(
-            SignedPermutation, other.perm[self.perm], self.signs * other.signs[self.perm]
-        )
-
-    def inverse(self) -> "SignedPermutation":
-        inv = np.argsort(self.perm)
-        return _unchecked(SignedPermutation, inv, self.signs[inv])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedPermutation):
-            return NotImplemented
-        return np.array_equal(self.perm, other.perm) and np.array_equal(self.signs, other.signs)
-
-    def __repr__(self) -> str:
-        return f"SignedPermutation(perm={self.perm.tolist()}, signs={self.signs.tolist()})"
-
-
-class AffineIsometry:
-    """Map v -> L v + t with L a signed permutation."""
-
-    __slots__ = ("p", "linear", "translation")
-
-    def __init__(self, p, linear, translation):
-        self.p = _check_p(p)
-        if not isinstance(linear, SignedPermutation):
-            raise TypeError(f"unsupported linear part {type(linear).__name__}")
-        self.linear = linear
-        self.translation = np.asarray(translation, dtype=np.float64)
-        if self.translation.shape != (linear.dim,):
-            raise ValueError(
-                f"translation has dim {self.translation.shape}, linear part {linear.dim}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.linear.dim
-
-    def apply(self, v) -> np.ndarray:
-        return self.linear.apply(np.asarray(v, dtype=np.float64)) + self.translation
-
-    def compose(self, other: "AffineIsometry") -> "AffineIsometry":
-        """self after other."""
-        if self.dim != other.dim or self.p != other.p:
-            raise ValueError("cannot compose isometries of different spaces")
-        shift = self.linear.apply(other.translation) + self.translation
-        return _unchecked(AffineIsometry, self.p, self.linear.compose(other.linear), shift)
-
-    def inverse(self) -> "AffineIsometry":
-        inv = self.linear.inverse()
-        return _unchecked(AffineIsometry, self.p, inv, -inv.apply(self.translation))
-
-    def close_to(self, other: "AffineIsometry", tol: float = _TOL) -> bool:
-        same = self.linear == other.linear
-        return same and bool(np.allclose(self.translation, other.translation, rtol=0.0, atol=tol))
-
-    def __repr__(self) -> str:
-        return (
-            f"AffineIsometry(p={self.p}, linear={self.linear!r},"
-            f" translation={self.translation.tolist()})"
-        )
-
-
-def identity_isometry(p, dim: int) -> AffineIsometry:
-    return AffineIsometry(p, SignedPermutation.identity(dim), np.zeros(dim))
-
-
 class IsometryStack(NamedTuple):
     """Isometries v -> signs * v[perm] + translation of one space, one per row.
 
-    Each array has shape ``(k, dim)``.  Row arithmetic is the arithmetic of
-    ``AffineIsometry``, operation for operation, so results agree bit for bit.
+    Each array has shape ``(k, dim)``.  Row k maps v to ``signs[k] *
+    v[perm[k]] + translation[k]``; ``inverse`` and ``after`` compute, row by
+    row, the inverse and the composite of such maps.
     """
 
     perm: np.ndarray
     signs: np.ndarray
     translation: np.ndarray
-
-    @classmethod
-    def of(cls, isos: list, dim: int) -> "IsometryStack":
-        shape = (len(isos), dim)
-        return cls(
-            np.array([iso.linear.perm for iso in isos], dtype=np.int64).reshape(shape),
-            np.array([iso.linear.signs for iso in isos], dtype=np.int64).reshape(shape),
-            np.array([iso.translation for iso in isos], dtype=np.float64).reshape(shape),
-        )
 
     @classmethod
     def identity(cls, rows: int, dim: int) -> "IsometryStack":
@@ -193,6 +84,17 @@ class IsometryStack(NamedTuple):
             np.ones(shape, dtype=np.int64),
             np.zeros(shape, dtype=np.float64),
         )
+
+    @classmethod
+    def cast(cls, stack: "IsometryStack") -> "IsometryStack":
+        """``stack`` with int64 ``perm`` and ``signs`` and a float64 ``translation``."""
+        dtypes = (np.int64, np.int64, np.float64)
+        return cls(*(np.asarray(a, dtype=t) for a, t in zip(stack, dtypes)))
+
+    def signed_permutations(self) -> np.ndarray:
+        """Rows whose linear part is a signed permutation."""
+        valid = (np.sort(self.perm, axis=1) == np.arange(self.perm.shape[-1])).all(axis=1)
+        return valid & (np.abs(self.signs) == 1).all(axis=1)
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         """Row k applied to ``vectors[k]``."""

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import boxlab as bl
-from boxlab.lpspace import AffineIsometry, IsometryStack, SignedPermutation
+from boxlab.lpspace import IsometryStack
+from scalar_isometry import AffineIsometry, SignedPermutation, row_isometry, stack_of
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -46,7 +47,7 @@ def stacked(serve_one, dim: int):
         for C in sets:
             triv = serve_one(C, r)
             isos.extend(triv[pt] for pt in C)
-        return IsometryStack.of(isos, dim)
+        return stack_of(isos, dim)
 
     return serve
 
@@ -55,15 +56,11 @@ def served_dict(fib, C, r) -> dict:
     """The rows ``fib`` serves for the one set ``C``, as a dict of ``AffineIsometry``."""
     C = tuple(C)
     stack, _ = fib.trivialize([C], r)
-    return {
-        pt: AffineIsometry(fib.p, SignedPermutation(perm, signs), shift)
-        for pt, perm, signs, shift in zip(C, *stack)
-    }
+    return {pt: row_isometry(fib.p, stack, k) for k, pt in enumerate(C)}
 
 
-def twisted_action(rank, p):
-    """Z^rank on l^p of dimension rank + 2: translation by g, and the last two
-    coordinates turned a quarter (a signed permutation of order 4) per unit of g_0."""
+def twisted_rule(rank, p):
+    """The scalar rule of ``twisted_action``: one ambient element to an ``AffineIsometry``."""
     quarter = SignedPermutation([*range(rank), rank + 1, rank], [*([1] * rank), -1, 1])
 
     def rule(g):
@@ -71,6 +68,22 @@ def twisted_action(rank, p):
         for _ in range(g[0] % 4):
             linear = quarter.compose(linear)
         return AffineIsometry(p, linear, np.array([*g, 0, 0], dtype=float))
+
+    return rule
+
+
+def twisted_action(rank, p):
+    """Z^rank on l^p of dimension rank + 2: translation by g, and the last two
+    coordinates turned a quarter (a signed permutation of order 4) per unit of g_0."""
+    # the linear parts of 0, 1, 2 and 3 quarter turns
+    turns = [twisted_rule(rank, p)((k,) + (0,) * (rank - 1)).linear for k in range(4)]
+    perm = np.array([t.perm for t in turns])
+    signs = np.array([t.signs for t in turns])
+
+    def rule(rows):
+        k = rows[:, 0] % 4
+        shift = np.hstack([rows, np.zeros((len(rows), 2))])
+        return IsometryStack(perm[k], signs[k], shift)
 
     return bl.ProperAction(p=p, dim=rank + 2, rule=rule, label="twisted")
 

@@ -15,6 +15,7 @@ import pytest
 
 import boxlab as bl
 from conftest import served_dict, stacked
+from scalar_isometry import AffineIsometry, SignedPermutation
 
 
 @pytest.fixture(scope="module")
@@ -246,7 +247,7 @@ def test_criterion_11_mutation_detection(line_fibrations, record_criterion):
             for x in allowed
         }
     )
-    flip = bl.AffineIsometry(base.p, bl.SignedPermutation((0,), (-1,)), np.zeros(1))
+    flip = AffineIsometry(base.p, SignedPermutation((0,), (-1,)), np.zeros(1))
     controls = bl.identity_controls(range(7))
     caught_trivs = 0
     clean = {}  # the base oracle's rows per (set, scale), served once for all mutants

@@ -3,6 +3,7 @@
 import gc
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -493,6 +494,10 @@ class TestExitCodes:
             Path(paths[name]).write_text(json.dumps(data))
         paths["decreasing"] = str(root / "decreasing.csv")
         Path(paths["decreasing"]).write_text("t,rho_minus,rho_plus\n0,0,0\n1,2,2\n2,1,1\n")
+        # rho_plus 0, 5, 2, 3, ...: fce-verify used to pass with it where profile exits 2
+        paths["upper_dip"] = str(root / "upper_dip.csv")
+        rows = "".join(f"{t},{t},{5 if t == 1 else t}\n" for t in range(9))
+        Path(paths["upper_dip"]).write_text("t,rho_minus,rho_plus\n" + rows)
         return paths
 
     @pytest.mark.parametrize(
@@ -518,6 +523,14 @@ class TestExitCodes:
             (
                 "profile --chain {dyadic} --controls {decreasing}",
                 "rho_minus samples are not nondecreasing",
+            ),
+            (
+                "fce-verify --chain {line} --fibration trivial:linf --r 3 --controls {upper_dip}",
+                "rho_plus samples are not nondecreasing",
+            ),
+            (
+                "profile --chain {line} --controls {upper_dip}",
+                "rho_plus samples are not nondecreasing",
             ),
         ],
     )
@@ -587,10 +600,124 @@ class TestNoMaskedArrays:
 
 
 class TestProcessEntry:
-    """``run`` is the process entry: ``main``, then a frozen GC heap for the interpreter's exit."""
+    """``run`` is the process entry: ``main``, flushed streams, then an exit without teardown."""
 
     # what the console script's wrapper does
     SCRIPT = "import sys; from boxlab.cli import run; sys.exit(run())"
+    # the console script's wrapper and ``python -m boxlab.cli``, as child argv prefixes
+    ENTRIES = {"script": ["-c", SCRIPT], "module": ["-m", "boxlab.cli"]}
+    # both entries with verify_fce broken, for an internal error in a fresh process;
+    # runpy.run_module with run_name "__main__" is what ``python -m`` does
+    BROKEN = (
+        "import boxlab.fibration\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise ValueError('broken verifier')\n"
+        "boxlab.fibration.verify_fce = broken\n"
+    )
+    BROKEN_ENTRIES = {
+        "script": ["-c", BROKEN + SCRIPT],
+        "module": ["-c", BROKEN + "import runpy; runpy.run_module('boxlab.cli', run_name='__main__')"],
+    }
+
+    @pytest.fixture(scope="class")
+    def inputs(self, chains, tmp_path_factory):
+        """The CLI chains, and controls that every pair of the torus at r=3 violates."""
+        paths = dict(chains)
+        paths["tight"] = str(tmp_path_factory.mktemp("tight") / "tight.csv")
+        rows = "".join(f"{t},{2 * t},{2 * t}\n" for t in range(20))
+        Path(paths["tight"]).write_text("t,rho_minus,rho_plus\n" + rows)
+        return paths
+
+    @staticmethod
+    def buffered_env():
+        """This environment with block-buffered standard streams, as a plain shell gives."""
+        return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+    # a failing check that prints about 400 KB of witnesses
+    LONG = "fce-verify --chain {torus} --r 3 --controls {tight}"
+
+    @pytest.mark.parametrize("entry", ["script", "module"])
+    def test_stdout_is_complete_to_a_file_and_a_pipe(self, inputs, tmp_path, capsys, entry):
+        argv = self.LONG.format(**inputs).split()
+        assert main(argv) == 1
+        want = capsys.readouterr().out.encode()
+        assert len(want) > 1 << 18
+        command = [sys.executable, *self.ENTRIES[entry], *argv]
+        piped = subprocess.run(command, capture_output=True, env=self.buffered_env())
+        assert (piped.returncode, piped.stdout, piped.stderr) == (1, want, b"")
+        with open(tmp_path / "stdout.txt", "wb") as fh:
+            to_file = subprocess.run(
+                command, stdout=fh, stderr=subprocess.PIPE, env=self.buffered_env()
+            )
+        assert (to_file.returncode, to_file.stderr) == (1, b"")
+        assert (tmp_path / "stdout.txt").read_bytes() == want
+
+    @pytest.mark.parametrize("entry", ["script", "module"])
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            ("build --chain {dyadic}", 0, ""),
+            ("spectral --chain {deep} --epsilon 0.5", 1, ""),
+            ("build --chain {dyadic}.missing", 2, "error: [Errno 2] No such file or directory"),
+            ("build", 2, "usage: boxlab build"),
+            ("fce-verify --chain {dyadic} --r 2", 3, "Traceback (most recent call last):"),
+        ],
+        ids=["pass", "fail", "bad-input", "usage", "internal"],
+    )
+    def test_exit_codes(self, inputs, capsys, entry, argv, code, err):
+        argv = argv.format(**inputs).split()
+        prefix = (self.BROKEN_ENTRIES if code == 3 else self.ENTRIES)[entry]
+        child = subprocess.run(
+            [sys.executable, *prefix, *argv], capture_output=True, text=True, env=self.buffered_env()
+        )
+        assert child.returncode == code
+        assert child.stderr.startswith(err)
+        if code == 3:
+            assert child.stderr.endswith("ValueError: broken verifier\n")
+        elif code != 2:
+            try:
+                assert main(argv) == code
+            finally:
+                assert child.stdout == capsys.readouterr().out
+
+    @pytest.mark.parametrize("entry", ["script", "module"])
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            # the buffered report fails at the flush after main, as the interpreter's exit would
+            ("build --chain {dyadic}", 120, ""),
+            # a report larger than the buffer fails inside main, which reports it
+            (LONG, 2, "error: [Errno 32] Broken pipe\n"),
+        ],
+        ids=["short", "long"],
+    )
+    def test_closed_pipe_exits_without_a_traceback(self, inputs, entry, argv, code, err):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = subprocess.run(
+                [sys.executable, *self.ENTRIES[entry], *argv.format(**inputs).split()],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=self.buffered_env(),
+            )
+        finally:
+            os.close(write)
+        assert (child.returncode, child.stderr.decode()) == (code, err)
+
+    @pytest.mark.parametrize("entry", ["script", "module"])
+    def test_files_are_fully_written(self, chains, tmp_path, capsys, entry):
+        # 126 points: distances.csv holds 7875 rows
+        argv = ["build", "--chain", chains["deep"], "--out", str(tmp_path / "child")]
+        child = subprocess.run(
+            [sys.executable, *self.ENTRIES[entry], *argv], capture_output=True, env=self.buffered_env()
+        )
+        assert child.returncode == 0
+        assert main([*argv[:-1], str(tmp_path / "main")]) == 0
+        written = {p.name: p.read_bytes() for p in (tmp_path / "main").iterdir()}
+        assert len(written["distances.csv"].splitlines()) == 1 + 126 * 125 // 2
+        assert {p.name: p.read_bytes() for p in (tmp_path / "child").iterdir()} == written
+        assert child.stdout.replace(b"child", b"main") == capsys.readouterr().out.encode()
 
     @pytest.mark.parametrize("command", TestNoMaskedArrays.COMMANDS)
     def test_module_matches_in_process_main(self, benchmark_chains, tmp_path, capsys, command):
@@ -622,25 +749,6 @@ class TestProcessEntry:
         assert child.returncode == exc.value.code == 2
         assert child.stderr == capsys.readouterr().err
         assert child.stderr.endswith("error: the following arguments are required: --chain\n")
-
-    @pytest.mark.parametrize("argv, code", [("build --chain {dyadic}", 0), ("build", 2)])
-    def test_run_freezes_the_heap(self, chains, argv, code):
-        script = (
-            "import gc, sys\n"
-            "from boxlab.cli import run\n"
-            "before = gc.get_freeze_count()\n"
-            "try:\n"
-            "    code = run(sys.argv[1:])\n"
-            "except SystemExit as exc:\n"
-            "    code = exc.code\n"
-            "print(code, before, gc.get_freeze_count() > 0)\n"
-        )
-        child = subprocess.run(
-            [sys.executable, "-c", script, *argv.format(**chains).split()],
-            capture_output=True,
-            text=True,
-        )
-        assert child.stdout.splitlines()[-1] == f"{code} 0 True"
 
     def test_main_leaves_the_collector_alone(self, chains, capsys):
         before = gc.get_freeze_count()

@@ -7,8 +7,8 @@ import boxlab as bl
 from boxlab.boxspace import BoxPoint
 from boxlab.cocycles import BlockMap, LocalRepresentation, QuotientCarrier
 from boxlab.errors import ActionCheckError, InvalidArgumentError
-from boxlab.lpspace import AffineIsometry, SignedPermutation
 from conftest import served_dict, stacked, twisted_action
+from scalar_isometry import AffineIsometry, SignedPermutation
 
 
 @pytest.fixture(scope="module")
@@ -461,6 +461,17 @@ class TestFamily:
         ident = {n: float(n) for n in range(2)}
         with pytest.raises(InvalidArgumentError, match=f"^tolerance must be finite, got {tolerance}$"):
             bl.ultraproduct_hypothesis_check(fam, [(1,)], ident, ident, tolerance=tolerance)
+
+    @pytest.mark.parametrize("bad", [{1: 5.0}, {3: np.nan}])
+    def test_non_monotone_controls_rejected(self, line_fibrations, bad):
+        """The line Z/2..Z/64 used to pass with rho_plus 0, 5, 2, 3, as with a NaN sample."""
+        fam = bl.family_from_fce(line_fibrations[1.0], range(2, 5))
+        elements = [(g,) for g in range(-3, 4)]
+        ident = {n: float(n) for n in range(4)}
+        with pytest.raises(InvalidArgumentError, match="^rho_plus samples are not nondecreasing$"):
+            bl.ultraproduct_hypothesis_check(fam, elements, ident, {**ident, **bad})
+        with pytest.raises(InvalidArgumentError, match="^rho_minus samples are not nondecreasing$"):
+            bl.ultraproduct_hypothesis_check(fam, elements, {**ident, **bad}, ident)
 
     def test_zero_family_fails_lower_bound(self, deep_chain):
         members = {}

@@ -1,8 +1,11 @@
 """Fibred embeddings: construction, verification, failure modes."""
 
+import functools
+import importlib.util
 import itertools
 import math
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +18,24 @@ from boxlab.errors import ActionCheckError, InvalidArgumentError, MissingTrivial
 from boxlab import fibration
 from boxlab.fibration import _candidate_sets, _check_action
 from boxlab.groups import ambient_from_letters, ambient_identity, ambient_mult, ambient_sphere
-from boxlab.lpspace import AffineIsometry, IsometryStack, SignedPermutation, identity_isometry
-from conftest import canonical_word, cyclic_chain, served_dict, stacked, twisted_action
+from boxlab.lpspace import IsometryStack
+from conftest import (
+    canonical_word,
+    cyclic_chain,
+    served_dict,
+    stacked,
+    twisted_action,
+    twisted_rule,
+)
+from scalar_isometry import (
+    AffineIsometry,
+    SignedPermutation,
+    action_isometry,
+    identity_isometry,
+    row_isometry,
+    rows_rule,
+    stack_of,
+)
 
 
 def identity_pair(top):
@@ -143,7 +162,7 @@ class TestProperActionFibration:
 
     def test_identity_action_fails_sandwich(self, deep_space):
         ident_rule = lambda g: identity_isometry(2.0, 1)
-        action = bl.ProperAction(p=2.0, dim=1, rule=ident_rule)
+        action = bl.ProperAction(p=2.0, dim=1, rule=rows_rule(ident_rule, 1))
         fib = bl.from_proper_action(deep_space, action, r_max=3)
         lo, hi = identity_pair(12)
         report = bl.verify_fce(fib, 3, lo, hi)
@@ -156,7 +175,7 @@ class TestProperActionFibration:
             return AffineIsometry(1.0, SignedPermutation.identity(1), np.array([shift]))
 
         with pytest.raises(ActionCheckError):
-            bl.from_proper_action(deep_space, bl.ProperAction(1.0, 1, broken), r_max=3)
+            bl.from_proper_action(deep_space, bl.ProperAction(1.0, 1, rows_rule(broken, 1)), r_max=3)
 
     def test_needs_abelian_ambient(self):
         chain = bl.build_chain(bl.AmbientGroup("free", 1), [bl.CyclicQuotient([8])])
@@ -185,6 +204,21 @@ class TestVerifierMechanics:
         lo, hi = identity_pair(dyadic_space.diameter())
         with pytest.raises(InvalidArgumentError, match=f"^tolerance must be finite, got {tolerance}$"):
             bl.verify_fce(fib, 3, lo, hi, tolerance=tolerance)
+
+    @pytest.mark.parametrize("bad", [{1: 5.0}, {3: math.nan}])
+    def test_non_monotone_controls_rejected(self, make_chain, bad):
+        """On Z/4, Z/8 the trivial linf fibration used to pass at r=3 with rho_plus 0, 5, 2, 3, ...
+        and with a NaN sample, which ``verify_coarse`` refuses."""
+        space = bl.assemble_box_space(make_chain(4, 8))
+        fib = bl.trivial_fibration(bl.linf_embedding(space))
+        lo, hi = identity_pair(space.diameter())
+        assert bl.verify_fce(fib, 3, lo, hi).passed
+        with pytest.raises(InvalidArgumentError, match="^rho_plus samples are not nondecreasing$"):
+            bl.verify_fce(fib, 3, lo, {**hi, **bad})
+        with pytest.raises(InvalidArgumentError, match="^rho_minus samples are not nondecreasing$"):
+            bl.verify_fce(fib, 3, {**lo, **bad}, hi)
+        with pytest.raises(InvalidArgumentError, match="^rho_plus samples are not nondecreasing$"):
+            bl.verify_coarse(bl.linf_embedding(space), lo, {**hi, **bad})
 
     def test_all_mode_cap(self, dyadic_space):
         fib = bl.trivial_fibration(bl.linf_embedding(dyadic_space))
@@ -528,7 +562,7 @@ def reference_serve(space, action):
         out = {}
         for pt, x in zip(C, q.mult_many(q.inv(best_z), elems).tolist()):
             word = canonical_word(q, x)
-            out[pt] = action.isometry(ambient_from_letters(chain, word)).inverse()
+            out[pt] = action_isometry(action, ambient_from_letters(chain, word)).inverse()
         return out
 
     return serve
@@ -587,14 +621,13 @@ class TestStackedServing:
 
 def all_pairs_action_check(chain, action, r_max, tol=1e-9) -> bool:
     """T(e) = id and T(a)T(b) = T(ab) over every pair of the ball of radius r_max."""
+    iso = functools.partial(action_isometry, action)
     e = ambient_identity(chain)
-    if not action.isometry(e).close_to(identity_isometry(action.p, action.dim), tol):
+    if not iso(e).close_to(identity_isometry(action.p, action.dim), tol):
         return False
     ball = [g for n in range(r_max + 1) for g in ambient_sphere(chain, n)]
     return all(
-        action.isometry(a).compose(action.isometry(b)).close_to(
-            action.isometry(ambient_mult(chain, a, b)), tol
-        )
+        iso(a).compose(iso(b)).close_to(iso(ambient_mult(chain, a, b)), tol)
         for a, b in itertools.product(ball, repeat=2)
     )
 
@@ -619,7 +652,7 @@ class TestActionCheck:
         target = data.draw(st.sampled_from(ambient_sphere(chain, radius)))
 
         def rule(g):
-            iso = base.rule(g)
+            iso = action_isometry(base, g)
             if g != target or corrupt == "none":
                 return iso
             if corrupt == "shift":
@@ -628,7 +661,7 @@ class TestActionCheck:
             signs[-1] *= -1
             return AffineIsometry(iso.p, SignedPermutation(iso.linear.perm, signs), iso.translation)
 
-        action = bl.ProperAction(p=1.0, dim=base.dim, rule=rule)
+        action = bl.ProperAction(p=1.0, dim=base.dim, rule=rows_rule(rule, base.dim))
         fine = all_pairs_action_check(chain, action, r_max)
         if fine:
             _check_action(chain, action, r_max)
@@ -643,7 +676,7 @@ class TestActionCheck:
             return AffineIsometry(1.0, SignedPermutation.identity(1), np.array([shift]))
 
         with pytest.raises(ActionCheckError, match=r"not multiplicative at \(1,\), \(1,\)$"):
-            bl.from_proper_action(deep_space, bl.ProperAction(1.0, 1, broken), r_max=3)
+            bl.from_proper_action(deep_space, bl.ProperAction(1.0, 1, rows_rule(broken, 1)), r_max=3)
 
 
 def test_no_random_draws(monkeypatch):
@@ -660,3 +693,175 @@ def test_no_random_draws(monkeypatch):
         for r in (1, 2, 3):
             assert bl.verify_fce(fib, r, ctrl.rho_minus, ctrl.rho_plus).passed
         bl.local_cocycle_from_fce(fib, 2)
+
+
+def per_point_candidate_sets(space, allowed, dist, r, mode):
+    """The witness sets as the per-point loops built them: one ``flatnonzero`` per point."""
+    ix = space.point_indices(allowed)
+    sets, seen = [], set()
+
+    def push(C):
+        if len(C) >= 2 and C not in seen:
+            seen.add(C)
+            sets.append(C)
+
+    if mode in ("balls", "balls+pairs"):
+        for k in ix.tolist():
+            push(tuple(allowed[m] for m in np.flatnonzero(dist[k, ix] <= (r - 1) // 2).tolist()))
+    if mode in ("pairs", "balls+pairs"):
+        for k, x in enumerate(allowed):
+            for m in np.flatnonzero(dist[ix[k], ix[k + 1 :]] < r).tolist():
+                push((x, allowed[k + 1 + m]))
+    return sets
+
+
+def _sl2_space():
+    """The relabelled SL2(Z/3), SL2(Z/9) chain of the benchmark corpus at seed 1."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return bl.assemble_box_space(bl.parse_chain(corpus.sl2_chain(1)))
+
+
+@pytest.fixture(scope="module")
+def witness_spaces():
+    return {
+        "torus": bl.assemble_box_space(cyclic_chain(4, 8, 16, rank=2)),
+        "line": bl.assemble_box_space(cyclic_chain(2, 4, 8, 16, 32)),
+        "sl2": _sl2_space(),
+    }
+
+
+class TestArrayWitnessSets:
+    """``_candidate_sets`` against the per-point loops it replaced."""
+
+    @pytest.mark.parametrize("name", ["torus", "line", "sl2"])
+    @pytest.mark.parametrize("exclusion", ["none", "shallow", "random"])
+    def test_matches_per_point_loops(self, witness_spaces, monkeypatch, name, exclusion):
+        space = witness_spaces[name]
+        dist = space.distance_matrix()
+        points = space.points()
+        rng = _keyed_rng("exclusion", name)
+        if exclusion == "shallow":  # a whole level, as a proper action excludes them
+            allowed = [pt for pt in points if pt.level > 0]
+        elif exclusion == "random":
+            allowed = [pt for pt in points if rng.random() < 0.7]
+        else:
+            allowed = points
+        for r in range(1, 7):
+            for mode in ("balls", "pairs", "balls+pairs"):
+                want = per_point_candidate_sets(space, allowed, dist, r, mode)
+                # blocks of one row, of a few rows, and of the default size
+                for entries in (1, 4 * len(allowed), fibration._NEAR_ENTRIES):
+                    monkeypatch.setattr(fibration, "_NEAR_ENTRIES", entries)
+                    assert _candidate_sets(space, allowed, dist, r, mode) == want, (r, mode)
+                monkeypatch.undo()
+
+    def test_size_two_balls_are_not_repeated_as_pairs(self, make_chain):
+        # Z/2: the ball of radius 1 is the pair {0, 1}; Z/8 adds pairs of its own
+        space = bl.assemble_box_space(make_chain(2, 8))
+        dist = space.distance_matrix()
+        sets = _candidate_sets(space, space.points(), dist, 3, "balls+pairs")
+        assert len(sets) == len(set(sets))
+        assert sets == per_point_candidate_sets(space, space.points(), dist, 3, "balls+pairs")
+        assert (BoxPoint(0, 0), BoxPoint(0, 1)) in sets
+
+    def test_no_allowed_points(self, witness_spaces):
+        space = witness_spaces["line"]
+        for mode in ("balls", "pairs", "balls+pairs", "all"):
+            assert _candidate_sets(space, [], space.distance_matrix(), 3, mode) == []
+
+
+class TestNearCentres:
+    """The one-centre search near each set's first member against the search over the level."""
+
+    @pytest.mark.parametrize("name, level", [("torus", 2), ("line", 4), ("sl2", 1), ("sl2", 0)])
+    @pytest.mark.parametrize("entries", [1, fibration._CENTRE_ENTRIES])
+    def test_matches_the_whole_level(self, witness_spaces, monkeypatch, name, level, entries):
+        q = witness_spaces[name].chain.levels[level]
+        monkeypatch.setattr(fibration, "_CENTRE_ENTRIES", entries)
+        rng = _keyed_rng("centres", name, level)
+        seen = set()
+        for r in range(1, 6):
+            # sets around random points, most within reach r - 1 of a point, some beyond
+            sizes = rng.integers(1, 7, size=40)
+            around = rng.integers(q.order, size=len(sizes))
+            reach = np.where(rng.random(len(sizes)) < 0.75, r - 1, r + 2)
+            elements = np.concatenate([
+                rng.choice(np.flatnonzero(q.cayley_matrix([z])[0] <= d), size=n)
+                for z, d, n in zip(around.tolist(), reach.tolist(), sizes.tolist())
+            ])
+            centre, cover = fibration._near_centres(q, elements, sizes, r)
+            everything = np.tile(np.arange(q.order), (len(sizes), 1))
+            full_centre, full_cover = fibration._one_centres(q, elements, sizes, everything)
+            below = full_cover < r
+            seen.update(below.tolist())
+            assert np.array_equal(centre[below], full_centre[below])
+            assert np.array_equal(cover[below], full_cover[below])
+            assert (cover[~below] >= r).all()
+            # the brute force: each set's first element of least cover
+            starts = np.cumsum(sizes) - sizes
+            for k in range(len(sizes)):
+                far = q.cayley_matrix(ys=elements[starts[k] : starts[k] + sizes[k]]).max(axis=1)
+                assert (full_centre[k], full_cover[k]) == (far.argmin(), far.min())
+        assert seen == {True, False}  # sets covered below the scale, and sets not
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_uncovered_set_names_its_whole_level_cover(self, torus_chain, r):
+        space = bl.assemble_box_space(torus_chain)
+        fib = bl.from_proper_action(space, bl.translation_action(2, 2.0), r_max=3)
+        # a set served at every scale, then one that no element of (Z/16)^2 covers within 7
+        served = [(BoxPoint(2, 5),), (BoxPoint(2, 0), BoxPoint(2, 1))][: r]
+        far = (BoxPoint(2, 0), BoxPoint(2, 8), BoxPoint(2, 8 * 16 + 8))
+        serve = stacked(reference_serve(space, bl.translation_action(2, 2.0)), 2)
+        want = _outcome(serve, [*served, far], r)
+        assert want == f"covering radius 8 of the set is not below scale {r}"
+        assert _outcome(fib.trivialization, [*served, far], r) == want
+
+
+class TestArrayRule:
+    """The array rules against the scalar ``AffineIsometry`` algebra, element by element."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_rows_match_the_scalar_rule(self, make_chain, rank, p):
+        chain = make_chain(4, rank=rank)
+        ball = [g for n in range(4) for g in ambient_sphere(chain, n)]
+        rows = np.array(ball, dtype=np.int64)
+        scalar_rules = {
+            "translation": lambda g: AffineIsometry(
+                p, SignedPermutation.identity(rank), np.array(g, float)
+            ),
+            "twisted": twisted_rule(rank, p),
+        }
+        for name, action in (("translation", bl.translation_action(rank, p)),
+                             ("twisted", twisted_action(rank, p))):
+            stack = action.act(rows)
+            isos = [scalar_rules[name](g) for g in ball]
+            want = stack_of(isos, action.dim)
+            for got, expected in zip(stack, want):
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            # the stacked algebra composes and inverts as the scalar one does
+            a, b = np.divmod(np.arange(len(ball) ** 2), len(ball))
+            both = stack.after(stack.inverse(), a, b)
+            for k in range(0, len(a), 7):
+                expected = isos[a[k]].compose(isos[b[k]].inverse())
+                assert row_isometry(p, both, k).close_to(expected, 0.0)
+            # and the action is multiplicative on the ball, as the scalar rule is
+            sums = [tuple(x + y for x, y in zip(ball[i], ball[j])) for i, j in zip(a, b)]
+            product = stack.after(stack, a, b)
+            assert not product.differs(action.act(np.array(sums)), 0.0).any()
+
+    def test_rule_rows_are_checked(self, deep_space):
+        base = bl.translation_action(1, 2.0)
+        for corrupt, message in [
+            (lambda s: s.perm, r"returned ndarray, not an IsometryStack"),
+            (lambda s: s.take(slice(0, -1)), r"rows of shape \(\d+, 1\) for \d+ elements"),
+            (lambda s: s._replace(signs=0 * s.signs), r"not a signed permutation at \(0,\)$"),
+        ]:
+            action = bl.ProperAction(2.0, 1, lambda rows, c=corrupt: c(base.rule(rows)))
+            with pytest.raises(ActionCheckError, match=message):
+                bl.from_proper_action(deep_space, action, r_max=2)
+        with pytest.raises(ActionCheckError, match="expected 2 coordinates"):
+            bl.translation_action(2, 2.0).act(np.zeros((3, 1), dtype=np.int64))

@@ -1,4 +1,4 @@
-"""Norms, signed permutations, affine isometries."""
+"""Norms, isometry stacks, and the scalar isometry oracle they are checked against."""
 
 import math
 
@@ -8,13 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxlab as bl
-from boxlab.lpspace import (
-    AffineIsometry,
-    IsometryStack,
-    SignedPermutation,
-    identity_isometry,
-    lp_norm,
-)
+from boxlab.lpspace import IsometryStack, lp_norm
+from scalar_isometry import AffineIsometry, SignedPermutation, identity_isometry, stack_of
 
 P_VALUES = [1.0, 1.5, 2.0, 3.0, math.inf]
 
@@ -186,7 +181,7 @@ def isometry_rows(draw):
 @settings(max_examples=150, deadline=None)
 def test_stack_transitions_match_scalar_algebra(rows, tol, width):
     dim, isos, a, b, base = rows
-    stack = IsometryStack.of(isos, dim)
+    stack = stack_of(isos, dim)
     inverse = stack.inverse()
     trans = stack.after(inverse, np.array(a), np.array(b))
     scalar = [isos[i].compose(isos[j].inverse()) for i, j in zip(a, b)]
@@ -216,5 +211,9 @@ def test_stack_transitions_match_scalar_algebra(rows, tol, width):
 
 
 def test_empty_stack_has_the_space_dimension():
-    stack = IsometryStack.of([], 3)
-    assert stack.perm.shape == stack.signs.shape == stack.translation.shape == (0, 3)
+    for stack in (
+        stack_of([], 3),
+        IsometryStack.identity(0, 3),
+        bl.translation_action(3, 2.0).act(np.zeros((0, 3), dtype=np.int64)),
+    ):
+        assert stack.perm.shape == stack.signs.shape == stack.translation.shape == (0, 3)

@@ -42,8 +42,9 @@ SIGNATURES = {
         ("space", REQUIRED), ("p", REQUIRED), ("dim", REQUIRED), ("section", REQUIRED),
         ("exclusion", REQUIRED), ("trivialization", REQUIRED), ("note", ""),
     ],
+    # less the private per-element cache, which went with the scalar isometry path
     bl.ProperAction: [
-        ("p", REQUIRED), ("dim", REQUIRED), ("rule", REQUIRED), ("label", ""), ("_cache", None),
+        ("p", REQUIRED), ("dim", REQUIRED), ("rule", REQUIRED), ("label", ""),
     ],
     bl.FceReport: [
         ("passed", REQUIRED), ("r", REQUIRED), ("mode", REQUIRED), ("tolerance", REQUIRED),
@@ -151,7 +152,6 @@ def test_omitted_witness_lists_are_fresh_per_instance():
             ["identity_witnesses", "representation_witnesses"],
         ),
         (bl.SpectralScan(0.1, [], True), bl.SpectralScan(0.1, [], True), ["notes"]),
-        (bl.ProperAction(1.0, 1, None), bl.ProperAction(1.0, 1, None), ["_cache"]),
     ]
     ambient = bl.AmbientGroup("free_abelian", 1)
     chains = (bl.GroupChain(ambient, []), bl.GroupChain(ambient, []))

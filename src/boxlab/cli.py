@@ -440,20 +440,12 @@ def _add_common(sub, *, tolerance=True):
         )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="boxlab",
-        description="Box spaces of quotient chains: metric assembly, coarse"
-        " embedding profiles, fibred embedding verification, cocycle"
-        " localization, spectral gap scans.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("build", help="assemble a box space and dump its metric")
+def _build_args(b) -> None:
     _add_common(b, tolerance=False)
     b.set_defaults(func=cmd_build)
 
-    pr = sub.add_parser("profile", help="control pair attained by an embedding")
+
+def _profile_args(pr) -> None:
     _add_common(pr)
     pr.add_argument(
         "--embedding",
@@ -467,7 +459,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     pr.set_defaults(func=cmd_profile)
 
-    fv = sub.add_parser("fce-verify", help="check the two fibred-embedding conditions")
+
+def _fce_verify_args(fv) -> None:
     _add_common(fv)
     fv.add_argument(
         "--fibration",
@@ -485,7 +478,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fv.add_argument("--controls", help="control CSV (translation default: t*k^(1/p-1) <= rho <= t)")
     fv.set_defaults(func=cmd_fce_verify)
 
-    fg = sub.add_parser("forge", help="build and verify cocycles")
+
+def _forge_args(fg) -> None:
     _add_common(fg)
     fg.add_argument(
         "--mode", choices=("averaged", "fce", "lift", "ultra"), required=True,
@@ -503,17 +497,51 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fg.set_defaults(func=cmd_forge)
 
-    sp = sub.add_parser("spectral", help="per-level spectral gaps and expansion verdict")
+
+def _spectral_args(sp) -> None:
     _add_common(sp, tolerance=False)
     sp.add_argument(
         "--epsilon", type=float, default=1e-3, help="gap threshold for the verdict"
     )
     sp.set_defaults(func=cmd_spectral)
+
+
+# subcommand: (help line, what adds its arguments)
+_SUBCOMMANDS = {
+    "build": ("assemble a box space and dump its metric", _build_args),
+    "profile": ("control pair attained by an embedding", _profile_args),
+    "fce-verify": ("check the two fibred-embedding conditions", _fce_verify_args),
+    "forge": ("build and verify cocycles", _forge_args),
+    "spectral": ("per-level spectral gaps and expansion verdict", _spectral_args),
+}
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every subcommand, arguments only for those named in ``argv``.
+
+    argparse hands the words after the subcommand to that subcommand's parser
+    alone, and the top-level help and errors show only the subcommands' names
+    and help lines, so the parser behaves as the full one does for ``argv``
+    while skipping the other subcommands' ``add_argument`` calls.
+    """
+    parser = argparse.ArgumentParser(
+        prog="boxlab",
+        description="Box spaces of quotient chains: metric assembly, coarse"
+        " embedding profiles, fibred embedding verification, cocycle"
+        " localization, spectral gap scans.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = set(argv)
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        if name in named:
+            add_arguments(command)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (BoxlabError, OSError) as exc:

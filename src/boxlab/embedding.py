@@ -14,6 +14,7 @@ import numpy as np
 
 from .boxspace import BoxPoint, BoxSpace, format_point
 from .errors import ControlSampleError, InvalidArgumentError
+from .groups import _BLOCK_ENTRIES
 from .lpspace import lp_norm
 
 __all__ = [
@@ -106,15 +107,21 @@ def _pair_norms(f: CoarseEmbeddingMap, above: int):
 
     Every row is subtracted into one reused buffer, in the narrowest dtype in
     which the differences are exact, so the norms equal those of float64
-    differences bit for bit.
+    differences bit for bit.  Integer differences at p in {1, inf} take their
+    absolute values in place and are read unsigned, as ``lp_norm`` reads them,
+    so no row temporary is made.
     """
     mat = f.matrix()
     dtype = _difference_dtype(mat)
     rows = mat.astype(dtype, copy=False)
     buf = np.empty((len(rows) - above, f.dim), dtype=dtype)
+    in_place = dtype.kind == "i" and (math.isinf(f.p) or f.p == 1.0)
     for i in range(len(rows) - above):
         diff = buf[: len(rows) - above - i]
         np.subtract(rows[i + above :], rows[i], out=diff)
+        if in_place:
+            # |v| wraps at the dtype's minimum, whose bits read unsigned are exactly |v|
+            diff = np.abs(diff, out=diff).view(dtype.str.replace("i", "u"))
         yield i, lp_norm(diff, f.p, axis=1)
 
 
@@ -156,6 +163,13 @@ class ControlPair(_Record):
         return sorted(set(self.rho_minus) | set(self.rho_plus))
 
 
+def _reduce_extremes(low, high, seen, t, norms) -> None:
+    """Fold pairs at distances ``t`` with ``norms`` into the per-distance extremes."""
+    np.minimum.at(low, t, norms)
+    np.maximum.at(high, t, norms)
+    seen[t] = True
+
+
 def profile(f: CoarseEmbeddingMap) -> ControlPair:
     """Tightest monotone controls attained by ``f`` on its whole domain.
 
@@ -167,15 +181,23 @@ def profile(f: CoarseEmbeddingMap) -> ControlPair:
     if not pts:
         raise ValueError("empty domain")
     dist = f.domain.distance_matrix()
-    # per-distance extremes, one row of pairs at a time: never an (n^2, dim) array
     low = np.full(int(dist.max()) + 1, np.inf)
     high = np.full(len(low), -np.inf)
     seen = np.zeros(len(low), dtype=bool)
+    # the norms and distances of whole rows of pairs gather in one reused
+    # buffer of about _BLOCK_ENTRIES pairs, each full buffer reduced by one
+    # ufunc.at per extreme: never an (n^2, dim) array nor all pairs at once
+    size = max(_BLOCK_ENTRIES, len(pts) - 1)
+    norm_buf, t_buf = np.empty(size), np.empty(size, dtype=dist.dtype)
+    filled = 0
     for i, norms in _pair_norms(f, above=1):
-        t = dist[i, i + 1 :]
-        np.minimum.at(low, t, norms)
-        np.maximum.at(high, t, norms)
-        seen[t] = True
+        if filled + len(norms) > size:
+            _reduce_extremes(low, high, seen, t_buf[:filled], norm_buf[:filled])
+            filled = 0
+        norm_buf[filled : filled + len(norms)] = norms
+        t_buf[filled : filled + len(norms)] = dist[i, i + 1 :]
+        filled += len(norms)
+    _reduce_extremes(low, high, seen, t_buf[:filled], norm_buf[:filled])
     ts = np.flatnonzero(seen)
     if not ts.size:
         raise InvalidArgumentError("domain has a single point, no realized distances")

@@ -461,6 +461,42 @@ class TestParsing:
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith("argument --tolerance: invalid float value: 'tiny'\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "",
+            "--help",
+            "-h",
+            *(f"{name} --help" for name in cli._SUBCOMMANDS),
+            *cli._SUBCOMMANDS,
+            "warp",
+            "--bogus build",
+            "profile --chain x --bogus",
+            "forge --chain x --mode nope",
+            "spectral --chain x --epsilon 0.5",
+            "profile --chain build --p inf",
+        ],
+    )
+    def test_parser_for_the_named_subcommand_acts_as_the_full_one(self, capsys, argv):
+        argv = argv.split()
+
+        def outcome(parser):
+            try:
+                result = vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                result = exc.code
+            return result, capsys.readouterr()
+
+        full = cli._build_parser(list(cli._SUBCOMMANDS))
+        assert outcome(cli._build_parser(argv)) == outcome(full)
+
+    def test_only_the_named_subcommand_gets_arguments(self):
+        parser = cli._build_parser(["spectral", "--chain", "x"])
+        subparsers = parser._subparsers._group_actions[0].choices
+        counts = {name: len(sub._actions) for name, sub in subparsers.items()}
+        # every subparser has its help option; spectral adds --chain, --out and --epsilon
+        assert counts == {"build": 1, "profile": 1, "fce-verify": 1, "forge": 1, "spectral": 4}
+
     def test_module_entry_point(self, chains):
         result = subprocess.run(
             [sys.executable, "-m", "boxlab.cli", "build", "--chain", chains["dyadic"]],

@@ -536,6 +536,23 @@ class TestSandwichOracle:
         got_values = np.array([w[3:] for w in report.witnesses])
         assert got_values.tobytes() == np.array([w[3:] for w in want]).tobytes()
 
+    @pytest.mark.parametrize("block_entries", [1, 50])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("build, dtype", KERNEL_TABLES)
+    def test_profile_chunks_match_row_loop(self, monkeypatch, make_chain, build, dtype, p, block_entries):
+        # a buffer of one row (27 pairs at most) or of about 50 pairs: each
+        # chunk ends on a row boundary and the last one is short
+        monkeypatch.setattr("boxlab.embedding._BLOCK_ENTRIES", block_entries)
+        space = bl.assemble_box_space(make_chain(4, 8, 16))
+        table = build(space, np.random.default_rng(11))
+        f = bl.CoarseEmbeddingMap(space, p, table.shape[1], dict(zip(space.points(), table)))
+        with np.errstate(invalid="ignore"):  # inf - inf in the inf table
+            ctrl = bl.profile(f)
+            ts, lo, hi = _row_loop_profile(f)
+        assert sorted(ctrl.rho_minus) == sorted(ctrl.rho_plus) == ts.tolist()
+        assert np.array([ctrl.rho_minus[t] for t in ts]).tobytes() == lo.tobytes()
+        assert np.array([ctrl.rho_plus[t] for t in ts]).tobytes() == hi.tobytes()
+
     def test_violation_on_integer_table_names_same_first_witness(self, make_chain):
         space = bl.assemble_box_space(make_chain(4, 8, 16))
         f = bl.linf_embedding(space)

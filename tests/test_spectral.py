@@ -1,12 +1,23 @@
 """Spectral gaps of quotient levels."""
 
+import importlib.util
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import boxlab as bl
-from boxlab.spectral import DENSE_LIMIT, averaging_matrix, expander_scan, laplacian_gap
+from boxlab.spectral import (
+    DENSE_LIMIT,
+    _block_spectra,
+    _cyclic_element,
+    _spectrum,
+    averaging_matrix,
+    expander_scan,
+    laplacian_gap,
+)
 
 
 def test_averaging_matrix_is_doubly_stochastic():
@@ -137,3 +148,91 @@ def test_gap_csv_layout(tmp_path, dyadic_chain):
     assert len(lines) == 5
     assert lines[-1].startswith("# verdict: PASS")
     assert lines[1].split(",")[:3] == ["0", "4", "2"]
+
+
+def _sl2_level(k):
+    """Level k of the relabelled SL2(Z/3), SL2(Z/9) chain of the benchmark corpus at seed 1."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return bl.build_quotient(corpus.sl2_chain(1)["levels"][k])
+
+
+def _dihedral_by_involutions(m):
+    # the dihedral group of order 2m marked by the flip and the flip after the rotation
+    rot, flip = _dihedral_spec(m)["gens"]
+    return {"kind": "permutation", "degree": 2 * m, "gens": [flip, [rot[x] for x in flip]], "base": 0}
+
+
+# Z/1 is the trivial group and Z/2 the doubled edge
+ORACLE_LEVELS = [
+    *(pytest.param(lambda n=n: bl.CyclicQuotient([n]), id=f"Z{n}") for n in range(1, 65)),
+    *(pytest.param(lambda m=m: bl.CyclicQuotient([m, m]), id=f"Z{m}^2") for m in (2, 4, 8, 16)),
+    *(
+        pytest.param(lambda m=m: bl.build_quotient(_dihedral_spec(m)), id=f"D{m}")
+        for m in (3, 6, 12)
+    ),
+    pytest.param(lambda: _sl2_level(0), id="SL2(Z/3)"),
+    pytest.param(lambda: _sl2_level(1), id="SL2(Z/9)"),
+    pytest.param(lambda: bl.build_quotient(_dihedral_by_involutions(8)), id="D8-involutions"),
+]
+
+
+class TestBlockSpectra:
+    """Character blocks over a cyclic subgroup against the dense eigensolve they replace."""
+
+    @pytest.mark.parametrize("level", ORACLE_LEVELS)
+    def test_union_matches_dense_eigvalsh(self, level):
+        q = level()
+        want = np.linalg.eigvalsh(averaging_matrix(q))
+        got = _spectrum(q)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+        if q.order > 1:
+            assert abs(laplacian_gap(q) - (1.0 - want[-2])) <= 1e-12
+
+    def test_cyclic_level_is_the_character_formula(self):
+        q = bl.CyclicQuotient([12])
+        assert _cyclic_element(q, q.letter_perms()) == (1, 12)
+        w, m = _block_spectra(q)
+        assert (m, w.shape) == (12, (7, 1))
+        want = np.cos(2.0 * np.pi * np.arange(7) / 12)
+        assert np.abs(w[:, 0] - want).max() <= 1e-15
+
+    def test_largest_order_ties_go_to_the_smallest_element(self):
+        # (Z/4)^2: the letters are 4, 12, 1 and 3; 1 is the least of order 4
+        q = bl.CyclicQuotient([4, 4])
+        assert _cyclic_element(q, q.letter_perms()) == (1, 4)
+
+    def test_products_of_letters_are_candidates(self):
+        # two reflections, whose products are rotations of order 8
+        q = bl.build_quotient(_dihedral_by_involutions(8))
+        assert [_order(q, g) for g in q.gen_images] == [2, 2]
+        products = {q.mult(a, b) for a in q.gen_images for b in q.gen_images}
+        want = min(g for g in products if _order(q, g) == 8)
+        assert _cyclic_element(q, q.letter_perms()) == (want, 8)
+
+    def test_sl2_blocks(self):
+        w, m = _block_spectra(_sl2_level(1))
+        assert (m, w.shape) == (12, (7, 54))
+
+    def test_z4096_in_small_memory(self):
+        q = bl.CyclicQuotient([4096])
+        tracemalloc.start()
+        try:
+            gap = laplacian_gap(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(gap - 2.0 * math.sin(math.pi / 4096) ** 2) <= 1e-12
+        # an m x n orbit table alone would take 134 MB
+        assert peak < 16 * 2**20
+
+
+def _order(q, g):
+    """Order of ``g`` by scalar products."""
+    x, n = g, 1
+    while x != q.identity:
+        x, n = q.mult(x, g), n + 1
+    return n

@@ -22,15 +22,13 @@ import math
 from pathlib import Path
 
 from .errors import BoxlabError, SpecFormatError
-from .groups import AmbientGroup, GroupChain, build_chain, build_quotient
+from .groups import (
+    MAX_POINTS, AmbientGroup, GroupChain, _check_point_cap, build_chain, build_quotient
+)
 
 __all__ = ["MAX_POINTS", "parse_chain", "load_chain"]
 
 _AMBIENT_FIELDS = ("family", "rank")
-
-# Total points a chain file may declare.  The box metric is dense, so this
-# bounds it at 4096^2 entries; larger chains are refused before any level is built.
-MAX_POINTS = 4096
 
 
 def _declared_order(spec) -> int:
@@ -66,13 +64,8 @@ def parse_chain(data) -> GroupChain:
         ambient = AmbientGroup(str(ambient_data["family"]), int(ambient_data["rank"]))
     except (TypeError, ValueError) as exc:
         raise SpecFormatError(f"bad ambient description: {exc}") from exc
-    total = 0
-    for i, spec in enumerate(level_specs):
-        total += max(_declared_order(spec), 0)
-        if total > MAX_POINTS:
-            raise SpecFormatError(
-                f"level {i} brings the chain to {total} points, above the cap of {MAX_POINTS}"
-            )
+    # the declared orders meet the cap before any level is built
+    _check_point_cap((max(_declared_order(spec), 0) for spec in level_specs), SpecFormatError)
     levels = []
     for i, spec in enumerate(level_specs):
         try:

@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import NoReturn
 
@@ -363,6 +364,7 @@ def cmd_forge(args) -> int:
     space = assemble_box_space(chain)
     out = _out_dir(args)
 
+    # the CSV lines are built only to be written or replayed
     if args.mode == "averaged":
         level = args.level if args.level is not None else 0
         if not 0 <= level < chain.level_count():
@@ -376,17 +378,17 @@ def cmd_forge(args) -> int:
         table = np.stack([f(BoxPoint(level, x)) for x in q.elements()])
         rep, coc = averaged_cocycle(table, q, f.p)
         report = verify_local_action(rep, coc, tolerance=args.tolerance)
-        lines = _cocycle_lines(coc, str, list(q.elements()))
+        render = partial(_cocycle_lines, coc, str, list(q.elements()))
     elif args.mode in ("fce", "lift"):
         r = args.r if args.r is not None else 4
         fib, _ = _make_fibration("translation", space, args.p, r)
         coc = local_cocycle_from_fce(fib, r)
         report = verify_local_action(coc.companion, coc, tolerance=args.tolerance)
         if args.mode == "fce":
-            lines = _cocycle_lines(coc, str, coc.elements.tolist())
+            render = partial(_cocycle_lines, coc, str, coc.elements.tolist())
         else:
             lifted = lift_to_group(coc, chain)
-            lines = _lift_lines(lifted, _ambient_ball(chain, r))
+            render = partial(_lift_lines, lifted, _ambient_ball(chain, r))
     elif args.mode == "ultra":
         r = args.r if args.r is not None else 6
         if r < 2:
@@ -396,10 +398,12 @@ def cmd_forge(args) -> int:
         family = family_from_fce(fib, range(2, r + 1))
         elements = _ambient_ball(chain, 3)
         report = ultraproduct_hypothesis_check(family, elements, lo, hi, tolerance=args.tolerance)
-        lines = _family_lines(family, elements)
+        render = partial(_family_lines, family, elements)
     else:
         raise SpecFormatError(f"unknown forge mode {args.mode!r}")
 
+    if args.replay or out is not None:
+        lines = render()
     print(report.to_text())
     if args.replay:
         code = _replay(args.replay, lines)

@@ -47,7 +47,8 @@ class CoarseEmbeddingMap:
     """Finite map from a box space into l^p, held as one read-only float64 matrix.
 
     Row k of ``matrix()`` is the vector at ``points()[k]``; ``table`` maps
-    each point to its row, a view.
+    each point to its row, a view.  The constructor refuses NaN and infinite
+    entries; ``_of_matrix``, the builtins' path, takes its matrix unchecked.
     """
 
     def __init__(self, domain: BoxSpace, p: float, dim: int, table: dict[BoxPoint, np.ndarray]):
@@ -65,6 +66,11 @@ class CoarseEmbeddingMap:
         mat = np.empty((len(pts), dim))
         for k, pt in enumerate(pts):
             mat[k] = table[pt]
+        finite = np.isfinite(mat).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"vector at {format_point(pts[int(np.argmin(finite))])} has a non-finite entry"
+            )
         self._hold(domain, p, mat)
 
     @classmethod

@@ -59,7 +59,8 @@ class FibredEmbedding:
     MissingTrivializationError for the first set it cannot serve.  Verifiers
     only ever request sets of diameter below ``r``, but the oracle may serve
     more (the proper-action construction serves any single-level set whose
-    covering radius is below ``r``).
+    covering radius is below ``r``).  The constructor refuses a NaN or
+    infinite section entry; served rows are checked as ``trivialize`` says.
     """
 
     def __init__(
@@ -84,6 +85,10 @@ class FibredEmbedding:
         self._section_rows = np.array(
             [self.section[pt] for pt in self.space.points()], dtype=np.float64
         ).reshape(-1, self.dim)
+        finite = np.isfinite(self._section_rows).all(axis=1)
+        if not finite.all():
+            pt = self.space.points()[int(np.argmin(finite))]
+            raise ValueError(f"section at {format_point(pt)} has a non-finite entry")
 
     def excluded(self, r: int) -> frozenset[BoxPoint]:
         if r < 1:

@@ -27,6 +27,7 @@ __all__ = [
     "FREE",
     "FREE_ABELIAN",
     "EXPLICIT_CHAIN_LIMIT",
+    "MAX_POINTS",
     "AmbientGroup",
     "MarkedQuotient",
     "CyclicQuotient",
@@ -49,6 +50,10 @@ FREE = "free"
 FREE_ABELIAN = "free_abelian"
 EXPLICIT_CHAIN_LIMIT = "explicit_chain_limit"
 _FAMILIES = (FREE, FREE_ABELIAN, EXPLICIT_CHAIN_LIMIT)
+
+# Total points a chain may hold over all its levels.  The box metric is dense,
+# so this bounds it at 4096^2 entries.
+MAX_POINTS = 4096
 
 # entries of one (rows, order) block of a table-sized check or gather, so that
 # no temporary grows with the square of a level's order
@@ -725,6 +730,15 @@ def _validate_connecting_map(
         )
 
 
+def _check_point_cap(orders, error) -> None:
+    """Raise ``error`` at the first level whose running total of points passes MAX_POINTS."""
+    for i, total in enumerate(itertools.accumulate(orders)):
+        if total > MAX_POINTS:
+            raise error(
+                f"level {i} brings the chain to {total} points, above the cap of {MAX_POINTS}"
+            )
+
+
 def build_chain(
     ambient: AmbientGroup,
     levels,
@@ -732,10 +746,11 @@ def build_chain(
     *,
     check_radii: bool = True,
 ) -> GroupChain:
-    """Assemble and validate a chain; connecting maps are inferred when omitted."""
+    """Assemble and validate a chain of at most MAX_POINTS points; omitted maps are inferred."""
     levels = list(levels)
     if not levels:
         raise ChainValidationError("a chain needs at least one level")
+    _check_point_cap((q.order for q in levels), ChainValidationError)
     for i, q in enumerate(levels):
         q.validate()
         if q.rank != ambient.rank:
@@ -790,20 +805,14 @@ def _compute_radius(chain: GroupChain, level: int) -> int:
     only as far as word lengths have stabilized.
     """
     quotient = chain.levels[level]
-    dist = quotient.distance_from_identity()
     family = chain.ambient.family
+    if family == FREE_ABELIAN and isinstance(quotient, CyclicQuotient):
+        # a vector keeps its length exactly when every coordinate is at most
+        # half its modulus, so the shortest to fail has m // 2 + 1 in one coordinate
+        return min(m // 2 for m in quotient.moduli) + 1
     if family in (FREE, FREE_ABELIAN):
-        # each sphere's images are its parents' images times one letter
-        perms = quotient.letter_perms()
-        rows = np.array([ambient_identity(chain)], dtype=np.int64)
-        images = np.array([quotient.identity])
-        D = 0
-        while True:
-            D += 1
-            rows, parent, step = _next_sphere(chain, rows)
-            images = perms[step, images[parent]]
-            if (dist[images] != D).any():
-                return D
+        return _sphere_radius(chain, level)
+    dist = quotient.distance_from_identity()
     deepest = chain.levels[-1]
     lengths = deepest.distance_from_identity()
     if len(chain.levels) >= 2:
@@ -824,6 +833,26 @@ def _compute_radius(chain: GroupChain, level: int) -> int:
             return D
         if D >= max_len:
             return D + 1
+
+
+def _sphere_radius(chain: GroupChain, level: int) -> int:
+    """The radius of a level under a free or free abelian ambient, walking its spheres.
+
+    Each sphere's images are its parents' images times one letter; the walk
+    stops at the first sphere with an image closer to the identity than D.
+    """
+    quotient = chain.levels[level]
+    dist = quotient.distance_from_identity()
+    perms = quotient.letter_perms()
+    rows = np.array([ambient_identity(chain)], dtype=np.int64)
+    images = np.array([quotient.identity])
+    D = 0
+    while True:
+        D += 1
+        rows, parent, step = _next_sphere(chain, rows)
+        images = perms[step, images[parent]]
+        if (dist[images] != D).any():
+            return D
 
 
 def r_isometric_radius(chain: GroupChain, level: int) -> int:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .embedding import _Record
 from .errors import InvalidArgumentError
-from .groups import GroupChain, MarkedQuotient
+from .groups import MAX_POINTS, GroupChain, MarkedQuotient
 
 __all__ = [
     "DENSE_LIMIT",
@@ -24,7 +24,8 @@ __all__ = [
     "write_gap_csv",
 ]
 
-DENSE_LIMIT = 4096
+# no chain holds a larger level; see ``build_chain``
+DENSE_LIMIT = MAX_POINTS
 
 
 def averaging_matrix(q: MarkedQuotient) -> np.ndarray:
@@ -145,15 +146,14 @@ class SpectralScan(_Record):
     """Per-level gaps and an expansion verdict at one threshold."""
 
     def __init__(self, epsilon: float, rows: list, verdict: bool, notes: list[str] | None = None):
-        # a row is (level, order, degree, gap or None)
+        # a row is (level, order, degree, gap)
         self.epsilon, self.rows, self.verdict = epsilon, rows, verdict
         self.notes = [] if notes is None else notes
 
     def to_text(self) -> str:
         lines = [f"spectral scan at epsilon {self.epsilon:g}"]
         for level, order, degree, gap in self.rows:
-            shown = f"{gap:.12g}" if gap is not None else "skipped"
-            lines.append(f"  level {level}: order {order}, degree {degree}, gap {shown}")
+            lines.append(f"  level {level}: order {order}, degree {degree}, gap {gap:.12g}")
         if self.verdict:
             lines.append(f"verdict: PASS (every computed gap >= {self.epsilon:g})")
         else:
@@ -165,27 +165,15 @@ class SpectralScan(_Record):
 def expander_scan(chain: GroupChain, epsilon: float) -> SpectralScan:
     """Gap per level against a fixed threshold.
 
-    Levels beyond the dense eigensolve limit are skipped with a notice and do
-    not affect the verdict.  The verdict covers the finite prefix only; no
-    statement about deeper levels is implied.
+    Every level is solved; one past DENSE_LIMIT raises ``laplacian_gap``'s
+    ValueError.  The verdict covers the finite prefix only; no statement about
+    deeper levels is implied.
     """
     if not epsilon > 0:
         raise InvalidArgumentError(f"threshold must be positive, got {epsilon}")
-    rows = []
+    rows = [(i, q.order, len(q.letters()), laplacian_gap(q)) for i, q in enumerate(chain.levels)]
+    verdict = not any(gap < epsilon for *_, gap in rows)
     notes = ["finite prefix only: the verdict covers the listed levels"]
-    verdict = True
-    for i, q in enumerate(chain.levels):
-        degree = len(q.letters())
-        if q.order > DENSE_LIMIT:
-            rows.append((i, q.order, degree, None))
-            notes.append(
-                f"level {i} skipped: order {q.order} exceeds the dense limit {DENSE_LIMIT}"
-            )
-            continue
-        gap = laplacian_gap(q)
-        rows.append((i, q.order, degree, gap))
-        if gap < epsilon:
-            verdict = False
     return SpectralScan(epsilon=epsilon, rows=rows, verdict=verdict, notes=notes)
 
 
@@ -193,8 +181,7 @@ def write_gap_csv(scan: SpectralScan, path) -> None:
     """Rows level,order,degree,gap, then a verdict comment line."""
     lines = ["level,order,degree,gap"]
     for level, order, degree, gap in scan.rows:
-        shown = f"{gap:.12g}" if gap is not None else "skipped"
-        lines.append(f"{level},{order},{degree},{shown}")
+        lines.append(f"{level},{order},{degree},{gap:.12g}")
     lines.append(
         f"# verdict: {'PASS' if scan.verdict else 'FAIL'} at epsilon {scan.epsilon:.12g}"
     )

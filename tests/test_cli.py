@@ -414,6 +414,31 @@ class TestForge:
         assert code == 0, capsys.readouterr().out
 
 
+    @pytest.mark.parametrize(
+        "mode, flags",
+        [
+            ("averaged", ["--embedding", "linf", "--level", "1"]),
+            ("fce", ["--r", "4", "--p", "1"]),
+            ("lift", ["--r", "4", "--p", "1"]),
+            ("ultra", ["--r", "4", "--p", "1"]),
+        ],
+    )
+    def test_lines_are_built_only_to_write_or_replay(
+        self, chains, tmp_path, monkeypatch, capsys, mode, flags
+    ):
+        args = ["forge", "--chain", chains["deep"], "--mode", mode, *flags]
+        assert main([*args, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+
+        def unreachable(*args):
+            raise AssertionError("CSV lines built with nowhere to go")
+
+        for name in ("_cocycle_lines", "_lift_lines", "_family_lines"):
+            monkeypatch.setattr(cli, name, unreachable)
+        assert main(args) == 0
+        assert capsys.readouterr().out == (tmp_path / "report.txt").read_text()
+
+
 class TestSpectral:
     def test_pass_and_csv(self, chains, tmp_path, capsys):
         out = tmp_path / "gaps"

@@ -5,15 +5,67 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boxlab as bl
-from boxlab.boxspace import BoxPoint
+from boxlab.boxspace import BoxPoint, format_point
 from boxlab.embedding import _difference_dtype
 from boxlab.errors import ControlSampleError, InvalidArgumentError
 
 
 def single_level_space(make_chain, m):
     return bl.assemble_box_space(make_chain(m))
+
+
+def _non_finite_table(space, data):
+    """The linf table with NaN or +-inf at random entries, keyed in a random order,
+    and the first point in ``points()`` order holding one."""
+    mat = bl.linf_embedding(space).matrix().copy()
+    n, dim = mat.shape
+    entries = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, dim - 1),
+                st.sampled_from([math.nan, math.inf, -math.inf]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    for k, j, value in entries:
+        mat[k, j] = value
+    order = data.draw(st.permutations(range(n)))
+    table = {space.points()[k]: mat[k] for k in order}
+    return table, space.points()[min(k for k, _, _ in entries)]
+
+
+class TestFiniteBoundary:
+    """The public constructors refuse NaN and infinite entries, naming the first point."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_embedding_table(self, dyadic_space, data):
+        table, first = _non_finite_table(dyadic_space, data)
+        message = rf"^vector at {format_point(first)} has a non-finite entry$"
+        with pytest.raises(ValueError, match=message):
+            bl.CoarseEmbeddingMap(dyadic_space, math.inf, len(table[first]), table)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_fibration_section(self, dyadic_space, data):
+        section, first = _non_finite_table(dyadic_space, data)
+        message = rf"^section at {format_point(first)} has a non-finite entry$"
+        with pytest.raises(ValueError, match=message):
+            bl.FibredEmbedding(
+                space=dyadic_space,
+                p=math.inf,
+                dim=len(section[first]),
+                section=section,
+                exclusion=lambda r: frozenset(),
+                trivialization=lambda sets, r: None,
+            )
 
 
 class TestProfile:
@@ -79,13 +131,16 @@ class TestVerifyCoarse:
         assert report.pair_count == 28 * 29 // 2
 
     def test_one_nan_coordinate_fails_at_tolerance_zero(self, dyadic_space):
-        """Every pair at the NaN point has a NaN norm, and a NaN norm is a violation."""
+        """Every pair at the NaN point has a NaN norm, and a NaN norm is a violation.
+
+        The constructor refuses a NaN entry, so the table goes in unchecked
+        through ``_of_matrix``, the builtins' path.
+        """
         f = bl.linf_embedding(dyadic_space)
         point = dyadic_space.points()[5]
-        table = dict(f.table)
-        table[point] = table[point].copy()
-        table[point][0] = np.nan
-        g = bl.CoarseEmbeddingMap(dyadic_space, f.p, f.dim, table)
+        mat = f.matrix().copy()
+        mat[5, 0] = np.nan
+        g = bl.CoarseEmbeddingMap._of_matrix(dyadic_space, f.p, mat)
         ident = bl.identity_controls(range(dyadic_space.diameter() + 1))
         report = bl.verify_coarse(g, ident.rho_minus, ident.rho_plus, tolerance=0.0)
         assert not report.passed
@@ -430,6 +485,12 @@ def _with_entries(*values):
     return build
 
 
+def _kernel_map(space, p, table):
+    """A map over a fresh copy of ``table``, through ``_of_matrix`` since the
+    constructor refuses the NaN and infinite tables."""
+    return bl.CoarseEmbeddingMap._of_matrix(space, p, np.array(table, dtype=np.float64))
+
+
 KERNEL_TABLES = [
     pytest.param(lambda space, rng: bl.linf_embedding(space).matrix(), np.int8, id="linf"),
     pytest.param(
@@ -518,7 +579,7 @@ class TestSandwichOracle:
     def test_matches_row_loop(self, make_chain, build, dtype, p):
         space = bl.assemble_box_space(make_chain(4, 8, 16))
         table = build(space, np.random.default_rng(7))
-        f = bl.CoarseEmbeddingMap(space, p, table.shape[1], dict(zip(space.points(), table)))
+        f = _kernel_map(space, p, table)
         assert _difference_dtype(f.matrix()) == dtype
         with np.errstate(invalid="ignore"):  # inf - inf in the inf table
             ctrl = bl.profile(f)
@@ -545,7 +606,7 @@ class TestSandwichOracle:
         monkeypatch.setattr("boxlab.embedding._BLOCK_ENTRIES", block_entries)
         space = bl.assemble_box_space(make_chain(4, 8, 16))
         table = build(space, np.random.default_rng(11))
-        f = bl.CoarseEmbeddingMap(space, p, table.shape[1], dict(zip(space.points(), table)))
+        f = _kernel_map(space, p, table)
         with np.errstate(invalid="ignore"):  # inf - inf in the inf table
             ctrl = bl.profile(f)
             ts, lo, hi = _row_loop_profile(f)

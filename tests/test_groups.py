@@ -17,9 +17,12 @@ from boxlab.errors import (
     InvalidGroupError,
     NonStabilizedLengthError,
 )
+from boxlab import groups
 from boxlab.groups import (
+    MAX_POINTS,
     _next_sphere,
     _quotient_from_permutations,
+    _sphere_radius,
     _validate_connecting_map,
     ambient_from_letters,
     ambient_identity,
@@ -265,6 +268,20 @@ class TestChains:
         levels = [bl.CyclicQuotient([8]), bl.CyclicQuotient([4])]
         with pytest.raises(ChainValidationError):
             bl.build_chain(ambient, levels)
+
+    def test_point_cap(self, monkeypatch):
+        ambient = bl.AmbientGroup("free_abelian", 1)
+        chain = bl.build_chain(ambient, [bl.CyclicQuotient([64]), bl.CyclicQuotient([4032])])
+        assert sum(q.order for q in chain.levels) == MAX_POINTS == 4096
+
+        def unreachable(self):
+            raise AssertionError("a level was validated past the cap")
+
+        # refused on the orders alone, before any level is validated
+        monkeypatch.setattr(bl.CyclicQuotient, "validate", unreachable)
+        with pytest.raises(ChainValidationError) as exc:
+            bl.build_chain(ambient, [bl.CyclicQuotient([1]), bl.CyclicQuotient([4096])])
+        assert str(exc.value) == "level 1 brings the chain to 4097 points, above the cap of 4096"
 
 
 def coordinate_tables(moduli):
@@ -1090,6 +1107,28 @@ class TestRadiusAgainstSphereProjection:
     def test_dihedral_levels_over_free_ambient(self, spec):
         chain = bare_chain("free", [bl.build_quotient(spec)])
         assert chain.radius(0) == sphere_radius_oracle(chain, 0)
+
+    def test_closed_form_matches_the_sphere_walk(self):
+        moduli = (1, 2, 3, 4, 5, 7, 8, 9, 16)
+        for factors in [(m,) for m in moduli] + list(itertools.product(moduli, repeat=2)):
+            chain = bare_chain("free_abelian", [bl.CyclicQuotient(factors)])
+            closed = min(m // 2 for m in factors) + 1
+            assert chain.radius(0) == closed == _sphere_radius(chain, 0), factors
+
+    def test_closed_form_is_chosen_by_the_quotient_type(self, monkeypatch):
+        walked = []
+
+        def spy(chain, level):
+            walked.append(type(chain.levels[level]).__name__)
+            return _sphere_radius(chain, level)
+
+        monkeypatch.setattr(groups, "_sphere_radius", spy)
+        cycle = {"kind": "permutation", "degree": 12, "gens": [[*range(1, 12), 0]], "base": 0}
+        assert bare_chain("free_abelian", [bl.CyclicQuotient([12, 4])]).radius(0) == 3
+        assert walked == []
+        assert bare_chain("free_abelian", [bl.build_quotient(cycle)]).radius(0) == 7
+        assert bare_chain("free", [bl.CyclicQuotient([12])]).radius(0) == 7
+        assert walked == ["TableQuotient", "CyclicQuotient"]
 
     @pytest.mark.parametrize("seed", [1, 301])
     def test_sl2_levels(self, seed):

@@ -108,6 +108,31 @@ def test_dense_limit_enforced():
         laplacian_gap(Big())
 
 
+def test_one_point_cap():
+    from boxlab import chainspec, groups, spectral
+
+    assert chainspec.MAX_POINTS is groups.MAX_POINTS is spectral.DENSE_LIMIT
+
+
+def test_scan_past_the_cap_raises():
+    """A chain built by hand past the cap is refused loudly, not skipped."""
+    ambient = bl.AmbientGroup("free_abelian", 1)
+    chain = bl.GroupChain(ambient, [bl.CyclicQuotient([DENSE_LIMIT + 1])])
+    with pytest.raises(ValueError, match="^order 4097 exceeds the dense eigensolve limit 4096$"):
+        expander_scan(chain, 1e-3)
+
+
+@pytest.mark.parametrize("fixture", ["dyadic_chain", "deep_chain", "torus_chain"])
+def test_every_scan_row_holds_a_float_gap(request, fixture):
+    chain = request.getfixturevalue(fixture)
+    scan = expander_scan(chain, 1e-3)
+    assert [row[:3] for row in scan.rows] == [
+        (i, q.order, len(q.letters())) for i, q in enumerate(chain.levels)
+    ]
+    assert all(type(gap) is float for *_, gap in scan.rows)
+    assert scan.notes == ["finite prefix only: the verdict covers the listed levels"]
+
+
 def test_scan_of_cyclic_chain_collapses(deep_chain):
     scan = expander_scan(deep_chain, 0.05)
     assert not scan.verdict

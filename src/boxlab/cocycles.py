@@ -25,11 +25,10 @@ from .groups import (
     project_to_level,
     select_level_for_r,
 )
-from .lpspace import _unchecked, lp_norm
+from .lpspace import IsometryStack, lp_norm
 
 __all__ = [
     "QuotientCarrier",
-    "BlockMap",
     "LocalRepresentation",
     "LocalCocycle",
     "LiftedCocycle",
@@ -67,83 +66,14 @@ def _row(elements: np.ndarray, x) -> int | None:
     return i if i < len(elements) and elements[i] == x else None
 
 
-class BlockMap:
-    """Linear isometry permuting blocks: (A xi)_z = signs[z] * xi[tau[z]][perm[z]].
-
-    The twist holds one signed permutation per block as two ``(size, dim)``
-    arrays, both None when every block map is the identity, which keeps the
-    permutation-only case O(size).  The constructor validates the twist;
-    ``compose`` builds valid results without checking them again.
-    """
-
-    __slots__ = ("tau", "perm", "signs")
-
-    def __init__(self, tau, perm=None, signs=None):
-        self.tau = np.asarray(tau, dtype=np.int64)
-        if self.tau.ndim != 1:
-            raise ValueError("tau must be one-dimensional")
-        if (perm is None) != (signs is None):
-            raise ValueError("perm and signs must be given together")
-        if perm is not None:
-            perm = np.asarray(perm, dtype=np.int64)
-            signs = np.asarray(signs, dtype=np.int64)
-            if perm.ndim != 2 or perm.shape[0] != self.size or signs.shape != perm.shape:
-                raise ValueError(f"twist of shape {perm.shape} for {self.size} blocks")
-            if not (np.sort(perm, axis=1) == np.arange(perm.shape[1])).all():
-                raise ValueError("twist is not a permutation in every block")
-            if not np.isin(signs, (-1, 1)).all():
-                raise ValueError("signs must be +1 or -1")
-        self.perm, self.signs = perm, signs
-
-    @property
-    def size(self) -> int:
-        return len(self.tau)
-
-    def apply(self, blocks: np.ndarray) -> np.ndarray:
-        blocks = np.asarray(blocks, dtype=np.float64)
-        if blocks.shape[0] != self.size:
-            raise ValueError(f"expected {self.size} blocks, got {blocks.shape[0]}")
-        moved = blocks[self.tau]
-        if self.perm is None:
-            return moved
-        return self.signs * np.take_along_axis(moved, self.perm, axis=1)
-
-    def compose(self, other: "BlockMap") -> "BlockMap":
-        """self after other: block z is self's map at z after other's at tau[z]."""
-        if self.size != other.size:
-            raise ValueError("block counts differ")
-        tau = other.tau[self.tau]
-        if other.perm is None:
-            return _unchecked(BlockMap, tau, self.perm, self.signs)
-        perm, signs = other.perm[self.tau], other.signs[self.tau]
-        if self.perm is not None:
-            signs = self.signs * np.take_along_axis(signs, self.perm, axis=1)
-            perm = np.take_along_axis(perm, self.perm, axis=1)
-        return _unchecked(BlockMap, tau, perm, signs)
-
-    def equals(self, other: "BlockMap") -> bool:
-        if self.size != other.size or not np.array_equal(self.tau, other.tau):
-            return False
-        if self.perm is None or other.perm is None:
-            twisted = self if other.perm is None else other
-            return twisted.perm is None or (
-                (twisted.perm == np.arange(twisted.perm.shape[1])).all()
-                and (twisted.signs == 1).all()
-            )
-        return np.array_equal(self.perm, other.perm) and np.array_equal(self.signs, other.signs)
-
-    def __repr__(self) -> str:
-        kind = "permutation" if self.perm is None else "twisted"
-        return f"BlockMap({kind}, size={self.size})"
-
-
 class LocalRepresentation:
-    """Scale-local linear action by block maps on the combined block space.
+    """Scale-local linear action of the quotient on the combined block space.
 
-    Row i of ``tau`` (live, blocks) and of the twist ``perm``/``signs`` (live,
-    blocks, dim), None when untwisted, is the ``BlockMap`` of live element
-    ``elements[i]``; every other element acts as the identity.  ``r`` of None
-    means globally defined.
+    Live element ``elements[i]`` moves block ``tau[i, z]`` to block z and
+    twists it by the signed permutation ``perm[i, z]``/``signs[i, z]`` of the
+    block's ``dim`` coordinates; the twist arrays are (live, blocks, dim), or
+    None when untwisted.  Every other element acts as the identity.  ``r`` of
+    None means globally defined.
     """
 
     def __init__(
@@ -157,27 +87,34 @@ class LocalRepresentation:
         signs: np.ndarray | None = None,
     ):
         self.carrier, self.p, self.dim, self.r = carrier, p, dim, r
-        self.perm, self.signs = perm, signs
         self.elements = _live_elements(carrier.quotient, r)
         shape = (len(self.elements), carrier.size, dim)
-        self.tau = np.asarray(tau, dtype=np.int64)
-        if self.tau.shape != shape[:2]:
-            raise ValueError(f"tau of shape {self.tau.shape}, expected {shape[:2]}")
-        if self.perm is not None or self.signs is not None:
-            twist_shapes = (np.shape(self.perm), np.shape(self.signs))
-            if twist_shapes != (shape, shape):
-                raise ValueError(f"twist of shapes {twist_shapes}, expected {shape}")
-            # one block map over the blocks of every row checks every twist
-            flat = (self.tau.size, self.dim)
-            twist = BlockMap(self.tau.ravel(), *(np.reshape(t, flat) for t in (self.perm, self.signs)))
-            self.perm, self.signs = twist.perm.reshape(shape), twist.signs.reshape(shape)
+        (self.tau, _, _), bad = IsometryStack(tau, None, None).checked(shape[:2])
+        if isinstance(bad, tuple):
+            raise ValueError(f"tau of shape {bad}, expected {shape[:2]}")
+        if bad is not None:
+            raise ValueError(f"tau row {bad} is not a permutation of {carrier.size} blocks")
+        self.perm = self.signs = None
+        if perm is not None or signs is not None:
+            # a missing half of the twist reads as an array of shape ()
+            twist = IsometryStack(np.asarray(perm), np.asarray(signs), None)
+            (self.perm, self.signs, _), bad = twist.checked(shape)
+            if isinstance(bad, tuple):
+                raise ValueError(f"twist of shape {bad}, expected {shape}")
+            if bad is not None:
+                i, z = divmod(bad, carrier.size)
+                raise ValueError(f"twist of row {i} at block {z} is not a signed permutation")
 
-    def image(self, x: int) -> BlockMap:
+    def image(self, x: int) -> IsometryStack:
+        """sigma(x) as one row of dimension blocks * dim, whose flat perm at
+        coordinate k of block z is ``tau[i, z] * dim + perm[i, z, k]``."""
         i = _row(self.elements, x)
         if i is None:
-            return BlockMap(np.arange(self.carrier.size))
-        twist = (None, None) if self.perm is None else (self.perm[i], self.signs[i])
-        return _unchecked(BlockMap, self.tau[i], *twist)
+            return IsometryStack.identity(1, self.carrier.size * self.dim)
+        twist = np.arange(self.dim) if self.perm is None else self.perm[i]
+        perm = (self.tau[i] * self.dim)[:, None] + twist
+        signs = np.ones_like(perm) if self.signs is None else self.signs[i]
+        return IsometryStack(perm.reshape(1, -1), signs.reshape(1, -1), np.zeros((1, perm.size)))
 
 
 class LocalCocycle:
@@ -349,9 +286,9 @@ class LiftedCocycle:
             return np.zeros((self.base.carrier.size, self.base.dim))
         return self.base.value(project_to_level(self.chain, g, self.level))
 
-    def sigma(self, g) -> BlockMap:
+    def sigma(self, g) -> IsometryStack:
         if ambient_word_length(self.chain, g) >= self.r:
-            return BlockMap(np.arange(self.base.carrier.size))
+            return IsometryStack.identity(1, self.base.carrier.size * self.base.dim)
         return self.base.companion.image(project_to_level(self.chain, g, self.level))
 
     def norm(self, g) -> float:
@@ -461,7 +398,7 @@ def verify_local_action(
         moved = np.take(rows, flat, axis=0, out=gathered[: len(x)], mode="clip")
         same = (T[at] == T[xy]).all(axis=1)
         if P is not None:
-            # x's twist at z, after y's at tau_x[z] in the composite, as in BlockMap.compose
+            # x's twist at z, after y's at tau_x[z] in the composite, as in IsometryStack.after
             moved = S[x] * np.take_along_axis(moved, P[x], axis=2)
             perm = np.take_along_axis(P[at], P[x], axis=2)
             signs = S[x] * np.take_along_axis(S[at], P[x], axis=2)

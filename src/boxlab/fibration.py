@@ -109,19 +109,16 @@ class FibredEmbedding:
         stack = self.trivialization(sets, int(r))
         if not isinstance(stack, IsometryStack):
             raise TypeError(f"oracle returned {type(stack).__name__}, not an IsometryStack")
-        stack = IsometryStack.cast(stack)
-        shape = (len(members), self.dim)
-        for a in stack:
-            if a.shape != shape:
-                raise ValueError(
-                    f"oracle returned rows of shape {a.shape} for {len(members)} points;"
-                    f" the fibration lives in dimension {self.dim}"
-                )
-        valid = stack.signed_permutations()
-        if not valid.all():
+        stack, bad = stack.checked((len(members), self.dim))
+        if isinstance(bad, tuple):
+            raise ValueError(
+                f"oracle returned rows of shape {bad} for {len(members)} points;"
+                f" the fibration lives in dimension {self.dim}"
+            )
+        if bad is not None:
             raise ValueError(
                 "oracle returned a row that is not a signed permutation at"
-                f" {format_point(members[int(np.argmin(valid))])}"
+                f" {format_point(members[bad])}"
             )
         return stack, stack.apply(self._section_rows[where])
 
@@ -172,18 +169,16 @@ class ProperAction:
         stack = self.rule(rows)
         if not isinstance(stack, IsometryStack):
             raise ActionCheckError(f"rule returned {type(stack).__name__}, not an IsometryStack")
-        stack = IsometryStack.cast(stack)
-        for a in stack:
-            if a.shape != (len(rows), self.dim):
-                raise ActionCheckError(
-                    f"rule returned rows of shape {a.shape} for {len(rows)} elements;"
-                    f" the action lives in dimension {self.dim}"
-                )
-        valid = stack.signed_permutations()
-        if not valid.all():
+        stack, bad = stack.checked((len(rows), self.dim))
+        if isinstance(bad, tuple):
+            raise ActionCheckError(
+                f"rule returned rows of shape {bad} for {len(rows)} elements;"
+                f" the action lives in dimension {self.dim}"
+            )
+        if bad is not None:
             raise ActionCheckError(
                 "rule returned a row that is not a signed permutation at"
-                f" {tuple(rows[int(np.argmin(valid))].tolist())}"
+                f" {tuple(rows[bad].tolist())}"
             )
         return stack
 

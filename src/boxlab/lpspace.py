@@ -4,8 +4,8 @@ For p other than 2 the linear isometries of finite-dimensional l^p are the
 signed permutations of the coordinates (Lamperti 1958), which are isometries
 for every p; they are the only linear parts.  ``IsometryStack`` holds many
 isometries of one space as arrays, one per row; it is the one isometry type.
-Rows are validated once, where a caller hands them in (a proper action's rule,
-a fibration's oracle): ``inverse`` and ``after`` results are valid by
+Rows are validated once, by ``checked``, where a caller hands them in (a
+rule, an oracle, block maps): ``inverse`` and ``after`` results are valid by
 construction.  The one composition kernel, ``after``, composes chosen rows of
 two stacks by gathering through flat indices; verifiers invert a stack once
 and derive every transition between its rows from that inverse.
@@ -56,14 +56,6 @@ def lp_norm(values, p, axis=None):
     return (arr**p).sum(axis=axis) ** (1.0 / p)
 
 
-def _unchecked(cls, *values):
-    """Build ``cls`` from slot values already known to be valid, skipping ``__init__``."""
-    new = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        setattr(new, name, value)
-    return new
-
-
 class IsometryStack(NamedTuple):
     """Isometries v -> signs * v[perm] + translation of one space, one per row.
 
@@ -78,23 +70,31 @@ class IsometryStack(NamedTuple):
 
     @classmethod
     def identity(cls, rows: int, dim: int) -> "IsometryStack":
-        shape = (rows, dim)
-        return cls(
-            np.tile(np.arange(dim, dtype=np.int64), (rows, 1)),
-            np.ones(shape, dtype=np.int64),
-            np.zeros(shape, dtype=np.float64),
-        )
+        perm = np.tile(np.arange(dim, dtype=np.int64), (rows, 1))
+        return cls(perm, np.ones_like(perm), np.zeros(perm.shape))
 
-    @classmethod
-    def cast(cls, stack: "IsometryStack") -> "IsometryStack":
-        """``stack`` with int64 ``perm`` and ``signs`` and a float64 ``translation``."""
+    def checked(self, shape: tuple) -> tuple["IsometryStack", tuple | int | None]:
+        """This stack cast to int64 ``perm`` and ``signs`` and float64 ``translation``
+        (None fields stay None), and the first fault: None, the shape of a field
+        not of ``shape``, or the flat index of the first row along the last axis
+        with a non-integer entry, a perm not a permutation of ``range(shape[-1])``
+        or a sign other than +1 and -1.  Translations are only cast.
+        """
+        fields = [None if a is None else np.asarray(a) for a in self]
+        wrong = next((a.shape for a in fields if a is not None and a.shape != shape), None)
+        if wrong is not None:
+            return self, wrong
         dtypes = (np.int64, np.int64, np.float64)
-        return cls(*(np.asarray(a, dtype=t) for a, t in zip(stack, dtypes)))
-
-    def signed_permutations(self) -> np.ndarray:
-        """Rows whose linear part is a signed permutation."""
-        valid = (np.sort(self.perm, axis=1) == np.arange(self.perm.shape[-1])).all(axis=1)
-        return valid & (np.abs(self.signs) == 1).all(axis=1)
+        with np.errstate(invalid="ignore"):  # a NaN or inf entry casts to garbage, caught below
+            cast = [a if a is None else a.astype(t, copy=False) for a, t in zip(fields, dtypes)]
+        perm, signs, _ = cast
+        valid = (np.sort(perm, axis=-1) == np.arange(shape[-1])).all(axis=-1)
+        if signs is not None:
+            valid &= (np.abs(signs) == 1).all(axis=-1)
+        for a, b in zip(fields, cast[:2]):
+            if b is not None and not np.can_cast(a.dtype, np.int64):  # float or uint64 input
+                valid &= (b == a).all(axis=-1)
+        return IsometryStack(*cast), None if valid.all() else int(np.argmin(valid.ravel()))
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         """Row k applied to ``vectors[k]``."""

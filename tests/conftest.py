@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import boxlab as bl
 from boxlab.lpspace import IsometryStack
@@ -57,6 +60,45 @@ def served_dict(fib, C, r) -> dict:
     C = tuple(C)
     stack, _ = fib.trivialize([C], r)
     return {pt: row_isometry(fib.p, stack, k) for k, pt in enumerate(C)}
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def non_finite_controls(data, top: int):
+    """Identity controls on 0..top with NaN or +-inf drawn into random samples of
+    either side, and whether both sides stay nondecreasing, as the verifiers ask."""
+    sides = [{t: float(t) for t in range(top + 1)} for _ in range(2)]
+    entries = st.tuples(st.integers(0, 1), st.integers(0, top), NON_FINITE)
+    for side, t, value in data.draw(st.lists(entries, max_size=3)):
+        sides[side][t] = value
+    monotone = all(all(a <= b for a, b in zip(s.values(), list(s.values())[1:])) for s in sides)
+    return sides[0], sides[1], monotone
+
+
+def non_finite_translations(data, base, points):
+    """``base``'s trivialization with NaN or +-inf drawn into the translation of
+    random points, the same row wherever a point is served."""
+    entries = st.tuples(st.sampled_from(points), st.integers(0, base.dim - 1), NON_FINITE)
+    corrupt = data.draw(st.lists(entries, min_size=1, max_size=3))
+
+    def serve(C, r):
+        out = served_dict(base, C, r)
+        for pt, c, value in corrupt:
+            if pt in out:
+                shift = out[pt].translation.copy()
+                shift[c] = value
+                out[pt] = AffineIsometry(base.p, out[pt].linear, shift)
+        return out
+
+    return bl.FibredEmbedding(
+        space=base.space,
+        p=base.p,
+        dim=base.dim,
+        section=base.section,
+        exclusion=base.exclusion,
+        trivialization=stacked(serve, base.dim),
+    )
 
 
 def twisted_rule(rank, p):

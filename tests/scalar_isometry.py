@@ -8,9 +8,17 @@ from them.
 
 import numpy as np
 
-from boxlab.lpspace import IsometryStack, _check_p, _unchecked
+from boxlab.lpspace import IsometryStack, _check_p
 
 _TOL = 1e-9
+
+
+def _unchecked(cls, *values):
+    """Build ``cls`` from slot values already known to be valid, skipping ``__init__``."""
+    new = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        setattr(new, name, value)
+    return new
 
 
 class SignedPermutation:

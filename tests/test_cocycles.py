@@ -1,13 +1,24 @@
 """Averaged cocycles, scale-local cocycles, lifts, families."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boxlab as bl
 from boxlab.boxspace import BoxPoint
-from boxlab.cocycles import BlockMap, LocalRepresentation, QuotientCarrier
+from boxlab.cocycles import LocalRepresentation, QuotientCarrier
 from boxlab.errors import ActionCheckError, InvalidArgumentError
-from conftest import served_dict, stacked, twisted_action
+from boxlab.lpspace import IsometryStack
+from conftest import (
+    non_finite_controls,
+    non_finite_translations,
+    served_dict,
+    stacked,
+    twisted_action,
+)
 from scalar_isometry import AffineIsometry, SignedPermutation
 
 
@@ -31,7 +42,7 @@ def _zero_cocycle(q, r):
 
 
 def _loop_check(rep, coc, mode="atol", tolerance=1e-9):
-    """The per-pair check: one apply, compose and equals per live pair, x-major.
+    """The per-pair check: one apply, after and differs on image rows per live pair, x-major.
 
     Returns the pair count and the identity and representation witnesses.
     """
@@ -42,14 +53,15 @@ def _loop_check(rep, coc, mode="atol", tolerance=1e-9):
     for x, y in pairs:
         xy = q.mult(x, y)
         lhs = coc.value(xy)
-        rhs = rep.image(x).apply(coc.value(y)) + coc.value(x)
+        moved = rep.image(x).apply(coc.value(y).reshape(1, -1)).reshape(lhs.shape)
+        rhs = moved + coc.value(x)
         if mode == "exact":
             ok = np.array_equal(lhs, rhs)
         else:
             ok = np.allclose(lhs, rhs, rtol=0.0, atol=tolerance)
         if not ok:
             identity.append((x, y, float(np.max(np.abs(lhs - rhs)))))
-        if not rep.image(x).compose(rep.image(y)).equals(rep.image(xy)):
+        if rep.image(x).after(rep.image(y), [0], [0]).differs(rep.image(xy), 0.0)[0]:
             representation.append((x, y))
     return len(pairs), identity, representation
 
@@ -65,99 +77,116 @@ def _assert_matches_loop(rep, coc, mode="atol", tolerance=1e-9):
     return report
 
 
+def _representation(tau, perm=None, signs=None, dim=1):
+    """A global representation of Z/len(tau) with the given block maps."""
+    carrier = QuotientCarrier(bl.CyclicQuotient([len(tau)]))
+    return LocalRepresentation(carrier, 1.0, dim, None, tau, perm=perm, signs=signs)
+
+
 class TestBlockMap:
+    """sigma(x) is a block map: it moves block tau[z] to block z and twists it by
+    a signed permutation, held as one ``IsometryStack`` row of dimension blocks * dim."""
+
     def test_permutation_action(self):
-        tau = np.array([1, 2, 0])
-        bm = BlockMap(tau)
-        blocks = np.array([[1.0], [2.0], [3.0]])
-        assert np.array_equal(bm.apply(blocks), np.array([[2.0], [3.0], [1.0]]))
+        rep = _representation([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+        blocks = np.array([[1.0, 2.0, 3.0]])
+        assert np.array_equal(rep.image(1).apply(blocks), np.array([[2.0, 3.0, 1.0]]))
 
     def test_twisted_action(self):
-        # block 0 flips the sign, block 1 is the identity
-        bm = BlockMap(np.array([1, 0]), [[0], [0]], [[-1], [1]])
-        out = bm.apply(np.array([[2.0], [5.0]]))
-        assert np.array_equal(out, np.array([[-5.0], [2.0]]))
+        # for x = 1, block 0 flips the sign, block 1 is the identity
+        rep = _representation([[0, 1], [1, 0]], np.zeros((2, 2, 1)), [[[1], [1]], [[-1], [1]]])
+        out = rep.image(1).apply(np.array([[2.0, 5.0]]))
+        assert np.array_equal(out, np.array([[-5.0, 2.0]]))
 
     def test_compose_matches_sequential(self):
         rng = np.random.default_rng(0)
         size, dim = 6, 2
         for _ in range(20):
-            a = BlockMap(rng.permutation(size))
-            b = BlockMap(rng.permutation(size))
-            blocks = rng.normal(size=(size, dim))
-            assert np.array_equal(a.compose(b).apply(blocks), a.apply(b.apply(blocks)))
+            rep = _representation([rng.permutation(size) for _ in range(size)], dim=dim)
+            x, y = rng.integers(size, size=2)
+            blocks = rng.normal(size=(1, size * dim))
+            a, b = rep.image(x), rep.image(y)
+            assert np.array_equal(a.after(b, [0], [0]).apply(blocks), a.apply(b.apply(blocks)))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_twisted_matches_per_block_signed_permutations(self, seed):
+        """Block z of sigma(x) is x's twist at z applied to block tau_x[z], and
+        sigma(x) after sigma(y) is, block by block, x's map at z after y's at
+        tau_x[z], as ``SignedPermutation`` says."""
         rng = np.random.default_rng(seed)
         size, dim = 7, 3
-
-        def random_map(twisted):
-            tau = rng.permutation(size)
-            if not twisted:
-                return BlockMap(tau), [SignedPermutation.identity(dim)] * size
-            perm = np.array([rng.permutation(dim) for _ in range(size)])
-            signs = np.where(rng.random((size, dim)) < 0.5, -1, 1)
-            return BlockMap(tau, perm, signs), [SignedPermutation(*row) for row in zip(perm, signs)]
-
-        for twist_a, twist_b in [(True, True), (True, False), (False, True), (False, False)]:
-            a, maps_a = random_map(twist_a)
-            b, maps_b = random_map(twist_b)
-            blocks = rng.normal(size=(size, dim))
-            # block z of a.apply is maps_a[z] applied to block tau[z]
-            want = np.stack([m.apply(blocks[t]) for m, t in zip(maps_a, a.tau)])
-            assert a.apply(blocks).tobytes() == want.tobytes()
-            ab = a.compose(b)
-            assert ab.tau.tolist() == b.tau[a.tau].tolist()
-            composed = [maps_a[z].compose(maps_b[a.tau[z]]) for z in range(size)]
-            expected = BlockMap(
-                ab.tau, [m.perm for m in composed], [m.signs for m in composed]
-            )
-            assert ab.equals(expected) and expected.equals(ab)
-            assert ab.apply(blocks).tobytes() == a.apply(b.apply(blocks)).tobytes()
-            assert ab.equals(ab) and a.equals(a)
-            assert a.equals(BlockMap(a.tau)) == (not twist_a)
-            assert BlockMap(a.tau).equals(a) == (not twist_a)
-            assert not ab.equals(BlockMap(np.roll(ab.tau, 1), ab.perm, ab.signs))
-            if twist_a:
-                flipped = a.signs.copy()
-                flipped[rng.integers(size), rng.integers(dim)] *= -1
-                assert not a.equals(BlockMap(a.tau, a.perm, flipped))
+        tau = np.array([rng.permutation(size) for _ in range(size)])
+        perm = np.array([[rng.permutation(dim) for _ in range(size)] for _ in range(size)])
+        signs = np.where(rng.random((size, size, dim)) < 0.5, -1, 1)
+        twisted = _representation(tau, perm, signs, dim)
+        twists = [[SignedPermutation(*row) for row in zip(*x)] for x in zip(perm, signs)]
+        plain = _representation(tau, dim=dim)
+        identities = [[SignedPermutation.identity(dim)] * size] * size
+        blocks = rng.normal(size=(size, dim))
+        for rep, maps in ((twisted, twists), (plain, identities)):
+            for x in range(size):
+                row = rep.image(x)
+                assert [a.shape for a in row] == [(1, size * dim)] * 3
+                assert not row.translation.any()
+                want = np.stack([m.apply(blocks[t]) for m, t in zip(maps[x], tau[x])])
+                assert row.apply(blocks.reshape(1, -1)).tobytes() == want.tobytes()
+                for y in range(size):
+                    both = row.after(rep.image(y), [0], [0])
+                    composed = [maps[x][z].compose(maps[y][tau[x, z]]) for z in range(size)]
+                    want_perm = [tau[y, tau[x, z]] * dim + m.perm for z, m in enumerate(composed)]
+                    want_signs = [m.signs for m in composed]
+                    assert both.perm.tolist() == [np.concatenate(want_perm).tolist()]
+                    assert both.signs.tolist() == [np.concatenate(want_signs).tolist()]
 
     def test_identity_twist_equals_untwisted(self):
-        tau = np.array([2, 0, 1])
-        twist = BlockMap(tau, np.tile(np.arange(2), (3, 1)), np.ones((3, 2), dtype=int))
-        assert twist.equals(BlockMap(tau)) and BlockMap(tau).equals(twist)
-
-    @pytest.mark.parametrize(
-        "perm, signs, message",
-        [
-            ([[0, 1], [1, 1]], [[1, 1], [1, 1]], "not a permutation"),
-            ([[0, 1], [1, 0]], [[1, 2], [1, 1]], "signs must be"),
-            ([[0, 1]], [[1, 1]], "for 2 blocks"),
-            ([[0, 1], [1, 0]], None, "given together"),
-        ],
-    )
-    def test_constructor_rejects_bad_twist(self, perm, signs, message):
-        with pytest.raises(ValueError, match=message):
-            BlockMap([1, 0], perm, signs)
+        tau = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+        twist = _representation(tau, np.tile(np.arange(2), (3, 3, 1)), np.ones((3, 3, 2)), dim=2)
+        plain = _representation(tau, dim=2)
+        for x in range(3):
+            assert not twist.image(x).differs(plain.image(x), 0.0)[0]
+            assert twist.image(x).differs(plain.image((x + 1) % 3), 0.0)[0]
 
 
 class TestLocalRepresentation:
     @pytest.mark.parametrize(
         "tau, perm, signs, message",
         [
-            (np.zeros((3, 2)), None, None, "tau of shape"),
-            (np.zeros((2, 2)), np.zeros((2, 2, 2)), None, "twist of shapes"),
-            (np.zeros((2, 2)), np.zeros((2, 2, 1)), np.ones((2, 2, 1)), "twist of shapes"),
-            (np.zeros((2, 2)), np.zeros((2, 2, 2)), np.ones((2, 2, 2)), "not a permutation"),
-            (np.zeros((2, 2)), [[[0, 1]] * 2] * 2, np.full((2, 2, 2), 2), "signs must be"),
+            (np.zeros((3, 2)), None, None, "tau of shape (3, 2), expected (2, 2)"),
+            ([[0, 1], [1, 0]], np.zeros((2, 2, 2)), None, "twist of shape (), expected (2, 2, 2)"),
+            (
+                [[0, 1], [1, 0]], np.zeros((2, 2, 1)), np.ones((2, 2, 1)),
+                "twist of shape (2, 2, 1), expected (2, 2, 2)",
+            ),
+            (
+                [[0, 1], [1, 0]], [[[0, 1]] * 2, [[0, 1], [1, 1]]], np.ones((2, 2, 2)),
+                "twist of row 1 at block 1 is not a signed permutation",
+            ),
+            (
+                [[0, 1], [1, 0]], [[[0, 1]] * 2] * 2, [[[1, 1], [1, 2]], [[1, 1]] * 2],
+                "twist of row 0 at block 1 is not a signed permutation",
+            ),
+            ([[0, 1], [1, 0]], None, np.ones((2, 2, 2)), "twist of shape (), expected (2, 2, 2)"),
+            (
+                [[0, 1], [1, 0]], [[[0, 1]] * 2] * 2, [[[1, 1], [1, 1]], [[1, 1], [1, 1.5]]],
+                "twist of row 1 at block 1 is not a signed permutation",
+            ),
         ],
     )
     def test_representation_rejects_bad_rows(self, tau, perm, signs, message):
         carrier = QuotientCarrier(bl.CyclicQuotient([2]))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             LocalRepresentation(carrier=carrier, p=1.0, dim=2, r=None, tau=tau, perm=perm, signs=signs)
+
+    @pytest.mark.parametrize(
+        "tau",
+        [[[0, 1], [1, 7]], [[0, 1], [0, 0]], [[0, 1], [1, -1]], [[0, 1], [1, 0.6]]],
+        ids=["beyond", "repeated", "negative", "fraction"],
+    )
+    def test_tau_rows_must_permute_the_blocks(self, tau):
+        """Each of these passed the constructor; the first then met an IndexError in
+        ``verify_local_action``, and the others read a wrapped or truncated index."""
+        with pytest.raises(ValueError, match="^tau row 1 is not a permutation of 2 blocks$"):
+            _representation(tau)
 
 
 class TestAveraged:
@@ -210,7 +239,8 @@ class TestAveraged:
         q = bl.CyclicQuotient([5])
         rep, _ = bl.averaged_cocycle(np.zeros((5, 1)), q, 1.0)
         for x in q.elements():
-            tau = rep.image(x).tau
+            # dim 1: the flat perm is tau itself
+            tau = rep.image(x).perm[0]
             for z in q.elements():
                 assert tau[z] == q.mult(z, x)
 
@@ -240,9 +270,8 @@ class TestLocalFromFibration:
             if dist[x] >= 3:
                 assert not coc.live(x)
                 assert np.array_equal(coc.value(x), np.zeros((q.order, 1)))
-                assert coc.companion.image(x).perm is None
-                assert coc.companion.image(x).signs is None
-                assert np.array_equal(coc.companion.image(x).tau, np.arange(q.order))
+                identity = IsometryStack.identity(1, q.order)
+                assert not coc.companion.image(x).differs(identity, 0.0)[0]
 
     def test_matches_negated_averaged_exactly(self, dyadic_space):
         # two independent constructions of the same object, up to sign
@@ -432,7 +461,8 @@ class TestLift:
             for h in range(-3, 4):
                 if abs(g) < 4 and abs(h) < 4 and abs(g + h) < 4:
                     lhs = lifted.value((g + h,))
-                    rhs = lifted.sigma((g,)).apply(lifted.value((h,))) + lifted.value((g,))
+                    moved = lifted.sigma((g,)).apply(lifted.value((h,)).reshape(1, -1))
+                    rhs = moved.reshape(lhs.shape) + lifted.value((g,))
                     assert np.array_equal(lhs, rhs)
 
 
@@ -561,3 +591,42 @@ def test_inconsistent_oracle_names_first_blocks(make_chain, moduli, rank, r, see
     z, zx = _first_inconsistent_blocks(fib, r, level)
     with pytest.raises(ActionCheckError, match=rf"\(blocks {z}, {zx}\)$"):
         bl.local_cocycle_from_fce(fib, r)
+
+
+class TestNonFiniteInput:
+    """NaN and +-inf in served translations and control samples: each verifier
+    raises at the boundary or reports what the per-pair oracles report."""
+
+    # inf - inf in a transition warns, in the stack and in the scalar oracle
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_served_translations(self, line_fibrations, data):
+        base = line_fibrations[data.draw(st.sampled_from([1.0, 2.0]))]
+        r, level = 3, 3  # Z/16, the first level whose radius reaches 2r
+        q = base.space.chain.levels[level]
+        fib = non_finite_translations(data, base, [BoxPoint(level, x) for x in q.elements()])
+        # in dimension 1 both rows at a corrupted point hold the same non-finite
+        # entry, so the transition read there is inf - inf or NaN, a NaN that
+        # differs from everything: localization refuses the oracle
+        z, zx = _first_inconsistent_blocks(fib, r, level)
+        with pytest.raises(ActionCheckError, match=rf"\(blocks {z}, {zx}\)$"):
+            bl.local_cocycle_from_fce(fib, r)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ultraproduct_controls(self, line_fibrations, data):
+        fam = bl.family_from_fce(line_fibrations[1.0], range(2, 5))
+        elements = [(g,) for g in range(-3, 4)]
+        lo, hi, monotone = non_finite_controls(data, 3)
+        if not monotone:
+            with pytest.raises(InvalidArgumentError, match="samples are not nondecreasing$"):
+                bl.ultraproduct_hypothesis_check(fam, elements, lo, hi)
+            return
+        report = bl.ultraproduct_hypothesis_check(fam, elements, lo, hi)
+        for (g, n, seq, upper_ok, lower_ok, _), h in zip(report.rows, elements):
+            norms = {r: fam.members[r].norm(h) for r in fam.scales()}
+            assert (g, n, seq) == (h, abs(h[0]), norms)
+            assert upper_ok == all(v <= hi[n] + 1e-9 for v in norms.values())
+            assert lower_ok == all(v >= lo[n] - 1e-9 for r, v in norms.items() if r > n)
+        assert report.passed == all(row[3] and row[4] for row in report.rows)

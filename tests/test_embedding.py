@@ -12,6 +12,7 @@ import boxlab as bl
 from boxlab.boxspace import BoxPoint, format_point
 from boxlab.embedding import _difference_dtype
 from boxlab.errors import ControlSampleError, InvalidArgumentError
+from conftest import non_finite_controls
 
 
 def single_level_space(make_chain, m):
@@ -42,7 +43,8 @@ def _non_finite_table(space, data):
 
 
 class TestFiniteBoundary:
-    """The public constructors refuse NaN and infinite entries, naming the first point."""
+    """The public constructors refuse NaN and infinite entries, naming the first
+    point; ``verify_coarse`` refuses controls that are not nondecreasing."""
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -66,6 +68,21 @@ class TestFiniteBoundary:
                 exclusion=lambda r: frozenset(),
                 trivialization=lambda sets, r: None,
             )
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_non_finite_controls(self, dyadic_space, data):
+        """``verify_coarse`` refuses non-monotone controls, or reports the loop's witnesses."""
+        f = bl.linf_embedding(dyadic_space)
+        lo, hi, monotone = non_finite_controls(data, dyadic_space.diameter())
+        if not monotone:
+            with pytest.raises(InvalidArgumentError, match="samples are not nondecreasing$"):
+                bl.verify_coarse(f, lo, hi)
+            return
+        report = bl.verify_coarse(f, lo, hi)
+        witnesses = _pair_loop_witnesses(f, lo, hi, 1e-9)
+        assert repr(report.witnesses) == repr(witnesses)
+        assert report.passed == (not witnesses)
 
 
 class TestProfile:

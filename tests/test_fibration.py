@@ -22,6 +22,8 @@ from boxlab.lpspace import IsometryStack
 from conftest import (
     canonical_word,
     cyclic_chain,
+    non_finite_controls,
+    non_finite_translations,
     served_dict,
     stacked,
     twisted_action,
@@ -529,6 +531,39 @@ class TestReportOracle:
         assert bl.verify_fce(fib, 4, lo, hi, mode=mode) == whole
         assert whole.overlap_pairs and whole.overlap_witnesses
         assert gathered and max(gathered) <= max(entries, fib.dim)
+
+
+class TestNonFiniteInput:
+    """NaN and +-inf in served translations and control samples: ``verify_fce``
+    refuses the controls at the boundary or reports what the brute force reports."""
+
+    # inf - inf in a composite translation warns, in the stack and in the oracle
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_report_matches_brute_force(self, data):
+        moduli, rank, build, p, r = data.draw(
+            st.sampled_from(
+                [((4, 8), 1, _line_translation, 2.0, 3), ((4, 8), 2, _torus_translation, 1.0, 2),
+                 ((12,), 1, _trivial_linf, None, 4)]
+            )
+        )
+        space = bl.assemble_box_space(cyclic_chain(*moduli, rank=rank))
+        fib = non_finite_translations(data, build(space, p), space.points())
+        lo, hi, monotone = non_finite_controls(data, space.diameter())
+        mode = data.draw(st.sampled_from(["balls+pairs", "pairs"]))
+        if not monotone:
+            with pytest.raises(InvalidArgumentError, match="samples are not nondecreasing$"):
+                bl.verify_fce(fib, r, lo, hi, mode=mode)
+            return
+        report = bl.verify_fce(fib, r, lo, hi, mode=mode)
+        sets, pairs, compared, vacuous, sandwich, overlap = _brute_force_report(fib, r, lo, hi, mode)
+        assert (report.set_count, report.sandwich_pairs) == (sets, pairs)
+        assert (report.overlap_pairs, report.vacuous_overlaps) == (compared, vacuous)
+        assert report.overlap_witnesses == overlap
+        # repr shows NaN norms, which equal nothing, and every float exactly
+        assert repr(report.sandwich_witnesses) == repr(sandwich)
+        assert report.passed == (not sandwich and not overlap)
 
 
 def reference_serve(space, action):

@@ -1,6 +1,7 @@
 """Norms, isometry stacks, and the scalar isometry oracle they are checked against."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,3 +218,86 @@ def test_empty_stack_has_the_space_dimension():
         bl.translation_action(3, 2.0).act(np.zeros((0, 3), dtype=np.int64)),
     ):
         assert stack.perm.shape == stack.signs.shape == stack.translation.shape == (0, 3)
+
+
+def _fractional(stack):
+    """``stack`` with 0.6 added to every perm entry and every sign scaled by 1.7,
+    which an int64 cast would truncate back to the valid rows."""
+    return stack._replace(perm=stack.perm + 0.6, signs=stack.signs * 1.7)
+
+
+def _fractional_trivialize(make_chain):
+    space = bl.assemble_box_space(make_chain(4, 8))
+    base = bl.trivial_fibration(bl.linf_embedding(space))
+    fib = bl.FibredEmbedding(
+        space=space,
+        p=base.p,
+        dim=base.dim,
+        section=base.section,
+        exclusion=base.exclusion,
+        trivialization=lambda sets, r: _fractional(base.trivialization(sets, r)),
+    )
+    ctrl = bl.identity_controls(range(space.diameter() + 1))
+    with pytest.raises(ValueError, match="^oracle returned a row that is not a signed permutation at L0:0$"):
+        fib.trivialize([space.points()[:2]], 2)
+    # an int64 cast read these rows as the identity, and the check passed
+    with pytest.raises(ValueError, match="not a signed permutation"):
+        bl.verify_fce(fib, 2, ctrl.rho_minus, ctrl.rho_plus)
+
+
+def _fractional_act(make_chain):
+    base = bl.translation_action(1, 2.0)
+    action = bl.ProperAction(2.0, 1, lambda rows: _fractional(base.rule(rows)))
+    with pytest.raises(bl.ActionCheckError, match=r"^rule returned a row that is not a signed permutation at \(0,\)$"):
+        action.act(np.zeros((3, 1), dtype=np.int64))
+
+
+def _fractional_representation(make_chain):
+    carrier = bl.QuotientCarrier(bl.CyclicQuotient([2]))
+    tau = np.array([[0, 1], [1, 0]])
+    twist = IsometryStack(np.zeros((2, 2, 1)), np.ones((2, 2, 1)), None)
+    bad = _fractional(twist)
+    with pytest.raises(ValueError, match="^twist of row 0 at block 0 is not a signed permutation$"):
+        bl.LocalRepresentation(carrier, 1.0, 1, None, tau, perm=bad.perm, signs=twist.signs)
+    with pytest.raises(ValueError, match="^twist of row 0 at block 0 is not a signed permutation$"):
+        bl.LocalRepresentation(carrier, 1.0, 1, None, tau, perm=twist.perm, signs=bad.signs)
+    with pytest.raises(ValueError, match="^tau row 0 is not a permutation of 2 blocks$"):
+        bl.LocalRepresentation(carrier, 1.0, 1, None, tau + 0.6)
+
+
+@pytest.mark.parametrize(
+    "case", [_fractional_trivialize, _fractional_act, _fractional_representation],
+    ids=["trivialize", "act", "representation"],
+)
+def test_non_integer_rows_are_refused(make_chain, case):
+    case(make_chain)
+
+
+@pytest.mark.parametrize("value", [0.5, math.nan, math.inf, -math.inf, 2.0**63])
+@pytest.mark.parametrize("field", ["perm", "signs"])
+def test_row_check_names_the_first_bad_row(field, value):
+    stack = IsometryStack.identity(4, 3)
+    whole = stack._replace(**{field: getattr(stack, field).astype(np.float64)})
+    cast, bad = whole.checked((4, 3))
+    assert bad is None and cast.perm.dtype == cast.signs.dtype == np.int64
+    getattr(whole, field)[2, 1] = value
+    getattr(whole, field)[3, 0] = value
+    assert whole.checked((4, 3))[1] == 2
+    assert whole.checked((4, 2))[1] == (4, 3)
+    unsigned = stack._replace(signs=np.full((4, 3), np.iinfo(np.uint64).max, dtype=np.uint64))
+    assert unsigned.checked((4, 3))[1] == 0  # 2**64 - 1, not the -1 of its int64 cast
+
+
+def test_integer_rows_are_checked_without_a_cast():
+    """Integer input costs the permutation sort and one boolean per entry, and no
+    int64 copy for the integrality check."""
+    rows, dim = 2000, 64
+    stack = IsometryStack.identity(rows, dim)
+    tracemalloc.start()
+    try:
+        cast, bad = stack.checked((rows, dim))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bad is None and cast.perm is stack.perm and cast.signs is stack.signs
+    assert peak <= 10 * rows * dim

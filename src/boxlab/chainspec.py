@@ -23,7 +23,8 @@ from pathlib import Path
 
 from .errors import BoxlabError, SpecFormatError
 from .groups import (
-    MAX_POINTS, AmbientGroup, GroupChain, _check_point_cap, build_chain, build_quotient
+    MAX_POINTS, AmbientGroup, GroupChain, _check_point_cap, _non_integer, build_chain,
+    build_quotient,
 )
 
 __all__ = ["MAX_POINTS", "parse_chain", "load_chain"]
@@ -60,6 +61,11 @@ def parse_chain(data) -> GroupChain:
         raise SpecFormatError(f"'ambient' missing fields {missing}")
     if not isinstance(level_specs, list) or not level_specs:
         raise SpecFormatError("'levels' must be a non-empty list of quotient specs")
+    bad = _non_integer(ambient_data["rank"])
+    if bad:
+        raise SpecFormatError(
+            f"bad ambient description: field 'rank': {bad[0]!r} is not an integer"
+        )
     try:
         ambient = AmbientGroup(str(ambient_data["family"]), int(ambient_data["rank"]))
     except (TypeError, ValueError) as exc:
@@ -77,7 +83,8 @@ def parse_chain(data) -> GroupChain:
         if not isinstance(maps, list):
             raise SpecFormatError("'connecting_maps' must be a list of index arrays")
         for i, m in enumerate(maps):
-            if not isinstance(m, list) or not all(isinstance(v, int) for v in m):
+            # exactly int: a bool is an int to isinstance
+            if not isinstance(m, list) or not set(map(type, m)) <= {int}:
                 raise SpecFormatError(f"connecting map {i} must be a list of integers")
     try:
         return build_chain(ambient, levels, maps)

@@ -211,15 +211,15 @@ def cmd_build(args) -> int:
             names = [format_point(pt) for pt in space.points()]
             dist = space.distance_matrix()
             cells = [f",{y}," for y in names]
-            ends = [f"{d}\n" for d in range(space.diameter() + 1)]
+            ends = np.array([f"{d}\n" for d in range(space.diameter() + 1)], dtype=object)
             # one matrix row at a time, so the dump never holds all pairs; each
-            # row's (x, ",y,", "d\n") triples are filled by slices, not a Python loop
+            # row's (x, ",y,", "d\n") triples are filled by slices and one gather
             with open(out / "distances.csv", "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("point,point,distance\n")
                 for i, x in enumerate(names[:-1]):
                     parts = [x] * (3 * (len(names) - 1 - i))
                     parts[1::3] = cells[i + 1 :]
-                    parts[2::3] = map(ends.__getitem__, dist[i, i + 1 :].tolist())
+                    parts[2::3] = ends[dist[i, i + 1 :]].tolist()
                     fh.write("".join(parts))
         else:
             print(

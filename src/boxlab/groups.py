@@ -339,17 +339,21 @@ class TableQuotient(MarkedQuotient):
         self._inv_table: np.ndarray | None = None
 
     @classmethod
-    def _trusted(cls, table: np.ndarray, identity: int, gen_images) -> "TableQuotient":
-        """A validated quotient over an int32 table whose construction proves the group law."""
+    def _trusted(
+        cls, table: np.ndarray, identity: int, gen_images, inverse: np.ndarray
+    ) -> "TableQuotient":
+        """A validated quotient over an int32 table whose construction proves the group
+        law, with the int64 array of its inverses, which the construction also gives."""
         q = cls.__new__(cls)
         MarkedQuotient.__init__(q, len(table), identity, gen_images)
-        q.table, q._inv_table, q._validated = table, None, True
+        q.table, q._inv_table, q._validated = table, inverse, True
         return q
 
     def mult_many(self, a, b) -> np.ndarray:
         return self.table[a, b].astype(np.int64)
 
     def inv_many(self, a) -> np.ndarray:
+        # a table from outside is scanned for its inverses, and the scan is its check
         if self._inv_table is None:
             hits = self.table == self.identity
             counts = hits.sum(axis=1)
@@ -394,44 +398,68 @@ def _breadth_first(perms: np.ndarray, start: int):
 def _quotient_from_permutations(degree: int, gens, base: int) -> TableQuotient:
     """Regular representation of a permutation action, simply transitive on an orbit.
 
-    ``table[i]`` is the breadth-first word ``w_i`` of the i-th orbit point,
-    acting on the orbit; ``w_0`` is the identity and ``w_i`` takes the base to
-    the i-th point.  If ``s w_i = w_j`` on the orbit for every generator ``s``
-    and every i, where j is the point ``s`` sends the i-th point to (compared
-    a block of rows at a time), the set W of words is closed under the
-    generators, and so, being finite, under their inverses.  Then W is the
-    group the generators induce on the orbit; its n members send the base to
-    n distinct points, so the action is regular and ``table[i, j]``, the index
-    of ``w_i w_j``, is W's multiplication table.  Associativity, identity,
-    inverses and generation hold by construction, and the quotient is returned
-    validated.  Otherwise the first edge (point i, letter l), in search order,
-    whose ``l w_i`` differs from ``w_{l(i)}`` at a point found before the edge
-    is reported.
+    ``table[i]`` is the breadth-first word ``w_i`` of the i-th orbit point
+    ``p_i``, acting on the orbit; ``w_0`` is the identity and ``w_i`` takes the
+    base ``p_0`` to ``p_i``.  Filling the table is the only pass over n^2
+    entries.  Let ``f_k(i) = w_i(p_k)``, column k of the table; it is defined
+    along the search tree by ``f_k(p_0) = p_k`` and ``f_k(l(q)) = l(f_k(q))``.
 
-    There always is one.  Suppose every edge agrees with its end at the points
-    found before it, and let ``f_k(i) = w_i(p_k)``, column k of the table; the
-    edge (i, l) agrees at ``p_k`` exactly when ``f_k`` commutes with l at i.
-    By induction on k, each ``f_k`` commutes with every letter at every point,
-    which is the comparison above.  ``f_0`` is the identity.  If ``p_k`` was
-    found from a point ``q > 0`` by a letter l, then ``p_a = l(p_0)`` was found
-    earlier, and ``f_k = f_q f_a``: ``f_q`` commutes with the action and takes
-    ``p_0`` to ``p_q``, so ``f_q(w_i(p_a)) = w_i l(p_q) = w_i(p_k)``.  If
-    ``p_k`` was found from ``p_0``, every edge out of another point was
-    searched after it, so ``f_k`` commutes with every letter away from
-    ``p_0``, and at ``p_0`` with each l that moves it (through the edge from
-    ``l(p_0)`` by the inverse letter).  Then ``f_k`` is injective: walk from
-    ``x != y`` with ``f_k(x) = f_k(y)`` by the letters of a shortest path from
-    x to ``p_0``; the two walks stay apart and keep equal images until one
-    reaches ``p_0``, where the other is at some ``z != p_0`` with ``f_k(z) =
-    f_k(p_0)``.  The image of the orbit without ``p_0`` would then be closed
-    under every letter, hence the whole orbit, with one point too few.  So
-    ``l f_k`` and ``f_k l`` are bijections that agree away from ``p_0``, and
-    at ``p_0`` too.
+    Regularity is certified by the centralizer.  Let ``f_s`` be ``f_k`` at
+    ``p_k = s(p_0)``, for each generator s.  If every ``f_s`` commutes with
+    every generator, it commutes with the group G the generators induce on the
+    orbit, so ``f_s(g(p_0)) = g(f_s(p_0))`` and ``f_s`` maps the orbit onto
+    itself: it lies in the centralizer C of G.  The ``f_s`` then reach the
+    whole orbit from ``p_0``, so C is transitive: by induction on m, ``s_1 ...
+    s_m(p_0) = s_1(F(p_0)) = F(s_1(p_0)) = F(f_{s_1}(p_0))``, where ``F =
+    f_{s_m} ... f_{s_2}`` lies in C, and every point is such an image.  An h
+    in G that fixes ``p_0`` then fixes every ``c(p_0) = c(h(p_0)) =
+    h(c(p_0))``, c in C, which is every point: G acts regularly.  (G lies in
+    the centralizer of C, and the centralizer of a transitive group is
+    semiregular: Dixon and Mortimer, *Permutation Groups*, 1996, Theorem
+    4.2A.)  Its n members send the base to n distinct points, so they are the
+    words, and ``table[i, j]``, the index of ``w_i w_j``, is G's
+    multiplication table.  Associativity, identity, inverses and generation
+    hold by construction, and the quotient is returned validated.  If G is
+    regular, ``f_s`` is right multiplication by s, which commutes with G; so
+    the certificate passes exactly when G is regular.  It reads O(n k^2)
+    entries for k generators.
+
+    Inverses follow the tree as well: from ``w_c = l w_q`` for a point c found
+    from q by the letter l, ``w_c^-1 = w_q^-1 l^-1``, the right multiplication
+    by ``l^-1`` of ``w_q``'s inverse.  Right multiplication by s is ``f_s``, and
+    by ``s^-1`` its inverse permutation.
+
+    When the certificate fails, the first edge (point i, letter l), in search
+    order, whose ``l w_i`` differs from ``w_{l(i)}`` at a point found before
+    the edge is reported.  There always is one.  Suppose every edge agrees
+    with its end at the points found before it; the edge (i, l) agrees at
+    ``p_k`` exactly when ``f_k`` commutes with l at i.  By induction on k,
+    each ``f_k`` commutes with every letter at every point, so ``s w_i =
+    w_{s(i)}`` for every generator s and every i: the set W of words is
+    closed under the generators, and so, being finite, under their inverses,
+    and W is the group G with n members, acting regularly, which the
+    certificate would have passed.  For the induction: ``f_0`` is the
+    identity.  If ``p_k`` was found from a point ``q > 0`` by a letter l, then
+    ``p_a = l(p_0)`` was found earlier, and ``f_k = f_q f_a``: ``f_q`` commutes
+    with the action and takes ``p_0`` to ``p_q``, so ``f_q(w_i(p_a)) = w_i
+    l(p_q) = w_i(p_k)``.  If ``p_k`` was found from ``p_0``, every edge out of
+    another point was searched after it, so ``f_k`` commutes with every letter
+    away from ``p_0``, and at ``p_0`` with each l that moves it (through the
+    edge from ``l(p_0)`` by the inverse letter).  Then ``f_k`` is injective:
+    walk from ``x != y`` with ``f_k(x) = f_k(y)`` by the letters of a shortest
+    path from x to ``p_0``; the two walks stay apart and keep equal images
+    until one reaches ``p_0``, where the other is at some ``z != p_0`` with
+    ``f_k(z) = f_k(p_0)``.  The image of the orbit without ``p_0`` would then
+    be closed under every letter, hence the whole orbit, with one point too
+    few.  So ``l f_k`` and ``f_k l`` are bijections that agree away from
+    ``p_0``, and at ``p_0`` too.
     """
     letters = []
     for i, p in enumerate(gens):
         arr = np.asarray(p, dtype=np.int64)
-        if arr.shape != (degree,) or sorted(arr.tolist()) != list(range(degree)):
+        # a range check, then one count per point: a permutation hits every point
+        inside = arr.shape == (degree,) and (not degree or 0 <= arr.min() <= arr.max() < degree)
+        if not inside or not np.bincount(arr, minlength=degree).all():
             raise InvalidGroupError(f"generator {i} is not a permutation of degree {degree}")
         letters += [arr, np.argsort(arr)]
     if not 0 <= base < degree:
@@ -453,18 +481,17 @@ def _quotient_from_permutations(degree: int, gens, base: int) -> TableQuotient:
     rows = max(1, _BLOCK_ENTRIES // n)
     depth = dist[orbit]
     cuts = np.searchsorted(depth, np.arange(1, depth[-1] + 2))
-    for first, last in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+    layers = list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
+    for first, last in layers:
         for start in range(first, last, rows):
             stop = min(start + rows, last)
             points = orbit[start:stop]
             flat = table[position[parent[points]]]
             flat += (letter[points] * n).astype(np.int32)[:, None]
             np.take(moves.ravel(), flat, out=table[start:stop], mode="clip")
-    regular = all(
-        np.array_equal(move[table[start : start + rows]], table[move[start : start + rows]])
-        for start in range(0, n, rows)
-        for move in moves[::2]
-    )
+    gen_images = moves[::2, 0]
+    right = table.T[gen_images]  # f_s for each generator s, one row each
+    regular = all(np.array_equal(move[f], f[move]) for f in right for move in moves[::2])
     if not regular:
         # not regular: the first (orbit point, letter) edge, taken in search
         # order, whose word differs from its end's on the orbit points found
@@ -482,7 +509,34 @@ def _quotient_from_permutations(degree: int, gens, base: int) -> TableQuotient:
             f"orbit of {base} is not simply transitive:"
             f" two words differ on the orbit at point {failure[1]}"
         )
-    return TableQuotient._trusted(table, 0, moves[::2, 0])
+    # steps[l] is right multiplication by the inverse of letter l
+    steps = np.empty((k, n), dtype=np.int64)
+    steps[1::2] = right
+    steps[np.arange(0, k, 2)[:, None], right] = np.arange(n)
+    inverse = np.zeros(n, dtype=np.int64)
+    for first, last in layers:
+        points = orbit[first:last]
+        inverse[first:last] = steps[letter[points], inverse[position[parent[points]]]]
+    return TableQuotient._trusted(table, 0, gen_images, inverse)
+
+
+def _non_integer(value) -> tuple:
+    """``(x,)`` for the first entry x of ``value``, a number or nested lists of
+    numbers, that is not an integer, else ``()``.  A bool is refused, though
+    Python counts it as an int."""
+    if isinstance(value, np.ndarray):
+        value = [] if value.dtype.kind in "iu" else value.tolist()
+    if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= {int}:  # the common case, at C speed
+            return ()
+        for entry in value:
+            bad = _non_integer(entry)
+            if bad:
+                return bad
+        return ()
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return ()
+    return (value,)
 
 
 def build_quotient(spec) -> MarkedQuotient:
@@ -490,7 +544,8 @@ def build_quotient(spec) -> MarkedQuotient:
 
     Recognized kinds: ``cyclic`` (field ``moduli``), ``table`` (fields
     ``mult``, ``identity``, ``gen_images``) and ``permutation`` (fields
-    ``degree``, ``gens``, ``base``).
+    ``degree``, ``gens``, ``base``).  Every field holds integers, or lists of
+    them: a float or a bool anywhere in one is refused, not truncated.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidGroupError(f"quotient spec must be a mapping with a 'kind', got {spec!r}")
@@ -505,6 +560,10 @@ def build_quotient(spec) -> MarkedQuotient:
     missing = [f for f in known[kind] if f not in spec]
     if missing:
         raise InvalidGroupError(f"quotient spec of kind {kind!r} missing fields {missing}")
+    for field in known[kind]:
+        bad = _non_integer(spec[field])
+        if bad:
+            raise InvalidGroupError(f"field {field!r}: {bad[0]!r} is not an integer")
     if kind == "cyclic":
         q: MarkedQuotient = CyclicQuotient(spec["moduli"])
     elif kind == "table":

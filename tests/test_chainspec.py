@@ -117,3 +117,52 @@ def test_point_cap_admits_baseline_chains(data):
     # coarsest level last, so build_chain refuses the chain after it passed the cap
     with pytest.raises(SpecFormatError, match="orders decrease"):
         bl.parse_chain(data)
+
+
+PERMUTATION = {"kind": "permutation", "degree": 4, "gens": [[1, 2, 3, 0]], "base": 0}
+TABLE = {"kind": "table", "mult": [[0, 1], [1, 0]], "identity": 0, "gen_images": [1]}
+
+
+@pytest.mark.parametrize(
+    "level, field, value, shown",
+    [
+        ({"kind": "cyclic", "moduli": [4]}, "moduli", [4.9], "4.9"),
+        ({"kind": "cyclic", "moduli": [4]}, "moduli", [True, 4], "True"),
+        (PERMUTATION, "base", 0.7, "0.7"),
+        (PERMUTATION, "degree", 4.0, "4.0"),
+        (PERMUTATION, "gens", [[1.5, 2, 3, 0.2]], "1.5"),
+        (PERMUTATION, "gens", [[1, 2, 3, False]], "False"),
+        (PERMUTATION, "gens", [[1, 2, 3, "0"]], "'0'"),
+        (TABLE, "mult", [[0, 1], [1, 0.5]], "0.5"),
+        (TABLE, "identity", False, "False"),
+        (TABLE, "gen_images", [1.0], "1.0"),
+    ],
+)
+def test_non_integer_fields_refused(level, field, value, shown):
+    # each of these used to be truncated, or to fail inside the build
+    data = {
+        "ambient": {"family": "free_abelian", "rank": 1},
+        "levels": [{"kind": "cyclic", "moduli": [2]}, {**level, field: value}],
+    }
+    with pytest.raises(SpecFormatError) as exc:
+        bl.parse_chain(data)
+    assert str(exc.value) == f"level 1: field {field!r}: {shown} is not an integer"
+
+
+@pytest.mark.parametrize("rank", [2.7, 1.0, True])
+def test_non_integer_rank_refused(rank):
+    data = json.loads(json.dumps(GOOD))
+    data["ambient"]["rank"] = rank
+    with pytest.raises(SpecFormatError) as exc:
+        bl.parse_chain(data)
+    assert str(exc.value) == f"bad ambient description: field 'rank': {rank!r} is not an integer"
+
+
+def test_bool_connecting_map_refused():
+    data = line(2, 4)
+    data["connecting_maps"] = [[False, True, False, True]]
+    with pytest.raises(SpecFormatError) as exc:
+        bl.parse_chain(data)
+    assert str(exc.value) == "connecting map 0 must be a list of integers"
+    data["connecting_maps"] = [[0, 1, 0, 1]]
+    assert bl.parse_chain(data).connecting_maps[0].tolist() == [0, 1, 0, 1]

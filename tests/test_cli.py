@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from boxlab import cli
+from boxlab.boxspace import assemble_box_space, box_distance, format_point
+from boxlab.chainspec import load_chain
 from boxlab.cli import main
 
 DYADIC = {
@@ -82,6 +84,44 @@ class TestBuild:
         assert rows[0] == "point,point,distance"
         assert "L0:0,L1:0,5" in rows
         assert len(rows) == 1 + 28 * 27 // 2
+
+    def test_distances_match_the_per_pair_oracle(self, tmp_path):
+        # cyclic levels around a permutation level: Z/6 acting regularly on
+        # relabelled points, with point 3 fixed outside the orbit
+        relabel = [4, 0, 5, 2, 6, 1]
+        rotate = [3] * 7
+        for i, point in enumerate(relabel):
+            rotate[point] = relabel[(i + 1) % 6]
+        mixed = {
+            "ambient": {"family": "free_abelian", "rank": 1},
+            "levels": [
+                {"kind": "cyclic", "moduli": [3]},
+                {"kind": "permutation", "degree": 7, "gens": [rotate], "base": 4},
+                {"kind": "cyclic", "moduli": [12]},
+            ],
+        }
+        path, out = tmp_path / "mixed.json", tmp_path / "out"
+        path.write_text(json.dumps(mixed))
+        assert main(["build", "--chain", str(path), "--out", str(out)]) == 0
+        space = assemble_box_space(load_chain(path))
+        points = space.points()
+        assert len(points) == 21
+        want = "point,point,distance\n" + "".join(
+            f"{format_point(x)},{format_point(y)},{box_distance(space, x, y)}\n"
+            for i, x in enumerate(points)
+            for y in points[i + 1 :]
+        )
+        assert (out / "distances.csv").read_bytes() == want.encode()
+
+    def test_fractional_base_is_input_error(self, tmp_path, capsys):
+        # it used to meet an IndexError in the orbit search, and exit 3
+        path = tmp_path / "frac.json"
+        level = {"kind": "permutation", "degree": 4, "gens": [[1, 2, 3, 0]], "base": 0.7}
+        data = {"ambient": {"family": "free_abelian", "rank": 1}, "levels": [level]}
+        path.write_text(json.dumps(data))
+        assert main(["build", "--chain", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: level 0: field 'base': 0.7 is not an integer\n"
 
     def test_reruns_byte_identical(self, chains, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -674,13 +675,18 @@ def loop_orbit_quotient(degree, gens, base):
     return table, tuple(orbit_index[int(p[base])] for p in gens)
 
 
-def perfbench_sl2_levels(seed):
-    """The relabelled SL2(Z/3) and SL2(Z/9) permutation specs of the benchmark corpus."""
+def perfbench_corpus():
+    """The benchmark's chain corpus module, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
-    return corpus.sl2_chain(seed)["levels"]
+    return corpus
+
+
+def perfbench_sl2_levels(seed):
+    """The relabelled SL2(Z/3) and SL2(Z/9) permutation specs of the benchmark corpus."""
+    return perfbench_corpus().sl2_chain(seed)["levels"]
 
 
 def assert_search_matches_loop(q):
@@ -708,6 +714,7 @@ class TestBreadthFirst:
         table, gen_images = loop_orbit_quotient(spec["degree"], spec["gens"], spec["base"])
         assert q.table.tolist() == table.tolist()
         assert q.gen_images == gen_images
+        assert_trusted_passes_light(q)
 
     @pytest.mark.parametrize("seed", [1, 301])
     def test_sl2_levels_match_loop(self, seed):
@@ -790,9 +797,14 @@ class TestBreadthFirst:
 
 
 def assert_trusted_passes_light(q):
-    """A quotient its construction marked validated passes the full check afresh."""
+    """A quotient its construction marked validated passes the full check afresh,
+    and its inverses, found along the search tree, are those the table scan finds."""
     assert q._validated
-    bl.TableQuotient(q.table, 0, q.gen_images).validate()
+    fresh = bl.TableQuotient(q.table, 0, q.gen_images)
+    fresh.validate()
+    every = np.arange(q.order)
+    assert q._inv_table is not None and q._inv_table.dtype == np.int64
+    assert q.inv_many(every).tolist() == fresh.inv_many(every).tolist()
 
 
 def regular_on_orbit(gens, base) -> bool:
@@ -816,6 +828,32 @@ def regular_on_orbit(gens, base) -> bool:
                     fresh.append(g[w])
         frontier = fresh
     return len(seen) == len(points)
+
+
+def closure(table, elements) -> list[int]:
+    """The subgroup of a finite table group that ``elements`` generate, sorted."""
+    found = {0}
+    frontier = [0]
+    while frontier:
+        fresh = {int(table[x, s]) for x in frontier for s in elements} - found
+        found |= fresh
+        frontier = list(fresh)
+    return sorted(found)
+
+
+def coset_action(table, subgroup, gens, rng):
+    """Permutations of the left cosets of ``subgroup`` by left multiplication with
+    each of ``gens``, cosets relabelled at random, and a random coset as the base."""
+    coset = table[:, subgroup].min(axis=1)  # the least element of gH names it
+    reps = np.unique(coset)
+    label = np.full(len(table), -1, dtype=np.int64)
+    label[reps] = rng.permutation(len(reps))
+    perms = []
+    for s in gens:
+        perm = np.empty(len(reps), dtype=np.int64)
+        perm[label[reps]] = label[coset[table[s, reps]]]
+        perms.append(perm.tolist())
+    return perms, int(label[coset[rng.integers(len(table))]])
 
 
 class TestTrustedPermutations:
@@ -845,6 +883,81 @@ class TestTrustedPermutations:
         assert_trusted_passes_light(q)
         want, gen_images = loop_orbit_quotient(n, gens, base)
         assert (q.table.tolist(), q.gen_images) == (want.tolist(), gen_images)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        group=st.sampled_from(["cyclic", "dihedral", "sl2_3"]),
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        extra=st.integers(0, 2),
+    )
+    def test_coset_actions_match_the_loop(self, group, n, seed, extra):
+        # G acting on the cosets of a nontrivial subgroup H: regular exactly when H
+        # is normal, and otherwise with words that agree on many early points
+        rng = np.random.default_rng(seed)
+        if group == "sl2_3":
+            table = bl.build_quotient(sl2_3_spec(rng)).table.astype(np.int64)
+        else:
+            table = relabelled_group(group, max(4, n + n % 2) if group == "dihedral" else n, rng)
+        order = len(table)
+        subgroup = closure(table, rng.choice(np.arange(1, order), size=1 + extra % 2))
+        gens = []
+        while len(closure(table, gens)) < order:
+            gens.append(int(rng.integers(order)))
+        gens += rng.choice(order, size=extra).tolist()
+        perms, base = coset_action(table, subgroup, gens, rng)
+        inverse = np.argmax(table == 0, axis=1)
+        normal = all(
+            set(table[table[g, subgroup], inverse[g]].tolist()) <= set(subgroup)
+            for g in range(order)
+        )
+        assert regular_on_orbit(perms, base) == normal
+        try:
+            want = loop_orbit_quotient(len(perms[0]), perms, base)
+        except InvalidGroupError as exc:
+            with pytest.raises(InvalidGroupError) as got:
+                _quotient_from_permutations(len(perms[0]), perms, base)
+            assert str(got.value) == str(exc)
+            assert not normal
+        else:
+            q = _quotient_from_permutations(len(perms[0]), perms, base)
+            assert (q.table.tolist(), q.gen_images) == (want[0].tolist(), want[1])
+            assert normal and q.order * len(subgroup) == order
+            assert_trusted_passes_light(q)
+
+    def test_loading_sl2_16_holds_one_table_sized_array(self):
+        # the 3072-point level at the point cap: loading it, inverses included,
+        # allocates no array of n^2 entries beside its int32 table
+        spec = perfbench_corpus().sl2_level(16, np.random.default_rng(1))
+        every = np.arange(spec["degree"])
+        tracemalloc.start()
+        try:
+            q = _quotient_from_permutations(spec["degree"], spec["gens"], spec["base"])
+            q.inv_many(every)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = q.order
+        assert n == 3072 and q.table.nbytes == 4 * n * n
+        assert peak < q.table.nbytes + n * n // 2
+
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(-2, n + 1), min_size=max(0, n - 1), max_size=n + 1),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_generators_must_be_permutations(self, case):
+        degree, gen = case
+        if sorted(gen) == list(range(degree)) and degree:
+            _quotient_from_permutations(degree, [gen], 0)
+        elif sorted(gen) != list(range(degree)):
+            with pytest.raises(InvalidGroupError) as exc:
+                _quotient_from_permutations(degree, [gen], 0)
+            assert str(exc.value) == f"generator 0 is not a permutation of degree {degree}"
 
     def test_light_rejects_a_corrupted_sl2_table(self):
         spec = perfbench_sl2_levels(1)[1]

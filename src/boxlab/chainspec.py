@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .errors import BoxlabError, SpecFormatError
 from .groups import (
-    MAX_POINTS, AmbientGroup, GroupChain, _check_point_cap, _non_integer, build_chain,
+    MAX_POINTS, AmbientGroup, GroupChain, _check_point_cap, _field_fault, build_chain,
     build_quotient,
 )
 
@@ -61,11 +61,9 @@ def parse_chain(data) -> GroupChain:
         raise SpecFormatError(f"'ambient' missing fields {missing}")
     if not isinstance(level_specs, list) or not level_specs:
         raise SpecFormatError("'levels' must be a non-empty list of quotient specs")
-    bad = _non_integer(ambient_data["rank"])
-    if bad:
-        raise SpecFormatError(
-            f"bad ambient description: field 'rank': {bad[0]!r} is not an integer"
-        )
+    fault = _field_fault(ambient_data["rank"], 0)
+    if fault:
+        raise SpecFormatError(f"bad ambient description: field 'rank': {fault}")
     try:
         ambient = AmbientGroup(str(ambient_data["family"]), int(ambient_data["rank"]))
     except (TypeError, ValueError) as exc:

@@ -53,8 +53,11 @@ MAX_ALL_POINTS = 16
 class FibredEmbedding:
     """Section + exclusion + trivialization oracle over a box space.
 
-    ``trivialization(sets, r)`` returns one ``IsometryStack`` of this
-    fibration's l^p space with a row per (set, point), sets in order and
+    The section is a mapping from each point to its vector, or a ``(points,
+    dim)`` matrix whose rows follow ``space.points()``; either way it is held
+    as one read-only float64 matrix, and ``section`` maps each point to its
+    row, a view.  ``trivialization(sets, r)`` returns one ``IsometryStack`` of
+    this fibration's l^p space with a row per (set, point), sets in order and
     points in the order each set lists them, or raises
     MissingTrivializationError for the first set it cannot serve.  Verifiers
     only ever request sets of diameter below ``r``, but the oracle may serve
@@ -68,27 +71,36 @@ class FibredEmbedding:
         space: BoxSpace,
         p: float,
         dim: int,
-        section: dict[BoxPoint, np.ndarray],
+        section: dict[BoxPoint, np.ndarray] | np.ndarray,
         exclusion: Callable[[int], frozenset[BoxPoint]],
         trivialization: Callable[[list[SetOfPoints], int], IsometryStack],
         note: str = "",
     ):
         self.space, self.p, self.dim = space, float(p), dim
-        self.section = {pt: np.asarray(v, dtype=np.float64) for pt, v in section.items()}
         self.exclusion, self.trivialization, self.note = exclusion, trivialization, note
-        for pt in self.space.points():
-            v = self.section.get(pt)
-            if v is None:
-                raise ValueError(f"section missing point {format_point(pt)}")
-            if v.shape != (self.dim,):
-                raise ValueError(f"section at {format_point(pt)} has shape {v.shape}")
-        self._section_rows = np.array(
-            [self.section[pt] for pt in self.space.points()], dtype=np.float64
-        ).reshape(-1, self.dim)
-        finite = np.isfinite(self._section_rows).all(axis=1)
+        pts = space.points()
+        if isinstance(section, np.ndarray):
+            if section.shape != (len(pts), dim):
+                raise ValueError(f"section matrix has shape {section.shape}")
+            # a view: marking it read-only leaves the caller's array as it was
+            rows = section.astype(np.float64, copy=False).view()
+        else:
+            rows = np.empty((len(pts), dim))
+            for k, pt in enumerate(pts):
+                v = section.get(pt)
+                if v is None:
+                    raise ValueError(f"section missing point {format_point(pt)}")
+                v = np.asarray(v, dtype=np.float64)
+                if v.shape != (dim,):
+                    raise ValueError(f"section at {format_point(pt)} has shape {v.shape}")
+                rows[k] = v
+        finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
-            pt = self.space.points()[int(np.argmin(finite))]
+            pt = pts[int(np.argmin(finite))]
             raise ValueError(f"section at {format_point(pt)} has a non-finite entry")
+        rows.flags.writeable = False
+        self._section_rows = rows
+        self.section = dict(zip(pts, rows))
 
     def excluded(self, r: int) -> frozenset[BoxPoint]:
         if r < 1:
@@ -137,7 +149,7 @@ def trivial_fibration(f: CoarseEmbeddingMap) -> FibredEmbedding:
         space=f.domain,
         p=f.p,
         dim=f.dim,
-        section={pt: f(pt) for pt in f.domain.points()},
+        section=f.matrix(),
         exclusion=lambda r: frozenset(),
         trivialization=serve,
         note="trivial fibration over a global map",
@@ -295,9 +307,6 @@ def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) ->
         )
     _check_action(chain, action, r_max)
 
-    zero = np.zeros(action.dim)
-    section = {pt: zero.copy() for pt in space.points()}
-
     radius = np.array([chain.radius(i) for i in range(chain.level_count())])
 
     def exclusion(r: int) -> frozenset[BoxPoint]:
@@ -374,7 +383,7 @@ def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) ->
         space=space,
         p=action.p,
         dim=action.dim,
-        section=section,
+        section=np.zeros((space.point_count(), action.dim)),
         exclusion=exclusion,
         trivialization=serve,
         note=f"proper-action fibration ({action.label or 'unlabeled action'})",
@@ -524,6 +533,101 @@ def _segments(weights, budget: int):
     return zip(bounds[:-1], bounds[1:])
 
 
+def _shared_points(sizes, at_point, by_point, rank):
+    """Member rows ``(a, b)`` of one point in two sets, a's set before b's.
+
+    Yielded a segment of sets at a time, by a's row; ``at_point`` counts the
+    rows after each row in its point's incidence list ``by_point`` (the rows
+    of every set holding the point, sets ascending), and ``rank`` is each
+    row's place there.
+    """
+    ends = np.cumsum(sizes)
+    weights = np.bincount(np.repeat(np.arange(len(sizes)), sizes), weights=at_point)
+    for first, stop in _segments(weights, _BATCH_ENTRIES):
+        rows = np.arange(ends[first] - sizes[first], ends[stop - 1])
+        source, step = _fan_out(at_point[rows])
+        a = rows[source]
+        yield a, by_point[rank[a] + step]
+
+
+# a translation entry below this in magnitude keeps every composite of two
+# rows, and so every transition, an exact integer in float64
+_EXACT_BELOW = 2.0**52
+
+
+def _exact(translation: np.ndarray) -> bool:
+    """Every entry a finite integer below ``_EXACT_BELOW`` in magnitude."""
+    # a NaN maximum compares false
+    if not np.abs(translation).max(initial=0.0) < _EXACT_BELOW:
+        return False
+    return np.array_equal(np.rint(translation), translation)
+
+
+def _certified(stack, inverse, where, by_point, in_set, budget: int) -> bool:
+    """Whether q_C(x, y) = s_C(x)^-1 s_C(y) is one isometry over every set C holding
+    both x and y, for each pair of points x before y, compared exactly.
+
+    Then each transition t(x) = s_C1(x) s_C2(x)^-1 is constant on C1 and C2's
+    shared points, since t(x) = t(y) exactly when q_C1(x, y) = q_C2(x, y).
+    Each q is compared with that of the first set holding its pair.  The
+    pairs (u, v) of member rows inside a set are taken by the point of u, a
+    segment of points at a time, so the pairs of one point pair meet in one
+    segment; compositions take ``budget`` pairs at a time.
+    """
+    holders = np.unique(where, return_counts=True)[1]
+    starts = np.cumsum(holders) - holders
+    weights = np.add.reduceat(in_set[by_point], starts)
+    for first, stop in _segments(weights, _BATCH_ENTRIES):
+        rows = by_point[starts[first] : starts[stop - 1] + holders[stop - 1]]
+        source, step = _fan_out(in_set[rows])
+        u = rows[source]
+        v = u + step
+        # by point pair, then by set: rows come by set within a point, and the sort is stable
+        key = where[u] * (int(where.max()) + 1) + where[v]
+        order = np.argsort(key, kind="stable")
+        u, v, key = u[order], v[order], key[order]
+        lead = np.flatnonzero(np.diff(key, prepend=-1))
+        ref = np.repeat(lead, np.diff(lead, append=len(key)))  # each pair's first
+        later = np.flatnonzero(ref != np.arange(len(key)))
+        for k in range(0, len(later), budget):
+            m = later[k : k + budget]
+            q = inverse.after(stack, u[m], v[m])
+            if not all(map(np.array_equal, q, inverse.after(stack, u[ref[m]], v[ref[m]]))):
+                return False
+    return True
+
+
+def _overlap_sweep(stack, inverse, shared, owner, where, tolerance: float, budget: int):
+    """Rows ``(a, b, x)`` naming each set pair whose transition differs, beyond
+    ``tolerance``, at the point of row x from the one at its first shared point
+    (row a, and b of the other set), the first such x.  ``shared`` yields the
+    rows ``_shared_points`` does.
+    """
+    for a, b in shared:
+        # sorted by set pair, then by point
+        order = np.lexsort((where[a], owner[b], owner[a]))
+        a, b = a[order], b[order]
+        size = np.unique(owner[a] * len(owner) + owner[b], return_counts=True)[1]
+        keep = np.repeat(size > 1, size)
+        a, b, size = a[keep], b[keep], size[size > 1]
+        base = np.repeat(np.cumsum(size) - size, size)  # the row of each pair's first point
+        bad = np.zeros(len(a), dtype=bool)
+        for k in range(0, len(a), budget):
+            batch = slice(k, k + budget)
+            trans = stack.after(inverse, a[batch], b[batch])
+            lead = base[batch] - k  # each row's pair's first row, negative before the batch
+            ref = trans.take(np.maximum(lead, 0))
+            if lead[0] < 0:  # a pair begun in an earlier batch: compare with its kept first row
+                for whole, part in zip(ref, head):
+                    whole[lead < 0] = part
+            bad[batch] = trans.differs(ref, tolerance)
+            if lead[-1] >= 0:  # keep the last pair's first row for the next batch
+                head = trans.take(lead[-1:])
+        bad[base == np.arange(len(base))] = False
+        pairs, at = np.unique(base[bad], return_index=True)
+        yield from zip(a[pairs].tolist(), b[pairs].tolist(), a[np.flatnonzero(bad)[at]].tolist())
+
+
 def verify_fce(
     fib: FibredEmbedding,
     r: int,
@@ -541,6 +645,10 @@ def verify_fce(
     InvalidArgumentError); a missing sample raises ControlSampleError.  Two sets
     sharing one point are a vacuous overlap; sets sharing more have their
     transition at every shared point compared with the one at the first.
+    That comparison is certified exactly per point pair by ``_certified``
+    where served translations are small integers and ``tolerance`` is not
+    negative; elsewhere, or on a mismatch, ``_overlap_sweep`` makes it and
+    names the violations.
     """
     _check_tolerance(tolerance)
     _check_nondecreasing(rho_minus, rho_plus)
@@ -591,44 +699,23 @@ def verify_fce(
             for m, n, d, norm, low, high in zip(*(c[bad].tolist() for c in (u, v, t, nrm, lo, hi)))
         ]
 
-    overlap_witnesses = []
-    overlap_pairs = 0
-    vacuous = 0
-    inverse = stack.inverse()
-    weights = np.bincount(owner, weights=at_point, minlength=len(sets))
-    for first, stop in _segments(weights, _BATCH_ENTRIES):
-        # member rows (a, b) of set pairs a < b, a in this segment of sets, at
-        # each shared point; sorted by pair, then by point
-        rows = np.arange(ends[first] - sizes[first], ends[stop - 1])
-        source, step = _fan_out(at_point[rows])
-        a = rows[source]
-        b = by_point[rank[a] + step]
-        order = np.lexsort((where[a], owner[b], owner[a]))
-        a, b = a[order], b[order]
+    overlap_pairs = vacuous = 0
+    for a, b in _shared_points(sizes, at_point, by_point, rank):
         size = np.unique(owner[a] * len(sets) + owner[b], return_counts=True)[1]
+        overlap_pairs += int((size > 1).sum())
         vacuous += int((size == 1).sum())
-        keep = np.repeat(size > 1, size)
-        a, b, size = a[keep], b[keep], size[size > 1]
-        overlap_pairs += len(size)
-        base = np.repeat(np.cumsum(size) - size, size)  # the row of each pair's first point
-        bad = np.zeros(len(a), dtype=bool)
-        for k in range(0, len(a), budget):
-            batch = slice(k, k + budget)
-            trans = stack.after(inverse, a[batch], b[batch])
-            lead = base[batch] - k  # each row's pair's first row, negative before the batch
-            ref = trans.take(np.maximum(lead, 0))
-            if lead[0] < 0:  # a pair begun in an earlier batch: compare with its kept first row
-                for whole, part in zip(ref, head):
-                    whole[lead < 0] = part
-            bad[batch] = trans.differs(ref, tolerance)
-            if lead[-1] >= 0:  # keep the last pair's first row for the next batch
-                head = trans.take(lead[-1:])
-        bad[base == np.arange(len(base))] = False
-        pairs, at = np.unique(base[bad], return_index=True)
-        overlap_witnesses += [
-            (sets[owner[a[m]]], sets[owner[b[m]]], members[a[m]], members[a[n]])
-            for m, n in zip(pairs.tolist(), np.flatnonzero(bad)[at].tolist())
-        ]
+    overlap_witnesses = []
+    if overlap_pairs:
+        inverse = stack.inverse()
+        # the certificate is exact, so it stands for the sweep only where the
+        # sweep's comparisons are exact too and pass on equal transitions
+        exact = tolerance >= 0 and _exact(stack.translation)
+        if not (exact and _certified(stack, inverse, where, by_point, in_set, budget)):
+            shared = _shared_points(sizes, at_point, by_point, rank)
+            overlap_witnesses = [
+                (sets[owner[a]], sets[owner[b]], members[a], members[x])
+                for a, b, x in _overlap_sweep(stack, inverse, shared, owner, where, tolerance, budget)
+            ]
 
     notes = []
     if not sets:

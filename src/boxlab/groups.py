@@ -520,23 +520,32 @@ def _quotient_from_permutations(degree: int, gens, base: int) -> TableQuotient:
     return TableQuotient._trusted(table, 0, gen_images, inverse)
 
 
-def _non_integer(value) -> tuple:
-    """``(x,)`` for the first entry x of ``value``, a number or nested lists of
-    numbers, that is not an integer, else ``()``.  A bool is refused, though
-    Python counts it as an int."""
+def _field_fault(value, depth: int) -> str:
+    """Why ``value`` is not ``depth`` nested lists around integers, '' if it is.
+
+    Depth 0 is an integer, 1 a list of them and 2 a rectangular list of lists
+    of them.  A float or a bool is refused, not truncated, though Python
+    counts a bool as an int.
+    """
     if isinstance(value, np.ndarray):
-        value = [] if value.dtype.kind in "iu" else value.tolist()
-    if isinstance(value, (list, tuple)):
-        if set(map(type, value)) <= {int}:  # the common case, at C speed
-            return ()
-        for entry in value:
-            bad = _non_integer(entry)
-            if bad:
-                return bad
-        return ()
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return ()
-    return (value,)
+        if value.dtype.kind in "iu" and value.ndim == depth:
+            return ""
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)):
+        if depth:
+            return f"{value!r} is not a list{' of lists' if depth > 1 else ''}"
+        ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        return "" if ok else f"{value!r} is not an integer"
+    if not depth:
+        return f"{value!r} is not an integer"
+    if depth == 1 and set(map(type, value)) <= {int}:  # the common case, at C speed
+        return ""
+    fault = next(filter(None, (_field_fault(entry, depth - 1) for entry in value)), "")
+    if not fault and depth == 2:
+        k = next((k for k, row in enumerate(value) if len(row) != len(value[0])), 0)
+        if k:
+            fault = f"row {k} has length {len(value[k])}, row 0 has length {len(value[0])}"
+    return fault
 
 
 def build_quotient(spec) -> MarkedQuotient:
@@ -544,26 +553,27 @@ def build_quotient(spec) -> MarkedQuotient:
 
     Recognized kinds: ``cyclic`` (field ``moduli``), ``table`` (fields
     ``mult``, ``identity``, ``gen_images``) and ``permutation`` (fields
-    ``degree``, ``gens``, ``base``).  Every field holds integers, or lists of
-    them: a float or a bool anywhere in one is refused, not truncated.
+    ``degree``, ``gens``, ``base``).  Each field holds an integer, a list of
+    them or a rectangular list of such lists, as ``_field_fault`` checks.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidGroupError(f"quotient spec must be a mapping with a 'kind', got {spec!r}")
     kind = spec["kind"]
+    # each field's depth of nested lists
     known = {
-        "cyclic": ("moduli",),
-        "table": ("mult", "identity", "gen_images"),
-        "permutation": ("degree", "gens", "base"),
+        "cyclic": {"moduli": 1},
+        "table": {"mult": 2, "identity": 0, "gen_images": 1},
+        "permutation": {"degree": 0, "gens": 2, "base": 0},
     }
     if kind not in known:
         raise InvalidGroupError(f"unknown quotient kind {kind!r}")
     missing = [f for f in known[kind] if f not in spec]
     if missing:
         raise InvalidGroupError(f"quotient spec of kind {kind!r} missing fields {missing}")
-    for field in known[kind]:
-        bad = _non_integer(spec[field])
-        if bad:
-            raise InvalidGroupError(f"field {field!r}: {bad[0]!r} is not an integer")
+    for field, depth in known[kind].items():
+        fault = _field_fault(spec[field], depth)
+        if fault:
+            raise InvalidGroupError(f"field {field!r}: {fault}")
     if kind == "cyclic":
         q: MarkedQuotient = CyclicQuotient(spec["moduli"])
     elif kind == "table":

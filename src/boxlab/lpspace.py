@@ -101,7 +101,9 @@ class IsometryStack(NamedTuple):
         return self.signs * np.take_along_axis(vectors, self.perm, axis=1) + self.translation
 
     def inverse(self) -> "IsometryStack":
-        inv = np.argsort(self.perm, axis=1)
+        # a scatter, O(dim) per row: inv[perm[j]] = j
+        inv = np.empty_like(self.perm)
+        np.put_along_axis(inv, self.perm, np.arange(self.perm.shape[-1]), axis=-1)
         signs = np.take_along_axis(self.signs, inv, axis=1)
         shift = -(signs * np.take_along_axis(self.translation, inv, axis=1))
         return IsometryStack(inv, signs, shift)

@@ -149,6 +149,32 @@ def test_non_integer_fields_refused(level, field, value, shown):
     assert str(exc.value) == f"level 1: field {field!r}: {shown} is not an integer"
 
 
+@pytest.mark.parametrize(
+    "level, field, value, shown",
+    [
+        ({"kind": "cyclic", "moduli": [4]}, "moduli", 5, "5 is not a list"),
+        ({"kind": "cyclic", "moduli": [4]}, "moduli", [[4]], "[4] is not an integer"),
+        (PERMUTATION, "gens", 5, "5 is not a list of lists"),
+        (PERMUTATION, "gens", [1, 2, 3, 0], "1 is not a list"),
+        (PERMUTATION, "gens", [[1, 2, 3, 0], [1, 0]], "row 1 has length 2, row 0 has length 4"),
+        (PERMUTATION, "degree", [4], "[4] is not an integer"),
+        (TABLE, "mult", [[0, 1], [1]], "row 1 has length 1, row 0 has length 2"),
+        (TABLE, "mult", [[[0], [1]], [[1], [0]]], "[0] is not an integer"),
+        (TABLE, "gen_images", 1, "1 is not a list"),
+    ],
+)
+def test_malformed_field_shapes_refused(level, field, value, shown):
+    # a number, a list or a rectangular list of lists, by field; the first three
+    # used to fail inside the build with a TypeError or numpy's ValueError
+    data = {
+        "ambient": {"family": "free_abelian", "rank": 1},
+        "levels": [{"kind": "cyclic", "moduli": [2]}, {**level, field: value}],
+    }
+    with pytest.raises(SpecFormatError) as exc:
+        bl.parse_chain(data)
+    assert str(exc.value) == f"level 1: field {field!r}: {shown}"
+
+
 @pytest.mark.parametrize("rank", [2.7, 1.0, True])
 def test_non_integer_rank_refused(rank):
     data = json.loads(json.dumps(GOOD))

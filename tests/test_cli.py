@@ -123,6 +123,28 @@ class TestBuild:
         err = capsys.readouterr().err
         assert err == f"error: {path}: level 0: field 'base': 0.7 is not an integer\n"
 
+    @pytest.mark.parametrize(
+        "level, message",
+        [
+            ({"kind": "cyclic", "moduli": 5}, "field 'moduli': 5 is not a list"),
+            (
+                {"kind": "permutation", "degree": 4, "gens": 5, "base": 0},
+                "field 'gens': 5 is not a list of lists",
+            ),
+            (
+                {"kind": "table", "mult": [[0, 1], [1]], "identity": 0, "gen_images": [1]},
+                "field 'mult': row 1 has length 1, row 0 has length 2",
+            ),
+        ],
+    )
+    def test_malformed_level_shape_is_input_error(self, tmp_path, capsys, level, message):
+        # each used to fail inside the build with a TypeError or ValueError, and exit 3
+        path = tmp_path / "shape.json"
+        data = {"ambient": {"family": "free_abelian", "rank": 1}, "levels": [level]}
+        path.write_text(json.dumps(data))
+        assert main(["build", "--chain", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: level 0: {message}\n"
+
     def test_reruns_byte_identical(self, chains, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["build", "--chain", chains["dyadic"], "--out", str(a)])

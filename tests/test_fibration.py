@@ -4,6 +4,7 @@ import functools
 import importlib.util
 import itertools
 import math
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxlab as bl
-from boxlab.boxspace import BoxPoint
+from boxlab.boxspace import BoxPoint, format_point
 from boxlab.errors import ActionCheckError, InvalidArgumentError, MissingTrivializationError
 from boxlab import fibration
 from boxlab.fibration import _candidate_sets, _check_action
@@ -72,6 +73,60 @@ class TestTrivialFibration:
         ident = identity_isometry(fib.p, fib.dim)
         for iso in triv.values():
             assert iso.close_to(ident, 0.0)
+
+
+    def test_section_is_one_read_only_matrix(self, dyadic_space):
+        f = bl.linf_embedding(dyadic_space)
+        fib = bl.trivial_fibration(f)
+        rows = fib._section_rows
+        # the embedding's own matrix, not a copy, and a row view per point
+        assert np.shares_memory(rows, f.matrix()) and not rows.flags.writeable
+        for k, pt in enumerate(dyadic_space.points()):
+            assert np.shares_memory(fib.section[pt], rows)
+            assert np.array_equal(fib.section[pt], rows[k])
+        # a matrix from outside is held as it is, and stays writeable for its owner
+        mat = f.matrix().copy()
+        held = bl.FibredEmbedding(
+            dyadic_space, f.p, f.dim, mat, fib.exclusion, fib.trivialization
+        )
+        assert np.shares_memory(held._section_rows, mat) and mat.flags.writeable
+        assert not held._section_rows.flags.writeable
+        # a mapping is copied into one matrix
+        table = {pt: v.copy() for pt, v in f.table.items()}
+        copied = bl.FibredEmbedding(
+            dyadic_space, f.p, f.dim, table, fib.exclusion, fib.trivialization
+        )
+        assert np.array_equal(copied._section_rows, rows)
+        assert not copied._section_rows.flags.writeable
+        with pytest.raises(ValueError, match=r"^section matrix has shape \(28, 27\)$"):
+            bl.FibredEmbedding(
+                dyadic_space, f.p, f.dim, mat[:, 1:], fib.exclusion, fib.trivialization
+            )
+
+    def test_non_finite_section_matrix_refused(self, dyadic_space):
+        mat = bl.linf_embedding(dyadic_space).matrix().copy()
+        mat[7, 3] = np.inf
+        first = format_point(dyadic_space.points()[7])
+        with pytest.raises(ValueError, match=rf"^section at {first} has a non-finite entry$"):
+            bl.trivial_fibration(bl.CoarseEmbeddingMap._of_matrix(dyadic_space, math.inf, mat))
+
+    def test_trivial_fibration_adds_no_matrix(self):
+        """On the 1984-point line, dim 1984, the fibration holds the embedding's
+        31 MB matrix; it used to copy it into a second one."""
+        space = bl.assemble_box_space(cyclic_chain(*(2**k for k in range(6, 11))))
+        f = bl.linf_embedding(space)
+        lo, hi = identity_pair(space.diameter())
+        tracemalloc.start()
+        try:
+            fib = bl.trivial_fibration(f)
+            report = bl.verify_fce(fib, 2, lo, hi, mode="balls")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.matrix().nbytes == 8 * 1984**2
+        assert report.passed and report.set_count == 0
+        # the finiteness check's boolean temporary is an eighth of a matrix
+        assert peak < f.matrix().nbytes // 4
 
 
 class TestProperActionFibration:
@@ -416,49 +471,73 @@ def _trivial_plane(space, p):
     return bl.trivial_fibration(bl.cycle_plane_embedding(space, p))
 
 
+def _trivial_torus(space, p):
+    return bl.trivial_fibration(bl.torus_coordinate_embedding(space, p))
+
+
+def _assert_report_matches_brute_force(fib, space, r, mode):
+    """The whole report of ``fib`` at tight controls equals the brute force's;
+    returns the brute force's count of compared set pairs and its overlap witnesses."""
+    top = space.diameter() + 1
+    # tight controls around t make the sandwich bite at some distances
+    lo = {t: 0.5 * t for t in range(top)}
+    hi = {t: 1.0 * t for t in range(top)}
+    report = bl.verify_fce(fib, r, lo, hi, mode=mode)
+    sets, pairs, compared, vacuous, sandwich, overlap = _brute_force_report(fib, r, lo, hi, mode)
+    assert (report.set_count, report.sandwich_pairs) == (sets, pairs)
+    assert (report.overlap_pairs, report.vacuous_overlaps) == (compared, vacuous)
+    assert report.overlap_witnesses == overlap
+    if fib.p in (1.0, 2.0, math.inf):
+        assert report.sandwich_witnesses == sandwich
+    else:
+        # other exponents take the root in numpy's array power, which may
+        # differ from the scalar power in the last bit
+        assert [w[:4] + w[5:] for w in report.sandwich_witnesses] == [
+            w[:4] + w[5:] for w in sandwich
+        ]
+        for got, want in zip(report.sandwich_witnesses, sandwich):
+            assert got[4] == pytest.approx(want[4], rel=1e-15, abs=0.0)
+    assert report.passed == (not sandwich and not overlap)
+    return compared, overlap
+
+
+_ORACLE_CASES = pytest.mark.parametrize(
+    "moduli, rank, build, p, r, mode",
+    [
+        ((2, 4), 1, _trivial_linf, None, 4, "all"),
+        ((12,), 1, _trivial_linf, None, 4, "all"),
+        ((2, 4, 12), 1, _line_translation, 1.0, 3, "all"),
+        ((4, 8, 16), 1, _line_translation, 2.0, 3, "balls+pairs"),
+        ((4, 8), 2, _torus_translation, 2.0, 2, "balls+pairs"),
+        ((4, 12), 2, _torus_translation, 1.0, 3, "balls"),
+        ((4, 8), 1, _trivial_linf, None, 5, "balls+pairs"),
+        ((8, 16), 1, _trivial_plane, 3.0, 4, "balls+pairs"),
+    ],
+)
+
+
 class TestReportOracle:
     """The whole FceReport against the brute force, on clean and corrupted oracles."""
 
-    @pytest.mark.parametrize(
-        "moduli, rank, build, p, r, mode",
-        [
-            ((2, 4), 1, _trivial_linf, None, 4, "all"),
-            ((12,), 1, _trivial_linf, None, 4, "all"),
-            ((2, 4, 12), 1, _line_translation, 1.0, 3, "all"),
-            ((4, 8, 16), 1, _line_translation, 2.0, 3, "balls+pairs"),
-            ((4, 8), 2, _torus_translation, 2.0, 2, "balls+pairs"),
-            ((4, 12), 2, _torus_translation, 1.0, 3, "balls"),
-            ((4, 8), 1, _trivial_linf, None, 5, "balls+pairs"),
-            ((8, 16), 1, _trivial_plane, 3.0, 4, "balls+pairs"),
-        ],
-    )
+    @_ORACLE_CASES
     @pytest.mark.parametrize("rate", [0.0, 0.04, 0.15])
     def test_report_matches_brute_force(self, make_chain, moduli, rank, build, p, r, mode, rate):
+        """Real gauges, with offsets within and beyond the tolerance, take the sweep."""
         space = bl.assemble_box_space(make_chain(*moduli, rank=rank))
         fib = _gauged(build(space, p), rate)
-        top = space.diameter() + 1
-        # tight controls around t make the sandwich bite at some distances
-        lo = {t: 0.5 * t for t in range(top)}
-        hi = {t: 1.0 * t for t in range(top)}
-        report = bl.verify_fce(fib, r, lo, hi, mode=mode)
-        sets, pairs, compared, vacuous, sandwich, overlap = _brute_force_report(
-            fib, r, lo, hi, mode
-        )
-        assert (report.set_count, report.sandwich_pairs) == (sets, pairs)
-        assert (report.overlap_pairs, report.vacuous_overlaps) == (compared, vacuous)
-        assert report.overlap_witnesses == overlap
-        if fib.p in (1.0, 2.0, math.inf):
-            assert report.sandwich_witnesses == sandwich
-        else:
-            # other exponents take the root in numpy's array power, which may
-            # differ from the scalar power in the last bit
-            assert [w[:4] + w[5:] for w in report.sandwich_witnesses] == [
-                w[:4] + w[5:] for w in sandwich
-            ]
-            for got, want in zip(report.sandwich_witnesses, sandwich):
-                assert got[4] == pytest.approx(want[4], rel=1e-15, abs=0.0)
+        compared, overlap = _assert_report_matches_brute_force(fib, space, r, mode)
         if rate > 0:
             assert overlap or not compared
+
+    @_ORACLE_CASES
+    @pytest.mark.parametrize("rate", [0.0, 0.04, 0.15])
+    def test_integer_gauges_match_brute_force(
+        self, make_chain, moduli, rank, build, p, r, mode, rate
+    ):
+        """Integer gauges take the certificate, and integer shifts fail it."""
+        space = bl.assemble_box_space(make_chain(*moduli, rank=rank))
+        fib = _corrupted(build(space, p), "shift", 0, rate)
+        _assert_report_matches_brute_force(fib, space, r, mode)
 
     @pytest.mark.parametrize("entries", [1, 64])
     def test_batch_size_does_not_change_the_report(self, make_chain, monkeypatch, entries):
@@ -564,6 +643,208 @@ class TestNonFiniteInput:
         # repr shows NaN norms, which equal nothing, and every float exactly
         assert repr(report.sandwich_witnesses) == repr(sandwich)
         assert report.passed == (not sandwich and not overlap)
+
+
+def _corrupted(base, kind, seed, rate):
+    """``base`` behind an integer gauge per served set, with corruptions of one
+    kind at random served rows, the same wherever a set is served.
+
+    The gauge keeps transitions constant and every translation an integer, so
+    a clean oracle is certified.  The corruptions: an integer translation
+    shift, which the certificate refuses; a flipped sign; a transposed pair of
+    coordinates; and three that fail the certificate's gate, a translation
+    off by 1e-12, a NaN translation and one shifted by 2^52.
+    """
+    p, dim = base.p, base.dim
+    offset = {"shift": 1.0, "tiny": 1e-12, "nan": math.nan, "huge": 2.0**52}
+
+    def serve(C, r):
+        out = served_dict(base, C, r)
+        rng = _keyed_rng("gauge", seed, C)
+        lin = SignedPermutation(rng.permutation(dim), rng.choice([-1, 1], size=dim))
+        gauge = AffineIsometry(p, lin, rng.integers(-3, 4, size=dim).astype(float))
+        for pt in C:
+            iso = gauge.compose(out[pt])
+            prng = _keyed_rng("row", seed, C, pt)
+            if prng.random() < rate:
+                c, d = int(prng.integers(dim)), int(prng.integers(dim))
+                perm, signs = iso.linear.perm.copy(), iso.linear.signs.copy()
+                shift = iso.translation.copy()
+                if kind == "sign":
+                    signs[c] = -signs[c]
+                elif kind == "transpose":
+                    perm[[c, d]] = perm[[d, c]]
+                else:
+                    shift[c] += offset[kind]
+                iso = AffineIsometry(p, SignedPermutation(perm, signs), shift)
+            out[pt] = iso
+        return out
+
+    return bl.FibredEmbedding(
+        space=base.space,
+        p=p,
+        dim=dim,
+        section=base.section,
+        exclusion=base.exclusion,
+        trivialization=stacked(serve, dim),
+    )
+
+
+class TestOverlapCertificate:
+    """Transitions constant on overlaps, certified exactly per point pair where
+    served translations are small integers and the tolerance is not negative;
+    everywhere else, and wherever the certificate finds a mismatch, the sweep
+    over every overlapping set pair gives the report."""
+
+    # inf - inf and 2^52-sized translations squared make numpy warn, in the stack and the oracle
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_report_matches_brute_force(self, data):
+        moduli, rank, build, p, r, mode = data.draw(
+            st.sampled_from(
+                [((8,), 1, _trivial_linf, None, 4, "all"),
+                 ((4, 8, 16), 1, _line_translation, 1.0, 3, "balls+pairs"),
+                 ((6,), 2, _trivial_torus, 2.0, 3, "balls")]
+            )
+        )
+        space = bl.assemble_box_space(cyclic_chain(*moduli, rank=rank))
+        kind = data.draw(
+            st.sampled_from(["clean", "shift", "sign", "transpose", "tiny", "nan", "huge"])
+        )
+        rate = 0.0 if kind == "clean" else data.draw(st.sampled_from([0.03, 0.2]))
+        fib = _corrupted(build(space, p), kind, data.draw(st.integers(0, 2**16)), rate)
+        tol = data.draw(st.sampled_from([0.0, 1e-9, 2.0, -1e-9]))
+        top = space.diameter() + 1
+        lo = {t: 0.5 * t for t in range(top)}
+        hi = {t: 1.0 * t for t in range(top)}
+        report = bl.verify_fce(fib, r, lo, hi, mode=mode, tolerance=tol)
+        sets, pairs, compared, vacuous, sandwich, overlap = _brute_force_report(
+            fib, r, lo, hi, mode, tol
+        )
+        assert compared
+        assert (report.set_count, report.sandwich_pairs) == (sets, pairs)
+        assert (report.overlap_pairs, report.vacuous_overlaps) == (compared, vacuous)
+        assert report.overlap_witnesses == overlap
+        assert repr(report.sandwich_witnesses) == repr(sandwich)
+        assert report.passed == (not sandwich and not overlap)
+
+    @pytest.mark.parametrize(
+        "moduli, rank, build, p, r, mode",
+        [
+            ((16,), 1, _trivial_linf, None, 5, "all"),
+            ((8, 16, 32), 1, _line_translation, 2.0, 5, "balls+pairs"),
+            ((4, 8, 16), 2, _torus_translation, 1.0, 3, "balls+pairs"),
+        ],
+    )
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-9])
+    def test_clean_oracles_skip_the_sweep(
+        self, make_chain, monkeypatch, moduli, rank, build, p, r, mode, tolerance
+    ):
+        space = bl.assemble_box_space(make_chain(*moduli, rank=rank))
+        fib = build(space, p)
+        lo, hi = identity_pair(space.diameter())
+        want = bl.verify_fce(fib, r, lo, hi, mode=mode, tolerance=tolerance)
+
+        def sweep(*args):
+            raise AssertionError("the overlap sweep ran")
+
+        monkeypatch.setattr(fibration, "_overlap_sweep", sweep)
+        report = bl.verify_fce(fib, r, lo, hi, mode=mode, tolerance=tolerance)
+        assert report == want and report.passed and report.overlap_pairs
+
+    @pytest.mark.parametrize("kind, tolerance", [("clean", -1e-9), ("shift", 1e-9), ("tiny", 0.0)])
+    def test_refusals_take_the_sweep(self, make_chain, monkeypatch, kind, tolerance):
+        space = bl.assemble_box_space(make_chain(12))
+        fib = _corrupted(_trivial_linf(space, None), kind, 7, 0.0 if kind == "clean" else 0.1)
+        lo, hi = identity_pair(space.diameter())
+        calls = []
+        sweep = fibration._overlap_sweep
+
+        def counted(*args):
+            calls.append(1)
+            return sweep(*args)
+
+        monkeypatch.setattr(fibration, "_overlap_sweep", counted)
+        report = bl.verify_fce(fib, 4, lo, hi, mode="all", tolerance=tolerance)
+        assert calls == [1]
+        overlap = _brute_force_report(fib, 4, lo, hi, "all", tolerance)[5]
+        # a clean oracle at a negative tolerance fails the comparison of equal
+        # transitions with numpy 1.x's isclose, and passes it with numpy 2's
+        assert report.overlap_witnesses == overlap
+        assert overlap or kind == "clean"
+
+    def test_translations_from_2_52_are_swept(self):
+        """Near 2^54 float64 spacing is 4, so the quotients q_C(x, y) round to one
+        value while the transitions at x and y differ by 2: an exact certificate
+        would pass what the sweep fails, and the gate sends the check to the sweep."""
+        space = bl.assemble_box_space(cyclic_chain(3))
+        x, y, z = space.points()
+        shifts = {  # one 1-dim translation per (set, point); every other pair is consistent
+            (x, y): [3.0, 2.0**54 + 4],
+            (x, z): [0.0, -1.0],
+            (y, z): [2.0**54, 0.0],
+            (x, y, z): [1.0, 2.0**54, 0.0],
+        }
+
+        def serve(sets, r):
+            rows = np.array([v for C in sets for v in shifts[C]])[:, None]
+            return IsometryStack.identity(len(rows), 1)._replace(translation=rows)
+
+        fib = bl.FibredEmbedding(
+            space, 1.0, 1, np.zeros((3, 1)), lambda r: frozenset(), serve
+        )
+        lo, hi = identity_pair(space.diameter())
+        report = bl.verify_fce(fib, 2, lo, hi, mode="all")
+        assert (report.overlap_pairs, report.vacuous_overlaps) == (3, 3)
+        assert report.overlap_witnesses == [((x, y), (x, y, z), x, y)]
+        assert report.overlap_witnesses == _brute_force_report(fib, 2, lo, hi, "all")[5]
+
+    @pytest.mark.parametrize("entries", [1, 64, 1024])
+    def test_certificate_gathers_stay_within_a_batch(self, make_chain, monkeypatch, entries):
+        space = bl.assemble_box_space(make_chain(4, 12, rank=1))
+        fib = _corrupted(_trivial_linf(space, None), "clean", 3, 0.0)
+        lo, hi = identity_pair(space.diameter())
+        whole = bl.verify_fce(fib, 4, lo, hi, mode="all")
+        gathered = []
+        after = IsometryStack.after
+
+        def counted(self, other, a, b):
+            gathered.append(np.size(a) * self.perm.shape[-1])
+            return after(self, other, a, b)
+
+        monkeypatch.setattr(IsometryStack, "after", counted)
+        monkeypatch.setattr(fibration, "_BATCH_ENTRIES", entries)
+        assert bl.verify_fce(fib, 4, lo, hi, mode="all") == whole
+        assert whole.passed and whole.overlap_pairs
+        assert gathered and max(gathered) <= max(entries, fib.dim)
+
+    def test_peak_memory_no_higher_than_the_sweep(self, monkeypatch):
+        """Balls of radius 2 on the 1344-point torus at r = 6: the certified check
+        peaks no higher than the same check through the sweep, the only path
+        before the certificate.  Both peak before the overlap pass, so they agree
+        to within Python's bookkeeping, well under a kilobyte."""
+        space = bl.assemble_box_space(cyclic_chain(8, 16, 32, rank=2))
+        fib = _torus_translation(space, 1.0)
+        lo, hi = identity_pair(space.diameter())
+
+        def peak_of():
+            tracemalloc.start()
+            try:
+                report = bl.verify_fce(fib, 6, lo, hi, mode="balls")
+                return report, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bl.verify_fce(fib, 6, lo, hi, mode="balls")  # first calls allocate once, untraced
+        report, peak = peak_of()
+        monkeypatch.setattr(fibration, "_certified", lambda *args: False)
+        swept, sweep_peak = peak_of()
+        assert report == swept and report.passed
+        assert (report.sandwich_pairs, report.overlap_pairs, report.vacuous_overlaps) == (
+            79872, 18432, 2048
+        )
+        assert peak <= sweep_peak + 1024
 
 
 def reference_serve(space, action):

@@ -301,3 +301,32 @@ def test_integer_rows_are_checked_without_a_cast():
         tracemalloc.stop()
     assert bad is None and cast.perm is stack.perm and cast.signs is stack.signs
     assert peak <= 10 * rows * dim
+
+
+@given(st.integers(0, 6), st.integers(1, 7), st.data())
+@settings(max_examples=100, deadline=None)
+def test_inverse_by_scatter_matches_argsort_and_scalar(rows, dim, data):
+    """The scattered inverse equals the argsort inverse and each row's scalar inverse, bit for bit."""
+    shift = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    isos = [
+        AffineIsometry(
+            2.0,
+            SignedPermutation(
+                data.draw(st.permutations(range(dim))),
+                data.draw(st.lists(st.sampled_from([1, -1]), min_size=dim, max_size=dim)),
+            ),
+            data.draw(st.lists(shift, min_size=dim, max_size=dim)),
+        )
+        for _ in range(rows)
+    ]
+    stack = stack_of(isos, dim)
+    inverse = stack.inverse()
+    by_sort = np.argsort(stack.perm, axis=1)
+    assert inverse.perm.dtype == np.int64 and np.array_equal(inverse.perm, by_sort)
+    assert np.array_equal(inverse.signs, np.take_along_axis(stack.signs, by_sort, axis=1))
+    for k, iso in enumerate(isos):
+        want = iso.inverse()
+        assert np.array_equal(inverse.perm[k], want.linear.perm)
+        assert np.array_equal(inverse.signs[k], want.linear.signs)
+        assert inverse.translation[k].tobytes() == want.translation.tobytes()
+    assert inverse.perm.shape == inverse.signs.shape == inverse.translation.shape == (rows, dim)

@@ -73,6 +73,8 @@ def _parse_tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(tolerance):
         raise argparse.ArgumentTypeError(f"tolerance must be finite, got {text}")
+    if tolerance < 0:
+        raise argparse.ArgumentTypeError(f"tolerance must not be negative, got {text}")
     return tolerance
 
 

@@ -413,11 +413,11 @@ def verify_local_action(
             with np.errstate(invalid="ignore"):  # inf - inf is NaN; np.isclose decides below
                 diff = np.abs(np.subtract(lhs, moved, out=lhs), out=lhs)
                 dev = diff.max(axis=(1, 2), initial=0.0)
-            # under a tolerance >= 0, np.isclose(rtol=0) passes finite entries
-            # within it; the rest take np.isclose itself: pairs with non-finite
-            # entries or an overflowing difference, and every pair otherwise
+            # np.isclose(rtol=0) passes finite entries within the tolerance,
+            # which is not negative; pairs with non-finite entries or an
+            # overflowing difference take np.isclose itself
             ok = dev <= tolerance
-            odd = np.flatnonzero(~np.isfinite(dev)) if tolerance >= 0 else np.arange(len(dev))
+            odd = np.flatnonzero(~np.isfinite(dev))
             if odd.size:
                 close = np.isclose(V[xy[odd]], moved[odd], rtol=0.0, atol=tolerance)
                 ok[odd] = close.all(axis=(1, 2))

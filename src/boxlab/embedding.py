@@ -108,33 +108,86 @@ def _difference_dtype(mat: np.ndarray) -> np.dtype:
     return np.dtype(np.float64)
 
 
-def _pair_norms(f: CoarseEmbeddingMap, above: int):
-    """Yield ``(i, norms)`` with norms[k] = |f(x_{i+above+k}) - f(x_i)|_p, row by row.
-
-    Every row is subtracted into one reused buffer, in the narrowest dtype in
-    which the differences are exact, so the norms equal those of float64
-    differences bit for bit.  Integer differences at p in {1, inf} take their
-    absolute values in place and are read unsigned, as ``lp_norm`` reads them,
-    so no row temporary is made.
-    """
+def _difference_rows(f: CoarseEmbeddingMap) -> np.ndarray:
+    """``f.matrix()`` in its ``_difference_dtype``: a copy, unless that is float64."""
     mat = f.matrix()
-    dtype = _difference_dtype(mat)
-    rows = mat.astype(dtype, copy=False)
-    buf = np.empty((len(rows) - above, f.dim), dtype=dtype)
+    return mat.astype(_difference_dtype(mat), copy=False)
+
+
+def _pair_norms(f: CoarseEmbeddingMap, rows: np.ndarray, spans):
+    """Yield, for each span ``(i, lo, hi)``, norms[k] = |f(x_{lo+k}) - f(x_i)|_p.
+
+    ``rows`` is ``f.matrix()`` in ``_difference_dtype``, in which every row
+    difference is exact, so the norms equal those of float64 differences bit
+    for bit.  Each span is subtracted into one reused buffer.  Integer
+    differences at p in {1, inf} take their absolute values in place and are
+    read unsigned, as ``lp_norm`` reads them, so no row temporary is made.
+    """
+    dtype = rows.dtype
+    buf = np.empty((max((hi - lo for _, lo, hi in spans), default=0), f.dim), dtype=dtype)
     in_place = dtype.kind == "i" and (math.isinf(f.p) or f.p == 1.0)
-    for i in range(len(rows) - above):
-        diff = buf[: len(rows) - above - i]
-        np.subtract(rows[i + above :], rows[i], out=diff)
+    for i, lo, hi in spans:
+        diff = buf[: hi - lo]
+        np.subtract(rows[lo:hi], rows[i], out=diff)
         if in_place:
             # |v| wraps at the dtype's minimum, whose bits read unsigned are exactly |v|
             diff = np.abs(diff, out=diff).view(dtype.str.replace("i", "u"))
-        yield i, lp_norm(diff, f.p, axis=1)
+        yield lp_norm(diff, f.p, axis=1)
+
+
+def _signed_columns(block: np.ndarray, centre: np.ndarray) -> list[bytes]:
+    """The bytes of each column of ``block`` minus ``centre``, negated where its first
+    nonzero entry is negative: two columns give equal bytes exactly when one is
+    plus or minus the other."""
+    # subtracted along rows, then transposed: a narrow block transposes in
+    # cache, where a subtraction reading down the columns would not
+    cols = np.subtract(block, centre).T.copy()
+    lead = cols[np.arange(len(cols)), (cols != 0).argmax(axis=1)]
+    np.negative(cols, out=cols, where=(lead < 0)[:, None])
+    return cols.view(np.dtype((np.void, cols.shape[1] * cols.itemsize))).ravel().tolist()
+
+
+def _left_invariant(q, rows: np.ndarray) -> bool:
+    """Whether N(x, y) = |f(x) - f(y)|_inf is left-invariant on the level ``q``.
+
+    ``rows`` holds f on q's elements, as integers in ``_difference_dtype``.  It
+    is certified on generators: for each generator image s, every column of
+    x -> f(sx) is plus or minus some column of f, plus a constant.  Then
+    N(sx, sy) <= N(x, y), a maximum over the matched columns.  Left
+    multiplication by s has finite order m, so N(x, y) >= N(sx, sy) >= ... >=
+    N(s^m x, s^m y) = N(x, y) holds with equality throughout, and the
+    generator images generate q, so N(gx, gy) = N(x, y) for every g.  So is
+    the word metric, d(x, y) = |x^-1 y|, so the pairs of q attain exactly the
+    (d, N) values of the identity's row: (|z|, N(e, z)) over z != e.
+
+    Columns are compared centred, at the identity for f and at s, the image
+    of the identity, for f(s.): centred, a column and its match differ by the
+    sign alone, which ``_signed_columns`` takes out.  The differences fit the
+    dtype, since ``_difference_dtype`` holds every row difference.  Columns
+    are taken a block of about ``_BLOCK_ENTRIES`` entries at a time, so the
+    set of distinct columns is the largest thing held.
+    """
+    e, elements = q.identity, np.arange(q.order)
+    width = max(1, _BLOCK_ENTRIES // q.order)
+    blocks = [slice(c, c + width) for c in range(0, rows.shape[1], width)]
+    known = set()
+    for b in blocks:
+        known.update(_signed_columns(rows[:, b], rows[e, b]))
+    for s in set(q.gen_images):
+        moved = q.mult_many(s, elements)
+        if not all(known.issuperset(_signed_columns(rows[moved, b], rows[s, b])) for b in blocks):
+            return False
+    return True
 
 
 def _check_tolerance(tolerance) -> None:
-    """Refuse a NaN or infinite tolerance, which would pass or fail every comparison."""
+    """Refuse a NaN or infinite tolerance, which would pass or fail every comparison,
+    and a negative one, under which equal values would fail one comparison and
+    pass another."""
     if not math.isfinite(tolerance):
         raise InvalidArgumentError(f"tolerance must be finite, got {tolerance}")
+    if tolerance < 0:
+        raise InvalidArgumentError(f"tolerance must not be negative, got {tolerance}")
 
 
 def _check_nondecreasing(rho_minus, rho_plus) -> None:
@@ -176,32 +229,63 @@ def _reduce_extremes(low, high, seen, t, norms) -> None:
     seen[t] = True
 
 
+def _profile_spans(f: CoarseEmbeddingMap, rows: np.ndarray) -> list[tuple[int, int, int]]:
+    """The spans ``(i, lo, hi)`` of pairs (x_i, x_k), lo <= k < hi, whose norms
+    ``profile`` reduces.
+
+    An integer map at p = inf whose level passes ``_left_invariant`` gives
+    that level's pairs by the identity's row alone; any other level sweeps
+    each of its rows against the later rows of its level.  Rows are always
+    swept against every later level: pairs across levels have no such
+    invariance.
+    """
+    n = len(rows)
+    certify = rows.dtype.kind == "i" and math.isinf(f.p)
+    spans = []
+    start = 0
+    for q in f.domain.chain.levels:
+        end = start + q.order
+        if certify and _left_invariant(q, rows[start:end]):
+            e = start + q.identity
+            spans += [(e, start, e), (e, e + 1, end)]
+            spans += [(i, end, n) for i in range(start, end)]
+        else:
+            spans += [(i, i + 1, n) for i in range(start, end)]
+        start = end
+    return [span for span in spans if span[1] < span[2]]
+
+
 def profile(f: CoarseEmbeddingMap) -> ControlPair:
     """Tightest monotone controls attained by ``f`` on its whole domain.
 
     Raw per-distance minima take a running minimum from the right and maxima
     a running maximum from the left, which is the optimal nondecreasing pair
-    still sandwiching every realized pair.
+    still sandwiching every realized pair.  The pairs come from
+    ``_profile_spans``: a level certified left-invariant attains the
+    (distance, norm) values of its identity's row, so its extremes are the
+    same as over all its pairs.
     """
     pts = f.domain.points()
     if not pts:
         raise ValueError("empty domain")
     dist = f.domain.distance_matrix()
+    rows = _difference_rows(f)
+    spans = _profile_spans(f, rows)
     low = np.full(int(dist.max()) + 1, np.inf)
     high = np.full(len(low), -np.inf)
     seen = np.zeros(len(low), dtype=bool)
-    # the norms and distances of whole rows of pairs gather in one reused
-    # buffer of about _BLOCK_ENTRIES pairs, each full buffer reduced by one
-    # ufunc.at per extreme: never an (n^2, dim) array nor all pairs at once
-    size = max(_BLOCK_ENTRIES, len(pts) - 1)
+    # the norms and distances of whole spans gather in one reused buffer of
+    # about _BLOCK_ENTRIES pairs, each full buffer reduced by one ufunc.at
+    # per extreme: never an (n^2, dim) array nor all pairs at once
+    size = max([_BLOCK_ENTRIES, *(stop - first for _, first, stop in spans)])
     norm_buf, t_buf = np.empty(size), np.empty(size, dtype=dist.dtype)
     filled = 0
-    for i, norms in _pair_norms(f, above=1):
+    for (i, first, stop), norms in zip(spans, _pair_norms(f, rows, spans)):
         if filled + len(norms) > size:
             _reduce_extremes(low, high, seen, t_buf[:filled], norm_buf[:filled])
             filled = 0
         norm_buf[filled : filled + len(norms)] = norms
-        t_buf[filled : filled + len(norms)] = dist[i, i + 1 :]
+        t_buf[filled : filled + len(norms)] = dist[i, first:stop]
         filled += len(norms)
     _reduce_extremes(low, high, seen, t_buf[:filled], norm_buf[:filled])
     ts = np.flatnonzero(seen)
@@ -325,7 +409,8 @@ def verify_coarse(
     lo_at, has_lo = _control_table(rho_minus, max_t)
     hi_at, has_hi = _control_table(rho_plus, max_t)
     witnesses = []
-    for i, norms in _pair_norms(f, above=0):
+    spans = [(i, i, len(pts)) for i in range(len(pts))]
+    for i, norms in enumerate(_pair_norms(f, _difference_rows(f), spans)):
         t = dist[i, i:]
         missing = np.flatnonzero(~(has_lo[t] & has_hi[t]))
         if missing.size:

@@ -646,9 +646,8 @@ def verify_fce(
     sharing one point are a vacuous overlap; sets sharing more have their
     transition at every shared point compared with the one at the first.
     That comparison is certified exactly per point pair by ``_certified``
-    where served translations are small integers and ``tolerance`` is not
-    negative; elsewhere, or on a mismatch, ``_overlap_sweep`` makes it and
-    names the violations.
+    where served translations are small integers; elsewhere, or on a
+    mismatch, ``_overlap_sweep`` makes it and names the violations.
     """
     _check_tolerance(tolerance)
     _check_nondecreasing(rho_minus, rho_plus)
@@ -708,8 +707,8 @@ def verify_fce(
     if overlap_pairs:
         inverse = stack.inverse()
         # the certificate is exact, so it stands for the sweep only where the
-        # sweep's comparisons are exact too and pass on equal transitions
-        exact = tolerance >= 0 and _exact(stack.translation)
+        # sweep's comparisons are exact too
+        exact = _exact(stack.translation)
         if not (exact and _certified(stack, inverse, where, by_point, in_set, budget)):
             shared = _shared_points(sizes, at_point, by_point, rank)
             overlap_witnesses = [

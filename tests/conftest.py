@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +140,28 @@ def cyclic_chain(*moduli_per_level, rank: int = 1) -> bl.GroupChain:
             moduli = [moduli] * rank
         levels.append(bl.CyclicQuotient(list(moduli)))
     return bl.build_chain(ambient, levels)
+
+
+def sl2_chain_spec(seed: int) -> dict:
+    """The relabelled SL2(Z/3), SL2(Z/9) chain of the benchmark corpus, over a
+    free ambient, as a chain description."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus.sl2_chain(seed)
+
+
+def dihedral_chain(ms=(3, 6)) -> bl.GroupChain:
+    """D_m for each m of ``ms`` over the free group of rank 2, marked by a
+    rotation and a reflection, as permutation actions on 2m points."""
+    levels = []
+    for m in ms:
+        rot = [2 * ((i + 1) % m) + e for i in range(m) for e in range(2)]
+        flip = [2 * (-i % m) + 1 - e for i in range(m) for e in range(2)]
+        spec = {"kind": "permutation", "degree": 2 * m, "gens": [rot, flip], "base": 0}
+        levels.append(bl.build_quotient(spec))
+    return bl.build_chain(bl.AmbientGroup("free", 2), levels)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,6 @@
 """Box space assembly and the coarse-union metric."""
 
-import importlib.util
 from collections import deque
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +9,7 @@ from hypothesis import strategies as st
 
 import boxlab as bl
 from boxlab.boxspace import BoxPoint, box_distance, format_point, parse_point
+from conftest import dihedral_chain, sl2_chain_spec
 
 
 def bfs_level_distance(q, a, b):
@@ -152,24 +151,9 @@ def test_box_distance_function_agrees(i, a, j, b):
     assert box_distance(space, x, y) == space.distance_matrix()[idx, idy]
 
 
-def _dihedral_chain(ms=(3, 6)):
-    # D_3 -> D_6 over the free group of rank 2: rotation and reflection
-    levels = []
-    for m in ms:
-        rot = [2 * ((i + 1) % m) + e for i in range(m) for e in range(2)]
-        flip = [2 * (-i % m) + 1 - e for i in range(m) for e in range(2)]
-        spec = {"kind": "permutation", "degree": 2 * m, "gens": [rot, flip], "base": 0}
-        levels.append(bl.build_quotient(spec))
-    return bl.build_chain(bl.AmbientGroup("free", 2), levels)
-
-
 def _perfbench_sl2_chain():
     """The relabelled SL2(Z/3), SL2(Z/9) chain of the benchmark corpus at seed 1."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
-    return bl.parse_chain(corpus.sl2_chain(1))
+    return bl.parse_chain(sl2_chain_spec(1))
 
 
 def test_diameter_matches_matrix_on_test_chains(dyadic_chain, deep_chain, torus_chain, make_chain):
@@ -181,7 +165,7 @@ def test_diameter_matches_matrix_on_test_chains(dyadic_chain, deep_chain, torus_
         make_chain(12),
         make_chain(4, 12, rank=2),
         make_chain((2, 3), (4, 6), rank=2),
-        _dihedral_chain(),
+        dihedral_chain(),
         _perfbench_sl2_chain(),
     ]
     for chain in chains:
@@ -210,7 +194,7 @@ def test_matrix_on_a_table_chain_matches_box_distance(monkeypatch, block_entries
     # at 25 entries the 6-, 12- and 24-element levels fill 4, 2 and 1 rows at a
     # time, so the first level ends in a short block
     monkeypatch.setattr("boxlab.boxspace._BLOCK_ENTRIES", block_entries)
-    space = bl.assemble_box_space(_dihedral_chain((3, 6, 12)))
+    space = bl.assemble_box_space(dihedral_chain((3, 6, 12)))
     mat = space.distance_matrix()
     assert mat.dtype == np.int32
     pts = space.points()

@@ -1,7 +1,6 @@
 """Command line behaviour: exit codes, file outputs, determinism."""
 
 import gc
-import importlib.util
 import json
 import os
 import shutil
@@ -16,6 +15,7 @@ from boxlab import cli
 from boxlab.boxspace import assemble_box_space, box_distance, format_point
 from boxlab.chainspec import load_chain
 from boxlab.cli import main
+from conftest import sl2_chain_spec
 
 DYADIC = {
     "ambient": {"family": "free_abelian", "rank": 1},
@@ -542,6 +542,17 @@ class TestParsing:
         err = capsys.readouterr().err
         assert err.endswith(f"argument --tolerance: tolerance must be finite, got {tolerance}\n")
 
+    @pytest.mark.parametrize("command", ["fce-verify --r 2", "forge --mode fce", "profile"])
+    def test_negative_tolerance_exits_two(self, chains, capsys, command):
+        # under a negative tolerance equal values would fail the sandwich
+        # check and pass the overlap check, whatever numpy's isclose does
+        argv = [*command.split(), "--chain", chains["dyadic"], "--tolerance=-1e-9"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("argument --tolerance: tolerance must not be negative, got -1e-9\n")
+
     def test_unparsable_tolerance_keeps_the_float_message(self, chains, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["forge", "--chain", chains["dyadic"], "--mode", "fce", "--tolerance", "tiny"])
@@ -594,15 +605,6 @@ class TestParsing:
         assert "isometry radius 9" in result.stdout
 
 
-def perfbench_sl2_chain(seed):
-    """The relabelled SL2(Z/3), SL2(Z/9) chain of the benchmark corpus, over a free ambient."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
-    return corpus.sl2_chain(seed)
-
-
 class TestExitCodes:
     """Bad input exits 2 with its message; a fault inside the program exits 3."""
 
@@ -612,7 +614,7 @@ class TestExitCodes:
         paths = dict(chains)
         one = {"ambient": {"family": "free_abelian", "rank": 1},
                "levels": [{"kind": "cyclic", "moduli": [1]}]}
-        for name, data in (("one", one), ("sl2", perfbench_sl2_chain(1))):
+        for name, data in (("one", one), ("sl2", sl2_chain_spec(1))):
             paths[name] = str(root / f"{name}.json")
             Path(paths[name]).write_text(json.dumps(data))
         paths["decreasing"] = str(root / "decreasing.csv")
@@ -678,7 +680,7 @@ def benchmark_chains(tmp_path_factory):
     root = tmp_path_factory.mktemp("benchmark_chains")
     paths = {}
     for name, data in (
-        ("sl2", perfbench_sl2_chain(1)),
+        ("sl2", sl2_chain_spec(1)),
         ("torus", {"ambient": TORUS["ambient"], "levels": TORUS["levels"][:2]}),
         ("line", SMALL),
     ):

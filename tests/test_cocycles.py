@@ -418,6 +418,11 @@ class TestBatchedCheck:
         # finite entries whose differences overflow to inf
         coc.values[2, 3, 0] = 1.5e308
         coc.values[3, 1, 0] = -1.5e308
+        if tolerance < 0:
+            # refused before any work, as every verifier refuses it
+            with pytest.raises(InvalidArgumentError, match=f"^tolerance must not be negative, got {tolerance}$"):
+                bl.verify_local_action(rep, coc, tolerance=tolerance)
+            return
         report = _assert_matches_loop(rep, coc, tolerance=tolerance)
         assert len(report.identity_witnesses) < report.identity_checked
 
@@ -425,6 +430,12 @@ class TestBatchedCheck:
     def test_non_finite_tolerance_rejected(self, tolerance):
         rep, coc = bl.averaged_cocycle(np.array([[0.0], [1.0], [1.0]]), bl.CyclicQuotient([3]), 1.0)
         with pytest.raises(InvalidArgumentError, match=f"^tolerance must be finite, got {tolerance}$"):
+            bl.verify_local_action(rep, coc, tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [-1e-9, -1.0])
+    def test_negative_tolerance_rejected(self, tolerance):
+        rep, coc = bl.averaged_cocycle(np.array([[0.0], [1.0], [1.0]]), bl.CyclicQuotient([3]), 1.0)
+        with pytest.raises(InvalidArgumentError, match=f"^tolerance must not be negative, got {tolerance}$"):
             bl.verify_local_action(rep, coc, tolerance=tolerance)
 
 
@@ -490,6 +501,13 @@ class TestFamily:
         fam = bl.family_from_fce(line_fibrations[1.0], range(2, 4))
         ident = {n: float(n) for n in range(2)}
         with pytest.raises(InvalidArgumentError, match=f"^tolerance must be finite, got {tolerance}$"):
+            bl.ultraproduct_hypothesis_check(fam, [(1,)], ident, ident, tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [-1e-9, -1.0])
+    def test_negative_tolerance_rejected(self, line_fibrations, tolerance):
+        fam = bl.family_from_fce(line_fibrations[1.0], range(2, 4))
+        ident = {n: float(n) for n in range(2)}
+        with pytest.raises(InvalidArgumentError, match=f"^tolerance must not be negative, got {tolerance}$"):
             bl.ultraproduct_hypothesis_check(fam, [(1,)], ident, ident, tolerance=tolerance)
 
     @pytest.mark.parametrize("bad", [{1: 5.0}, {3: np.nan}])

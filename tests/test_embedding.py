@@ -1,7 +1,9 @@
 """Coarse embeddings, control profiles, p-norm combination."""
 
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from hypothesis import strategies as st
 
 import boxlab as bl
 from boxlab.boxspace import BoxPoint, format_point
-from boxlab.embedding import _difference_dtype
+from boxlab import embedding
+from boxlab.embedding import _difference_dtype, _difference_rows, _left_invariant
 from boxlab.errors import ControlSampleError, InvalidArgumentError
-from conftest import non_finite_controls
+from conftest import cyclic_chain, dihedral_chain, non_finite_controls, sl2_chain_spec
 
 
 def single_level_space(make_chain, m):
@@ -211,6 +214,14 @@ class TestVerifyCoarse:
                 bl.linf_embedding(dyadic_space), ident.rho_minus, ident.rho_plus, tolerance=tolerance
             )
 
+    @pytest.mark.parametrize("tolerance", [-1e-9, -1.0])
+    def test_negative_tolerance_rejected(self, dyadic_space, tolerance):
+        ident = bl.identity_controls(range(dyadic_space.diameter() + 1))
+        with pytest.raises(InvalidArgumentError, match=f"^tolerance must not be negative, got {tolerance}$"):
+            bl.verify_coarse(
+                bl.linf_embedding(dyadic_space), ident.rho_minus, ident.rho_plus, tolerance=tolerance
+            )
+
 
 class TestNormEquivalenceControls:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
@@ -387,6 +398,11 @@ class TestPnormPower:
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
     def test_non_finite_tolerance_rejected(self, tolerance):
         with pytest.raises(InvalidArgumentError, match=f"^tolerance must be finite, got {tolerance}$"):
+            bl.pnorm_power_check(2, 2.0, [1.0, 1.0], 1.0, 1.0, tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [-1e-9, -1.0])
+    def test_negative_tolerance_rejected(self, tolerance):
+        with pytest.raises(InvalidArgumentError, match=f"^tolerance must not be negative, got {tolerance}$"):
             bl.pnorm_power_check(2, 2.0, [1.0, 1.0], 1.0, 1.0, tolerance=tolerance)
 
     def test_randomized_sandwich(self):
@@ -641,3 +657,165 @@ class TestSandwichOracle:
         report = bl.verify_coarse(f, lo, hi)
         want = _pair_loop_witnesses(f, lo, hi, 1e-9)
         assert not report.passed and report.witnesses[0] == want[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _space(name):
+    """Box spaces of the certificate tests, built once: their levels are cyclic,
+    products of two cyclic groups, SL2 and dihedral, given as tables and as
+    permutation actions."""
+    if name.startswith("sl2-"):
+        return bl.assemble_box_space(bl.parse_chain(sl2_chain_spec(int(name[4:]))))
+    chains = {
+        "cyclic": lambda: cyclic_chain(4, 8, 16),
+        "small": lambda: cyclic_chain(2, 6, 30),
+        "torus": lambda: cyclic_chain(4, 8, 16, rank=2),
+        "dihedral": lambda: dihedral_chain((3, 6, 12)),
+        "line": lambda: cyclic_chain(*(2**k for k in range(6, 11))),
+        "z2048": lambda: cyclic_chain(2048),
+    }
+    return bl.assemble_box_space(chains[name]())
+
+
+def _level_rows(f):
+    """Each level of ``f``'s domain with f's rows on it, in the difference dtype."""
+    rows, start, out = _difference_rows(f), 0, []
+    for q in f.domain.chain.levels:
+        out.append((q, rows[start : start + q.order]))
+        start += q.order
+    return out
+
+
+def _assert_profile_is(ctrl, f):
+    """``ctrl`` is the row loop's profile of ``f``, bit for bit."""
+    ts, lo, hi = _row_loop_profile(f)
+    assert sorted(ctrl.rho_minus) == sorted(ctrl.rho_plus) == ts.tolist()
+    assert np.array([ctrl.rho_minus[t] for t in ts]).tobytes() == lo.tobytes()
+    assert np.array([ctrl.rho_plus[t] for t in ts]).tobytes() == hi.tobytes()
+
+
+CERTIFIED = ["cyclic", "small", "torus", "sl2-1", "sl2-2", "sl2-3", "dihedral"]
+
+
+class TestLeftInvariantProfile:
+    """``profile`` reads a level certified left-invariant from its identity's
+    row; the row and pair loops, which sweep every pair, are the oracles."""
+
+    @pytest.mark.parametrize("name", CERTIFIED)
+    def test_linf_is_certified_on_every_level(self, name):
+        f = bl.linf_embedding(_space(name))
+        assert all(_left_invariant(q, rows) for q, rows in _level_rows(f))
+        ctrl = bl.profile(f)
+        _assert_profile_is(ctrl, f)
+        if f.domain.point_count() <= 64:
+            lo, hi = _pair_loop_profile(f)
+            assert (ctrl.rho_minus, ctrl.rho_plus) == (lo, hi)
+
+    @pytest.mark.parametrize("name", CERTIFIED)
+    def test_signed_shifted_permuted_columns_stay_certified(self, name):
+        # every column negated or not, shifted by a constant, and the columns
+        # permuted: the same norms, so the same profile as linf's
+        space = _space(name)
+        linf = bl.linf_embedding(space)
+        rng = np.random.default_rng(3)
+        dim = linf.dim
+        signs = rng.choice([-1.0, 1.0], size=dim)
+        shifts = rng.integers(-9, 10, size=dim).astype(np.float64)
+        table = signs * linf.matrix()[:, rng.permutation(dim)] + shifts
+        f = bl.CoarseEmbeddingMap(space, math.inf, dim, dict(zip(space.points(), table)))
+        assert _difference_dtype(f.matrix()).kind == "i"
+        assert all(_left_invariant(q, rows) for q, rows in _level_rows(f))
+        ctrl = bl.profile(f)
+        _assert_profile_is(ctrl, f)
+        assert ctrl == bl.profile(linf)
+
+    @pytest.mark.parametrize("point", [0, 5, 13])
+    def test_one_changed_entry_is_refused(self, point):
+        # a point of Z/8 (the identity, or not) moved by one in its own level's
+        # column: that level sweeps, and the profile moves with the map
+        space = _space("cyclic")
+        linf = bl.linf_embedding(space)
+        table = linf.matrix().copy()
+        table[4 + point % 8, 4 + 3] += 1
+        f = _kernel_map(space, math.inf, table)
+        assert [_left_invariant(q, rows) for q, rows in _level_rows(f)] == [True, False, True]
+        ctrl = bl.profile(f)
+        _assert_profile_is(ctrl, f)
+        assert ctrl != bl.profile(linf)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_single_entry_corruption_matches_oracle(self, data):
+        space = _space(data.draw(st.sampled_from(["cyclic", "torus", "dihedral", "sl2-1"])))
+        table = bl.linf_embedding(space).matrix().copy()
+        k = data.draw(st.integers(0, len(table) - 1))
+        j = data.draw(st.integers(0, table.shape[1] - 1))
+        table[k, j] += data.draw(st.sampled_from([-3.0, -1.0, 1.0, 2.0]))
+        f = _kernel_map(space, math.inf, table)
+        _assert_profile_is(bl.profile(f), f)
+
+    @pytest.mark.parametrize(
+        "name, build, p",
+        [
+            ("torus", lambda s: bl.torus_coordinate_embedding(s, 2.0).matrix(), math.inf),
+            ("cyclic", lambda s: bl.cycle_plane_embedding(s, 2.0).matrix(), 2.0),
+            ("cyclic", lambda s: bl.linf_embedding(s).matrix() + 0.5, math.inf),
+            ("cyclic", lambda s: bl.linf_embedding(s).matrix(), 1.0),
+            ("sl2-1", lambda s: bl.linf_embedding(s).matrix(), 1.0),
+            ("torus", lambda s: bl.linf_embedding(s).matrix(), 2.0),
+        ],
+        ids=["torus-float", "cycle-plane", "fractional-linf", "int-p1", "sl2-p1", "int-p2"],
+    )
+    def test_ungated_maps_never_certify(self, monkeypatch, name, build, p):
+        space = _space(name)
+        f = _kernel_map(space, p, build(space))
+
+        def refuse(*args):
+            raise AssertionError("the certificate ran")
+
+        monkeypatch.setattr(embedding, "_left_invariant", refuse)
+        _assert_profile_is(bl.profile(f), f)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_linf_on_sl2_sweeps_no_level(self, monkeypatch, seed):
+        space = _space(f"sl2-{seed}")
+        f = bl.linf_embedding(space)
+        spans = []
+        sweep = embedding._pair_norms
+
+        def spy(f, rows, pairs):
+            spans.extend(pairs)
+            return sweep(f, rows, pairs)
+
+        monkeypatch.setattr(embedding, "_pair_norms", spy)
+        bl.profile(f)
+        orders = [q.order for q in space.chain.levels]
+        level = np.repeat(np.arange(len(orders)), orders)
+        identity = [space.point_index(space.identity_point(i)) for i in range(len(orders))]
+        within = [(i, lo, hi) for i, lo, hi in spans if level[i] == level[lo]]
+        # within a level, only the identity's row, split around the identity
+        assert all(i == identity[level[i]] and level[hi - 1] == level[i] for i, lo, hi in within)
+        assert sum(hi - lo for _, lo, hi in within) == sum(m - 1 for m in orders)
+        across = sum(a * b for a, b in itertools.combinations(orders, 2))
+        assert sum(hi - lo for _, lo, hi in spans) == across + sum(m - 1 for m in orders)
+
+    @pytest.mark.parametrize("name", ["line", "z2048"])
+    def test_peak_memory_stays_within_the_sweep(self, name):
+        # the full sweep held the integer rows and a buffer of n - 1 of them,
+        # beside the (distance, norm) buffers; the certificate takes a block
+        # of columns at a time and is done before the buffer is made
+        space = bl.assemble_box_space(_space(name).chain)
+        tracemalloc.start()
+        try:
+            f = bl.linf_embedding(space)
+            held = tracemalloc.get_traced_memory()[0]
+            ctrl = bl.profile(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, itemsize = f.dim, _difference_dtype(f.matrix()).itemsize
+        assert itemsize == 2
+        sweep = (2 * n - 1) * n * itemsize + 12 * max(embedding._BLOCK_ENTRIES, n - 1)
+        # row-length temporaries and the returned pair
+        assert peak - held <= sweep + (1 << 18)
+        assert all(ctrl.rho_minus[t] == ctrl.rho_plus[t] == t for t in ctrl.realized_distances())

@@ -1,12 +1,10 @@
 """Fibred embeddings: construction, verification, failure modes."""
 
 import functools
-import importlib.util
 import itertools
 import math
 import tracemalloc
 import zlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +24,7 @@ from conftest import (
     non_finite_controls,
     non_finite_translations,
     served_dict,
+    sl2_chain_spec,
     stacked,
     twisted_action,
     twisted_rule,
@@ -260,6 +259,13 @@ class TestVerifierMechanics:
         fib = bl.trivial_fibration(bl.linf_embedding(dyadic_space))
         lo, hi = identity_pair(dyadic_space.diameter())
         with pytest.raises(InvalidArgumentError, match=f"^tolerance must be finite, got {tolerance}$"):
+            bl.verify_fce(fib, 3, lo, hi, tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [-1e-9, -1.0])
+    def test_negative_tolerance_rejected(self, dyadic_space, tolerance):
+        fib = bl.trivial_fibration(bl.linf_embedding(dyadic_space))
+        lo, hi = identity_pair(dyadic_space.diameter())
+        with pytest.raises(InvalidArgumentError, match=f"^tolerance must not be negative, got {tolerance}$"):
             bl.verify_fce(fib, 3, lo, hi, tolerance=tolerance)
 
     @pytest.mark.parametrize("bad", [{1: 5.0}, {3: math.nan}])
@@ -692,8 +698,8 @@ def _corrupted(base, kind, seed, rate):
 
 class TestOverlapCertificate:
     """Transitions constant on overlaps, certified exactly per point pair where
-    served translations are small integers and the tolerance is not negative;
-    everywhere else, and wherever the certificate finds a mismatch, the sweep
+    served translations are small integers (a negative tolerance is refused
+    before any work); everywhere else, and wherever the certificate finds a mismatch, the sweep
     over every overlapping set pair gives the report."""
 
     # inf - inf and 2^52-sized translations squared make numpy warn, in the stack and the oracle
@@ -718,6 +724,11 @@ class TestOverlapCertificate:
         top = space.diameter() + 1
         lo = {t: 0.5 * t for t in range(top)}
         hi = {t: 1.0 * t for t in range(top)}
+        if tol < 0:
+            # equal values would fail the sandwich check and pass the overlap check
+            with pytest.raises(InvalidArgumentError, match="^tolerance must not be negative"):
+                bl.verify_fce(fib, r, lo, hi, mode=mode, tolerance=tol)
+            return
         report = bl.verify_fce(fib, r, lo, hi, mode=mode, tolerance=tol)
         sets, pairs, compared, vacuous, sandwich, overlap = _brute_force_report(
             fib, r, lo, hi, mode, tol
@@ -766,13 +777,17 @@ class TestOverlapCertificate:
             return sweep(*args)
 
         monkeypatch.setattr(fibration, "_overlap_sweep", counted)
+        if tolerance < 0:
+            # refused before any work: numpy 1.x's isclose failed equal
+            # transitions at a negative tolerance, and numpy 2's passes them
+            with pytest.raises(InvalidArgumentError, match="^tolerance must not be negative"):
+                bl.verify_fce(fib, 4, lo, hi, mode="all", tolerance=tolerance)
+            assert calls == []
+            return
         report = bl.verify_fce(fib, 4, lo, hi, mode="all", tolerance=tolerance)
         assert calls == [1]
         overlap = _brute_force_report(fib, 4, lo, hi, "all", tolerance)[5]
-        # a clean oracle at a negative tolerance fails the comparison of equal
-        # transitions with numpy 1.x's isclose, and passes it with numpy 2's
-        assert report.overlap_witnesses == overlap
-        assert overlap or kind == "clean"
+        assert report.overlap_witnesses == overlap and overlap
 
     def test_translations_from_2_52_are_swept(self):
         """Near 2^54 float64 spacing is 4, so the quotients q_C(x, y) round to one
@@ -1033,11 +1048,7 @@ def per_point_candidate_sets(space, allowed, dist, r, mode):
 
 def _sl2_space():
     """The relabelled SL2(Z/3), SL2(Z/9) chain of the benchmark corpus at seed 1."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
-    return bl.assemble_box_space(bl.parse_chain(corpus.sl2_chain(1)))
+    return bl.assemble_box_space(bl.parse_chain(sl2_chain_spec(1)))
 
 
 @pytest.fixture(scope="module")

@@ -265,18 +265,16 @@ def cmd_profile(args) -> int:
 
 
 def _make_fibration(spec: str, space, p: float | None, r: int):
-    """Return (fibration, default controls) for a fibration description."""
+    """Return (fibration, default controls) for a fibration description; the
+    controls come as a call returning a ``ControlPair``, made only where read."""
     if spec == "translation":
         rank = space.chain.ambient.rank
         p = p if p is not None else 2.0
         fib = from_proper_action(space, translation_action(rank, p), r_max=max(r, 1))
-        ctrl = norm_equivalence_controls(range(max(r + 1, 2) + 1), rank, p)
-        return fib, (ctrl.rho_minus, ctrl.rho_plus)
+        return fib, partial(norm_equivalence_controls, range(max(r + 1, 2) + 1), rank, p)
     if spec.startswith("trivial:"):
         f = _resolve_embedding(spec.split(":", 1)[1], space, p)
-        fib = trivial_fibration(f)
-        ctrl = profile(f)
-        return fib, (ctrl.rho_minus, ctrl.rho_plus)
+        return trivial_fibration(f), partial(profile, f)
     raise SpecFormatError(
         f"unknown fibration {spec!r}: expected 'translation' or 'trivial:<embedding>'"
     )
@@ -285,9 +283,12 @@ def _make_fibration(spec: str, space, p: float | None, r: int):
 def cmd_fce_verify(args) -> int:
     chain = load_chain(args.chain)
     space = assemble_box_space(chain)
-    fib, (lo, hi) = _make_fibration(args.fibration, space, args.p, args.r)
+    fib, controls = _make_fibration(args.fibration, space, args.p, args.r)
     if args.controls:
         lo, hi = _read_controls(args.controls)
+    else:
+        ctrl = controls()
+        lo, hi = ctrl.rho_minus, ctrl.rho_plus
     report = verify_fce(
         fib, args.r, lo, hi, mode=args.subsets, tolerance=args.tolerance
     )
@@ -377,7 +378,9 @@ def cmd_forge(args) -> int:
             raise SpecFormatError(
                 f"--p {_fmt(args.p)} disagrees with p={_fmt(f.p)} of embedding {args.embedding!r}"
             )
-        table = np.stack([f(BoxPoint(level, x)) for x in q.elements()])
+        # points() lists the levels in turn, so the level's rows are one block
+        start = space.point_index(BoxPoint(level, 0))
+        table = f.matrix()[start : start + q.order]
         rep, coc = averaged_cocycle(table, q, f.p)
         report = verify_local_action(rep, coc, tolerance=args.tolerance)
         render = partial(_cocycle_lines, coc, str, list(q.elements()))
@@ -396,7 +399,9 @@ def cmd_forge(args) -> int:
         if r < 2:
             raise SpecFormatError(f"ultra mode needs a top scale >= 2, got {r}")
         # the fibration's default controls reach length r + 1 >= 3, the ball's radius
-        fib, (lo, hi) = _make_fibration("translation", space, args.p, r)
+        fib, controls = _make_fibration("translation", space, args.p, r)
+        ctrl = controls()
+        lo, hi = ctrl.rho_minus, ctrl.rho_plus
         family = family_from_fce(fib, range(2, r + 1))
         elements = _ambient_ball(chain, 3)
         report = ultraproduct_hypothesis_check(family, elements, lo, hi, tolerance=args.tolerance)

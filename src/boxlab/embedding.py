@@ -135,49 +135,57 @@ def _pair_norms(f: CoarseEmbeddingMap, rows: np.ndarray, spans):
         yield lp_norm(diff, f.p, axis=1)
 
 
-def _signed_columns(block: np.ndarray, centre: np.ndarray) -> list[bytes]:
-    """The bytes of each column of ``block`` minus ``centre``, negated where its first
-    nonzero entry is negative: two columns give equal bytes exactly when one is
-    plus or minus the other."""
-    # subtracted along rows, then transposed: a narrow block transposes in
-    # cache, where a subtraction reading down the columns would not
-    cols = np.subtract(block, centre).T.copy()
-    lead = cols[np.arange(len(cols)), (cols != 0).argmax(axis=1)]
-    np.negative(cols, out=cols, where=(lead < 0)[:, None])
-    return cols.view(np.dtype((np.void, cols.shape[1] * cols.itemsize))).ravel().tolist()
+def _isometric(f: CoarseEmbeddingMap, rows: np.ndarray) -> bool:
+    """Whether N(x, y) = |f(x) - f(y)|_inf equals d(x, y) on every pair, certified
+    on the edges of the box graph.
 
+    The box metric is the path metric of one graph: each level's Cayley graph,
+    x -- xl of length 1 for each symmetrized letter l, and an edge of length
+    s_i between the identities of levels i and i + 1 (a path that leaves a
+    level comes back through the same identity, so it is never shorter than
+    the word metric).  ``rows`` is ``f.matrix()`` in an integer
+    ``_difference_dtype``, so every comparison is exact.
 
-def _left_invariant(q, rows: np.ndarray) -> bool:
-    """Whether N(x, y) = |f(x) - f(y)|_inf is left-invariant on the level ``q``.
-
-    ``rows`` holds f on q's elements, as integers in ``_difference_dtype``.  It
-    is certified on generators: for each generator image s, every column of
-    x -> f(sx) is plus or minus some column of f, plus a constant.  Then
-    N(sx, sy) <= N(x, y), a maximum over the matched columns.  Left
-    multiplication by s has finite order m, so N(x, y) >= N(sx, sy) >= ... >=
-    N(s^m x, s^m y) = N(x, y) holds with equality throughout, and the
-    generator images generate q, so N(gx, gy) = N(x, y) for every g.  So is
-    the word metric, d(x, y) = |x^-1 y|, so the pairs of q attain exactly the
-    (d, N) values of the identity's row: (|z|, N(e, z)) over z != e.
-
-    Columns are compared centred, at the identity for f and at s, the image
-    of the identity, for f(s.): centred, a column and its match differ by the
-    sign alone, which ``_signed_columns`` takes out.  The differences fit the
-    dtype, since ``_difference_dtype`` holds every row difference.  Columns
-    are taken a block of about ``_BLOCK_ENTRIES`` entries at a time, so the
-    set of distinct columns is the largest thing held.
+    If each column g moves by at most the length along every edge, g is
+    1-Lipschitz and N <= d.  If in g every point but one, x, has a neighbour
+    lower by exactly the edge's length, a walk down from any y ends at x
+    along a path of length g(y) - g(x), so d(x, y) <= g(y) - g(x) <= N(x, y).
+    The map is certified when every point is such an x for some column or
+    negated column; the negated columns are tried only when the columns leave
+    a point uncovered.  Each level is taken a block of about
+    ``_BLOCK_ENTRIES`` entries at a time.
     """
-    e, elements = q.identity, np.arange(q.order)
-    width = max(1, _BLOCK_ENTRIES // q.order)
-    blocks = [slice(c, c + width) for c in range(0, rows.shape[1], width)]
-    known = set()
-    for b in blocks:
-        known.update(_signed_columns(rows[:, b], rows[e, b]))
-    for s in set(q.gen_images):
-        moved = q.mult_many(s, elements)
-        if not all(known.issuperset(_signed_columns(rows[moved, b], rows[s, b])) for b in blocks):
-            return False
-    return True
+    levels, seps, dim = f.domain.chain.levels, f.domain.separations, rows.shape[1]
+    starts = np.cumsum([0] + [q.order for q in levels]).tolist()
+    ids = [start + q.identity for start, q in zip(starts, levels)]
+    covered = np.zeros(len(rows), dtype=bool)
+    for sign in (1, -1):
+        lowest = np.zeros(dim, dtype=np.int64)  # points without a lower neighbour, per column
+        point = np.zeros(dim, dtype=np.int64)  # one of them
+        for i, q in enumerate(levels):
+            # every edge is taken from both its ends, so a maximum bounds |g(u) - g(v)|
+            joins = [(ids[j], seps[min(i, j)]) for j in (i - 1, i + 1) if 0 <= j < len(levels)]
+            width = max(1, _BLOCK_ENTRIES // q.order)
+            for c in range(0, dim, width):
+                cols = np.ascontiguousarray(rows[starts[i] : starts[i + 1], c : c + width])
+                lower = np.zeros(cols.shape, dtype=bool)
+                for perm in q.letter_perms():
+                    diff = cols[perm] - cols
+                    if sign == 1 and diff.max(initial=0) > 1:
+                        return False
+                    lower |= diff == -sign
+                for j, length in joins:
+                    diff = rows[j, c : c + width] - cols[q.identity]
+                    if sign == 1 and diff.max(initial=0) > length:
+                        return False
+                    lower[q.identity] |= diff == -sign * length
+                x, col = np.divmod(np.flatnonzero(~lower), cols.shape[1])
+                lowest[c : c + cols.shape[1]] += np.bincount(col, minlength=cols.shape[1])
+                point[c + col] = starts[i] + x
+        covered[point[lowest == 1]] = True
+        if covered.all():
+            return True
+    return False
 
 
 def _check_tolerance(tolerance) -> None:
@@ -229,65 +237,49 @@ def _reduce_extremes(low, high, seen, t, norms) -> None:
     seen[t] = True
 
 
-def _profile_spans(f: CoarseEmbeddingMap, rows: np.ndarray) -> list[tuple[int, int, int]]:
-    """The spans ``(i, lo, hi)`` of pairs (x_i, x_k), lo <= k < hi, whose norms
-    ``profile`` reduces.
-
-    An integer map at p = inf whose level passes ``_left_invariant`` gives
-    that level's pairs by the identity's row alone; any other level sweeps
-    each of its rows against the later rows of its level.  Rows are always
-    swept against every later level: pairs across levels have no such
-    invariance.
-    """
-    n = len(rows)
-    certify = rows.dtype.kind == "i" and math.isinf(f.p)
-    spans = []
-    start = 0
-    for q in f.domain.chain.levels:
-        end = start + q.order
-        if certify and _left_invariant(q, rows[start:end]):
-            e = start + q.identity
-            spans += [(e, start, e), (e, e + 1, end)]
-            spans += [(i, end, n) for i in range(start, end)]
-        else:
-            spans += [(i, i + 1, n) for i in range(start, end)]
-        start = end
-    return [span for span in spans if span[1] < span[2]]
-
-
 def profile(f: CoarseEmbeddingMap) -> ControlPair:
     """Tightest monotone controls attained by ``f`` on its whole domain.
 
-    Raw per-distance minima take a running minimum from the right and maxima
-    a running maximum from the left, which is the optimal nondecreasing pair
-    still sandwiching every realized pair.  The pairs come from
-    ``_profile_spans``: a level certified left-invariant attains the
-    (distance, norm) values of its identity's row, so its extremes are the
-    same as over all its pairs.
+    An integer map at p = inf that ``_isometric`` certifies attains norm t at
+    each realized distance t, and no pair is swept.  Any other map sweeps all
+    pairs: raw per-distance minima take a running minimum from the right and
+    maxima a running maximum from the left, which is the optimal nondecreasing
+    pair still sandwiching every realized pair.
     """
     pts = f.domain.points()
     if not pts:
         raise ValueError("empty domain")
     dist = f.domain.distance_matrix()
     rows = _difference_rows(f)
-    spans = _profile_spans(f, rows)
+    n = len(pts)
     low = np.full(int(dist.max()) + 1, np.inf)
     high = np.full(len(low), -np.inf)
     seen = np.zeros(len(low), dtype=bool)
-    # the norms and distances of whole spans gather in one reused buffer of
-    # about _BLOCK_ENTRIES pairs, each full buffer reduced by one ufunc.at
-    # per extreme: never an (n^2, dim) array nor all pairs at once
-    size = max([_BLOCK_ENTRIES, *(stop - first for _, first, stop in spans)])
-    norm_buf, t_buf = np.empty(size), np.empty(size, dtype=dist.dtype)
-    filled = 0
-    for (i, first, stop), norms in zip(spans, _pair_norms(f, rows, spans)):
-        if filled + len(norms) > size:
-            _reduce_extremes(low, high, seen, t_buf[:filled], norm_buf[:filled])
-            filled = 0
-        norm_buf[filled : filled + len(norms)] = norms
-        t_buf[filled : filled + len(norms)] = dist[i, first:stop]
-        filled += len(norms)
-    _reduce_extremes(low, high, seen, t_buf[:filled], norm_buf[:filled])
+    if rows.dtype.kind == "i" and math.isinf(f.p) and _isometric(f, rows):
+        # dist is symmetric, so a block of rows needs its columns from its first row on
+        step = max(1, _BLOCK_ENTRIES // n)
+        for first in range(0, n, step):
+            block = dist[first : first + step, first:]
+            seen |= np.bincount(block.ravel(), minlength=len(seen)) > 0
+        # distinct points are at positive distance, so only the diagonal is 0
+        seen[0] = False
+        low = high = np.arange(len(seen), dtype=np.float64)
+    else:
+        spans = [(i, i + 1, n) for i in range(n - 1)]
+        # the norms and distances of whole rows gather in one reused buffer of
+        # about _BLOCK_ENTRIES pairs, each full buffer reduced by one ufunc.at
+        # per extreme: never an (n^2, dim) array nor all pairs at once
+        size = max(_BLOCK_ENTRIES, n - 1)
+        norm_buf, t_buf = np.empty(size), np.empty(size, dtype=dist.dtype)
+        filled = 0
+        for (i, first, stop), norms in zip(spans, _pair_norms(f, rows, spans)):
+            if filled + len(norms) > size:
+                _reduce_extremes(low, high, seen, t_buf[:filled], norm_buf[:filled])
+                filled = 0
+            norm_buf[filled : filled + len(norms)] = norms
+            t_buf[filled : filled + len(norms)] = dist[i, first:stop]
+            filled += len(norms)
+        _reduce_extremes(low, high, seen, t_buf[:filled], norm_buf[:filled])
     ts = np.flatnonzero(seen)
     if not ts.size:
         raise InvalidArgumentError("domain has a single point, no realized distances")

@@ -1,14 +1,16 @@
 """Box space assembly and the coarse-union metric."""
 
+import math
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import boxlab as bl
 from boxlab.boxspace import BoxPoint, box_distance, format_point, parse_point
+from boxlab.groups import MAX_POINTS
 from conftest import dihedral_chain, sl2_chain_spec
 
 
@@ -183,6 +185,8 @@ def test_diameter_matches_matrix_on_cyclic_chains(data):
     for _ in range(data.draw(st.integers(0, 2))):
         factors = data.draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank))
         levels.append([m * f for m, f in zip(levels[-1], factors)])
+    # build_chain refuses chains above the point cap, tested where it is enforced
+    assume(sum(math.prod(m) for m in levels) <= MAX_POINTS)
     ambient = bl.AmbientGroup("free_abelian", rank)
     chain = bl.build_chain(ambient, [bl.CyclicQuotient(m) for m in levels])
     space = bl.assemble_box_space(chain)

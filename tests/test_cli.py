@@ -676,9 +676,12 @@ class TestExitCodes:
 
 @pytest.fixture(scope="module")
 def benchmark_chains(tmp_path_factory):
-    """Small chains for the benchmark commands: SL2(Z/3), SL2(Z/9), (Z/4, Z/8)^2 and Z/2, Z/4."""
+    """Small chains for the benchmark commands: SL2(Z/3), SL2(Z/9), (Z/4, Z/8)^2 and Z/2, Z/4,
+    and the rank-2 norm-equivalence controls at p = 2 up to t = 3."""
     root = tmp_path_factory.mktemp("benchmark_chains")
-    paths = {}
+    paths = {"controls": str(root / "controls.csv")}
+    rows = [f"{t},{t * 2**-0.5!r},{t}" for t in range(4)]
+    Path(paths["controls"]).write_text("\n".join(["t,rho_minus,rho_plus", *rows]) + "\n")
     for name, data in (
         ("sl2", sl2_chain_spec(1)),
         ("torus", {"ambient": TORUS["ambient"], "levels": TORUS["levels"][:2]}),
@@ -697,6 +700,7 @@ class TestNoMaskedArrays:
         "profile --chain {sl2} --embedding linf",
         "spectral --chain {sl2}",
         "fce-verify --chain {torus} --fibration translation --r 2",
+        "fce-verify --chain {torus} --fibration translation --r 2 --controls {controls}",
         "forge --chain {torus} --mode lift --r 2",
         "fce-verify --chain {line} --fibration trivial:linf --subsets all --r 2",
     ]

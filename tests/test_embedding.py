@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import boxlab as bl
 from boxlab.boxspace import BoxPoint, format_point
 from boxlab import embedding
-from boxlab.embedding import _difference_dtype, _difference_rows, _left_invariant
+from boxlab.embedding import _difference_dtype, _difference_rows, _isometric
 from boxlab.errors import ControlSampleError, InvalidArgumentError
 from conftest import cyclic_chain, dihedral_chain, non_finite_controls, sl2_chain_spec
 
@@ -671,19 +671,15 @@ def _space(name):
         "small": lambda: cyclic_chain(2, 6, 30),
         "torus": lambda: cyclic_chain(4, 8, 16, rank=2),
         "dihedral": lambda: dihedral_chain((3, 6, 12)),
+        "z8": lambda: cyclic_chain(8),
         "line": lambda: cyclic_chain(*(2**k for k in range(6, 11))),
         "z2048": lambda: cyclic_chain(2048),
     }
     return bl.assemble_box_space(chains[name]())
 
 
-def _level_rows(f):
-    """Each level of ``f``'s domain with f's rows on it, in the difference dtype."""
-    rows, start, out = _difference_rows(f), 0, []
-    for q in f.domain.chain.levels:
-        out.append((q, rows[start : start + q.order]))
-        start += q.order
-    return out
+def _certified(f):
+    return _isometric(f, _difference_rows(f))
 
 
 def _assert_profile_is(ctrl, f):
@@ -694,22 +690,42 @@ def _assert_profile_is(ctrl, f):
     assert np.array([ctrl.rho_plus[t] for t in ts]).tobytes() == hi.tobytes()
 
 
+def _stretched_join(space):
+    """linf and one more column, 0 on level 0 and s_0 + 1 above it: it steps past
+    the first join's length, and each point is still covered by its own linf column."""
+    step = np.where(np.arange(space.point_count()) < space.chain.levels[0].order, 0.0, 1.0)
+    return np.column_stack([bl.linf_embedding(space).matrix(), (space.separations[0] + 1) * step])
+
+
 CERTIFIED = ["cyclic", "small", "torus", "sl2-1", "sl2-2", "sl2-3", "dihedral"]
 
 
 class TestLeftInvariantProfile:
-    """``profile`` reads a level certified left-invariant from its identity's
-    row; the row and pair loops, which sweep every pair, are the oracles."""
+    """``profile`` answers t at every realized distance t for a map that
+    ``_isometric`` certifies on the box graph's edges, and sweeps all pairs of
+    any other map; the row and pair loops, which sweep every pair, are the
+    oracles."""
 
     @pytest.mark.parametrize("name", CERTIFIED)
     def test_linf_is_certified_on_every_level(self, name):
         f = bl.linf_embedding(_space(name))
-        assert all(_left_invariant(q, rows) for q, rows in _level_rows(f))
+        assert _certified(f)
         ctrl = bl.profile(f)
         _assert_profile_is(ctrl, f)
         if f.domain.point_count() <= 64:
             lo, hi = _pair_loop_profile(f)
             assert (ctrl.rho_minus, ctrl.rho_plus) == (lo, hi)
+
+    @pytest.mark.parametrize("name", ["line", "z2048"])
+    def test_linf_is_certified_at_the_point_cap(self, name):
+        # too large for the loops: linf is an isometry, so the profile is t at
+        # each distance the matrix holds off its diagonal
+        f = bl.linf_embedding(_space(name))
+        assert _certified(f)
+        realized = np.unique(f.domain.distance_matrix())[1:].tolist()
+        identity = {t: float(t) for t in realized}
+        ctrl = bl.profile(f)
+        assert (ctrl.rho_minus, ctrl.rho_plus) == (identity, identity)
 
     @pytest.mark.parametrize("name", CERTIFIED)
     def test_signed_shifted_permuted_columns_stay_certified(self, name):
@@ -724,35 +740,87 @@ class TestLeftInvariantProfile:
         table = signs * linf.matrix()[:, rng.permutation(dim)] + shifts
         f = bl.CoarseEmbeddingMap(space, math.inf, dim, dict(zip(space.points(), table)))
         assert _difference_dtype(f.matrix()).kind == "i"
-        assert all(_left_invariant(q, rows) for q, rows in _level_rows(f))
+        assert _certified(f)
         ctrl = bl.profile(f)
         _assert_profile_is(ctrl, f)
         assert ctrl == bl.profile(linf)
 
     @pytest.mark.parametrize("point", [0, 5, 13])
-    def test_one_changed_entry_is_refused(self, point):
+    def test_one_changed_entry_is_refused(self, monkeypatch, point):
         # a point of Z/8 (the identity, or not) moved by one in its own level's
-        # column: that level sweeps, and the profile moves with the map
+        # column: the whole map sweeps every pair, and the profile moves with it
         space = _space("cyclic")
         linf = bl.linf_embedding(space)
         table = linf.matrix().copy()
         table[4 + point % 8, 4 + 3] += 1
         f = _kernel_map(space, math.inf, table)
-        assert [_left_invariant(q, rows) for q, rows in _level_rows(f)] == [True, False, True]
+        assert not _certified(f)
+        spans = []
+        sweep = embedding._pair_norms
+
+        def spy(f, rows, pairs):
+            spans.extend(pairs)
+            return sweep(f, rows, pairs)
+
+        monkeypatch.setattr(embedding, "_pair_norms", spy)
         ctrl = bl.profile(f)
+        n = space.point_count()
+        assert spans == [(i, i + 1, n) for i in range(n - 1)]
         _assert_profile_is(ctrl, f)
         assert ctrl != bl.profile(linf)
+
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("cyclic", lambda s: 2.0 * bl.linf_embedding(s).matrix()),
+            ("sl2-1", lambda s: 2.0 * bl.linf_embedding(s).matrix()),
+            ("cyclic", _stretched_join),
+        ],
+        ids=["doubled-cyclic", "doubled-sl2", "stretched-join"],
+    )
+    def test_stretched_maps_are_refused(self, name, build):
+        space = _space(name)
+        f = _kernel_map(space, math.inf, build(space))
+        assert not _certified(f)
+        ctrl = bl.profile(f)
+        _assert_profile_is(ctrl, f)
+        assert ctrl != bl.profile(bl.linf_embedding(space))
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_single_entry_corruption_matches_oracle(self, data):
+        # on these chains of two or three levels no linf column has a single
+        # local maximum, so no negated column covers the point the corrupted
+        # column leaves uncovered
         space = _space(data.draw(st.sampled_from(["cyclic", "torus", "dihedral", "sl2-1"])))
         table = bl.linf_embedding(space).matrix().copy()
         k = data.draw(st.integers(0, len(table) - 1))
         j = data.draw(st.integers(0, table.shape[1] - 1))
         table[k, j] += data.draw(st.sampled_from([-3.0, -1.0, 1.0, 2.0]))
         f = _kernel_map(space, math.inf, table)
+        assert not _certified(f)
         _assert_profile_is(bl.profile(f), f)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_certificate_is_sound(self, data):
+        # linf under random +-1 edits: whatever the certificate accepts, the
+        # pair loop finds isometric (on Z/8 some edited maps are accepted)
+        space = _space(data.draw(st.sampled_from(["z8", "cyclic", "small", "dihedral"])))
+        table = bl.linf_embedding(space).matrix().copy()
+        n = len(table)
+        edits = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([-1, 1])),
+                max_size=4,
+            )
+        )
+        for k, j, step in edits:
+            table[k, j] += step
+        f = _kernel_map(space, math.inf, table)
+        if _certified(f):
+            lo, hi = _pair_loop_profile(f)
+            assert lo == hi == {t: float(t) for t in lo}
 
     @pytest.mark.parametrize(
         "name, build, p",
@@ -773,31 +841,17 @@ class TestLeftInvariantProfile:
         def refuse(*args):
             raise AssertionError("the certificate ran")
 
-        monkeypatch.setattr(embedding, "_left_invariant", refuse)
+        monkeypatch.setattr(embedding, "_isometric", refuse)
         _assert_profile_is(bl.profile(f), f)
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_linf_on_sl2_sweeps_no_level(self, monkeypatch, seed):
-        space = _space(f"sl2-{seed}")
-        f = bl.linf_embedding(space)
-        spans = []
-        sweep = embedding._pair_norms
+    @pytest.mark.parametrize("name", ["sl2-1", "sl2-2", "sl2-3", "line"])
+    def test_linf_sweeps_no_pair(self, monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError("profile swept pairs")
 
-        def spy(f, rows, pairs):
-            spans.extend(pairs)
-            return sweep(f, rows, pairs)
-
-        monkeypatch.setattr(embedding, "_pair_norms", spy)
-        bl.profile(f)
-        orders = [q.order for q in space.chain.levels]
-        level = np.repeat(np.arange(len(orders)), orders)
-        identity = [space.point_index(space.identity_point(i)) for i in range(len(orders))]
-        within = [(i, lo, hi) for i, lo, hi in spans if level[i] == level[lo]]
-        # within a level, only the identity's row, split around the identity
-        assert all(i == identity[level[i]] and level[hi - 1] == level[i] for i, lo, hi in within)
-        assert sum(hi - lo for _, lo, hi in within) == sum(m - 1 for m in orders)
-        across = sum(a * b for a, b in itertools.combinations(orders, 2))
-        assert sum(hi - lo for _, lo, hi in spans) == across + sum(m - 1 for m in orders)
+        monkeypatch.setattr(embedding, "_pair_norms", refuse)
+        ctrl = bl.profile(bl.linf_embedding(_space(name)))
+        assert all(ctrl.rho_minus[t] == ctrl.rho_plus[t] == t for t in ctrl.realized_distances())
 
     @pytest.mark.parametrize("name", ["line", "z2048"])
     def test_peak_memory_stays_within_the_sweep(self, name):

@@ -5,16 +5,21 @@ checks pass, 1 a verification failed (witnesses are printed), 2 malformed
 input or usage, 3 an internal error (its traceback is printed).  File
 outputs are plain CSV with no timestamps, so repeated runs over the same
 inputs produce byte-identical bodies.
+
+One table, ``_SUBCOMMANDS``, describes every subcommand and flag.  ``_parse``
+reads a well-formed command line from it without importing argparse; help,
+usage errors and every other line go to the argparse parser built from the
+same table, with argparse's own text and exit code.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NoReturn
 
 import numpy as np
@@ -54,27 +59,42 @@ def _fmt(v) -> str:
     return "%.12g" % float(v)
 
 
-def _parse_p(text: str) -> float:
+def _refuse(message: str) -> NoReturn:
+    # argparse reports a refused value; a well-formed command line never imports it
+    import argparse
+
+    raise argparse.ArgumentTypeError(message)
+
+
+def _norm_exponent(text: str) -> float:
+    """``text`` as a norm exponent, a number >= 1 or 'inf'; ValueError with the reason if not."""
     if text.strip().lower() in ("inf", "infinity", "oo"):
         return math.inf
     try:
         p = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a norm exponent: {text!r}") from None
-    if p < 1:
-        raise argparse.ArgumentTypeError(f"norm exponent must be >= 1, got {text}")
+        raise ValueError(f"not a norm exponent: {text!r}") from None
+    if not p >= 1:  # NaN too
+        raise ValueError(f"norm exponent must be >= 1, got {text}")
     return p
+
+
+def _parse_p(text: str) -> float:
+    try:
+        return _norm_exponent(text)
+    except ValueError as exc:
+        _refuse(str(exc))
 
 
 def _parse_tolerance(text: str) -> float:
     try:
         tolerance = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        _refuse(f"invalid float value: {text!r}")
     if not math.isfinite(tolerance):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite, got {text}")
+        _refuse(f"tolerance must be finite, got {text}")
     if tolerance < 0:
-        raise argparse.ArgumentTypeError(f"tolerance must not be negative, got {text}")
+        _refuse(f"tolerance must not be negative, got {text}")
     return tolerance
 
 
@@ -136,9 +156,9 @@ def _read_embedding_csv(path, space) -> CoarseEmbeddingMap:
         raise SpecFormatError(f"{path}: expected a '# p=<p> dim=<dim>' header line")
     try:
         fields = dict(part.split("=", 1) for part in lines[0][2:].split())
-        p = _parse_p(fields["p"])
+        p = _norm_exponent(fields["p"])
         dim = int(fields["dim"])
-    except (ValueError, KeyError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, KeyError) as exc:
         raise SpecFormatError(f"{path}: bad header: {exc}") from None
     table = {}
     for number, ln in enumerate(lines[2:], start=3):
@@ -441,100 +461,118 @@ def cmd_spectral(args) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
+# one flag: argparse's add_argument keywords; its dest is argparse's, the flag
+# without its dashes and with "-" read as "_"
+_COMMON = {
+    "--chain": dict(required=True, help="path to a chain JSON file"),
+    "--out": dict(help="directory for CSV/report output"),
+}
+_TOLERANCE = {
+    "--tolerance": dict(type=_parse_tolerance, default=1e-9, help="comparison tolerance"),
+}
+_P = {"--p": dict(type=_parse_p, default=None, help="norm exponent (or 'inf')")}
 
-def _add_common(sub, *, tolerance=True):
-    sub.add_argument("--chain", required=True, help="path to a chain JSON file")
-    sub.add_argument("--out", help="directory for CSV/report output")
-    if tolerance:
-        sub.add_argument(
-            "--tolerance", type=_parse_tolerance, default=1e-9, help="comparison tolerance"
-        )
-
-
-def _build_args(b) -> None:
-    _add_common(b, tolerance=False)
-    b.set_defaults(func=cmd_build)
-
-
-def _profile_args(pr) -> None:
-    _add_common(pr)
-    pr.add_argument(
-        "--embedding",
-        default="linf",
-        help="builtin name (linf, cycle-plane, torus-lp) or embedding CSV path",
-    )
-    pr.add_argument("--p", type=_parse_p, default=None, help="norm exponent (or 'inf')")
-    pr.add_argument("--controls", help="control CSV to verify against")
-    pr.add_argument(
-        "--dump-map", action="store_true", help="also write the embedding table CSV"
-    )
-    pr.set_defaults(func=cmd_profile)
-
-
-def _fce_verify_args(fv) -> None:
-    _add_common(fv)
-    fv.add_argument(
-        "--fibration",
-        default="translation",
-        help="'translation' or 'trivial:<embedding>'",
-    )
-    fv.add_argument("--r", type=int, required=True, help="scale to verify at")
-    fv.add_argument("--p", type=_parse_p, default=None, help="norm exponent (or 'inf')")
-    fv.add_argument(
-        "--subsets",
-        choices=("balls", "pairs", "balls+pairs", "all"),
-        default="balls+pairs",
-        help="witness set family",
-    )
-    fv.add_argument("--controls", help="control CSV (translation default: t*k^(1/p-1) <= rho <= t)")
-    fv.set_defaults(func=cmd_fce_verify)
-
-
-def _forge_args(fg) -> None:
-    _add_common(fg)
-    fg.add_argument(
-        "--mode", choices=("averaged", "fce", "lift", "ultra"), required=True,
-        help="ultra checks the norms on Z^k against t*k^(1/p-1) <= norm <= t",
-    )
-    fg.add_argument("--level", type=int, default=None, help="carrier level (averaged)")
-    fg.add_argument("--r", type=int, default=None, help="scale (fce/lift) or top scale (ultra)")
-    fg.add_argument("--p", type=_parse_p, default=None, help="norm exponent (or 'inf')")
-    fg.add_argument(
-        "--embedding", default="linf", help="map to average (averaged mode)"
-    )
-    fg.add_argument(
-        "--replay",
-        help="compare the regenerated dump against an existing file instead of writing",
-    )
-    fg.set_defaults(func=cmd_forge)
-
-
-def _spectral_args(sp) -> None:
-    _add_common(sp, tolerance=False)
-    sp.add_argument(
-        "--epsilon", type=float, default=1e-3, help="gap threshold for the verdict"
-    )
-    sp.set_defaults(func=cmd_spectral)
-
-
-# subcommand: (help line, what adds its arguments)
+# subcommand: (help line, what runs it, its flags in the order its help lists them)
 _SUBCOMMANDS = {
-    "build": ("assemble a box space and dump its metric", _build_args),
-    "profile": ("control pair attained by an embedding", _profile_args),
-    "fce-verify": ("check the two fibred-embedding conditions", _fce_verify_args),
-    "forge": ("build and verify cocycles", _forge_args),
-    "spectral": ("per-level spectral gaps and expansion verdict", _spectral_args),
+    "build": ("assemble a box space and dump its metric", cmd_build, _COMMON),
+    "profile": ("control pair attained by an embedding", cmd_profile, {
+        **_COMMON,
+        **_TOLERANCE,
+        "--embedding": dict(
+            default="linf", help="builtin name (linf, cycle-plane, torus-lp) or embedding CSV path"
+        ),
+        **_P,
+        "--controls": dict(help="control CSV to verify against"),
+        "--dump-map": dict(
+            action="store_true", default=False, help="also write the embedding table CSV"
+        ),
+    }),
+    "fce-verify": ("check the two fibred-embedding conditions", cmd_fce_verify, {
+        **_COMMON,
+        **_TOLERANCE,
+        "--fibration": dict(default="translation", help="'translation' or 'trivial:<embedding>'"),
+        "--r": dict(type=int, required=True, help="scale to verify at"),
+        **_P,
+        "--subsets": dict(
+            choices=("balls", "pairs", "balls+pairs", "all"),
+            default="balls+pairs",
+            help="witness set family",
+        ),
+        "--controls": dict(help="control CSV (translation default: t*k^(1/p-1) <= rho <= t)"),
+    }),
+    "forge": ("build and verify cocycles", cmd_forge, {
+        **_COMMON,
+        **_TOLERANCE,
+        "--mode": dict(
+            choices=("averaged", "fce", "lift", "ultra"),
+            required=True,
+            help="ultra checks the norms on Z^k against t*k^(1/p-1) <= norm <= t",
+        ),
+        "--level": dict(type=int, default=None, help="carrier level (averaged)"),
+        "--r": dict(type=int, default=None, help="scale (fce/lift) or top scale (ultra)"),
+        **_P,
+        "--embedding": dict(default="linf", help="map to average (averaged mode)"),
+        "--replay": dict(
+            help="compare the regenerated dump against an existing file instead of writing"
+        ),
+    }),
+    "spectral": ("per-level spectral gaps and expansion verdict", cmd_spectral, {
+        **_COMMON,
+        "--epsilon": dict(type=float, default=1e-3, help="gap threshold for the verdict"),
+    }),
 }
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for ``argv``: every subcommand, arguments only for those named in ``argv``.
+def _parse(argv) -> SimpleNamespace | None:
+    """The namespace argparse gives ``argv``, read without argparse; None where not sure.
 
-    argparse hands the words after the subcommand to that subcommand's parser
-    alone, and the top-level help and errors show only the subcommands' names
-    and help lines, so the parser behaves as the full one does for ``argv``
-    while skipping the other subcommands' ``add_argument`` calls.
+    It takes a subcommand followed by its own flags only, each spelled in full as
+    ``--flag value`` or ``--flag=value`` (a store-true flag bare), with every value
+    converted and within its choices and every required flag given; the last of a
+    repeated flag wins, as in argparse.  Anything else, such as help, an
+    abbreviation, a positional, ``--``, a missing value or one starting with "-",
+    or a refused value, returns None, and argparse parses it, to the same
+    namespace or to its own help and error text.
     """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, func, flags = _SUBCOMMANDS[argv[0]]
+    given = {}
+    words = iter(argv[1:])
+    for word in words:
+        flag, eq, value = word.partition("=")
+        spec = flags.get(flag)
+        if spec is None:
+            return None
+        if spec.get("action") == "store_true":
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(words, "-")  # a missing value is refused as one starting with "-"
+        if value.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except Exception:  # argparse converts it again and reports the refusal
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    if any(spec.get("required") and flag not in given for flag, spec in flags.items()):
+        return None
+    values = {
+        flag[2:].replace("-", "_"): given.get(flag, spec.get("default"))
+        for flag, spec in flags.items()
+    }
+    return SimpleNamespace(command=argv[0], func=func, **values)
+
+
+def _build_parser():
+    """The argparse parser of every subcommand: help, usage errors, what ``_parse`` leaves."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="boxlab",
         description="Box spaces of quotient chains: metric assembly, coarse"
@@ -542,17 +580,17 @@ def _build_parser(argv) -> argparse.ArgumentParser:
         " localization, spectral gap scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = set(argv)
-    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+    for name, (help_line, func, flags) in _SUBCOMMANDS.items():
         command = sub.add_parser(name, help=help_line)
-        if name in named:
-            add_arguments(command)
+        for flag, spec in flags.items():
+            command.add_argument(flag, **spec)
+        command.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse(argv) or _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (BoxlabError, OSError) as exc:

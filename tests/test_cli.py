@@ -1,6 +1,8 @@
 """Command line behaviour: exit codes, file outputs, determinism."""
 
+import contextlib
 import gc
+import io
 import json
 import os
 import shutil
@@ -10,6 +12,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxlab import cli
 from boxlab.boxspace import assemble_box_space, box_distance, format_point
@@ -518,6 +522,62 @@ class TestSpectral:
         assert "FAIL" in capsys.readouterr().out
 
 
+# the benchmark's six command lines (torus, overlap-all, sl2) on the benchmark_chains fixture
+BENCHMARK_COMMANDS = [
+    "fce-verify --chain {torus} --fibration translation --r 2 --controls {controls}",
+    "forge --chain {torus} --mode lift --r 2 --out {out}",
+    "fce-verify --chain {line} --fibration trivial:linf --subsets all --r 5",
+    "build --chain {sl2} --out {out}",
+    "profile --chain {sl2} --embedding linf --out {out}",
+    "spectral --chain {sl2} --out {out}",
+]
+
+FULL_PARSER = cli._build_parser()
+
+
+def parse_both(argv):
+    """``cli._parse(argv)`` and the full argparse parser's outcome for ``argv``, each as
+    ``vars()`` with floats by ``repr`` (so a NaN equals a NaN), or argparse's exit code."""
+
+    def comparable(args):
+        return {k: repr(v) if isinstance(v, float) else v for k, v in vars(args).items()}
+
+    fast = cli._parse(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            full = comparable(FULL_PARSER.parse_args(argv))
+    except SystemExit as exc:
+        full = exc.code
+    return (None if fast is None else comparable(fast)), full
+
+
+@st.composite
+def command_lines(draw):
+    """argv from subcommand names, every flag with values in both spellings, abbreviations,
+    help flags and ``--``: the named subcommand's own flags are drawn more often, and its
+    required flags lead half the lines, so that some lines parse."""
+    every = sorted({flag for _, _, table in cli._SUBCOMMANDS.values() for flag in table})
+    every += ["--emb", "--tol"]
+    values = ["x", "2", "0", "-1", "1e-9", "-1e-9", "nan", "inf", "0.3", "all", "lift", "nope", ""]
+    words = [*cli._SUBCOMMANDS, "warp", "-h", "--help", "--", "--dump-map=1", *every, *values]
+    name = draw(st.sampled_from([*cli._SUBCOMMANDS, "warp"]))
+    own = cli._SUBCOMMANDS.get(name, (None, None, {}))[2]
+    argv = [] if draw(st.integers(0, 9)) == 0 else [name]
+    if argv and draw(st.booleans()):
+        for flag, spec in own.items():
+            if spec.get("required"):
+                argv += [flag, draw(st.sampled_from(["x", "2", "lift"]))]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.integers(0, 3))
+        if kind == 3:
+            argv.append(draw(st.sampled_from([*own, *words])))
+            continue
+        flag = draw(st.sampled_from(list(own) if own and kind < 2 else every))
+        value = draw(st.sampled_from(values))
+        argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    return argv
+
+
 class TestParsing:
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -560,6 +620,29 @@ class TestParsing:
         assert capsys.readouterr().err.endswith("argument --tolerance: invalid float value: 'tiny'\n")
 
     @pytest.mark.parametrize(
+        "argv, where",
+        [
+            ("profile --embedding cycle-plane --p nan", "argument --p"),
+            ("forge --mode lift --r 2 --p nan", "argument --p"),
+            ("fce-verify --r 2 --p nan", "argument --p"),
+            ("profile --embedding {csv}", "{csv}: bad header"),
+        ],
+    )
+    def test_nan_p_exits_two(self, chains, tmp_path, capsys, argv, where):
+        # NaN is not >= 1: refused as input, not carried on into an internal error
+        csv = tmp_path / "embedding.csv"
+        rows = [f"0,{x},{x}" for x in range(4)] + [f"1,{x},{x}" for x in range(8)]
+        csv.write_text("\n".join(["# p=nan dim=1", "level,element,c_1", *rows]) + "\n")
+        argv = [*argv.format(csv=csv).split(), "--chain", chains["line"]]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"{where.format(csv=csv)}: norm exponent must be >= 1, got nan\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             "",
@@ -573,27 +656,48 @@ class TestParsing:
             "forge --chain x --mode nope",
             "spectral --chain x --epsilon 0.5",
             "profile --chain build --p inf",
+            "build --chain x --out",
+            "build --chain -1e-9",
+            "build --chain=-1e-9",
+            "profile --chain x --dump-map=1",
+            "spectral --chain x --chain y --epsilon=nan",
         ],
     )
-    def test_parser_for_the_named_subcommand_acts_as_the_full_one(self, capsys, argv):
-        argv = argv.split()
+    def test_parser_for_the_named_subcommand_acts_as_the_full_one(self, argv):
+        # the fast parser reads the named subcommand's flags alone; argparse is the oracle
+        fast, full = parse_both(argv.split())
+        assert fast is None or fast == full
 
-        def outcome(parser):
-            try:
-                result = vars(parser.parse_args(argv))
-            except SystemExit as exc:
-                result = exc.code
-            return result, capsys.readouterr()
+    @given(command_lines())
+    @settings(max_examples=1000, deadline=None)
+    def test_fast_parser_agrees_with_argparse(self, argv):
+        fast, full = parse_both(argv)
+        assert fast is None or fast == full
 
-        full = cli._build_parser(list(cli._SUBCOMMANDS))
-        assert outcome(cli._build_parser(argv)) == outcome(full)
+    @pytest.mark.parametrize("command", BENCHMARK_COMMANDS)
+    def test_benchmark_command_lines_take_the_fast_path(self, benchmark_chains, command):
+        fast, full = parse_both(command.format(**benchmark_chains, out="out").split())
+        assert fast is not None
+        assert fast == full
 
-    def test_only_the_named_subcommand_gets_arguments(self):
-        parser = cli._build_parser(["spectral", "--chain", "x"])
-        subparsers = parser._subparsers._group_actions[0].choices
-        counts = {name: len(sub._actions) for name, sub in subparsers.items()}
-        # every subparser has its help option; spectral adds --chain, --out and --epsilon
-        assert counts == {"build": 1, "profile": 1, "fce-verify": 1, "forge": 1, "spectral": 4}
+    def test_benchmark_commands_load_no_argparse(self, benchmark_chains, tmp_path):
+        # every command's main in one process, then whether argparse or gettext was loaded
+        script = (
+            "import contextlib, io, sys\n"
+            "from boxlab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv.split()) for argv in sys.argv[1:]]\n"
+            "print(codes, 'argparse' in sys.modules, 'gettext' in sys.modules)\n"
+        )
+        argvs = [
+            command.format(**benchmark_chains, out=tmp_path / str(i))
+            for i, command in enumerate(BENCHMARK_COMMANDS)
+        ]
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argvs], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"{[0] * len(BENCHMARK_COMMANDS)} False False\n"
 
     def test_module_entry_point(self, chains):
         result = subprocess.run(

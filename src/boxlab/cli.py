@@ -187,18 +187,24 @@ def _read_embedding_csv(path, space) -> CoarseEmbeddingMap:
 
 
 def _resolve_embedding(name: str, space, p: float | None) -> CoarseEmbeddingMap:
-    if name == "linf":
-        return linf_embedding(space)
+    """The embedding ``name`` at ``--p``; ``linf`` and an embedding CSV fix their own
+    p, and a ``--p`` that disagrees with it is refused."""
     if name == "cycle-plane":
         return cycle_plane_embedding(space, p if p is not None else 2.0)
     if name == "torus-lp":
         return torus_coordinate_embedding(space, p if p is not None else 2.0)
-    if Path(name).exists():
-        return _read_embedding_csv(name, space)
-    raise SpecFormatError(
-        f"unknown embedding {name!r}: expected one of {', '.join(_BUILTIN_EMBEDDINGS)}"
-        " or a path to an embedding CSV"
-    )
+    if name == "linf":
+        f = linf_embedding(space)
+    elif Path(name).exists():
+        f = _read_embedding_csv(name, space)
+    else:
+        raise SpecFormatError(
+            f"unknown embedding {name!r}: expected one of {', '.join(_BUILTIN_EMBEDDINGS)}"
+            " or a path to an embedding CSV"
+        )
+    if p is not None and p != f.p:
+        raise SpecFormatError(f"--p {_fmt(p)} disagrees with p={_fmt(f.p)} of embedding {name!r}")
+    return f
 
 
 # -- build -------------------------------------------------------------------
@@ -394,10 +400,6 @@ def cmd_forge(args) -> int:
             raise SpecFormatError(f"level {level} out of range")
         q = chain.levels[level]
         f = _resolve_embedding(args.embedding, space, args.p)
-        if args.p is not None and args.p != f.p:
-            raise SpecFormatError(
-                f"--p {_fmt(args.p)} disagrees with p={_fmt(f.p)} of embedding {args.embedding!r}"
-            )
         # points() lists the levels in turn, so the level's rows are one block
         start = space.point_index(BoxPoint(level, 0))
         table = f.matrix()[start : start + q.order]

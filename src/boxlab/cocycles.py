@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .boxspace import BoxPoint
-from .embedding import _check_nondecreasing, _check_tolerance, _Record
+from .embedding import _check_tolerance, _control_bounds, _Record
 from .errors import ActionCheckError, InvalidArgumentError
 from .fibration import FibredEmbedding, _segments
 from .groups import (
@@ -499,17 +499,16 @@ def ultraproduct_hypothesis_check(
     A scale is live for g when it exceeds the length of g; below that the
     lift vanishes by construction and only the upper bound is meaningful.
     The controls must be nondecreasing: a decreasing or NaN sample raises
-    InvalidArgumentError.
+    InvalidArgumentError, and a length missing a sample ControlSampleError.
     """
     _check_tolerance(tolerance)
-    _check_nondecreasing(rho_minus, rho_plus)
+    elements = list(elements)
+    lengths = np.array([ambient_word_length(family.chain, g) for g in elements], dtype=np.int64)
+    lows, highs = _control_bounds(rho_minus, rho_plus, int(lengths.max(initial=0)))(lengths)
     rows = []
     passed = True
-    for g in elements:
-        n = ambient_word_length(family.chain, g)
+    for g, n, lo, hi in zip(elements, lengths.tolist(), lows.tolist(), highs.tolist()):
         seq = family.norms(g)
-        lo = float(rho_minus[n])
-        hi = float(rho_plus[n])
         upper_ok = all(v <= hi + tolerance for v in seq.values())
         live = {r: v for r, v in seq.items() if r > n}
         lower_ok = all(v >= lo - tolerance for v in live.values())

@@ -47,25 +47,34 @@ class CoarseEmbeddingMap:
     """Finite map from a box space into l^p, held as one read-only float64 matrix.
 
     Row k of ``matrix()`` is the vector at ``points()[k]``; ``table`` maps
-    each point to its row, a view.  The constructor refuses NaN and infinite
-    entries; ``_of_matrix``, the builtins' path, takes its matrix unchecked.
+    each point to its row, a view.  The constructor takes a mapping from
+    points to vectors, copied into a fresh matrix, or a ``(points, dim)``
+    matrix in ``points()`` order, held as a read-only view with no copy of a
+    float64 one.  It refuses the first point, in ``points()`` order, that is
+    missing, has a vector of the wrong shape or holds a NaN or infinite
+    entry; ``_of_matrix``, the builtins' path, takes its matrix unchecked.
     """
 
-    def __init__(self, domain: BoxSpace, p: float, dim: int, table: dict[BoxPoint, np.ndarray]):
-        p = float(p)
-        table = {pt: np.asarray(v, dtype=np.float64) for pt, v in table.items()}
+    def __init__(
+        self, domain: BoxSpace, p: float, dim: int, table: dict[BoxPoint, np.ndarray] | np.ndarray
+    ):
         pts = domain.points()
-        missing = [pt for pt in pts if pt not in table]
-        if missing:
-            raise ValueError(f"table missing point {format_point(missing[0])}")
-        for pt, v in table.items():
-            if v.shape != (dim,):
-                raise ValueError(
-                    f"vector at {format_point(pt)} has shape {v.shape}, expected ({dim},)"
-                )
-        mat = np.empty((len(pts), dim))
-        for k, pt in enumerate(pts):
-            mat[k] = table[pt]
+        if isinstance(table, np.ndarray):
+            if table.shape != (len(pts), dim):
+                raise ValueError(f"matrix has shape {table.shape}, expected ({len(pts)}, {dim})")
+            # a view: marking it read-only leaves the caller's array as it was
+            mat = table.astype(np.float64, copy=False).view()
+        else:
+            mat = np.empty((len(pts), dim))
+            for k, pt in enumerate(pts):
+                if pt not in table:
+                    raise ValueError(f"table missing point {format_point(pt)}")
+                v = np.asarray(table[pt], dtype=np.float64)
+                if v.shape != (dim,):
+                    raise ValueError(
+                        f"vector at {format_point(pt)} has shape {v.shape}, expected ({dim},)"
+                    )
+                mat[k] = v
         finite = np.isfinite(mat).all(axis=1)
         if not finite.all():
             raise ValueError(
@@ -204,6 +213,33 @@ def _check_nondecreasing(rho_minus, rho_plus) -> None:
         # fails closed: a NaN sample breaks monotonicity
         if any(not a <= b for a, b in zip(vals, vals[1:])):
             raise InvalidArgumentError(f"{name} samples are not nondecreasing")
+
+
+def _control_bounds(rho_minus, rho_plus, top: int):
+    """The verifiers' one reading of a control pair, refusing samples that are
+    not nondecreasing with InvalidArgumentError.
+
+    Returns ``bounds``, which maps an integer array ``t`` of distances in
+    0..top to the arrays ``(rho_minus[t], rho_plus[t])``, or raises
+    ControlSampleError naming the first distance of ``t`` missing a sample,
+    rho_minus's before rho_plus's.
+    """
+    _check_nondecreasing(rho_minus, rho_plus)
+    ts = range(top + 1)
+    has_lo, has_hi = (np.array([t in s for t in ts]) for s in (rho_minus, rho_plus))
+    lo_at, hi_at = (
+        np.array([float(s[t]) if t in s else np.nan for t in ts]) for s in (rho_minus, rho_plus)
+    )
+
+    def bounds(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        missing = np.flatnonzero(~(has_lo[t] & has_hi[t]))
+        if missing.size:
+            t0 = int(t[missing[0]])
+            which = "rho_plus" if has_lo[t0] else "rho_minus"
+            raise ControlSampleError(f"{which} sample missing realized distance {t0}")
+        return lo_at[t], hi_at[t]
+
+    return bounds
 
 
 class ControlPair(_Record):
@@ -375,13 +411,6 @@ class CoarseReport(_Record):
         return "\n".join(lines)
 
 
-def _control_table(sample, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """A control sample as arrays over distances 0..top: values, and which are present."""
-    present = np.array([t in sample for t in range(top + 1)])
-    values = np.array([float(sample[t]) if ok else np.nan for t, ok in enumerate(present)])
-    return values, present
-
-
 def verify_coarse(
     f: CoarseEmbeddingMap,
     rho_minus,
@@ -394,22 +423,15 @@ def verify_coarse(
     nondecreasing there.  Divergence is reported only as the attained range.
     """
     _check_tolerance(tolerance)
-    _check_nondecreasing(rho_minus, rho_plus)
     pts = f.domain.points()
     dist = f.domain.distance_matrix()
     max_t = int(dist.max(initial=0))
-    lo_at, has_lo = _control_table(rho_minus, max_t)
-    hi_at, has_hi = _control_table(rho_plus, max_t)
+    bounds = _control_bounds(rho_minus, rho_plus, max_t)
     witnesses = []
     spans = [(i, i, len(pts)) for i in range(len(pts))]
     for i, norms in enumerate(_pair_norms(f, _difference_rows(f), spans)):
         t = dist[i, i:]
-        missing = np.flatnonzero(~(has_lo[t] & has_hi[t]))
-        if missing.size:
-            t0 = int(t[missing[0]])
-            which = "rho_plus" if has_lo[t0] else "rho_minus"
-            raise ControlSampleError(f"{which} sample missing realized distance {t0}")
-        lo, hi = lo_at[t], hi_at[t]
+        lo, hi = bounds(t)
         # fails closed: a NaN norm or control is a violation
         for k in np.flatnonzero(~((lo - tolerance <= norms) & (norms <= hi + tolerance))).tolist():
             witnesses.append(

@@ -15,19 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .boxspace import BoxPoint, BoxSpace, _point_rows, format_point
-from .embedding import (
-    CoarseEmbeddingMap,
-    _check_nondecreasing,
-    _check_tolerance,
-    _control_table,
-    _Record,
-)
-from .errors import (
-    ActionCheckError,
-    ControlSampleError,
-    InvalidArgumentError,
-    MissingTrivializationError,
-)
+from .embedding import CoarseEmbeddingMap, _check_tolerance, _control_bounds, _Record
+from .errors import ActionCheckError, InvalidArgumentError, MissingTrivializationError
 from .groups import (
     FREE_ABELIAN,
     _ambient_spheres,
@@ -53,17 +42,17 @@ MAX_ALL_POINTS = 16
 class FibredEmbedding:
     """Section + exclusion + trivialization oracle over a box space.
 
-    The section is a mapping from each point to its vector, or a ``(points,
-    dim)`` matrix whose rows follow ``space.points()``; either way it is held
-    as one read-only float64 matrix, and ``section`` maps each point to its
-    row, a view.  ``trivialization(sets, r)`` returns one ``IsometryStack`` of
-    this fibration's l^p space with a row per (set, point), sets in order and
-    points in the order each set lists them, or raises
-    MissingTrivializationError for the first set it cannot serve.  Verifiers
-    only ever request sets of diameter below ``r``, but the oracle may serve
-    more (the proper-action construction serves any single-level set whose
-    covering radius is below ``r``).  The constructor refuses a NaN or
-    infinite section entry; served rows are checked as ``trivialize`` says.
+    The section is what ``CoarseEmbeddingMap(space, p, dim, section)`` takes
+    and checks, a mapping from each point to its vector or a ``(points, dim)``
+    matrix whose rows follow ``space.points()``; the fibration holds that map,
+    and ``section`` is its ``table``.  ``trivialization(sets, r)`` returns
+    one ``IsometryStack`` of this fibration's l^p space with a row per (set,
+    point), sets in order and points in the order each set lists them, or
+    raises MissingTrivializationError for the first set it cannot serve.
+    Verifiers only ever request sets of diameter below ``r``, but the oracle
+    may serve more (the proper-action construction serves any single-level
+    set whose covering radius is below ``r``).  Served rows are checked as
+    ``trivialize`` says.
     """
 
     def __init__(
@@ -78,29 +67,8 @@ class FibredEmbedding:
     ):
         self.space, self.p, self.dim = space, float(p), dim
         self.exclusion, self.trivialization, self.note = exclusion, trivialization, note
-        pts = space.points()
-        if isinstance(section, np.ndarray):
-            if section.shape != (len(pts), dim):
-                raise ValueError(f"section matrix has shape {section.shape}")
-            # a view: marking it read-only leaves the caller's array as it was
-            rows = section.astype(np.float64, copy=False).view()
-        else:
-            rows = np.empty((len(pts), dim))
-            for k, pt in enumerate(pts):
-                v = section.get(pt)
-                if v is None:
-                    raise ValueError(f"section missing point {format_point(pt)}")
-                v = np.asarray(v, dtype=np.float64)
-                if v.shape != (dim,):
-                    raise ValueError(f"section at {format_point(pt)} has shape {v.shape}")
-                rows[k] = v
-        finite = np.isfinite(rows).all(axis=1)
-        if not finite.all():
-            pt = pts[int(np.argmin(finite))]
-            raise ValueError(f"section at {format_point(pt)} has a non-finite entry")
-        rows.flags.writeable = False
-        self._section_rows = rows
-        self.section = dict(zip(pts, rows))
+        self._section = CoarseEmbeddingMap(space, p, dim, section)
+        self.section = self._section.table
 
     def excluded(self, r: int) -> frozenset[BoxPoint]:
         if r < 1:
@@ -132,7 +100,7 @@ class FibredEmbedding:
                 "oracle returned a row that is not a signed permutation at"
                 f" {format_point(members[bad])}"
             )
-        return stack, stack.apply(self._section_rows[where])
+        return stack, stack.apply(self._section.matrix()[where])
 
 
 def trivial_fibration(f: CoarseEmbeddingMap) -> FibredEmbedding:
@@ -650,13 +618,13 @@ def verify_fce(
     mismatch, ``_overlap_sweep`` makes it and names the violations.
     """
     _check_tolerance(tolerance)
-    _check_nondecreasing(rho_minus, rho_plus)
+    space = fib.space
+    dist = space.distance_matrix()
+    bounds = _control_bounds(rho_minus, rho_plus, int(dist.max(initial=0)))
     if r < 1:
         raise InvalidArgumentError(f"scale must be >= 1, got {r}")
-    space = fib.space
     K = fib.excluded(r)
     allowed = [pt for pt in space.points() if pt not in K]
-    dist = space.distance_matrix()
     sets = _candidate_sets(space, allowed, dist, r, mode)
     # one row per (set, point): sets in order, points sorted within a set
     members = [pt for C in sets for pt in C]
@@ -675,9 +643,6 @@ def verify_fce(
     holders = np.unique(where, return_counts=True)[1]
     at_point = (np.repeat(np.cumsum(holders), holders) - np.arange(len(members)) - 1)[rank]
 
-    (lo_at, has_lo), (hi_at, has_hi) = (
-        _control_table(c, int(dist.max(initial=0))) for c in (rho_minus, rho_plus)
-    )
     sandwich_witnesses = []
     sandwich_pairs = 0
     for first, stop in _segments(in_set, budget):
@@ -686,10 +651,7 @@ def verify_fce(
         u = source + first
         v = u + step
         t = dist[where[u], where[v]]
-        missing = np.flatnonzero(~(has_lo[t] & has_hi[t]))
-        if missing.size:
-            raise ControlSampleError(f"control sample missing realized distance {t[missing[0]]}")
-        lo, hi = lo_at[t], hi_at[t]
+        lo, hi = bounds(t)
         nrm = lp_norm(moved[u] - moved[v], fib.p, axis=1)
         bad = ~((lo - tolerance <= nrm) & (nrm <= hi + tolerance))  # NaN fails closed
         sandwich_pairs += len(t)

@@ -415,14 +415,20 @@ class TestForge:
                          "--dump-map", "--out", str(tmp_path)]) == 0
             embedding = str(tmp_path / "embedding.csv")
         capsys.readouterr()
-        code = main(
-            ["forge", "--chain", chains["dyadic"], "--mode", "averaged", "--level", "0",
-             "--embedding", embedding, "--p", "2", "--out", str(tmp_path / "avg")]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--p 2" in err and "p=inf" in err
-        assert not (tmp_path / "avg").exists()
+        # every command that resolves an embedding holds --p to the one it fixes
+        for command in (
+            ["forge", "--mode", "averaged", "--level", "0", "--embedding", embedding],
+            ["profile", "--embedding", embedding],
+            ["fce-verify", "--fibration", f"trivial:{embedding}", "--r", "2"],
+        ):
+            out = tmp_path / command[0]
+            code = main([*command, "--chain", chains["dyadic"], "--p", "2", "--out", str(out)])
+            assert code == 2, command
+            err = capsys.readouterr().err
+            assert err == f"error: --p 2 disagrees with p=inf of embedding {embedding!r}\n"
+            assert not out.exists()
+            assert main([*command, "--chain", chains["dyadic"], "--p", "inf"]) == 0, command
+            capsys.readouterr()
 
     def test_fce_mode_dumps_live_elements(self, chains, tmp_path):
         out = tmp_path / "fce"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import boxlab as bl
 from boxlab.boxspace import BoxPoint
 from boxlab.cocycles import LocalRepresentation, QuotientCarrier
-from boxlab.errors import ActionCheckError, InvalidArgumentError
+from boxlab.errors import ActionCheckError, ControlSampleError, InvalidArgumentError
 from boxlab.lpspace import IsometryStack
 from conftest import (
     non_finite_controls,
@@ -520,6 +520,27 @@ class TestFamily:
             bl.ultraproduct_hypothesis_check(fam, elements, ident, {**ident, **bad})
         with pytest.raises(InvalidArgumentError, match="^rho_minus samples are not nondecreasing$"):
             bl.ultraproduct_hypothesis_check(fam, elements, {**ident, **bad}, ident)
+
+    @pytest.mark.parametrize("side", ["rho_minus", "rho_plus"])
+    @pytest.mark.parametrize("verifier", ["verify_coarse", "verify_fce", "ultraproduct"])
+    def test_missing_control_sample_is_named(self, deep_space, line_fibrations, verifier, side):
+        """The three sandwich verifiers read controls through one lookup, so each names
+        the side and the distance of a missing sample; ultraproduct used to raise KeyError."""
+        ident = {n: float(n) for n in range(deep_space.diameter() + 1)}
+        gap = {n: v for n, v in ident.items() if n != 2}
+        lo, hi = (gap, ident) if side == "rho_minus" else (ident, gap)
+        check = {
+            "verify_coarse": lambda: bl.verify_coarse(bl.linf_embedding(deep_space), lo, hi),
+            "verify_fce": lambda: bl.verify_fce(
+                bl.trivial_fibration(bl.linf_embedding(deep_space)), 3, lo, hi, mode="pairs"
+            ),
+            "ultraproduct": lambda: bl.ultraproduct_hypothesis_check(
+                bl.family_from_fce(line_fibrations[1.0], range(2, 5)),
+                [(g,) for g in range(-3, 4)], lo, hi,
+            ),
+        }[verifier]
+        with pytest.raises(ControlSampleError, match=f"^{side} sample missing realized distance 2$"):
+            check()
 
     def test_zero_family_fails_lower_bound(self, deep_chain):
         members = {}

@@ -61,7 +61,7 @@ class TestFiniteBoundary:
     @settings(max_examples=40, deadline=None)
     def test_fibration_section(self, dyadic_space, data):
         section, first = _non_finite_table(dyadic_space, data)
-        message = rf"^section at {format_point(first)} has a non-finite entry$"
+        message = rf"^vector at {format_point(first)} has a non-finite entry$"
         with pytest.raises(ValueError, match=message):
             bl.FibredEmbedding(
                 space=dyadic_space,
@@ -313,6 +313,61 @@ class TestEmbeddingMaps:
         f = bl.CoarseEmbeddingMap(dyadic_space, 1.0, 1, table)
         table[dyadic_space.points()[0]][0] = 5.0
         assert f.matrix().tolist() == [[0.0]] * dyadic_space.point_count()
+
+    def test_matrix_is_held_without_a_copy(self, dyadic_space):
+        mat = bl.linf_embedding(dyadic_space).matrix().copy()
+        f = bl.CoarseEmbeddingMap(dyadic_space, math.inf, mat.shape[1], mat)
+        # read-only for the map, and still writeable for its owner
+        assert np.shares_memory(f.matrix(), mat) and not f.matrix().flags.writeable
+        assert mat.flags.writeable
+        assert all(np.shares_memory(f.table[pt], mat) for pt in dyadic_space.points())
+        # a mapping with the same rows, in any order, gives an equal matrix of its own
+        rows = dict(zip(dyadic_space.points(), mat.copy()))
+        g = bl.CoarseEmbeddingMap(dyadic_space, math.inf, mat.shape[1], dict(reversed(rows.items())))
+        assert g.matrix().tobytes() == f.matrix().tobytes()
+        assert not np.shares_memory(g.matrix(), mat)
+
+    @pytest.mark.parametrize(
+        "faults, message",
+        [
+            ({5: "missing", 9: "shape"}, "table missing point {5}"),
+            ({5: "shape", 9: "missing"}, r"vector at {5} has shape \(3,\), expected \(28,\)"),
+            ({5: "nan", 9: "inf"}, "vector at {5} has a non-finite entry"),
+            ({5: "nan", 9: "shape"}, r"vector at {9} has shape \(3,\), expected \(28,\)"),
+        ],
+        ids=["missing-then-shape", "shape-then-missing", "nan-then-inf", "nan-then-shape"],
+    )
+    def test_table_refusal_names_the_first_point(self, dyadic_space, faults, message):
+        """Missing points and shapes are read in one pass over ``points()``, then finiteness."""
+        pts = dyadic_space.points()
+        table = dict(zip(pts, bl.linf_embedding(dyadic_space).matrix()))
+        # the later fault is inserted first, so the mapping's own order would name it
+        for k, fault in sorted(faults.items(), reverse=True):
+            v = table.pop(pts[k])
+            if fault != "missing":
+                table = {pts[k]: {"shape": v[:3], "nan": v + np.nan, "inf": v + np.inf}[fault],
+                         **table}
+        message = message.format(*(format_point(pt) for pt in pts))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bl.CoarseEmbeddingMap(dyadic_space, math.inf, 28, table)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("columns", r"matrix has shape \(28, 27\), expected \(28, 28\)"),
+            ("rows", r"matrix has shape \(27, 28\), expected \(28, 28\)"),
+            ("inf", "vector at {3} has a non-finite entry"),
+        ],
+        ids=["columns", "rows", "inf"],
+    )
+    def test_matrix_refusal_names_the_first_point(self, dyadic_space, fault, message):
+        pts = dyadic_space.points()
+        mat = bl.linf_embedding(dyadic_space).matrix().copy()
+        mat[[9, 3], [1, 20]] = [np.nan, np.inf]
+        mat = {"columns": mat[:, 1:], "rows": mat[1:], "inf": mat}[fault]
+        message = message.format(*(format_point(pt) for pt in pts))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bl.CoarseEmbeddingMap(dyadic_space, math.inf, 28, mat)
 
 
 def _old_difference_dtype(mat):

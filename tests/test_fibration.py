@@ -77,36 +77,23 @@ class TestTrivialFibration:
     def test_section_is_one_read_only_matrix(self, dyadic_space):
         f = bl.linf_embedding(dyadic_space)
         fib = bl.trivial_fibration(f)
-        rows = fib._section_rows
-        # the embedding's own matrix, not a copy, and a row view per point
+        rows = fib._section.matrix()
+        # the embedding's own matrix, not a copy, held as a map whose table is the section
         assert np.shares_memory(rows, f.matrix()) and not rows.flags.writeable
+        assert fib.section is fib._section.table
         for k, pt in enumerate(dyadic_space.points()):
             assert np.shares_memory(fib.section[pt], rows)
             assert np.array_equal(fib.section[pt], rows[k])
-        # a matrix from outside is held as it is, and stays writeable for its owner
-        mat = f.matrix().copy()
-        held = bl.FibredEmbedding(
-            dyadic_space, f.p, f.dim, mat, fib.exclusion, fib.trivialization
-        )
-        assert np.shares_memory(held._section_rows, mat) and mat.flags.writeable
-        assert not held._section_rows.flags.writeable
-        # a mapping is copied into one matrix
-        table = {pt: v.copy() for pt, v in f.table.items()}
-        copied = bl.FibredEmbedding(
-            dyadic_space, f.p, f.dim, table, fib.exclusion, fib.trivialization
-        )
-        assert np.array_equal(copied._section_rows, rows)
-        assert not copied._section_rows.flags.writeable
-        with pytest.raises(ValueError, match=r"^section matrix has shape \(28, 27\)$"):
+        with pytest.raises(ValueError, match=r"^matrix has shape \(28, 27\), expected \(28, 28\)$"):
             bl.FibredEmbedding(
-                dyadic_space, f.p, f.dim, mat[:, 1:], fib.exclusion, fib.trivialization
+                dyadic_space, f.p, f.dim, f.matrix()[:, 1:], fib.exclusion, fib.trivialization
             )
 
     def test_non_finite_section_matrix_refused(self, dyadic_space):
         mat = bl.linf_embedding(dyadic_space).matrix().copy()
         mat[7, 3] = np.inf
         first = format_point(dyadic_space.points()[7])
-        with pytest.raises(ValueError, match=rf"^section at {first} has a non-finite entry$"):
+        with pytest.raises(ValueError, match=rf"^vector at {first} has a non-finite entry$"):
             bl.trivial_fibration(bl.CoarseEmbeddingMap._of_matrix(dyadic_space, math.inf, mat))
 
     def test_trivial_fibration_adds_no_matrix(self):

@@ -296,7 +296,11 @@ def _make_fibration(spec: str, space, p: float | None, r: int):
     if spec == "translation":
         rank = space.chain.ambient.rank
         p = p if p is not None else 2.0
-        fib = from_proper_action(space, translation_action(rank, p), r_max=max(r, 1))
+        # no level serves a scale past half its isometry radius, so the
+        # precheck need not reach further
+        chain = space.chain
+        top = max(chain.radius(i) for i in range(chain.level_count())) // 2
+        fib = from_proper_action(space, translation_action(rank, p), r_max=max(1, min(r, top)))
         return fib, partial(norm_equivalence_controls, range(max(r + 1, 2) + 1), rank, p)
     if spec.startswith("trivial:"):
         f = _resolve_embedding(spec.split(":", 1)[1], space, p)

@@ -228,11 +228,18 @@ def local_cocycle_from_fce(
     q = chain.levels[level]
     carrier = QuotientCarrier(q)
 
-    # one stacked row per (ball center z, member w), balls in order of z
+    # one stacked row per (ball center z, member w), balls in order of z, each
+    # listing z first, so that the oracle serves it from z, then its other
+    # members ascending
     inside = q.cayley_matrix() <= r - 1
+    zs, ws = np.nonzero(inside)
+    order = np.lexsort((ws, ws != zs, zs))
+    zs, ws = zs[order], ws[order]
     row = np.full(inside.shape, -1, dtype=np.int64)
-    row[inside] = np.arange(np.count_nonzero(inside))
-    balls = [tuple(BoxPoint(level, w) for w in np.flatnonzero(ball).tolist()) for ball in inside]
+    row[zs, ws] = np.arange(len(zs))
+    ends = np.cumsum(inside.sum(axis=1)).tolist()
+    members = [BoxPoint(level, w) for w in ws.tolist()]
+    balls = [tuple(members[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
     stack, moved = fib.trivialize(balls, r)
 
     blocks = np.arange(q.order)

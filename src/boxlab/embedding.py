@@ -65,8 +65,9 @@ class CoarseEmbeddingMap:
             # a view: marking it read-only leaves the caller's array as it was
             mat = table.astype(np.float64, copy=False).view()
         else:
-            mat = np.empty((len(pts), dim))
-            for k, pt in enumerate(pts):
+            # every vector is checked before the matrix is allocated
+            rows = []
+            for pt in pts:
                 if pt not in table:
                     raise ValueError(f"table missing point {format_point(pt)}")
                 v = np.asarray(table[pt], dtype=np.float64)
@@ -74,7 +75,8 @@ class CoarseEmbeddingMap:
                     raise ValueError(
                         f"vector at {format_point(pt)} has shape {v.shape}, expected ({dim},)"
                     )
-                mat[k] = v
+                rows.append(v)
+            mat = np.array(rows)
         finite = np.isfinite(mat).all(axis=1)
         if not finite.all():
             raise ValueError(

@@ -51,7 +51,7 @@ class FibredEmbedding:
     raises MissingTrivializationError for the first set it cannot serve.
     Verifiers only ever request sets of diameter below ``r``, but the oracle
     may serve more (the proper-action construction serves any single-level
-    set whose covering radius is below ``r``).  Served rows are checked as
+    set within ``r - 1`` of its first point).  Served rows are checked as
     ``trivialize`` says.
     """
 
@@ -202,68 +202,26 @@ def _check_action(chain, action: ProperAction, r_max: int, tol: float = 1e-9) ->
         raise ActionCheckError(f"action is not multiplicative at {ball[g[k]]}, {letters[s[k]]}")
 
 
-# entries of one (members, candidates) block of the one-centre search: 128 KB
-# of int64 per temporary; smaller blocks cost more calls than they save
-_CENTRE_ENTRIES = 1 << 14
-
-
-def _one_centres(q, elements: np.ndarray, sizes: np.ndarray, candidates: np.ndarray):
-    """Per set, its first candidate minimizing the largest distance to the set, and that distance.
-
-    The sets' members lie one after another in ``elements``, and
-    ``candidates`` holds one ascending row of elements per set.  Distances
-    from the candidates to the members are taken a segment of sets at a time.
-    """
-    centre = np.empty(len(sizes), dtype=np.int64)
-    cover = np.empty(len(sizes), dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    inverse = q.inv_many(candidates)
-    length = q.distance_from_identity()
-    for first, stop in _segments(sizes * candidates.shape[1], _CENTRE_ENTRIES):
-        lo, hi = starts[first], starts[stop - 1] + sizes[stop - 1]
-        # far[k, j]: the largest |z^-1 y| over the members y of set k, z its candidate j
-        far = length[q.mult_many(inverse[owner[lo:hi]], elements[lo:hi, None])]
-        far = np.maximum.reduceat(far, starts[first:stop] - lo, axis=0)
-        best = far.argmin(axis=1)  # the first minimum: ties go to the smallest
-        centre[first:stop] = candidates[np.arange(first, stop), best]
-        cover[first:stop] = far[np.arange(stop - first), best]
-    return centre, cover
-
-
-def _near_centres(q, elements: np.ndarray, sizes: np.ndarray, r: int):
-    """``_one_centres`` over all of ``q`` wherever the cover is below ``r``.
-
-    A centre whose cover is below r lies within r - 1 of every member, so each
-    set's search runs over the ball of radius r - 1 around its first member:
-    it finds the same first minimizer.  A cover of r or more here only says
-    that the whole search finds no cover below r.
-    """
-    ball = np.flatnonzero(q.distance_from_identity() < r)
-    # z with |z^-1 x| <= r - 1 is x b^-1 for some b in the ball
-    candidates = q.mult_many(elements[np.cumsum(sizes) - sizes, None], q.inv_many(ball))
-    candidates.sort(axis=1)
-    return _one_centres(q, elements, sizes, candidates)
-
-
 def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) -> FibredEmbedding:
     """Fibration obtained by localizing a proper action along isometric lifts.
 
-    A set is served from the level's one-center: the level element minimizing
-    the maximal distance to the set, ties broken by smallest element.  Each
-    point lifts along its breadth-first geodesic from the center and is sent
-    to the inverse of the action of its lift, so all pairwise lift distances
-    stay below twice the scale and project back isometrically whenever the
-    level's isometry radius is at least twice the scale.  The same margin
-    pins the transition mismatch between two overlapping sets to a single
-    group element, which is what makes the overlap condition hold.  That
-    pinning argument needs commutativity, hence the abelian restriction.
+    A set is served from its first point c.  Each point x lifts along the
+    breadth-first geodesic of c^-1 x and is sent to the inverse of the action
+    of its lift.  The oracle serves any single-level set within r - 1 of its
+    first point; verifiers ask only for sets of diameter below r, and
+    localization lists each ball's centre first.  Two lifts then differ by an
+    ambient vector shorter than 2r, which projects isometrically whenever the
+    level's isometry radius is at least twice the scale, so any base gives
+    the same differences.  The same margin pins the transition mismatch
+    between two overlapping sets to a single group element, which is what
+    makes the overlap condition hold.  That pinning argument needs
+    commutativity, hence the abelian restriction.
 
     Each served level's lifts and their inverse action isometries are built
-    once, one row per element; a point x of a set centred at z is served the
-    row of z^-1 x.  ``r_max`` bounds the multiplicativity precheck on the
-    action (exact for products of elements of length up to r_max, see
-    ``_check_action``); serving itself is uniform in the scale.
+    once, one row per element; a point x of a set whose first point is c is
+    served the row of c^-1 x.  ``r_max`` bounds the multiplicativity
+    precheck on the action (exact for products of elements of length up to
+    r_max, see ``_check_action``); serving itself is uniform in the scale.
     """
     if r_max < 1:
         raise ValueError(f"precheck depth must be >= 1, got {r_max}")
@@ -315,13 +273,17 @@ def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) ->
         home = np.where(spans | excluded, -1, low)  # the level serving each set
         served = np.flatnonzero(np.bincount(home[home >= 0])).tolist()
         owner = np.repeat(np.arange(len(sets)), sizes)
-        centre = np.zeros(len(sets), dtype=np.int64)
-        cover = np.zeros(len(sets), dtype=np.int64)
+        member_home = home[owner]
+        # c^-1 x for each member x, c its set's first point, and its length
+        offset = np.zeros(len(level), dtype=np.int64)
+        length = np.zeros(len(level), dtype=np.int64)
         for i in served:
-            at = np.flatnonzero(home == i)
-            members = elem[home[owner] == i]
-            centre[at], cover[at] = _near_centres(chain.levels[i], members, sizes[at], r)
-        failed = spans | excluded | (cover >= r)
+            q = chain.levels[i]
+            rows = member_home == i
+            offset[rows] = q.mult_many(q.inv_many(elem[starts[owner[rows]]]), elem[rows])
+            length[rows] = q.distance_from_identity()[offset[rows]]
+        reach = np.maximum.reduceat(length, starts)
+        failed = spans | excluded | (reach >= r)
         if failed.any():
             k = int(failed.argmax())
             if spans[k]:
@@ -334,16 +296,12 @@ def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) ->
                     f"level {low[k]} is excluded at scale {r}: isometry radius"
                     f" {radius[low[k]]} < {2 * r}"
                 )
-            q = chain.levels[low[k]]
-            _, full = _one_centres(q, elem[owner == k], sizes[k : k + 1], np.arange(q.order)[None])
             raise MissingTrivializationError(
-                f"covering radius {full[0]} of the set is not below scale {r}"
+                f"set reaches {reach[k]} from its first point, not below scale {r}"
             )
         for i in served:
-            q = chain.levels[i]
-            rows = home[owner] == i
-            x = q.mult_many(q.inv_many(centre[owner[rows]]), elem[rows])
-            for whole, part in zip(out, lifted(i).take(x)):
+            rows = member_home == i
+            for whole, part in zip(out, lifted(i).take(offset[rows])):
                 whole[rows] = part
         return out
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxlab import cli
+from boxlab import cli, fibration
 from boxlab.boxspace import assemble_box_space, box_distance, format_point
 from boxlab.chainspec import load_chain
 from boxlab.cli import main
@@ -263,6 +263,14 @@ class TestStrictReaders:
         assert code == 2
         assert f"input.csv, line {line}: {message}" in err
 
+    def test_huge_embedding_dim_exits_two(self, chains, tmp_path, capsys):
+        # a matrix of 10^11 columns would be 8.7 TB; no row names the first point
+        code, err = self.run_profile(
+            chains, tmp_path, capsys, "--embedding", ["# p=inf dim=100000000000", "level,element"]
+        )
+        assert code == 2
+        assert err == f"error: {tmp_path / 'input.csv'}: table missing point L0:0\n"
+
     @pytest.mark.parametrize(
         "rows, message",
         [
@@ -369,6 +377,24 @@ class TestFceVerify:
         )
         text = (out / "report.txt").read_text()
         assert "fibred embedding check: PASS" in text
+
+    def test_precheck_capped_at_the_largest_served_scale(self, chains, capsys, monkeypatch):
+        """(Z/4..Z/16)^2 has isometry radii 3, 5 and 9, so no level serves past
+        r = 4; the precheck on the action walked the ambient ball of radius 2r."""
+        depths = []
+        check = fibration._check_action
+
+        def spy(chain, action, r_max, *args):
+            depths.append(r_max)
+            # an uncapped walk of 8 * 10^12 tuples would exhaust the memory first
+            assert r_max <= 4, f"precheck depth {r_max}"
+            return check(chain, action, r_max, *args)
+
+        monkeypatch.setattr(fibration, "_check_action", spy)
+        code = main(["fce-verify", "--chain", chains["torus"], "--r", "1000000", "--p", "1"])
+        out = capsys.readouterr().out
+        assert code == 0 and depths == [4]
+        assert "no witness sets at this scale; both conditions hold vacuously" in out.splitlines()
 
     @pytest.mark.parametrize("p", ["1", "2", "3", "inf"])
     def test_torus_passes_at_default_controls(self, chains, capsys, p):

@@ -299,12 +299,10 @@ class TestLocalFromFibration:
         )
         level, center, rad = 3, 9, 2
         q = deep_space.chain.levels[level]
+        # the centre first, as localization lists a ball
         target = tuple(
-            sorted(
-                BoxPoint(level, x)
-                for x in q.elements()
-                if q.cayley_distance(center, x) <= rad
-            )
+            BoxPoint(level, x) for x in sorted(q.elements(), key=lambda x: x != center)
+            if q.cayley_distance(center, x) <= rad
         )
 
         def corrupted(C, r):
@@ -569,8 +567,10 @@ def _first_inconsistent_blocks(fib, r, level):
     """First (z, zx) in (x, z) loop order whose balls disagree on the transition."""
     q = fib.space.chain.levels[level]
     length = q.distance_from_identity()
+    # each ball lists its centre first, as localization does
     balls = [
-        tuple(BoxPoint(level, w) for w in q.elements() if q.cayley_distance(z, w) <= r - 1)
+        tuple(BoxPoint(level, w) for w in sorted(q.elements(), key=lambda w: w != z)
+              if q.cayley_distance(z, w) <= r - 1)
         for z in q.elements()
     ]
     trivs = [served_dict(fib, ball, r) for ball in balls]
@@ -598,8 +598,10 @@ def test_inconsistent_oracle_names_first_blocks(make_chain, moduli, rank, r, see
     q = space.chain.levels[level]
     rng = np.random.default_rng(seed)
     center, coord = int(rng.integers(q.order)), int(rng.integers(rank))
+    # the centre first, as localization lists a ball
     target = tuple(
-        BoxPoint(level, w) for w in q.elements() if q.cayley_distance(center, w) <= r - 1
+        BoxPoint(level, w) for w in sorted(q.elements(), key=lambda w: w != center)
+        if q.cayley_distance(center, w) <= r - 1
     )
     victim = target[int(rng.integers(len(target)))]
     signs = np.ones(rank, dtype=np.int64)

@@ -351,6 +351,19 @@ class TestEmbeddingMaps:
         with pytest.raises(ValueError, match=f"^{message}$"):
             bl.CoarseEmbeddingMap(dyadic_space, math.inf, 28, table)
 
+    @pytest.mark.parametrize("table", [{}, "short"], ids=["empty", "short"])
+    def test_table_refused_before_its_matrix(self, dyadic_space, table):
+        """A dimension of 10^11 would be a matrix of 22 TB; the first point is
+        refused before any is allocated."""
+        first = dyadic_space.points()[0]
+        if table == "short":
+            table = {first: np.zeros(3)}
+            message = rf"^vector at {format_point(first)} has shape \(3,\), expected \(10+,\)$"
+        else:
+            message = f"^table missing point {format_point(first)}$"
+        with pytest.raises(ValueError, match=message):
+            bl.CoarseEmbeddingMap(dyadic_space, math.inf, 10**11, table)
+
     @pytest.mark.parametrize(
         "fault, message",
         [

@@ -143,9 +143,9 @@ class TestProperActionFibration:
 
     def test_serving_contract(self, deep_space):
         fib = bl.from_proper_action(deep_space, bl.translation_action(1, 2.0))
-        # a set with covering radius beyond the scale is refused
+        # a set reaching beyond the scale from its first point is refused
         far = (BoxPoint(5, 0), BoxPoint(5, 20))
-        with pytest.raises(MissingTrivializationError, match="covering radius 10"):
+        with pytest.raises(MissingTrivializationError, match="^set reaches 20 from its first point"):
             fib.trivialize([far], 3)
         # cross-level sets are refused
         with pytest.raises(MissingTrivializationError, match=r"spans levels \[4, 5\]"):
@@ -196,7 +196,9 @@ class TestProperActionFibration:
         # trivialized differences realize the quotient metric on served balls
         fib = bl.from_proper_action(deep_space, bl.translation_action(1, 1.0))
         q = deep_space.chain.levels[4]
-        ball = tuple(BoxPoint(4, x) for x in q.elements() if q.cayley_distance(7, x) <= 3)
+        # the centre first, as localization lists a ball
+        near = [x for x in q.elements() if x != 7 and q.cayley_distance(7, x) <= 3]
+        ball = tuple(BoxPoint(4, x) for x in [7, *near])
         triv = served_dict(fib, ball, 4)
         for x in ball:
             for y in ball:
@@ -329,9 +331,9 @@ class TestVerifierMechanics:
         r = 4
         balls = []
         for z in (5, 6, 7):
-            balls.append(
-                tuple(BoxPoint(4, x) for x in q.elements() if q.cayley_distance(z, x) <= 2)
-            )
+            # the centre first, as localization lists a ball
+            near = [x for x in q.elements() if x != z and q.cayley_distance(z, x) <= 2]
+            balls.append(tuple(BoxPoint(4, x) for x in [z, *near]))
         trivs = [served_dict(fib, C, r) for C in balls]
         common = set(balls[0]) & set(balls[1]) & set(balls[2])
         assert common
@@ -853,7 +855,7 @@ def reference_serve(space, action):
     """The per-set proper-action oracle the stacked one replaced: one dict per set.
 
     Each point is served the inverse action of its canonical word from the
-    set's one-centre, built point by point.
+    set's first point, built point by point.
     """
     chain = space.chain
 
@@ -871,14 +873,13 @@ def reference_serve(space, action):
             )
         q = chain.levels[i]
         elems = [pt.element for pt in C]
-        cover = q.cayley_matrix(ys=elems).max(axis=1)
-        best_z = int(cover.argmin())
-        if cover[best_z] >= r:
+        reach = max(q.cayley_distance(elems[0], x) for x in elems)
+        if reach >= r:
             raise MissingTrivializationError(
-                f"covering radius {cover[best_z]} of the set is not below scale {r}"
+                f"set reaches {reach} from its first point, not below scale {r}"
             )
         out = {}
-        for pt, x in zip(C, q.mult_many(q.inv(best_z), elems).tolist()):
+        for pt, x in zip(C, q.mult_many(q.inv(elems[0]), elems).tolist()):
             word = canonical_word(q, x)
             out[pt] = action_isometry(action, ambient_from_letters(chain, word)).inverse()
         return out
@@ -1087,51 +1088,40 @@ class TestArrayWitnessSets:
             assert _candidate_sets(space, [], space.distance_matrix(), 3, mode) == []
 
 
-class TestNearCentres:
-    """The one-centre search near each set's first member against the search over the level."""
+class TestFirstPointServing:
+    """A proper-action set is served from its first point, within r - 1 of it."""
 
-    @pytest.mark.parametrize("name, level", [("torus", 2), ("line", 4), ("sl2", 1), ("sl2", 0)])
-    @pytest.mark.parametrize("entries", [1, fibration._CENTRE_ENTRIES])
-    def test_matches_the_whole_level(self, witness_spaces, monkeypatch, name, level, entries):
-        q = witness_spaces[name].chain.levels[level]
-        monkeypatch.setattr(fibration, "_CENTRE_ENTRIES", entries)
-        rng = _keyed_rng("centres", name, level)
-        seen = set()
-        for r in range(1, 6):
-            # sets around random points, most within reach r - 1 of a point, some beyond
-            sizes = rng.integers(1, 7, size=40)
-            around = rng.integers(q.order, size=len(sizes))
-            reach = np.where(rng.random(len(sizes)) < 0.75, r - 1, r + 2)
-            elements = np.concatenate([
-                rng.choice(np.flatnonzero(q.cayley_matrix([z])[0] <= d), size=n)
-                for z, d, n in zip(around.tolist(), reach.tolist(), sizes.tolist())
-            ])
-            centre, cover = fibration._near_centres(q, elements, sizes, r)
-            everything = np.tile(np.arange(q.order), (len(sizes), 1))
-            full_centre, full_cover = fibration._one_centres(q, elements, sizes, everything)
-            below = full_cover < r
-            seen.update(below.tolist())
-            assert np.array_equal(centre[below], full_centre[below])
-            assert np.array_equal(cover[below], full_cover[below])
-            assert (cover[~below] >= r).all()
-            # the brute force: each set's first element of least cover
-            starts = np.cumsum(sizes) - sizes
-            for k in range(len(sizes)):
-                far = q.cayley_matrix(ys=elements[starts[k] : starts[k] + sizes[k]]).max(axis=1)
-                assert (full_centre[k], full_cover[k]) == (far.argmin(), far.min())
-        assert seen == {True, False}  # sets covered below the scale, and sets not
-
-    @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_uncovered_set_names_its_whole_level_cover(self, torus_chain, r):
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_first_point_is_served_the_identity(self, torus_chain, twisted):
         space = bl.assemble_box_space(torus_chain)
-        fib = bl.from_proper_action(space, bl.translation_action(2, 2.0), r_max=3)
-        # a set served at every scale, then one that no element of (Z/16)^2 covers within 7
-        served = [(BoxPoint(2, 5),), (BoxPoint(2, 0), BoxPoint(2, 1))][: r]
-        far = (BoxPoint(2, 0), BoxPoint(2, 8), BoxPoint(2, 8 * 16 + 8))
-        serve = stacked(reference_serve(space, bl.translation_action(2, 2.0)), 2)
-        want = _outcome(serve, [*served, far], r)
-        assert want == f"covering radius 8 of the set is not below scale {r}"
-        assert _outcome(fib.trivialization, [*served, far], r) == want
+        action = (twisted_action if twisted else bl.translation_action)(2, 2.0)
+        fib = bl.from_proper_action(space, action, r_max=3)
+        q = torus_chain.levels[2]
+        # on (Z/16)^2 at r = 3: a pair at distance 2, whose midpoint covers it
+        # within 1, in both orders, and the ball of radius 1 around 17 from its
+        # smallest member and from its centre
+        ball = np.flatnonzero(q.cayley_matrix([17])[0] <= 1).tolist()
+        sets = [(0, 2), (2, 0), tuple(ball), (17, *[x for x in ball if x != 17])]
+        sets = [tuple(BoxPoint(2, x) for x in C) for C in sets]
+        assert q.cayley_distance(0, 2) == 2
+        stack, _ = fib.trivialize(sets, 3)
+        firsts = np.cumsum([0, *map(len, sets[:-1])])
+        got = stack.take(firsts)
+        for a, b in zip(got, IsometryStack.identity(len(sets), action.dim)):
+            assert np.array_equal(a, b)
+
+    def test_reach_of_the_scale_is_refused(self, torus_chain):
+        space = bl.assemble_box_space(torus_chain)
+        fib = bl.from_proper_action(space, bl.translation_action(2, 2.0), r_max=2)
+        # the pair {0, 2} of (Z/16)^2 at r = 2: reach 2 from either end, 1 from its midpoint
+        pair = (BoxPoint(2, 0), BoxPoint(2, 2))
+        with pytest.raises(
+            MissingTrivializationError,
+            match=r"^set reaches 2 from its first point, not below scale 2$",
+        ):
+            fib.trivialize([(BoxPoint(2, 5),), pair], 2)
+        stack, moved = fib.trivialize([(BoxPoint(2, 1), *pair)], 2)
+        assert np.array_equal(moved[:, 1], [0.0, 1.0, -1.0])
 
 
 class TestArrayRule:

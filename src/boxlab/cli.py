@@ -301,7 +301,10 @@ def _make_fibration(spec: str, space, p: float | None, r: int):
         chain = space.chain
         top = max(chain.radius(i) for i in range(chain.level_count())) // 2
         fib = from_proper_action(space, translation_action(rank, p), r_max=max(1, min(r, top)))
-        return fib, partial(norm_equivalence_controls, range(max(r + 1, 2) + 1), rank, p)
+        # verify_fce reads the controls up to the diameter, forge --mode ultra
+        # up to length 3: no further, however large r is
+        reach = min(max(r + 1, 2), max(space.diameter(), 3))
+        return fib, partial(norm_equivalence_controls, range(reach + 1), rank, p)
     if spec.startswith("trivial:"):
         f = _resolve_embedding(spec.split(":", 1)[1], space, p)
         return trivial_fibration(f), partial(profile, f)
@@ -424,7 +427,7 @@ def cmd_forge(args) -> int:
         r = args.r if args.r is not None else 6
         if r < 2:
             raise SpecFormatError(f"ultra mode needs a top scale >= 2, got {r}")
-        # the fibration's default controls reach length r + 1 >= 3, the ball's radius
+        # the fibration's default controls reach length 3, the ball's radius, as r >= 2
         fib, controls = _make_fibration("translation", space, args.p, r)
         ctrl = controls()
         lo, hi = ctrl.rho_minus, ctrl.rho_plus

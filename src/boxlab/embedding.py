@@ -199,6 +199,13 @@ def _isometric(f: CoarseEmbeddingMap, rows: np.ndarray) -> bool:
     return False
 
 
+def _certified(f: CoarseEmbeddingMap, rows: np.ndarray) -> bool:
+    """Whether N(x, y) = d(x, y) on every pair: an integer map at p = inf that
+    ``_isometric`` certifies.  ``rows`` is ``f.matrix()`` in its
+    ``_difference_dtype``."""
+    return rows.dtype.kind == "i" and math.isinf(f.p) and _isometric(f, rows)
+
+
 def _check_tolerance(tolerance) -> None:
     """Refuse a NaN or infinite tolerance, which would pass or fail every comparison,
     and a negative one, under which equal values would fail one comparison and
@@ -278,11 +285,11 @@ def _reduce_extremes(low, high, seen, t, norms) -> None:
 def profile(f: CoarseEmbeddingMap) -> ControlPair:
     """Tightest monotone controls attained by ``f`` on its whole domain.
 
-    An integer map at p = inf that ``_isometric`` certifies attains norm t at
-    each realized distance t, and no pair is swept.  Any other map sweeps all
-    pairs: raw per-distance minima take a running minimum from the right and
-    maxima a running maximum from the left, which is the optimal nondecreasing
-    pair still sandwiching every realized pair.
+    A ``_certified`` map attains norm t at each realized distance t, and no
+    pair is swept.  Any other map sweeps all pairs: raw per-distance minima
+    take a running minimum from the right and maxima a running maximum from
+    the left, which is the optimal nondecreasing pair still sandwiching every
+    realized pair.
     """
     pts = f.domain.points()
     if not pts:
@@ -293,7 +300,7 @@ def profile(f: CoarseEmbeddingMap) -> ControlPair:
     low = np.full(int(dist.max()) + 1, np.inf)
     high = np.full(len(low), -np.inf)
     seen = np.zeros(len(low), dtype=bool)
-    if rows.dtype.kind == "i" and math.isinf(f.p) and _isometric(f, rows):
+    if _certified(f, rows):
         # dist is symmetric, so a block of rows needs its columns from its first row on
         step = max(1, _BLOCK_ENTRIES // n)
         for first in range(0, n, step):
@@ -422,7 +429,9 @@ def verify_coarse(
     """Check rho_minus(d(x,y)) <= |f(x)-f(y)| <= rho_plus(d(x,y)) on all pairs.
 
     The controls are mappings from realized distances to values and must be
-    nondecreasing there.  Divergence is reported only as the attained range.
+    nondecreasing there.  A ``_certified`` map takes its norms from the
+    distances; any other map sweeps all pairs.  Divergence is reported only as
+    the attained range.
     """
     _check_tolerance(tolerance)
     pts = f.domain.points()
@@ -430,8 +439,13 @@ def verify_coarse(
     max_t = int(dist.max(initial=0))
     bounds = _control_bounds(rho_minus, rho_plus, max_t)
     witnesses = []
-    spans = [(i, i, len(pts)) for i in range(len(pts))]
-    for i, norms in enumerate(_pair_norms(f, _difference_rows(f), spans)):
+    rows = _difference_rows(f)
+    if _certified(f, rows):
+        # N = d, so each row's norms are its distances and no pair is swept
+        all_norms = (dist[i, i:].astype(np.float64) for i in range(len(pts)))
+    else:
+        all_norms = _pair_norms(f, rows, [(i, i, len(pts)) for i in range(len(pts))])
+    for i, norms in enumerate(all_norms):
         t = dist[i, i:]
         lo, hi = bounds(t)
         # fails closed: a NaN norm or control is a violation

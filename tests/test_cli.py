@@ -55,6 +55,9 @@ TORUS = {
     "levels": [{"kind": "cyclic", "moduli": [m, m]} for m in (4, 8, 16)],
 }
 
+# below, at and past the diameter 46 of TORUS
+CAPPED_SCALES = (1, 2, 3, 46, 47, 1000)
+
 
 @pytest.fixture(scope="module")
 def chains(tmp_path_factory):
@@ -395,6 +398,53 @@ class TestFceVerify:
         out = capsys.readouterr().out
         assert code == 0 and depths == [4]
         assert "no witness sets at this scale; both conditions hold vacuously" in out.splitlines()
+
+    @pytest.mark.parametrize(
+        "command, reach",
+        [("fce-verify --r 1000000 --p 1", 46), ("fce-verify --r 3 --p 2", 4),
+         ("forge --mode ultra --r 2 --p 2", 3), ("forge --mode ultra --r 4 --p 2", 5)],
+    )
+    def test_default_controls_capped_at_what_is_read(
+        self, chains, capsys, monkeypatch, command, reach
+    ):
+        """(Z/4..Z/16)^2 has diameter 46: the default controls stop there however
+        large r is, and reach length 3, ultra's ball, however small."""
+        samples = []
+        build = cli.norm_equivalence_controls
+
+        def spy(distances, rank, p):
+            samples.append(len(distances))
+            return build(distances, rank, p)
+
+        monkeypatch.setattr(cli, "norm_equivalence_controls", spy)
+        assert main([*command.split(), "--chain", chains["torus"]]) == 0
+        assert samples == [reach + 1]
+        assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "mode, r",
+        [(mode, r) for mode in ("fce-verify --p 1", "fce-verify --p 2") for r in CAPPED_SCALES]
+        # ultra mode needs a top scale of 2 or more
+        + [("forge --mode ultra --p 2", r) for r in (*CAPPED_SCALES[1:], 4)],
+    )
+    def test_capped_controls_keep_every_report(self, chains, tmp_path, capsys, monkeypatch, mode, r):
+        # the oracle is the uncapped range up to max(r + 1, 2); ultra mode past
+        # r = 4 exhausts the chain, with the same error either way
+        argv = [*mode.split(), "--chain", chains["torus"], "--r", str(r)]
+        outputs = []
+        for reach in (None, max(r + 1, 2)):
+            if reach is not None:
+                build = cli.norm_equivalence_controls
+                monkeypatch.setattr(
+                    cli, "norm_equivalence_controls",
+                    lambda distances, rank, p: build(range(reach + 1), rank, p),
+                )
+            out = tmp_path / str(reach)
+            code = main([*argv, "--out", str(out)])
+            files = {path.name: path.read_bytes() for path in out.glob("*")}
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out.replace(str(out), "OUT"), captured.err, files))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("p", ["1", "2", "3", "inf"])
     def test_torus_passes_at_default_controls(self, chains, capsys, p):

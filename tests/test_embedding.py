@@ -941,3 +941,106 @@ class TestLeftInvariantProfile:
         # row-length temporaries and the returned pair
         assert peak - held <= sweep + (1 << 18)
         assert all(ctrl.rho_minus[t] == ctrl.rho_plus[t] == t for t in ctrl.realized_distances())
+
+
+def _failing_controls(diameter, minus_at, plus_at):
+    """Identity controls on 0..diameter, nondecreasing, failing an isometry at
+    chosen distances: rho_minus is t + 1/2 at ``minus_at``, rho_plus t - 1/2
+    at ``plus_at``."""
+    ts = range(diameter + 1)
+    lo = {t: t + 0.5 if t in minus_at else float(t) for t in ts}
+    hi = {t: t - 0.5 if t in plus_at else float(t) for t in ts}
+    return lo, hi
+
+
+def _swept(f, lo, hi, **kwargs):
+    """``verify_coarse`` with the certificate refused: the sweep of all pairs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embedding, "_isometric", lambda *args: False)
+        return bl.verify_coarse(f, lo, hi, **kwargs)
+
+
+def _recording_sweep(patch):
+    """Spy on ``_pair_norms``: the spans it is asked for, in order."""
+    spans = []
+    sweep = embedding._pair_norms
+
+    def spy(f, rows, pairs):
+        spans.extend(pairs)
+        return sweep(f, rows, pairs)
+
+    patch.setattr(embedding, "_pair_norms", spy)
+    return spans
+
+
+class TestCertifiedSandwich:
+    """``verify_coarse`` reads the norms of a map that ``_isometric`` certifies
+    from its distances and sweeps no pair; the sweep, with the certificate
+    refused, and the row loop are the oracles."""
+
+    @pytest.mark.parametrize("name", CERTIFIED)
+    def test_linf_matches_the_sweep(self, monkeypatch, name):
+        space = _space(name)
+        f = bl.linf_embedding(space)
+        d = space.diameter()
+        chosen = {1, d // 3, d // 2, d}
+        lo, hi = _failing_controls(d, minus_at={1, d // 2}, plus_at={d // 3, d})
+        want = _swept(f, lo, hi, tolerance=0.0)
+        spans = _recording_sweep(monkeypatch)
+        got = bl.verify_coarse(f, lo, hi, tolerance=0.0)
+        assert spans == []
+        assert got == want and not got.passed
+        n = space.point_count()
+        assert got.pair_count == n * (n + 1) // 2
+        realized = set(np.unique(space.distance_matrix()).tolist())
+        assert {w[2] for w in got.witnesses} == chosen & realized
+        assert all(w[3] == w[2] for w in got.witnesses)
+
+    @pytest.mark.parametrize("name", ["cyclic", "sl2-2", "z2048"])
+    def test_identity_controls_pass_without_a_sweep(self, monkeypatch, name):
+        space = _space(name)
+        f = bl.linf_embedding(space)
+        ident = bl.identity_controls(range(space.diameter() + 1))
+        spans = _recording_sweep(monkeypatch)
+        report = bl.verify_coarse(f, ident.rho_minus, ident.rho_plus)
+        n = space.point_count()
+        assert spans == []
+        assert report.passed and report.witnesses == []
+        assert report.pair_count == n * (n + 1) // 2
+        if n <= 500:
+            assert report == _swept(f, ident.rho_minus, ident.rho_plus)
+
+    @pytest.mark.parametrize("drop_minus, drop_plus", [({3}, set()), (set(), {2}), ({7}, {5})])
+    def test_missing_sample_is_named_as_the_sweep_names_it(self, drop_minus, drop_plus):
+        space = _space("torus")
+        f = bl.linf_embedding(space)
+        lo, hi = _failing_controls(space.diameter(), minus_at={4}, plus_at=set())
+        lo = {t: v for t, v in lo.items() if t not in drop_minus}
+        hi = {t: v for t, v in hi.items() if t not in drop_plus}
+        with pytest.raises(ControlSampleError) as want:
+            _swept(f, lo, hi)
+        with pytest.raises(ControlSampleError) as got:
+            bl.verify_coarse(f, lo, hi)
+        assert str(got.value) == str(want.value)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_single_entry_corruption_falls_back_to_the_sweep(self, data):
+        # on these chains a single changed linf entry is never certified
+        # (see TestLeftInvariantProfile), so every pair is swept
+        space = _space(data.draw(st.sampled_from(["cyclic", "dihedral", "sl2-1"])))
+        table = bl.linf_embedding(space).matrix().copy()
+        k = data.draw(st.integers(0, len(table) - 1))
+        j = data.draw(st.integers(0, table.shape[1] - 1))
+        table[k, j] += data.draw(st.sampled_from([-3.0, -1.0, 1.0, 2.0]))
+        f = _kernel_map(space, math.inf, table)
+        assert not _certified(f)
+        d = space.diameter()
+        lo, hi = _failing_controls(d, minus_at={d // 2}, plus_at={d})
+        with pytest.MonkeyPatch.context() as patch:
+            spans = _recording_sweep(patch)
+            report = bl.verify_coarse(f, lo, hi)
+        n = space.point_count()
+        assert spans == [(i, i, n) for i in range(n)]
+        assert report.witnesses == _row_loop_witnesses(f, lo, hi, 1e-9)
+        assert report.pair_count == n * (n + 1) // 2

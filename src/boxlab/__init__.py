@@ -10,9 +10,9 @@ import gc as _gc
 # oldest generation and empties the young ones, so the next young collection
 # does not walk the import's objects either (the tuples a young pass would
 # have untracked stay tracked until the first full collection, which only long
-# runs reach).  A caller that froze objects of its own keeps them frozen,
-# and the caller's collector is re-enabled only if it was enabled, after a
-# failed import too.
+# runs reach, unless ``cli.run`` freezes them).  A caller that froze objects
+# of its own keeps them frozen, and the caller's collector is re-enabled only
+# if it was enabled, after a failed import too.
 _gc_enabled, _gc_frozen = _gc.isenabled(), _gc.get_freeze_count()
 _gc.disable()
 try:

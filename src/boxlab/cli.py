@@ -14,6 +14,7 @@ same table, with argparse's own text and exit code.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import sys
@@ -621,9 +622,11 @@ def run(argv=None) -> NoReturn:
     ``os._exit`` ends the process with ``main``'s code.  A flush that fails,
     as on a closed pipe, exits 120, as the interpreter's own exit does.
     argparse's ``SystemExit`` (usage errors, ``--help``) takes the ordinary
-    exit with its own code.  Tests call ``main``, which leaves the process
-    alone.
+    exit with its own code.  The process is the command's alone, so the
+    import's objects are frozen first, out of reach of a full collection.
+    Tests call ``main``, which leaves the process alone.
     """
+    gc.freeze()
     code = main(argv)
     try:
         sys.stdout.flush()

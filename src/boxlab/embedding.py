@@ -44,15 +44,16 @@ class _Record:
 
 
 class CoarseEmbeddingMap:
-    """Finite map from a box space into l^p, held as one read-only float64 matrix.
+    """Finite map from a box space into l^p, held as one read-only matrix in
+    its ``_difference_dtype``: int8, int16 or int32 for an integer map.
 
     Row k of ``matrix()`` is the vector at ``points()[k]``; ``table`` maps
     each point to its row, a view.  The constructor takes a mapping from
     points to vectors, copied into a fresh matrix, or a ``(points, dim)``
-    matrix in ``points()`` order, held as a read-only view with no copy of a
-    float64 one.  It refuses the first point, in ``points()`` order, that is
-    missing, has a vector of the wrong shape or holds a NaN or infinite
-    entry; ``_of_matrix``, the builtins' path, takes its matrix unchecked.
+    matrix in ``points()`` order, held as a read-only view with no copy when
+    it has that dtype.  It refuses the first point, in ``points()`` order,
+    that is missing, has a vector of the wrong shape or holds a NaN or
+    infinite entry (an integer matrix has none).
     """
 
     def __init__(
@@ -62,8 +63,7 @@ class CoarseEmbeddingMap:
         if isinstance(table, np.ndarray):
             if table.shape != (len(pts), dim):
                 raise ValueError(f"matrix has shape {table.shape}, expected ({len(pts)}, {dim})")
-            # a view: marking it read-only leaves the caller's array as it was
-            mat = table.astype(np.float64, copy=False).view()
+            mat = table if table.dtype.kind in "iu" else table.astype(np.float64, copy=False)
         else:
             # every vector is checked before the matrix is allocated
             rows = []
@@ -77,25 +77,22 @@ class CoarseEmbeddingMap:
                     )
                 rows.append(v)
             mat = np.array(rows)
-        finite = np.isfinite(mat).all(axis=1)
-        if not finite.all():
-            raise ValueError(
-                f"vector at {format_point(pts[int(np.argmin(finite))])} has a non-finite entry"
-            )
+        if mat.dtype.kind == "f":
+            finite = np.isfinite(mat).all(axis=1)
+            if not finite.all():
+                raise ValueError(
+                    f"vector at {format_point(pts[int(np.argmin(finite))])} has a non-finite entry"
+                )
         self._hold(domain, p, mat)
 
-    @classmethod
-    def _of_matrix(cls, domain: BoxSpace, p: float, mat: np.ndarray) -> "CoarseEmbeddingMap":
-        """A map over a fresh float64 matrix whose rows follow ``domain.points()``, not copied."""
-        f = cls.__new__(cls)
-        f._hold(domain, p, mat)
-        return f
-
     def _hold(self, domain: BoxSpace, p: float, mat: np.ndarray) -> None:
-        self.domain, self.p, self.dim = domain, float(p), mat.shape[1]
+        # a view: marking it read-only leaves the caller's array as it was
+        mat = mat.astype(_difference_dtype(mat), copy=False).view()
         mat.flags.writeable = False
+        self.domain, self.p, self.dim = domain, float(p), mat.shape[1]
         self._matrix = mat
         self.table = dict(zip(domain.points(), mat))
+        self._isometry = None  # the verdict of ``_certified``, once asked
 
     def __call__(self, point: BoxPoint) -> np.ndarray:
         return self.table[point]
@@ -107,33 +104,33 @@ class CoarseEmbeddingMap:
 def _difference_dtype(mat: np.ndarray) -> np.dtype:
     """Narrowest integer dtype holding every row difference of ``mat`` exactly.
 
-    Only finite integer-valued tables qualify, and 2 max|v| must fit; anything
-    else, NaN and infinities included, stays float64.  Integrality is the
-    narrow cast comparing equal to ``mat``, so no float64 temporary is made.
+    Only finite integer-valued tables qualify, and 2 max|v| must fit.  Anything
+    else stays float64: NaN and infinities, and a float table holding a -0.0,
+    whose sign an integer would drop (``_fmt`` prints it as -0).  An integer
+    table needs only its extremes.  A float table qualifies when its narrow
+    cast compares equal to it and has a negative entry for each of its sign
+    bits; no float64 temporary is made, and one boolean one at a time.
     """
-    top = max(float(mat.max(initial=0.0)), -float(mat.min(initial=0.0)))
+    top = max(float(mat.max(initial=0)), -float(mat.min(initial=0)))
     # a NaN or infinite top fits no integer dtype
     fits = [dtype for dtype in (np.int8, np.int16, np.int32) if 2 * top <= np.iinfo(dtype).max]
-    if fits and np.array_equal(mat.astype(fits[0]), mat):
-        return np.dtype(fits[0])
-    return np.dtype(np.float64)
+    if fits and mat.dtype.kind == "f":
+        narrow = mat.astype(fits[0])
+        if not np.array_equal(narrow, mat) or np.signbit(mat).sum() != (narrow < 0).sum():
+            fits = []
+    return np.dtype(fits[0] if fits else np.float64)
 
 
-def _difference_rows(f: CoarseEmbeddingMap) -> np.ndarray:
-    """``f.matrix()`` in its ``_difference_dtype``: a copy, unless that is float64."""
-    mat = f.matrix()
-    return mat.astype(_difference_dtype(mat), copy=False)
-
-
-def _pair_norms(f: CoarseEmbeddingMap, rows: np.ndarray, spans):
+def _pair_norms(f: CoarseEmbeddingMap, spans):
     """Yield, for each span ``(i, lo, hi)``, norms[k] = |f(x_{lo+k}) - f(x_i)|_p.
 
-    ``rows`` is ``f.matrix()`` in ``_difference_dtype``, in which every row
+    ``f.matrix()`` is held in ``_difference_dtype``, in which every row
     difference is exact, so the norms equal those of float64 differences bit
     for bit.  Each span is subtracted into one reused buffer.  Integer
     differences at p in {1, inf} take their absolute values in place and are
     read unsigned, as ``lp_norm`` reads them, so no row temporary is made.
     """
+    rows = f.matrix()
     dtype = rows.dtype
     buf = np.empty((max((hi - lo for _, lo, hi in spans), default=0), f.dim), dtype=dtype)
     in_place = dtype.kind == "i" and (math.isinf(f.p) or f.p == 1.0)
@@ -146,7 +143,7 @@ def _pair_norms(f: CoarseEmbeddingMap, rows: np.ndarray, spans):
         yield lp_norm(diff, f.p, axis=1)
 
 
-def _isometric(f: CoarseEmbeddingMap, rows: np.ndarray) -> bool:
+def _isometric(f: CoarseEmbeddingMap) -> bool:
     """Whether N(x, y) = |f(x) - f(y)|_inf equals d(x, y) on every pair, certified
     on the edges of the box graph.
 
@@ -154,7 +151,7 @@ def _isometric(f: CoarseEmbeddingMap, rows: np.ndarray) -> bool:
     x -- xl of length 1 for each symmetrized letter l, and an edge of length
     s_i between the identities of levels i and i + 1 (a path that leaves a
     level comes back through the same identity, so it is never shorter than
-    the word metric).  ``rows`` is ``f.matrix()`` in an integer
+    the word metric).  ``f.matrix()`` is held in an integer
     ``_difference_dtype``, so every comparison is exact.
 
     If each column g moves by at most the length along every edge, g is
@@ -166,7 +163,7 @@ def _isometric(f: CoarseEmbeddingMap, rows: np.ndarray) -> bool:
     a point uncovered.  Each level is taken a block of about
     ``_BLOCK_ENTRIES`` entries at a time.
     """
-    levels, seps, dim = f.domain.chain.levels, f.domain.separations, rows.shape[1]
+    rows, levels, seps, dim = f.matrix(), f.domain.chain.levels, f.domain.separations, f.dim
     starts = np.cumsum([0] + [q.order for q in levels]).tolist()
     ids = [start + q.identity for start, q in zip(starts, levels)]
     covered = np.zeros(len(rows), dtype=bool)
@@ -199,11 +196,13 @@ def _isometric(f: CoarseEmbeddingMap, rows: np.ndarray) -> bool:
     return False
 
 
-def _certified(f: CoarseEmbeddingMap, rows: np.ndarray) -> bool:
+def _certified(f: CoarseEmbeddingMap) -> bool:
     """Whether N(x, y) = d(x, y) on every pair: an integer map at p = inf that
-    ``_isometric`` certifies.  ``rows`` is ``f.matrix()`` in its
-    ``_difference_dtype``."""
-    return rows.dtype.kind == "i" and math.isinf(f.p) and _isometric(f, rows)
+    ``_isometric`` certifies.  The matrix is read-only, so the verdict is
+    computed on first use and kept on ``f``."""
+    if f._isometry is None:
+        f._isometry = f.matrix().dtype.kind == "i" and math.isinf(f.p) and _isometric(f)
+    return f._isometry
 
 
 def _check_tolerance(tolerance) -> None:
@@ -295,12 +294,11 @@ def profile(f: CoarseEmbeddingMap) -> ControlPair:
     if not pts:
         raise ValueError("empty domain")
     dist = f.domain.distance_matrix()
-    rows = _difference_rows(f)
     n = len(pts)
     low = np.full(int(dist.max()) + 1, np.inf)
     high = np.full(len(low), -np.inf)
     seen = np.zeros(len(low), dtype=bool)
-    if _certified(f, rows):
+    if _certified(f):
         # dist is symmetric, so a block of rows needs its columns from its first row on
         step = max(1, _BLOCK_ENTRIES // n)
         for first in range(0, n, step):
@@ -317,7 +315,7 @@ def profile(f: CoarseEmbeddingMap) -> ControlPair:
         size = max(_BLOCK_ENTRIES, n - 1)
         norm_buf, t_buf = np.empty(size), np.empty(size, dtype=dist.dtype)
         filled = 0
-        for (i, first, stop), norms in zip(spans, _pair_norms(f, rows, spans)):
+        for (i, first, stop), norms in zip(spans, _pair_norms(f, spans)):
             if filled + len(norms) > size:
                 _reduce_extremes(low, high, seen, t_buf[:filled], norm_buf[:filled])
                 filled = 0
@@ -338,13 +336,13 @@ def profile(f: CoarseEmbeddingMap) -> ControlPair:
 def linf_embedding(space: BoxSpace) -> CoarseEmbeddingMap:
     """Distance-difference embedding x -> (d(x, y) - d(x0, y))_y, isometric into l^inf.
 
-    The base point x0 is the identity of level 0.
+    The base point x0 is the identity of level 0.  Each entry is at most
+    d(x, x0) <= max_y d(x0, y) in absolute value, so x0's row sets the dtype.
     """
     dist = space.distance_matrix()
     base_row = dist[space.point_index(space.identity_point(0))]
-    return CoarseEmbeddingMap._of_matrix(
-        space, math.inf, np.subtract(dist, base_row, dtype=np.float64)
-    )
+    mat = np.subtract(dist, base_row, dtype=_difference_dtype(base_row))
+    return CoarseEmbeddingMap(space, math.inf, len(base_row), mat)
 
 
 def cycle_plane_embedding(space: BoxSpace, p: float = 2.0) -> CoarseEmbeddingMap:
@@ -375,7 +373,7 @@ def torus_coordinate_embedding(space: BoxSpace, p: float = 2.0) -> CoarseEmbeddi
                 angle = 2.0 * math.pi * c / m
                 coords.extend((math.cos(angle), math.sin(angle)))
             rows.append(coords)
-    return CoarseEmbeddingMap._of_matrix(space, p, np.array(rows, dtype=np.float64))
+    return CoarseEmbeddingMap(space, p, 2 * ranks.pop(), np.array(rows, dtype=np.float64))
 
 
 def identity_controls(distances) -> ControlPair:
@@ -439,12 +437,11 @@ def verify_coarse(
     max_t = int(dist.max(initial=0))
     bounds = _control_bounds(rho_minus, rho_plus, max_t)
     witnesses = []
-    rows = _difference_rows(f)
-    if _certified(f, rows):
+    if _certified(f):
         # N = d, so each row's norms are its distances and no pair is swept
         all_norms = (dist[i, i:].astype(np.float64) for i in range(len(pts)))
     else:
-        all_norms = _pair_norms(f, rows, [(i, i, len(pts)) for i in range(len(pts))])
+        all_norms = _pair_norms(f, [(i, i, len(pts)) for i in range(len(pts))])
     for i, norms in enumerate(all_norms):
         t = dist[i, i:]
         lo, hi = bounds(t)

@@ -132,6 +132,14 @@ def twisted_action(rank, p):
     return bl.ProperAction(p=p, dim=rank + 2, rule=rule, label="twisted")
 
 
+def unchecked_map(space, p, mat) -> bl.CoarseEmbeddingMap:
+    """A map over ``mat`` held as the constructor holds it, but without its checks:
+    for the NaN and infinite tables that the constructor refuses."""
+    f = bl.CoarseEmbeddingMap.__new__(bl.CoarseEmbeddingMap)
+    f._hold(space, p, mat)
+    return f
+
+
 def cyclic_chain(*moduli_per_level, rank: int = 1) -> bl.GroupChain:
     ambient = bl.AmbientGroup("free_abelian", rank)
     levels = []

@@ -211,6 +211,23 @@ class TestProfile:
         assert code == 0
         assert (first / "profile.csv").read_bytes() == (second / "profile.csv").read_bytes()
 
+    @pytest.mark.parametrize("zero", ["-0", "0"])
+    def test_embedding_csv_dumps_as_read(self, tmp_path, zero):
+        # an integer map would dump a -0 as 0: a table holding one is held in float64
+        chain = tmp_path / "z16.json"
+        chain.write_text(json.dumps(
+            {"ambient": {"family": "free_abelian", "rank": 1},
+             "levels": [{"kind": "cyclic", "moduli": [16]}]}
+        ))
+        rows = [f"0,{e},{min(e, 16 - e)},{e % 4 - 2}" for e in range(16)]
+        rows[3] = f"0,3,{zero},1"
+        source = tmp_path / "map.csv"
+        source.write_text("\n".join(["# p=inf dim=2", "level,element,c_1,c_2", *rows]) + "\n")
+        out = tmp_path / "out"
+        argv = ["profile", "--chain", str(chain), "--embedding", str(source), "--out", str(out)]
+        assert main([*argv, "--dump-map"]) == 0
+        assert (out / "embedding.csv").read_bytes() == source.read_bytes()
+
     def test_controls_verification_pass_and_fail(self, chains, tmp_path, capsys):
         good = tmp_path / "good.csv"
         lines = ["t,rho_minus,rho_plus"] + [f"{t},{t},{t}" for t in range(25)]
@@ -1064,6 +1081,19 @@ class TestProcessEntry:
         assert child.returncode == exc.value.code == 2
         assert child.stderr == capsys.readouterr().err
         assert child.stderr.endswith("error: the following arguments are required: --chain\n")
+
+    def test_run_freezes_the_import(self):
+        # a stubbed main reports the freeze count it runs under: run, which owns
+        # its process, freezes what the import left, and main (below) does not
+        script = (
+            "import gc\n"
+            "from boxlab import cli\n"
+            "print(gc.get_freeze_count())\n"
+            "cli.main = lambda argv: print(gc.get_freeze_count() > 0) or 0\n"
+            "cli.run([])\n"
+        )
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (child.returncode, child.stdout, child.stderr) == (0, "0\nTrue\n", "")
 
     def test_main_leaves_the_collector_alone(self, chains, capsys):
         before = gc.get_freeze_count()

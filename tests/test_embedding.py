@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 import boxlab as bl
 from boxlab.boxspace import BoxPoint, format_point
 from boxlab import embedding
-from boxlab.embedding import _difference_dtype, _difference_rows, _isometric
+from boxlab.embedding import _difference_dtype, _isometric
 from boxlab.errors import ControlSampleError, InvalidArgumentError
-from conftest import cyclic_chain, dihedral_chain, non_finite_controls, sl2_chain_spec
+from conftest import (
+    cyclic_chain, dihedral_chain, non_finite_controls, sl2_chain_spec, unchecked_map,
+)
 
 
 def single_level_space(make_chain, m):
@@ -25,7 +27,7 @@ def single_level_space(make_chain, m):
 def _non_finite_table(space, data):
     """The linf table with NaN or +-inf at random entries, keyed in a random order,
     and the first point in ``points()`` order holding one."""
-    mat = bl.linf_embedding(space).matrix().copy()
+    mat = bl.linf_embedding(space).matrix().astype(np.float64)
     n, dim = mat.shape
     entries = data.draw(
         st.lists(
@@ -153,14 +155,13 @@ class TestVerifyCoarse:
     def test_one_nan_coordinate_fails_at_tolerance_zero(self, dyadic_space):
         """Every pair at the NaN point has a NaN norm, and a NaN norm is a violation.
 
-        The constructor refuses a NaN entry, so the table goes in unchecked
-        through ``_of_matrix``, the builtins' path.
+        The constructor refuses a NaN entry, so the table goes in unchecked.
         """
         f = bl.linf_embedding(dyadic_space)
         point = dyadic_space.points()[5]
-        mat = f.matrix().copy()
+        mat = f.matrix().astype(np.float64)
         mat[5, 0] = np.nan
-        g = bl.CoarseEmbeddingMap._of_matrix(dyadic_space, f.p, mat)
+        g = unchecked_map(dyadic_space, f.p, mat)
         ident = bl.identity_controls(range(dyadic_space.diameter() + 1))
         report = bl.verify_coarse(g, ident.rho_minus, ident.rho_plus, tolerance=0.0)
         assert not report.passed
@@ -286,8 +287,12 @@ class TestEmbeddingMaps:
         with pytest.raises(ValueError):
             bl.CoarseEmbeddingMap(space, 1.0, 1, table)
 
-    @pytest.mark.parametrize("build", ["linf", "torus", "table"])
-    def test_matrix_is_read_only_and_stacks_the_table(self, dyadic_space, build):
+    @pytest.mark.parametrize(
+        "build, dtype", [("linf", np.int8), ("torus", np.float64), ("table", np.float64)],
+        ids=["linf", "torus", "table"],
+    )
+    def test_matrix_is_read_only_and_stacks_the_table(self, dyadic_space, build, dtype):
+        # each map is held in its narrowest exact dtype
         rng = np.random.default_rng(3)
         f = {
             "linf": lambda: bl.linf_embedding(dyadic_space),
@@ -298,7 +303,7 @@ class TestEmbeddingMaps:
             ),
         }[build]()
         mat = f.matrix()
-        assert mat.dtype == np.float64 and not mat.flags.writeable
+        assert mat.dtype == dtype and not mat.flags.writeable
         assert mat is f.matrix()
         assert list(f.table) == dyadic_space.points()
         assert mat.tobytes() == np.vstack([f.table[pt] for pt in dyadic_space.points()]).tobytes()
@@ -326,6 +331,15 @@ class TestEmbeddingMaps:
         g = bl.CoarseEmbeddingMap(dyadic_space, math.inf, mat.shape[1], dict(reversed(rows.items())))
         assert g.matrix().tobytes() == f.matrix().tobytes()
         assert not np.shares_memory(g.matrix(), mat)
+
+    @pytest.mark.parametrize("wide", [np.int64, np.float64, np.float32])
+    def test_matrix_is_narrowed_once(self, dyadic_space, wide):
+        """An integer-valued matrix of any dtype is held as linf's int8 matrix;
+        an integer one needs no finiteness check and no float64 copy."""
+        linf = bl.linf_embedding(dyadic_space).matrix()
+        f = bl.CoarseEmbeddingMap(dyadic_space, math.inf, linf.shape[1], linf.astype(wide))
+        assert f.matrix().dtype == np.int8
+        assert f.matrix().tobytes() == linf.tobytes()
 
     @pytest.mark.parametrize(
         "faults, message",
@@ -375,7 +389,7 @@ class TestEmbeddingMaps:
     )
     def test_matrix_refusal_names_the_first_point(self, dyadic_space, fault, message):
         pts = dyadic_space.points()
-        mat = bl.linf_embedding(dyadic_space).matrix().copy()
+        mat = bl.linf_embedding(dyadic_space).matrix().astype(np.float64)
         mat[[9, 3], [1, 20]] = [np.nan, np.inf]
         mat = {"columns": mat[:, 1:], "rows": mat[1:], "inf": mat}[fault]
         message = message.format(*(format_point(pt) for pt in pts))
@@ -384,9 +398,12 @@ class TestEmbeddingMaps:
 
 
 def _old_difference_dtype(mat):
-    """The narrowest exact difference dtype, as first written: through |mat| and floor(mat)."""
+    """The narrowest exact difference dtype, as first written: through |mat| and
+    floor(mat), and float64 for a table holding a -0.0."""
     top = float(np.abs(mat).max(initial=0.0))
     if not math.isfinite(top) or not (mat == np.floor(mat)).all():
+        return np.dtype(np.float64)
+    if (np.signbit(mat) & (mat == 0)).any():
         return np.dtype(np.float64)
     for dtype in (np.int8, np.int16, np.int32):
         if 2 * top <= np.iinfo(dtype).max:
@@ -410,7 +427,12 @@ class TestDifferenceDtype:
         if seed % 7 == 0:
             mat.flat[0] = -top  # the negative end alone sets the width
         with np.errstate(invalid="ignore"):
-            assert _difference_dtype(mat) == _old_difference_dtype(mat)
+            want = _old_difference_dtype(mat)
+            assert _difference_dtype(mat) == want
+        if want.kind == "i":
+            # an integer table is read through its extremes alone, to the same dtype
+            for dtype in (np.int64, want):
+                assert _difference_dtype(mat.astype(dtype)) == want
 
     @pytest.mark.parametrize(
         "values, dtype",
@@ -422,13 +444,30 @@ class TestDifferenceDtype:
             ([np.nan, 1.0], np.float64),
             ([-np.inf, 1.0], np.float64),
             ([np.inf, np.nan], np.float64),
-            ([-0.0, 2.0], np.int8),
+            # an integer would print the -0.0 as 0
+            ([-0.0, 2.0], np.float64),
             ([], np.int8),
+            ([0.0, 2.0], np.int8),
         ],
     )
     def test_edges(self, values, dtype):
         mat = np.array(values, dtype=np.float64).reshape(1, -1)
         assert _difference_dtype(mat) == _old_difference_dtype(mat) == dtype
+
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            (np.array([0, -64], dtype=np.int8), np.int16),
+            (np.array([127, 0], dtype=np.int8), np.int16),
+            (np.array([63, -63], dtype=np.int8), np.int8),
+            (np.array([255], dtype=np.uint8), np.int16),
+            (np.array([2**30 - 1], dtype=np.int32), np.int32),
+            (np.array([-(2**30)], dtype=np.int32), np.float64),
+            (np.array([2**62], dtype=np.int64), np.float64),
+        ],
+    )
+    def test_integer_edges(self, values, dtype):
+        assert _difference_dtype(values.reshape(1, -1)) == dtype
 
 
 class TestPnormPower:
@@ -587,9 +626,9 @@ def _with_entries(*values):
 
 
 def _kernel_map(space, p, table):
-    """A map over a fresh copy of ``table``, through ``_of_matrix`` since the
-    constructor refuses the NaN and infinite tables."""
-    return bl.CoarseEmbeddingMap._of_matrix(space, p, np.array(table, dtype=np.float64))
+    """A map over a fresh copy of ``table``, unchecked since the constructor
+    refuses the NaN and infinite tables."""
+    return unchecked_map(space, p, np.array(table, dtype=np.float64))
 
 
 KERNEL_TABLES = [
@@ -610,9 +649,10 @@ KERNEL_TABLES = [
     ),
     pytest.param(_with_entries(np.nan), np.float64, id="nan"),
     pytest.param(_with_entries(np.inf, -np.inf), np.float64, id="inf"),
+    # an integer-valued table holding a -0.0 stays float64, which keeps its sign
     pytest.param(
         lambda space, rng: np.where(rng.random((space.point_count(), 5)) < 0.5, -0.0, 3.0),
-        np.int8,
+        np.float64,
         id="negative-zero",
     ),
 ]
@@ -681,7 +721,7 @@ class TestSandwichOracle:
         space = bl.assemble_box_space(make_chain(4, 8, 16))
         table = build(space, np.random.default_rng(7))
         f = _kernel_map(space, p, table)
-        assert _difference_dtype(f.matrix()) == dtype
+        assert f.matrix().dtype == dtype
         with np.errstate(invalid="ignore"):  # inf - inf in the inf table
             ctrl = bl.profile(f)
             ts, lo, hi = _row_loop_profile(f)
@@ -718,7 +758,7 @@ class TestSandwichOracle:
     def test_violation_on_integer_table_names_same_first_witness(self, make_chain):
         space = bl.assemble_box_space(make_chain(4, 8, 16))
         f = bl.linf_embedding(space)
-        assert _difference_dtype(f.matrix()) == np.int8
+        assert f.matrix().dtype == np.int8
         ts = range(space.diameter() + 1)
         lo = {t: float(t) for t in ts}
         hi = {t: float(max(t - 1, min(t, 2))) for t in ts}  # t - 1 from t = 3 on
@@ -747,7 +787,7 @@ def _space(name):
 
 
 def _certified(f):
-    return _isometric(f, _difference_rows(f))
+    return _isometric(f)
 
 
 def _assert_profile_is(ctrl, f):
@@ -807,7 +847,7 @@ class TestLeftInvariantProfile:
         shifts = rng.integers(-9, 10, size=dim).astype(np.float64)
         table = signs * linf.matrix()[:, rng.permutation(dim)] + shifts
         f = bl.CoarseEmbeddingMap(space, math.inf, dim, dict(zip(space.points(), table)))
-        assert _difference_dtype(f.matrix()).kind == "i"
+        assert f.matrix().dtype.kind == "i"
         assert _certified(f)
         ctrl = bl.profile(f)
         _assert_profile_is(ctrl, f)
@@ -826,9 +866,9 @@ class TestLeftInvariantProfile:
         spans = []
         sweep = embedding._pair_norms
 
-        def spy(f, rows, pairs):
+        def spy(f, pairs):
             spans.extend(pairs)
-            return sweep(f, rows, pairs)
+            return sweep(f, pairs)
 
         monkeypatch.setattr(embedding, "_pair_norms", spy)
         ctrl = bl.profile(f)
@@ -923,23 +963,20 @@ class TestLeftInvariantProfile:
 
     @pytest.mark.parametrize("name", ["line", "z2048"])
     def test_peak_memory_stays_within_the_sweep(self, name):
-        # the full sweep held the integer rows and a buffer of n - 1 of them,
-        # beside the (distance, norm) buffers; the certificate takes a block
-        # of columns at a time and is done before the buffer is made
+        # beyond the cached box metric: linf's int16 matrix, written straight
+        # from it (8 MiB on Z/2048, where a float64 one would be 32 MiB), and
+        # the certificate's blocks of columns; no pair is swept
         space = bl.assemble_box_space(_space(name).chain)
+        space.distance_matrix()
         tracemalloc.start()
         try:
             f = bl.linf_embedding(space)
-            held = tracemalloc.get_traced_memory()[0]
             ctrl = bl.profile(f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n, itemsize = f.dim, _difference_dtype(f.matrix()).itemsize
-        assert itemsize == 2
-        sweep = (2 * n - 1) * n * itemsize + 12 * max(embedding._BLOCK_ENTRIES, n - 1)
-        # row-length temporaries and the returned pair
-        assert peak - held <= sweep + (1 << 18)
+        assert f.matrix().dtype == np.int16
+        assert peak <= 12 << 20
         assert all(ctrl.rho_minus[t] == ctrl.rho_plus[t] == t for t in ctrl.realized_distances())
 
 
@@ -954,9 +991,10 @@ def _failing_controls(diameter, minus_at, plus_at):
 
 
 def _swept(f, lo, hi, **kwargs):
-    """``verify_coarse`` with the certificate refused: the sweep of all pairs."""
+    """``verify_coarse`` with the certificate refused, and none kept on ``f``: the
+    sweep of all pairs."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(embedding, "_isometric", lambda *args: False)
+        patch.setattr(embedding, "_certified", lambda f: False)
         return bl.verify_coarse(f, lo, hi, **kwargs)
 
 
@@ -965,9 +1003,9 @@ def _recording_sweep(patch):
     spans = []
     sweep = embedding._pair_norms
 
-    def spy(f, rows, pairs):
+    def spy(f, pairs):
         spans.extend(pairs)
-        return sweep(f, rows, pairs)
+        return sweep(f, pairs)
 
     patch.setattr(embedding, "_pair_norms", spy)
     return spans
@@ -1009,6 +1047,25 @@ class TestCertifiedSandwich:
         assert report.pair_count == n * (n + 1) // 2
         if n <= 500:
             assert report == _swept(f, ident.rho_minus, ident.rho_plus)
+
+    @pytest.mark.parametrize("name", ["cyclic", "sl2-1", "z2048"])
+    def test_a_map_is_certified_once(self, monkeypatch, name):
+        # the matrix is read-only, so the verdict of the first use is kept on the map
+        calls = []
+        certify = embedding._isometric
+
+        def spy(f):
+            calls.append(f)
+            return certify(f)
+
+        monkeypatch.setattr(embedding, "_isometric", spy)
+        space = _space(name)
+        f = bl.linf_embedding(space)
+        ctrl = bl.profile(f)
+        report = bl.verify_coarse(f, ctrl.rho_minus | {0: 0.0}, ctrl.rho_plus | {0: 0.0})
+        assert calls == [f] and report.passed
+        bl.profile(bl.linf_embedding(space))
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("drop_minus, drop_plus", [({3}, set()), (set(), {2}), ({7}, {5})])
     def test_missing_sample_is_named_as_the_sweep_names_it(self, drop_minus, drop_plus):

@@ -28,6 +28,7 @@ from conftest import (
     stacked,
     twisted_action,
     twisted_rule,
+    unchecked_map,
 )
 from scalar_isometry import (
     AffineIsometry,
@@ -90,15 +91,15 @@ class TestTrivialFibration:
             )
 
     def test_non_finite_section_matrix_refused(self, dyadic_space):
-        mat = bl.linf_embedding(dyadic_space).matrix().copy()
+        mat = bl.linf_embedding(dyadic_space).matrix().astype(np.float64)
         mat[7, 3] = np.inf
         first = format_point(dyadic_space.points()[7])
         with pytest.raises(ValueError, match=rf"^vector at {first} has a non-finite entry$"):
-            bl.trivial_fibration(bl.CoarseEmbeddingMap._of_matrix(dyadic_space, math.inf, mat))
+            bl.trivial_fibration(unchecked_map(dyadic_space, math.inf, mat))
 
     def test_trivial_fibration_adds_no_matrix(self):
         """On the 1984-point line, dim 1984, the fibration holds the embedding's
-        31 MB matrix; it used to copy it into a second one."""
+        7.9 MB int16 matrix; it used to copy it into a second one."""
         space = bl.assemble_box_space(cyclic_chain(*(2**k for k in range(6, 11))))
         f = bl.linf_embedding(space)
         lo, hi = identity_pair(space.diameter())
@@ -109,9 +110,9 @@ class TestTrivialFibration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert f.matrix().nbytes == 8 * 1984**2
+        assert f.matrix().nbytes == 2 * 1984**2
         assert report.passed and report.set_count == 0
-        # the finiteness check's boolean temporary is an eighth of a matrix
+        # an integer section is finite by its dtype: no temporary of its size is made
         assert peak < f.matrix().nbytes // 4
 
 

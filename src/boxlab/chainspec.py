@@ -27,7 +27,7 @@ from .groups import (
     build_quotient,
 )
 
-__all__ = ["MAX_POINTS", "parse_chain", "load_chain"]
+__all__ = ["parse_chain", "load_chain"]
 
 _AMBIENT_FIELDS = ("family", "rank")
 

@@ -142,16 +142,24 @@ def _control_lines(lo: dict, hi: dict) -> list[str]:
     return lines
 
 
-def _embedding_lines(f: CoarseEmbeddingMap) -> list[str]:
-    head = ",".join(["level", "element"] + [f"c_{k + 1}" for k in range(f.dim)])
-    lines = [f"# p={_fmt(f.p)} dim={f.dim}", head]
-    for pt in f.domain.points():
-        coords = ",".join(_fmt(v) for v in f(pt))
-        lines.append(f"{pt.level},{pt.element},{coords}")
+def _coordinate_lines(comment: str, keys: str, dim: int, rows) -> list[str]:
+    """``comment``, the column names, then ``label,c_1,...`` per ``(label, row)`` of ``rows``,
+    entries as ``_fmt`` writes them: an integer row with ``str``, from one ``tolist``."""
+    lines = [comment, ",".join([keys] + [f"c_{k + 1}" for k in range(dim)])]
+    for label, row in rows:
+        fmt = str if row.dtype.kind in "iu" else _fmt
+        lines.append(f"{label},{','.join(map(fmt, row.tolist()))}")
     return lines
 
 
+def _embedding_lines(f: CoarseEmbeddingMap) -> list[str]:
+    labels = (f"{pt.level},{pt.element}" for pt in f.domain.points())
+    comment = f"# p={_fmt(f.p)} dim={f.dim}"
+    return _coordinate_lines(comment, "level,element", f.dim, zip(labels, f.matrix()))
+
+
 def _read_embedding_csv(path, space) -> CoarseEmbeddingMap:
+    """Rows parsed by ``float`` into one float64 matrix, allocated once the first row is placed."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("# p="):
         raise SpecFormatError(f"{path}: expected a '# p=<p> dim=<dim>' header line")
@@ -159,9 +167,14 @@ def _read_embedding_csv(path, space) -> CoarseEmbeddingMap:
         fields = dict(part.split("=", 1) for part in lines[0][2:].split())
         p = _norm_exponent(fields["p"])
         dim = int(fields["dim"])
+        if dim < 0:
+            raise ValueError(f"dim must be >= 0, got {dim}")
     except (ValueError, KeyError) as exc:
         raise SpecFormatError(f"{path}: bad header: {exc}") from None
-    table = {}
+    points = space.points()
+    index = {pt: k for k, pt in enumerate(points)}
+    placed = np.zeros(len(points), dtype=bool)
+    matrix = None
     for number, ln in enumerate(lines[2:], start=3):
         if not ln.strip():
             continue
@@ -171,20 +184,24 @@ def _read_embedding_csv(path, space) -> CoarseEmbeddingMap:
             raise SpecFormatError(f"{where}: row has {len(parts)} fields, expected {2 + dim}")
         try:
             pt = BoxPoint(int(parts[0]), int(parts[1]))
-            vec = np.array([float(v) for v in parts[2:]])
+            vec = np.fromiter(map(float, parts[2:]), dtype=np.float64, count=dim)
         except ValueError:
             raise SpecFormatError(f"{where}: bad number in row {ln!r}") from None
         if not np.isfinite(vec).all():
             raise SpecFormatError(f"{where}: non-finite value in row {ln!r}")
-        if not space.contains(pt):
+        k = index.get(pt)
+        if k is None:
             raise SpecFormatError(f"{where}: point {format_point(pt)} is outside the space")
-        if pt in table:
+        if placed[k]:
             raise SpecFormatError(f"{where}: duplicate row for point {format_point(pt)}")
-        table[pt] = vec
-    try:
-        return CoarseEmbeddingMap(space, p, dim, table)
-    except ValueError as exc:
-        raise SpecFormatError(f"{path}: {exc}") from None
+        if matrix is None:
+            matrix = np.empty((len(points), dim))
+        matrix[k], placed[k] = vec, True
+    if not placed.all():
+        first = format_point(points[int(np.argmin(placed))])
+        raise SpecFormatError(f"{path}: table missing point {first}")
+    del lines  # the text goes before the map narrows the matrix
+    return CoarseEmbeddingMap(space, p, dim, matrix)
 
 
 def _resolve_embedding(name: str, space, p: float | None) -> CoarseEmbeddingMap:
@@ -342,18 +359,10 @@ def _ambient_label(g) -> str:
 
 
 def _cocycle_lines(coc, label_of, domain) -> list[str]:
-    head = ",".join(["g", "block"] + [f"c_{k + 1}" for k in range(coc.dim)])
     scale = coc.r if coc.r is not None else "global"
-    lines = [
-        f"# p={_fmt(coc.p)} dim={coc.dim} blocks={coc.carrier.size} scale={scale}",
-        head,
-    ]
-    for g in domain:
-        blocks = coc.value(g)
-        for z in range(coc.carrier.size):
-            coords = ",".join(_fmt(v) for v in blocks[z])
-            lines.append(f"{label_of(g)},{z},{coords}")
-    return lines
+    comment = f"# p={_fmt(coc.p)} dim={coc.dim} blocks={coc.carrier.size} scale={scale}"
+    rows = ((f"{label_of(g)},{z}", block) for g in domain for z, block in enumerate(coc.value(g)))
+    return _coordinate_lines(comment, "g,block", coc.dim, rows)
 
 
 def _lift_lines(lifted, ball) -> list[str]:

@@ -19,6 +19,7 @@ from .embedding import _check_tolerance, _control_bounds, _Record
 from .errors import ActionCheckError, InvalidArgumentError
 from .fibration import FibredEmbedding, _segments
 from .groups import (
+    _BLOCK_ENTRIES,
     GroupChain,
     MarkedQuotient,
     ambient_word_length,
@@ -359,10 +360,6 @@ class CocycleReport(_Record):
         return "\n".join(lines)
 
 
-# block entries compared per batch of pairs
-_PAIR_ENTRIES = 1 << 16
-
-
 def verify_local_action(
     rep: LocalRepresentation,
     coc: LocalCocycle,
@@ -389,7 +386,7 @@ def verify_local_action(
     xys = np.searchsorted(live, products[xs, ys])
     V, T, P, S = coc.values, rep.tau, rep.perm, rep.signs
     blocks, rows = V.shape[1], V.reshape(-1, coc.dim)  # rows[y * blocks + z] = V[y, z]
-    segments = list(_segments(np.full(len(xs), q.order * coc.dim), _PAIR_ENTRIES))
+    segments = list(_segments(np.full(len(xs), q.order * coc.dim), _BLOCK_ENTRIES))
     # the (pairs, blocks, dim) gathers land in two buffers sized once per call:
     # with wide blocks a batch is one pair, and each fresh gather would be a
     # new allocation of a whole row of blocks

@@ -2,6 +2,19 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "BoxlabError",
+    "InvalidArgumentError",
+    "InvalidGroupError",
+    "ChainValidationError",
+    "ChainExhaustedError",
+    "NonStabilizedLengthError",
+    "SpecFormatError",
+    "ControlSampleError",
+    "MissingTrivializationError",
+    "ActionCheckError",
+]
+
 
 class BoxlabError(Exception):
     """Base class for structural errors raised by this package."""

@@ -18,6 +18,7 @@ from .boxspace import BoxPoint, BoxSpace, _point_rows, format_point
 from .embedding import CoarseEmbeddingMap, _check_tolerance, _control_bounds, _Record
 from .errors import ActionCheckError, InvalidArgumentError, MissingTrivializationError
 from .groups import (
+    _BLOCK_ENTRIES,
     FREE_ABELIAN,
     _ambient_spheres,
     ambient_from_letters,
@@ -372,18 +373,13 @@ def _set_label(C: SetOfPoints) -> str:
     return "{" + body + (",..." if len(C) > 4 else "") + "}"
 
 
-# entries of one (rows, allowed) block of distances in the witness-set search,
-# so that no temporary grows with the square of the allowed points
-_NEAR_ENTRIES = 1 << 16
-
-
 def _near_pairs(dist, ix: np.ndarray, below: int, upper: bool):
     """Index pairs (k, m) into ``ix`` with ``dist[ix[k], ix[m]] < below``, row-major.
 
     Only m > k when ``upper``.  The distances are read a block of rows at a time.
     """
     width = max(len(ix), 1)
-    step = max(1, _NEAR_ENTRIES // width)
+    step = max(1, _BLOCK_ENTRIES // width)
     found = []
     for start in range(0, width, step):
         # rows, then columns, gathered by take; and flat indices, since

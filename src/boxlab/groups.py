@@ -55,8 +55,8 @@ _FAMILIES = (FREE, FREE_ABELIAN, EXPLICIT_CHAIN_LIMIT)
 # so this bounds it at 4096^2 entries.
 MAX_POINTS = 4096
 
-# entries of one (rows, order) block of a table-sized check or gather, so that
-# no temporary grows with the square of a level's order
+# entries of one block of a table-sized check, gather or batch of pairs, so
+# that no temporary grows with the square of a level's order or point count
 _BLOCK_ENTRIES = 1 << 16
 
 

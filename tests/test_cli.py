@@ -5,12 +5,15 @@ import gc
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from boxlab import cli, fibration
 from boxlab.boxspace import assemble_box_space, box_distance, format_point
 from boxlab.chainspec import load_chain
 from boxlab.cli import main
+from boxlab.errors import SpecFormatError
 from conftest import sl2_chain_spec
 
 DYADIC = {
@@ -228,6 +232,17 @@ class TestProfile:
         assert main([*argv, "--dump-map"]) == 0
         assert (out / "embedding.csv").read_bytes() == source.read_bytes()
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.float64])
+    def test_rows_are_written_as_fmt_writes_each_entry(self, dtype):
+        rng = np.random.default_rng(3)
+        rows = rng.integers(-100, 100, size=(6, 5)).astype(dtype)
+        if dtype == np.float64:
+            rows = rows / 7
+            rows[0, :4] = [-0.0, 1e-13, 2.5e15, 123456789012.5]
+        lines = cli._coordinate_lines("# c", "k", 5, ((str(i), row) for i, row in enumerate(rows)))
+        want = [f"{i},{','.join(cli._fmt(v) for v in row)}" for i, row in enumerate(rows)]
+        assert lines == ["# c", "k,c_1,c_2,c_3,c_4,c_5", *want]
+
     def test_controls_verification_pass_and_fail(self, chains, tmp_path, capsys):
         good = tmp_path / "good.csv"
         lines = ["t,rho_minus,rho_plus"] + [f"{t},{t},{t}" for t in range(25)]
@@ -304,6 +319,126 @@ class TestStrictReaders:
         code, err = self.run_profile(chains, tmp_path, capsys, "--controls", lines)
         assert code == 2
         assert f"input.csv, {message}" in err
+
+
+class TestEmbeddingCsvReader:
+    """An embedding CSV is parsed a row at a time into one float64 matrix."""
+
+    @pytest.fixture
+    def dumped(self, chains, tmp_path):
+        out = tmp_path / "linf"
+        main(["profile", "--chain", chains["dyadic"], "--embedding", "linf",
+              "--out", str(out), "--dump-map"])
+        space = assemble_box_space(load_chain(chains["dyadic"]))
+        return space, (out / "embedding.csv").read_text().splitlines()
+
+    def read(self, tmp_path, space, lines):
+        path = tmp_path / "map.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return cli._read_embedding_csv(path, space)
+
+    def test_rows_in_any_order(self, tmp_path, dumped):
+        space, lines = dumped
+        body = lines[2:]
+        random.Random(7).shuffle(body)
+        f = self.read(tmp_path, space, lines[:2] + body)
+        want = self.read(tmp_path, space, lines)
+        assert f.matrix().dtype == want.matrix().dtype == np.int8
+        assert np.array_equal(f.matrix(), want.matrix())
+        assert cli._embedding_lines(f) == lines
+
+    def test_first_missing_point_in_point_order(self, tmp_path, dumped):
+        space, lines = dumped
+        # L2:5 and L1:3 are dropped, and the rows are listed backwards
+        body = [ln for ln in lines[2:] if not ln.startswith(("2,5,", "1,3,"))][::-1]
+        with pytest.raises(SpecFormatError, match=r"map.csv: table missing point L1:3$"):
+            self.read(tmp_path, space, lines[:2] + body)
+
+    def test_duplicate_row_in_any_order(self, tmp_path, dumped):
+        space, lines = dumped
+        body = lines[2:][::-1] + [lines[2]]
+        with pytest.raises(SpecFormatError, match=r"line 31: duplicate row for point L0:0$"):
+            self.read(tmp_path, space, lines[:2] + body)
+
+    def test_huge_dim_allocates_nothing(self, tmp_path, dumped):
+        # a (28, 10^11) float64 matrix would be 22 TB
+        space, _ = dumped
+        tracemalloc.start()
+        try:
+            for rows, message in (
+                ([], r"table missing point L0:0$"),
+                (["0,0,1,2"], r"line 3: row has 4 fields, expected 100000000002$"),
+            ):
+                with pytest.raises(SpecFormatError, match=message):
+                    self.read(tmp_path, space, ["# p=inf dim=100000000000", "level,element", *rows])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_negative_dim_is_a_bad_header(self, chains, tmp_path, capsys):
+        path = tmp_path / "map.csv"
+        path.write_text("# p=inf dim=-1\nlevel,element\n5\n")
+        argv = ["profile", "--chain", chains["dyadic"], "--embedding", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: bad header: dim must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("zero, dtype", [("-0", np.float64), ("0", np.int8)])
+    def test_negative_zero_is_held_in_float64(self, tmp_path, dumped, zero, dtype):
+        space, lines = dumped
+        lines = list(lines)
+        fields = lines[2].split(",")  # the row of L0:0, whose own coordinate is 0
+        assert fields[2] == "0"
+        fields[2] = zero
+        lines[2] = ",".join(fields)
+        matrix = self.read(tmp_path, space, lines).matrix()
+        assert matrix.dtype == dtype
+        assert np.signbit(matrix[0, 0]) == (zero == "-0")
+
+    @pytest.mark.parametrize(
+        "text", ["2", " 2 ", "+2", "2.", "2.0e0", "0_2", "\u0662", "2e", "0x2", "2__0", "2.0.0", ""]
+    )
+    def test_number_spellings_are_those_of_float(self, tmp_path, dumped, text):
+        space, lines = dumped
+        lines = list(lines)
+        fields = lines[4].split(",")  # L0:2, at distance 2 from L0:0
+        assert fields[2] == "2"
+        fields[2] = text
+        lines[4] = ",".join(fields)
+        try:
+            want = float(text)
+        except ValueError:
+            with pytest.raises(SpecFormatError, match="line 5: bad number in row"):
+                self.read(tmp_path, space, lines)
+        else:
+            assert self.read(tmp_path, space, lines).matrix()[2, 0] == want == 2
+
+    def test_reading_back_the_line_holds_one_matrix(self, tmp_path):
+        # the first three levels of the line Z/64..Z/1024: 448 points, and 448 columns
+        chain = tmp_path / "line.json"
+        chain.write_text(json.dumps(
+            {"ambient": {"family": "free_abelian", "rank": 1},
+             "levels": [{"kind": "cyclic", "moduli": [2**k]} for k in range(6, 9)]}
+        ))
+        out = tmp_path / "linf"
+        main(["profile", "--chain", str(chain), "--embedding", "linf", "--out", str(out),
+              "--dump-map"])
+        path = out / "embedding.csv"
+        space = assemble_box_space(load_chain(chain))
+        n = space.point_count()
+        space.points()  # the cached points list is made outside the count
+        tracemalloc.start()
+        try:
+            f = cli._read_embedding_csv(path, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.matrix().dtype == np.int16
+        assert cli._embedding_lines(f) == path.read_text().splitlines()
+        # one float64 matrix and the file's lines, each once, with room for a row in
+        # flight: a dict of row vectors stacked into a second matrix, or the lines
+        # kept while the map narrows the matrix, would not fit
+        assert peak < n * n * 8 + 1.5 * path.stat().st_size
 
 
 class TestNonFiniteInput:

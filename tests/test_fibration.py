@@ -1069,8 +1069,8 @@ class TestArrayWitnessSets:
             for mode in ("balls", "pairs", "balls+pairs"):
                 want = per_point_candidate_sets(space, allowed, dist, r, mode)
                 # blocks of one row, of a few rows, and of the default size
-                for entries in (1, 4 * len(allowed), fibration._NEAR_ENTRIES):
-                    monkeypatch.setattr(fibration, "_NEAR_ENTRIES", entries)
+                for entries in (1, 4 * len(allowed), fibration._BLOCK_ENTRIES):
+                    monkeypatch.setattr(fibration, "_BLOCK_ENTRIES", entries)
                     assert _candidate_sets(space, allowed, dist, r, mode) == want, (r, mode)
                 monkeypatch.undo()
 

@@ -26,7 +26,7 @@ from .groups import (
     project_to_level,
     select_level_for_r,
 )
-from .lpspace import IsometryStack, lp_norm
+from .lpspace import IsometryStack, _check_p, lp_norm
 
 __all__ = [
     "QuotientCarrier",
@@ -87,7 +87,7 @@ class LocalRepresentation:
         perm: np.ndarray | None = None,
         signs: np.ndarray | None = None,
     ):
-        self.carrier, self.p, self.dim, self.r = carrier, p, dim, r
+        self.carrier, self.p, self.dim, self.r = carrier, _check_p(p), dim, r
         self.elements = _live_elements(carrier.quotient, r)
         shape = (len(self.elements), carrier.size, dim)
         (self.tau, _, _), bad = IsometryStack(tau, None, None).checked(shape[:2])
@@ -136,7 +136,7 @@ class LocalCocycle:
         companion: LocalRepresentation,
         label: str = "",
     ):
-        self.carrier, self.p, self.dim, self.r = carrier, float(p), dim, r
+        self.carrier, self.p, self.dim, self.r = carrier, _check_p(p), dim, r
         self.companion, self.label = companion, label
         self.elements = _live_elements(carrier.quotient, r)
         self.values = np.asarray(values, dtype=np.float64)
@@ -188,10 +188,10 @@ def averaged_cocycle(f, quotient: MarkedQuotient, p):
     tau = quotient.mult_many(elements, elements[:, None])  # tau[x, z] = z * x
     values = F[tau]
     values -= F
-    rep = LocalRepresentation(carrier=carrier, p=float(p), dim=F.shape[1], r=None, tau=tau)
+    rep = LocalRepresentation(carrier=carrier, p=p, dim=F.shape[1], r=None, tau=tau)
     coc = LocalCocycle(
         carrier=carrier,
-        p=float(p),
+        p=p,
         dim=F.shape[1],
         r=None,
         values=values,
@@ -229,31 +229,31 @@ def local_cocycle_from_fce(
     q = chain.levels[level]
     carrier = QuotientCarrier(q)
 
-    # one stacked row per (ball center z, member w), balls in order of z, each
-    # listing z first, so that the oracle serves it from z, then its other
-    # members ascending
-    inside = q.cayley_matrix() <= r - 1
-    zs, ws = np.nonzero(inside)
-    order = np.lexsort((ws, ws != zs, zs))
-    zs, ws = zs[order], ws[order]
-    row = np.full(inside.shape, -1, dtype=np.int64)
-    row[zs, ws] = np.arange(len(zs))
-    ends = np.cumsum(inside.sum(axis=1)).tolist()
-    members = [BoxPoint(level, w) for w in ws.tolist()]
-    balls = [tuple(members[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
-    stack, moved = fib.trivialize(balls, r)
+    # by left-invariance the ball around z is z * ball, ball the identity's with the identity
+    # first, so the oracle serves it from its centre z: stacked row z * m + k holds z * ball[k]
+    live = _live_elements(q, r)
+    ball = np.concatenate(([q.identity], live[live != q.identity]))
+    m, blocks = len(ball), np.arange(q.order)
+    at = np.full(q.order, -1, dtype=np.int64)  # each element's member number in ball, or -1
+    at[ball] = np.arange(m)
+    members = [BoxPoint(level, w) for w in q.mult_many(blocks[:, None], ball).ravel().tolist()]
+    stack, moved = fib.trivialize([members[k : k + m] for k in range(0, len(members), m)], r)
 
-    blocks = np.arange(q.order)
-    taus = q.mult_many(blocks, _live_elements(q, r)[:, None])  # taus[i, z] = z * live[i]
+    taus = q.mult_many(blocks, live[:, None])  # taus[i, z] = z * live[i]
     inverse = stack.inverse()
-    # the transition between the balls around z and zx, read off at zx
-    transitions = stack.after(inverse, row[blocks, taus].ravel(), row[taus, taus].ravel())
+    # the transition between the balls around z and zx, read at zx: their members x and 0
+    centres, hops = blocks * m, at[live][:, None]
+    transitions = stack.after(inverse, (centres + hops).ravel(), (taus * m).ravel())
+    # the balls around z and zx share z * u for each u in ball with x^-1 u in ball, which
+    # is member back[i, k] of the second
+    back = at[q.mult_many(q.inv_many(live)[:, None], ball)]
     for i, tau in enumerate(taus):
-        zs, ws = np.nonzero(inside & inside[tau])
-        cand = stack.after(inverse, row[zs, ws], row[tau[zs], ws])
-        bad = np.flatnonzero(cand.differs(transitions.take(i * q.order + zs), 1e-9))
+        (shared,) = np.nonzero(back[i] >= 0)
+        a = (centres[:, None] + shared).ravel()  # z * u in the ball around z, z-major
+        cand = stack.after(inverse, a, (tau[:, None] * m + back[i, shared]).ravel())
+        bad = np.flatnonzero(cand.differs(transitions.take(i * q.order + a // m), 1e-9))
         if bad.size:
-            z = int(zs[bad[0]])
+            z = int(a[bad[0]]) // m
             raise ActionCheckError(
                 "transition between overlapping balls is not constant;"
                 f" the input is not fibred at scale {r} (blocks {z}, {int(tau[z])})"
@@ -263,7 +263,7 @@ def local_cocycle_from_fce(
         carrier=carrier, p=fib.p, dim=fib.dim, r=r, tau=taus,
         perm=transitions.perm.reshape(shape), signs=transitions.signs.reshape(shape),
     )
-    values = moved[row[blocks, blocks]] - moved[row[blocks, taus]]
+    values = moved[centres] - moved[centres + hops]
     return LocalCocycle(
         carrier=carrier,
         p=fib.p,

@@ -741,6 +741,8 @@ class GroupChain:
         return self._composed[level]
 
     def radius(self, level: int) -> int:
+        if not 0 <= level < len(self.levels):
+            raise ValueError(f"level {level} out of range")
         if level not in self._radius_cache:
             self._radius_cache[level] = _compute_radius(self, level)
         return self._radius_cache[level]
@@ -926,8 +928,6 @@ def _sphere_radius(chain: GroupChain, level: int) -> int:
 
 def r_isometric_radius(chain: GroupChain, level: int) -> int:
     """Largest r such that subsets of ambient diameter below r embed isometrically."""
-    if not 0 <= level < len(chain.levels):
-        raise ValueError(f"level {level} out of range")
     return chain.radius(level)
 
 
@@ -935,6 +935,8 @@ def select_level_for_r(chain: GroupChain, r: int, exclude_below: int = 0) -> int
     """Smallest level index at least ``exclude_below`` whose radius reaches ``r``."""
     if r < 1:
         raise ValueError(f"locality radius must be positive, got {r}")
+    if exclude_below < 0:
+        raise ValueError(f"exclude_below must be at least 0, got {exclude_below}")
     best: int | None = None
     for i in range(exclude_below, len(chain.levels)):
         rad = chain.radius(i)

@@ -64,6 +64,14 @@ def served_dict(fib, C, r) -> dict:
     return {pt: row_isometry(fib.p, stack, k) for k, pt in enumerate(C)}
 
 
+def localized_ball(q, level: int, z: int, r: int) -> tuple:
+    """The ball of radius ``r - 1`` around ``z`` as localization lists it: z
+    times each element shorter than r, the identity first, then ascending."""
+    length = q.distance_from_identity()
+    ball = sorted((u for u in q.elements() if length[u] < r), key=lambda u: u != q.identity)
+    return tuple(bl.BoxPoint(level, q.mult(z, u)) for u in ball)
+
+
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import io
+import itertools
 import json
 import os
 import random
@@ -668,6 +669,27 @@ class TestForge:
         rows = (out / "cocycle.csv").read_text().splitlines()
         assert rows[0] == "# p=1 dim=1 blocks=16 scale=4"
         assert len(rows) == 2 + 7 * 16  # seven live elements, one row per block
+
+    def test_fce_mode_on_a_relabelled_table(self, tmp_path):
+        # Z/16 relabelled by a -> 5a + 2, so that the identity is element 2: its
+        # cocycle.csv is that of Z/16 with every element and block relabelled
+        label = [(5 * a + 2) % 16 for a in range(16)]
+        mult = [[0] * 16 for _ in range(16)]
+        for a, b in itertools.product(range(16), repeat=2):
+            mult[label[a]][label[b]] = label[(a + b) % 16]
+        table = {"kind": "table", "mult": mult, "identity": 2, "gen_images": [label[1]]}
+        rows = {}
+        for name, level in (("cyclic", {"kind": "cyclic", "moduli": [16]}), ("table", table)):
+            chain = tmp_path / f"{name}.json"
+            chain.write_text(json.dumps({"ambient": DEEP["ambient"], "levels": [level]}))
+            out = tmp_path / name
+            args = ["forge", "--chain", str(chain), "--mode", "fce", "--r", "4", "--p", "1"]
+            assert main([*args, "--out", str(out)]) == 0
+            rows[name] = (out / "cocycle.csv").read_text().splitlines()
+        assert rows["table"][:2] == rows["cyclic"][:2]
+        moved = [line.split(",") for line in rows["cyclic"][2:]]
+        moved = [(label[int(g)], label[int(z)], v) for g, z, v in moved]
+        assert rows["table"][2:] == [f"{g},{z},{v}" for g, z, v in sorted(moved)]
 
     def test_determinism_and_replay(self, chains, tmp_path, capsys):
         out = tmp_path / "lift"

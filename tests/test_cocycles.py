@@ -1,6 +1,8 @@
 """Averaged cocycles, scale-local cocycles, lifts, families."""
 
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from boxlab.cocycles import LocalRepresentation, QuotientCarrier
 from boxlab.errors import ActionCheckError, ControlSampleError, InvalidArgumentError
 from boxlab.lpspace import IsometryStack
 from conftest import (
+    localized_ball,
     non_finite_controls,
     non_finite_translations,
     served_dict,
@@ -206,6 +209,18 @@ class TestAveraged:
         assert report.passed
         assert report.identity_checked == 16
 
+    @pytest.mark.parametrize("p", [0.0, 0.5, math.nan])
+    def test_p_below_one_refused(self, p):
+        q = bl.CyclicQuotient([4])
+        table = np.array([[0.0], [1.0], [2.0], [1.0]])
+        with pytest.raises(ValueError, match=f"^p must be at least 1, got {p}$"):
+            bl.averaged_cocycle(table, q, p)
+        rep, _ = bl.averaged_cocycle(table, q, 1.0)
+        with pytest.raises(ValueError, match=f"^p must be at least 1, got {p}$"):
+            bl.LocalCocycle(
+                carrier=rep.carrier, p=p, dim=1, r=None, values=np.zeros((4, 4, 1)), companion=rep
+            )
+
     def test_law_on_planar_embedding(self, make_chain):
         space = bl.assemble_box_space(make_chain(8))
         f = bl.cycle_plane_embedding(space, 2.0)
@@ -292,21 +307,35 @@ class TestLocalFromFibration:
         with pytest.raises(ValueError):
             bl.local_cocycle_from_fce(line_fibrations[1.0], 4, level=2)
 
+    @pytest.mark.parametrize("level", [-1, 6, 7])
+    def test_level_out_of_range_refused(self, line_fibrations, level):
+        with pytest.raises(ValueError, match=f"^level {level} out of range$"):
+            bl.local_cocycle_from_fce(line_fibrations[1.0], 2, level=level)
+
+    def test_no_square_table_of_the_carrier(self, make_chain):
+        # Z/2048 at r = 2: each ball is a translate of the identity's three
+        # points, so localization stays far below one n x n table of bytes
+        space = bl.assemble_box_space(make_chain(2048))
+        fib = bl.from_proper_action(space, bl.translation_action(1, 1.0))
+        tracemalloc.start()
+        try:
+            coc = bl.local_cocycle_from_fce(fib, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coc.carrier.size == 2048
+        assert peak < 2048**2
+
     def test_inconsistent_oracle_detected(self, deep_space):
         base = bl.from_proper_action(deep_space, bl.translation_action(1, 2.0))
         flip = AffineIsometry(
             2.0, SignedPermutation(np.array([0]), np.array([-1])), np.zeros(1)
         )
-        level, center, rad = 3, 9, 2
-        q = deep_space.chain.levels[level]
-        # the centre first, as localization lists a ball
-        target = tuple(
-            BoxPoint(level, x) for x in sorted(q.elements(), key=lambda x: x != center)
-            if q.cayley_distance(center, x) <= rad
-        )
+        level, center, r = 3, 9, 3
+        target = localized_ball(deep_space.chain.levels[level], level, center, r)
 
-        def corrupted(C, r):
-            out = served_dict(base, C, r)
+        def corrupted(C, scale):
+            out = served_dict(base, C, scale)
             if tuple(C) == target:
                 out[C[0]] = flip.compose(out[C[0]])
             return out
@@ -320,7 +349,7 @@ class TestLocalFromFibration:
             trivialization=stacked(corrupted, 1),
         )
         with pytest.raises(ActionCheckError):
-            bl.local_cocycle_from_fce(fib, 3)
+            bl.local_cocycle_from_fce(fib, r)
 
     def test_corrupted_value_caught(self, line_fibrations):
         coc = bl.local_cocycle_from_fce(line_fibrations[2.0], 4)
@@ -567,12 +596,7 @@ def _first_inconsistent_blocks(fib, r, level):
     """First (z, zx) in (x, z) loop order whose balls disagree on the transition."""
     q = fib.space.chain.levels[level]
     length = q.distance_from_identity()
-    # each ball lists its centre first, as localization does
-    balls = [
-        tuple(BoxPoint(level, w) for w in sorted(q.elements(), key=lambda w: w != z)
-              if q.cayley_distance(z, w) <= r - 1)
-        for z in q.elements()
-    ]
+    balls = [localized_ball(q, level, z, r) for z in q.elements()]
     trivs = [served_dict(fib, ball, r) for ball in balls]
     for x in q.elements():
         if length[x] >= r:
@@ -598,11 +622,7 @@ def test_inconsistent_oracle_names_first_blocks(make_chain, moduli, rank, r, see
     q = space.chain.levels[level]
     rng = np.random.default_rng(seed)
     center, coord = int(rng.integers(q.order)), int(rng.integers(rank))
-    # the centre first, as localization lists a ball
-    target = tuple(
-        BoxPoint(level, w) for w in sorted(q.elements(), key=lambda w: w != center)
-        if q.cayley_distance(center, w) <= r - 1
-    )
+    target = localized_ball(q, level, center, r)
     victim = target[int(rng.integers(len(target)))]
     signs = np.ones(rank, dtype=np.int64)
     signs[coord] = -1

@@ -259,6 +259,17 @@ class TestChains:
         assert bl.select_level_for_r(deep_chain, 2) == 0
         assert bl.select_level_for_r(deep_chain, 10, exclude_below=4) == 4
 
+    @pytest.mark.parametrize("level", [-1, 3, 7])
+    def test_radius_refuses_a_level_outside_the_chain(self, dyadic_chain, level):
+        for radius in (dyadic_chain.radius, lambda i: bl.r_isometric_radius(dyadic_chain, i)):
+            with pytest.raises(ValueError, match=f"^level {level} out of range$"):
+                radius(level)
+        assert level not in dyadic_chain._radius_cache
+
+    def test_select_level_refuses_negative_exclude_below(self, dyadic_chain):
+        with pytest.raises(ValueError, match="^exclude_below must be at least 0, got -1$"):
+            bl.select_level_for_r(dyadic_chain, 2, exclude_below=-1)
+
     def test_select_level_exhausted(self, dyadic_chain):
         with pytest.raises(ChainExhaustedError) as exc:
             bl.select_level_for_r(dyadic_chain, 100)

@@ -100,9 +100,11 @@ def _parse_tolerance(text: str) -> float:
 
 
 def _write_lines(path: Path, lines) -> None:
+    """Each line of an iterable, as it comes, with a newline after it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for line in lines:
+            fh.write(f"{line}\n")
 
 
 def _out_dir(args) -> Path | None:
@@ -142,17 +144,17 @@ def _control_lines(lo: dict, hi: dict) -> list[str]:
     return lines
 
 
-def _coordinate_lines(comment: str, keys: str, dim: int, rows) -> list[str]:
-    """``comment``, the column names, then ``label,c_1,...`` per ``(label, row)`` of ``rows``,
-    entries as ``_fmt`` writes them: an integer row with ``str``, from one ``tolist``."""
-    lines = [comment, ",".join([keys] + [f"c_{k + 1}" for k in range(dim)])]
+def _coordinate_lines(comment: str, keys: str, dim: int, rows):
+    """Yields ``comment``, the column names, then ``label,c_1,...`` per ``(label, row)`` of
+    ``rows``, entries as ``_fmt`` writes them: an integer row with ``str``, from one ``tolist``."""
+    yield comment
+    yield ",".join([keys] + [f"c_{k + 1}" for k in range(dim)])
     for label, row in rows:
         fmt = str if row.dtype.kind in "iu" else _fmt
-        lines.append(f"{label},{','.join(map(fmt, row.tolist()))}")
-    return lines
+        yield f"{label},{','.join(map(fmt, row.tolist()))}"
 
 
-def _embedding_lines(f: CoarseEmbeddingMap) -> list[str]:
+def _embedding_lines(f: CoarseEmbeddingMap):
     labels = (f"{pt.level},{pt.element}" for pt in f.domain.points())
     comment = f"# p={_fmt(f.p)} dim={f.dim}"
     return _coordinate_lines(comment, "level,element", f.dim, zip(labels, f.matrix()))
@@ -362,7 +364,7 @@ def _cocycle_lines(coc, label_of, domain) -> list[str]:
     scale = coc.r if coc.r is not None else "global"
     comment = f"# p={_fmt(coc.p)} dim={coc.dim} blocks={coc.carrier.size} scale={scale}"
     rows = ((f"{label_of(g)},{z}", block) for g in domain for z, block in enumerate(coc.value(g)))
-    return _coordinate_lines(comment, "g,block", coc.dim, rows)
+    return list(_coordinate_lines(comment, "g,block", coc.dim, rows))  # --replay reads it twice
 
 
 def _lift_lines(lifted, ball) -> list[str]:

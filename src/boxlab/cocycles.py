@@ -173,6 +173,7 @@ def averaged_cocycle(f, quotient: MarkedQuotient, p):
 
     Returns the (representation, cocycle) pair.
     """
+    p = _check_p(p)  # before the n x n tables
     if isinstance(f, dict):
         F = np.stack(
             [np.atleast_1d(np.asarray(f[x], dtype=np.float64)) for x in quotient.elements()]
@@ -249,11 +250,13 @@ def local_cocycle_from_fce(
     back = at[q.mult_many(q.inv_many(live)[:, None], ball)]
     for i, tau in enumerate(taus):
         (shared,) = np.nonzero(back[i] >= 0)
-        a = (centres[:, None] + shared).ravel()  # z * u in the ball around z, z-major
-        cand = stack.after(inverse, a, (tau[:, None] * m + back[i, shared]).ravel())
-        bad = np.flatnonzero(cand.differs(transitions.take(i * q.order + a // m), 1e-9))
+        # the transition read at z * u, one row per z and one column per shared u, against
+        # the one read at zx, broadcast along the row
+        cand = stack.after(inverse, centres[:, None] + shared, tau[:, None] * m + back[i, shared])
+        rows = np.s_[i * q.order : (i + 1) * q.order, None]
+        bad = np.flatnonzero(cand.differs(transitions.take(rows), 1e-9))
         if bad.size:
-            z = int(a[bad[0]]) // m
+            z = int(bad[0]) // len(shared)
             raise ActionCheckError(
                 "transition between overlapping balls is not constant;"
                 f" the input is not fibred at scale {r} (blocks {z}, {int(tau[z])})"

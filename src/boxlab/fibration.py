@@ -248,16 +248,12 @@ def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) ->
     def lifted(i: int) -> IsometryStack:
         if i not in inverse_lifts:
             q = chain.levels[i]
-            dist = q.distance_from_identity()
-            letters = np.array(q.letters(), dtype=np.int64)
-            # each element's breadth-first word as an ambient vector, one
-            # layer at a time: its parent's vector plus one letter
-            lift = np.zeros((q.order, chain.ambient.rank), dtype=np.int64)
-            for d in range(1, int(dist.max()) + 1):
-                layer = np.flatnonzero(dist == d)
-                step = letters[q._parent_letter[layer]]
-                lift[layer] = lift[q._parent[layer]]
-                lift[layer, np.abs(step) - 1] += np.sign(step)
+            # each element's breadth-first word as an ambient vector: its
+            # parent's vector plus the unit vector of one letter
+            units = np.repeat(np.eye(chain.ambient.rank, dtype=np.int64), 2, axis=0)
+            units[1::2] *= -1  # letters +1, -1, +2, -2, ...
+            zero = np.zeros(chain.ambient.rank, dtype=np.int64)
+            lift = q._along_words(zero, lambda vector, letter: vector + units[letter])
             inverse_lifts[i] = action.act(lift).inverse()
         return inverse_lifts[i]
 

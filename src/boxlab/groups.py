@@ -42,7 +42,6 @@ __all__ = [
     "ambient_from_letters",
     "ambient_sphere",
     "project_to_level",
-    "r_isometric_radius",
     "select_level_for_r",
 ]
 
@@ -131,6 +130,7 @@ class MarkedQuotient:
         self._dist: np.ndarray | None = None
         self._parent: np.ndarray | None = None
         self._parent_letter: np.ndarray | None = None
+        self._layers: list[np.ndarray] = []
         self._validated = False
 
     # -- group law ---------------------------------------------------------
@@ -173,14 +173,33 @@ class MarkedQuotient:
     # -- word metric -------------------------------------------------------
 
     def _run_bfs(self):
-        # parent letters are kept as indices into ``letters()``
-        perms = self.letter_perms()
-        self._dist, self._parent, self._parent_letter, _ = _breadth_first(perms, self.identity)
+        # parent letters are kept as indices into ``letters()``, and the layers for the tree walks
+        search = _breadth_first(self.letter_perms(), self.identity)
+        self._dist, self._parent, self._parent_letter, self._layers = search
 
     def distance_from_identity(self) -> np.ndarray:
+        """Word lengths, -1 at the elements that the marking does not reach."""
         if self._dist is None:
             self._run_bfs()
         return self._dist
+
+    def _word_lengths(self) -> np.ndarray:
+        """``distance_from_identity`` of a marking that generates; any other is refused."""
+        dist = self.distance_from_identity()
+        if dist.min() < 0:
+            raise InvalidGroupError("marking does not generate the group")
+        return dist
+
+    def _along_words(self, root, step) -> np.ndarray:
+        """A value per element, carried along breadth-first words: ``root`` at the identity, then
+        a layer at a time ``step(values at the parents, indices into letters() of the edges)``."""
+        self._word_lengths()
+        root = np.asarray(root)
+        out = np.empty((self.order, *root.shape), dtype=root.dtype)
+        out[self.identity] = root
+        for layer in self._layers[1:]:
+            out[layer] = step(out[self._parent[layer]], self._parent_letter[layer])
+        return out
 
     def evaluate_word(self, word) -> int:
         x = self.identity
@@ -196,10 +215,7 @@ class MarkedQuotient:
             products = self._left_rows(inverses)
         else:
             products = self.mult_many(inverses[:, None], np.asarray(ys, dtype=np.int64))
-        out = self.distance_from_identity()[products]
-        if (out < 0).any():
-            raise InvalidGroupError("marking does not generate the group")
-        return out
+        return self._word_lengths()[products]
 
     def _left_rows(self, a: np.ndarray) -> np.ndarray:
         """``a[i] y`` for every element y, one row per entry of ``a``."""
@@ -209,7 +225,7 @@ class MarkedQuotient:
         return int(self.cayley_matrix([x], [y])[0, 0])
 
     def diameter(self) -> int:
-        return int(self.cayley_matrix([self.identity]).max())
+        return int(self._word_lengths().max())
 
     # -- validation --------------------------------------------------------
 
@@ -373,7 +389,8 @@ def _breadth_first(perms: np.ndarray, start: int):
     One layer at a time; a point reached by several edges keeps the first in
     frontier-major, letter-minor order, as a queue-driven search would.
     Returns distances (-1 where unreached), parents, parent-letter indices
-    into ``perms`` and the points in discovery order.
+    into ``perms`` and the layers, the points at each distance in discovery
+    order.
     """
     letters, n = perms.shape
     dist = np.full(n, -1, dtype=np.int64)
@@ -392,7 +409,7 @@ def _breadth_first(perms: np.ndarray, start: int):
         parent[found] = frontier[edges // letters]
         parent_letter[found] = edges % letters
         layers.append(found)
-    return dist, parent, parent_letter, np.concatenate(layers)
+    return dist, parent, parent_letter, layers[:-1]
 
 
 def _quotient_from_permutations(degree: int, gens, base: int) -> TableQuotient:
@@ -466,7 +483,8 @@ def _quotient_from_permutations(degree: int, gens, base: int) -> TableQuotient:
         raise InvalidGroupError(f"base point {base} out of range")
     letters = np.array(letters, dtype=np.int64).reshape(-1, degree)
     # the word of an orbit point takes the base to it, so the orbit search runs on the points
-    dist, parent, letter, orbit = _breadth_first(letters, base)
+    _, parent, letter, layers = _breadth_first(letters, base)
+    orbit = np.concatenate(layers)
     n, k = len(orbit), len(letters)
     # positions in int32: half the memory of the table and of the check's temporaries
     position = np.full(degree, -1, dtype=np.int32)
@@ -479,10 +497,9 @@ def _quotient_from_permutations(degree: int, gens, base: int) -> TableQuotient:
     table = np.empty((n, n), dtype=np.int32)
     table[0] = np.arange(n)
     rows = max(1, _BLOCK_ENTRIES // n)
-    depth = dist[orbit]
-    cuts = np.searchsorted(depth, np.arange(1, depth[-1] + 2))
-    layers = list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
-    for first, last in layers:
+    cuts = np.cumsum([len(layer) for layer in layers]).tolist()
+    runs = list(zip(cuts[:-1], cuts[1:]))  # the rows of each layer past the base's
+    for first, last in runs:
         for start in range(first, last, rows):
             stop = min(start + rows, last)
             points = orbit[start:stop]
@@ -514,9 +531,8 @@ def _quotient_from_permutations(degree: int, gens, base: int) -> TableQuotient:
     steps[1::2] = right
     steps[np.arange(0, k, 2)[:, None], right] = np.arange(n)
     inverse = np.zeros(n, dtype=np.int64)
-    for first, last in layers:
-        points = orbit[first:last]
-        inverse[first:last] = steps[letter[points], inverse[position[parent[points]]]]
+    for layer, (first, last) in zip(layers[1:], runs):
+        inverse[first:last] = steps[letter[layer], inverse[position[parent[layer]]]]
     return TableQuotient._trusted(table, 0, gen_images, inverse)
 
 
@@ -751,17 +767,10 @@ class GroupChain:
 def infer_connecting_map(upper: MarkedQuotient, lower: MarkedQuotient) -> np.ndarray:
     """Transport of breadth-first geodesic words from ``upper`` to ``lower``.
 
-    Filled one breadth-first layer at a time: the word of ``x`` is the word
-    of its parent followed by one letter.
+    The word of ``x`` is the word of its parent followed by one letter.
     """
-    dist = upper.distance_from_identity()
     perms = lower.letter_perms()
-    out = np.empty(upper.order, dtype=np.int64)
-    out[upper.identity] = lower.identity
-    for d in range(1, upper.diameter() + 1):
-        layer = np.flatnonzero(dist == d)
-        out[layer] = perms[upper._parent_letter[layer], out[upper._parent[layer]]]
-    return out
+    return upper._along_words(np.int64(lower.identity), lambda x, letter: perms[letter, x])
 
 
 def _validate_connecting_map(
@@ -810,13 +819,7 @@ def _check_point_cap(orders, error) -> None:
             )
 
 
-def build_chain(
-    ambient: AmbientGroup,
-    levels,
-    connecting_maps=None,
-    *,
-    check_radii: bool = True,
-) -> GroupChain:
+def build_chain(ambient: AmbientGroup, levels, connecting_maps=None) -> GroupChain:
     """Assemble and validate a chain of at most MAX_POINTS points; omitted maps are inferred."""
     levels = list(levels)
     if not levels:
@@ -853,14 +856,13 @@ def build_chain(
     for i, phi in enumerate(maps):
         _validate_connecting_map(phi, levels[i + 1], levels[i], i)
     chain = GroupChain(ambient, levels, maps)
-    if check_radii:
-        radii = [chain.radius(i) for i in range(len(levels))]
-        for i in range(len(radii) - 1):
-            if radii[i] > radii[i + 1]:
-                raise ChainValidationError(
-                    f"isometry radii decrease from level {i} ({radii[i]})"
-                    f" to level {i + 1} ({radii[i + 1]})"
-                )
+    radii = [chain.radius(i) for i in range(len(levels))]
+    for i in range(len(radii) - 1):
+        if radii[i] > radii[i + 1]:
+            raise ChainValidationError(
+                f"isometry radii decrease from level {i} ({radii[i]})"
+                f" to level {i + 1} ({radii[i + 1]})"
+            )
     return chain
 
 
@@ -926,23 +928,18 @@ def _sphere_radius(chain: GroupChain, level: int) -> int:
             return D
 
 
-def r_isometric_radius(chain: GroupChain, level: int) -> int:
-    """Largest r such that subsets of ambient diameter below r embed isometrically."""
-    return chain.radius(level)
-
-
 def select_level_for_r(chain: GroupChain, r: int, exclude_below: int = 0) -> int:
     """Smallest level index at least ``exclude_below`` whose radius reaches ``r``."""
     if r < 1:
         raise ValueError(f"locality radius must be positive, got {r}")
-    if exclude_below < 0:
-        raise ValueError(f"exclude_below must be at least 0, got {exclude_below}")
-    best: int | None = None
-    for i in range(exclude_below, len(chain.levels)):
-        rad = chain.radius(i)
-        best = rad if best is None else max(best, rad)
-        if rad >= r:
+    if not 0 <= exclude_below < len(chain.levels):
+        bound = "at least 0" if exclude_below < 0 else f"below the level count {len(chain.levels)}"
+        raise ValueError(f"exclude_below must be {bound}, got {exclude_below}")
+    searched = range(exclude_below, len(chain.levels))
+    for i in searched:
+        if chain.radius(i) >= r:
             return i
+    best = max(chain.radius(i) for i in searched)
     raise ChainExhaustedError(
         f"chain exhausted for r={r}: deepest achieved radius is {best}",
         deepest_radius=best,

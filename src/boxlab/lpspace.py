@@ -127,10 +127,10 @@ class IsometryStack(NamedTuple):
         )
 
     def differs(self, other: "IsometryStack", tol: float = _TOL) -> np.ndarray:
-        """Rows that ``close_to`` rejects against the same row of ``other``."""
-        same = (self.perm == other.perm).all(axis=1) & (self.signs == other.signs).all(axis=1)
+        """Rows off the rows of ``other`` they broadcast against: in perm, signs or past ``tol``."""
+        same = (self.perm == other.perm).all(axis=-1) & (self.signs == other.signs).all(axis=-1)
         near = np.isclose(self.translation, other.translation, rtol=0.0, atol=tol)
-        return ~(same & near.all(axis=1))
+        return ~(same & near.all(axis=-1))
 
     def take(self, rows) -> "IsometryStack":
         return IsometryStack(self.perm[rows], self.signs[rows], self.translation[rows])

@@ -242,7 +242,7 @@ class TestProfile:
             rows[0, :4] = [-0.0, 1e-13, 2.5e15, 123456789012.5]
         lines = cli._coordinate_lines("# c", "k", 5, ((str(i), row) for i, row in enumerate(rows)))
         want = [f"{i},{','.join(cli._fmt(v) for v in row)}" for i, row in enumerate(rows)]
-        assert lines == ["# c", "k,c_1,c_2,c_3,c_4,c_5", *want]
+        assert list(lines) == ["# c", "k,c_1,c_2,c_3,c_4,c_5", *want]
 
     def test_controls_verification_pass_and_fail(self, chains, tmp_path, capsys):
         good = tmp_path / "good.csv"
@@ -346,7 +346,7 @@ class TestEmbeddingCsvReader:
         want = self.read(tmp_path, space, lines)
         assert f.matrix().dtype == want.matrix().dtype == np.int8
         assert np.array_equal(f.matrix(), want.matrix())
-        assert cli._embedding_lines(f) == lines
+        assert list(cli._embedding_lines(f)) == lines
 
     def test_first_missing_point_in_point_order(self, tmp_path, dumped):
         space, lines = dumped
@@ -414,7 +414,8 @@ class TestEmbeddingCsvReader:
         else:
             assert self.read(tmp_path, space, lines).matrix()[2, 0] == want == 2
 
-    def test_reading_back_the_line_holds_one_matrix(self, tmp_path):
+    @pytest.fixture
+    def line_dump(self, tmp_path):
         # the first three levels of the line Z/64..Z/1024: 448 points, and 448 columns
         chain = tmp_path / "line.json"
         chain.write_text(json.dumps(
@@ -424,8 +425,10 @@ class TestEmbeddingCsvReader:
         out = tmp_path / "linf"
         main(["profile", "--chain", str(chain), "--embedding", "linf", "--out", str(out),
               "--dump-map"])
-        path = out / "embedding.csv"
-        space = assemble_box_space(load_chain(chain))
+        return assemble_box_space(load_chain(chain)), out / "embedding.csv"
+
+    def test_reading_back_the_line_holds_one_matrix(self, line_dump):
+        space, path = line_dump
         n = space.point_count()
         space.points()  # the cached points list is made outside the count
         tracemalloc.start()
@@ -435,11 +438,25 @@ class TestEmbeddingCsvReader:
         finally:
             tracemalloc.stop()
         assert f.matrix().dtype == np.int16
-        assert cli._embedding_lines(f) == path.read_text().splitlines()
+        assert list(cli._embedding_lines(f)) == path.read_text().splitlines()
         # one float64 matrix and the file's lines, each once, with room for a row in
         # flight: a dict of row vectors stacked into a second matrix, or the lines
         # kept while the map narrows the matrix, would not fit
         assert peak < n * n * 8 + 1.5 * path.stat().st_size
+
+    def test_dumping_the_line_streams_its_rows(self, line_dump, tmp_path):
+        space, path = line_dump
+        f = cli._read_embedding_csv(path, space)
+        again = tmp_path / "again.csv"
+        tracemalloc.start()
+        try:
+            cli._write_lines(again, cli._embedding_lines(f))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.read_bytes() == path.read_bytes()
+        # a few rows in flight, not the list of lines nor their joined text
+        assert peak < path.stat().st_size / 8
 
 
 class TestNonFiniteInput:

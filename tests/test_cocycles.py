@@ -221,6 +221,20 @@ class TestAveraged:
                 carrier=rep.carrier, p=p, dim=1, r=None, values=np.zeros((4, 4, 1)), companion=rep
             )
 
+    @pytest.mark.parametrize("p", [0.0, math.nan])
+    def test_p_refused_before_the_tables(self, p):
+        # on Z/2048 tau and the values would take 33.5 MB each
+        q = bl.CyclicQuotient([2048])
+        table = np.arange(2048.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^p must be at least 1, got {p}$"):
+                bl.averaged_cocycle(table, q, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_law_on_planar_embedding(self, make_chain):
         space = bl.assemble_box_space(make_chain(8))
         f = bl.cycle_plane_embedding(space, 2.0)

@@ -30,6 +30,7 @@ from boxlab.groups import (
     ambient_mult,
     ambient_sphere,
     ambient_word_length,
+    infer_connecting_map,
     project_to_level,
     reduce_word,
 )
@@ -245,7 +246,7 @@ class TestChains:
         ambient = bl.AmbientGroup("free_abelian", 1)
         for m in range(2, 33):
             chain = bl.build_chain(ambient, [bl.CyclicQuotient([m])])
-            r = bl.r_isometric_radius(chain, 0)
+            r = chain.radius(0)
             assert r == m // 2 + 1
             assert r == radius_oracle_cyclic(m)
 
@@ -261,14 +262,22 @@ class TestChains:
 
     @pytest.mark.parametrize("level", [-1, 3, 7])
     def test_radius_refuses_a_level_outside_the_chain(self, dyadic_chain, level):
-        for radius in (dyadic_chain.radius, lambda i: bl.r_isometric_radius(dyadic_chain, i)):
-            with pytest.raises(ValueError, match=f"^level {level} out of range$"):
-                radius(level)
+        with pytest.raises(ValueError, match=f"^level {level} out of range$"):
+            dyadic_chain.radius(level)
         assert level not in dyadic_chain._radius_cache
 
     def test_select_level_refuses_negative_exclude_below(self, dyadic_chain):
         with pytest.raises(ValueError, match="^exclude_below must be at least 0, got -1$"):
             bl.select_level_for_r(dyadic_chain, 2, exclude_below=-1)
+
+    @pytest.mark.parametrize("below", [2, 5])
+    def test_select_level_refuses_exclude_below_past_the_chain(self, below):
+        chain = bl.build_chain(
+            bl.AmbientGroup("free_abelian", 1), [bl.CyclicQuotient([4]), bl.CyclicQuotient([8])]
+        )
+        message = f"^exclude_below must be below the level count 2, got {below}$"
+        with pytest.raises(ValueError, match=message):
+            bl.select_level_for_r(chain, 2, exclude_below=below)
 
     def test_select_level_exhausted(self, dyadic_chain):
         with pytest.raises(ChainExhaustedError) as exc:
@@ -416,7 +425,7 @@ class TestKernel:
             if family == "free"
             else bl.CyclicQuotient([3, 5])
         )
-        chain = bl.build_chain(bl.AmbientGroup(family, 2), [level], check_radii=False)
+        chain = bl.build_chain(bl.AmbientGroup(family, 2), [level])
         perms = level.letter_perms()
         rows = np.array([ambient_identity(chain)], dtype=np.int64)
         images = np.array([level.identity])
@@ -1174,7 +1183,9 @@ def sphere_radius_oracle(chain, level: int) -> int:
 
 
 def bare_chain(family: str, levels) -> bl.GroupChain:
-    return bl.build_chain(bl.AmbientGroup(family, levels[0].rank), levels, check_radii=False)
+    """A chain over inferred maps with no radius computed, as the radius tests need."""
+    maps = [infer_connecting_map(upper, lower) for lower, upper in zip(levels, levels[1:])]
+    return bl.GroupChain(bl.AmbientGroup(family, levels[0].rank), levels, maps)
 
 
 class TestSpheres:

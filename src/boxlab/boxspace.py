@@ -26,15 +26,6 @@ __all__ = [
 ]
 
 
-def _point_rows(points) -> np.ndarray:
-    """The (level, element) rows of many points as one ``(n, 2)`` int64 array.
-
-    One flat iterator over the coordinates: ``np.array`` over a list of
-    tuples costs about eight times as much.
-    """
-    return np.fromiter(itertools.chain.from_iterable(points), dtype=np.int64).reshape(-1, 2)
-
-
 class BoxPoint(NamedTuple):
     level: int
     element: int
@@ -65,20 +56,23 @@ class BoxSpace:
     def point_index(self, point: BoxPoint) -> int:
         return int(self.point_indices([point])[0])
 
+    def level_starts(self) -> np.ndarray:
+        """Index into ``points()`` of each level's first point, then the point count."""
+        return np.cumsum([0, *(q.order for q in self.chain.levels)], dtype=np.int64)
+
     def point_indices(self, points) -> np.ndarray:
         """Indices into ``points()`` of many points; ValueError names the first stranger."""
-        orders = np.array([q.order for q in self.chain.levels], dtype=np.int64)
-        level, element = _point_rows(points).T
-        known = (0 <= level) & (level < len(orders))
-        known[known] &= (0 <= element[known]) & (element[known] < orders[level[known]])
+        # one flat iterator: np.array over a list of tuples costs about eight times as much
+        rows = np.fromiter(itertools.chain.from_iterable(points), dtype=np.int64)
+        level, element = rows.reshape(-1, 2).T
+        starts = self.level_starts()
+        known = (0 <= level) & (level < len(starts) - 1)
+        known[known] &= (0 <= element[known]) & (element[known] < np.diff(starts)[level[known]])
         if not known.all():
             k = int(np.argmin(known))
             stranger = BoxPoint(int(level[k]), int(element[k]))
             raise ValueError(f"{format_point(stranger)} is not a point of the space")
-        return (np.cumsum(orders) - orders)[level] + element
-
-    def identity_point(self, level: int) -> BoxPoint:
-        return BoxPoint(level, self.chain.levels[level].identity)
+        return starts[level] + element
 
     def contains(self, point: BoxPoint) -> bool:
         return 0 <= point.level < len(self.chain.levels) and 0 <= point.element < self.chain.levels[point.level].order
@@ -94,23 +88,19 @@ class BoxSpace:
         ``|x| + |off_i - off_j| + |y|``.
         """
         if self._matrix is None:
-            levels = self.chain.levels
-            orders = [q.order for q in levels]
-            offset = np.repeat(np.array(self.level_offsets, dtype=np.int32), orders)
+            levels, starts = self.chain.levels, self.level_starts()
+            offset = np.repeat(np.array(self.level_offsets, dtype=np.int32), np.diff(starts))
             length = np.concatenate([q.distance_from_identity() for q in levels]).astype(np.int32)
             mat = offset[:, None] - offset
             np.abs(mat, out=mat)
             mat += length[:, None]
             mat += length
-            start = 0
-            for q in levels:
-                end = start + q.order
+            for start, q in zip(starts.tolist(), levels):
                 rows = max(1, _BLOCK_ENTRIES // q.order)
                 for first in range(0, q.order, rows):
                     stop = min(first + rows, q.order)
                     block = q.cayley_matrix(np.arange(first, stop))
-                    mat[start + first : start + stop, start:end] = block
-                start = end
+                    mat[start + first : start + stop, start : start + q.order] = block
             self._matrix = mat
         return self._matrix
 

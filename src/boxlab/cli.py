@@ -37,6 +37,7 @@ from .cocycles import (
 )
 from .embedding import (
     CoarseEmbeddingMap,
+    _difference_dtype,
     cycle_plane_embedding,
     linf_embedding,
     norm_equivalence_controls,
@@ -45,7 +46,7 @@ from .embedding import (
     verify_coarse,
 )
 from .errors import BoxlabError, SpecFormatError
-from .fibration import from_proper_action, translation_action, trivial_fibration, verify_fce
+from .fibration import MODES, from_proper_action, translation_action, trivial_fibration, verify_fce
 from .groups import _ambient_spheres, ambient_word_length
 from .spectral import expander_scan, write_gap_csv
 
@@ -161,48 +162,57 @@ def _embedding_lines(f: CoarseEmbeddingMap):
 
 
 def _read_embedding_csv(path, space) -> CoarseEmbeddingMap:
-    """Rows parsed by ``float`` into one float64 matrix, allocated once the first row is placed."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("# p="):
-        raise SpecFormatError(f"{path}: expected a '# p=<p> dim=<dim>' header line")
-    try:
-        fields = dict(part.split("=", 1) for part in lines[0][2:].split())
-        p = _norm_exponent(fields["p"])
-        dim = int(fields["dim"])
-        if dim < 0:
-            raise ValueError(f"dim must be >= 0, got {dim}")
-    except (ValueError, KeyError) as exc:
-        raise SpecFormatError(f"{path}: bad header: {exc}") from None
-    points = space.points()
-    index = {pt: k for k, pt in enumerate(points)}
-    placed = np.zeros(len(points), dtype=bool)
-    matrix = None
-    for number, ln in enumerate(lines[2:], start=3):
-        if not ln.strip():
-            continue
-        where = f"{path}, line {number}"
-        parts = ln.split(",")
-        if len(parts) != 2 + dim:
-            raise SpecFormatError(f"{where}: row has {len(parts)} fields, expected {2 + dim}")
+    """Rows parsed by ``float`` into one matrix, allocated once the first row is placed.
+
+    The file is read a line at a time, and each line split as ``str.splitlines``
+    splits the whole text, so messages number the same logical lines."""
+    with open(path, encoding="utf-8") as fh:
+        lines = (ln for physical in fh for ln in physical.splitlines())
+        header = next(lines, "")
+        if not header.startswith("# p="):
+            raise SpecFormatError(f"{path}: expected a '# p=<p> dim=<dim>' header line")
         try:
-            pt = BoxPoint(int(parts[0]), int(parts[1]))
-            vec = np.fromiter(map(float, parts[2:]), dtype=np.float64, count=dim)
-        except ValueError:
-            raise SpecFormatError(f"{where}: bad number in row {ln!r}") from None
-        if not np.isfinite(vec).all():
-            raise SpecFormatError(f"{where}: non-finite value in row {ln!r}")
-        k = index.get(pt)
-        if k is None:
-            raise SpecFormatError(f"{where}: point {format_point(pt)} is outside the space")
-        if placed[k]:
-            raise SpecFormatError(f"{where}: duplicate row for point {format_point(pt)}")
-        if matrix is None:
-            matrix = np.empty((len(points), dim))
-        matrix[k], placed[k] = vec, True
+            fields = dict(part.split("=", 1) for part in header[2:].split())
+            p = _norm_exponent(fields["p"])
+            dim = int(fields["dim"])
+            if dim < 0:
+                raise ValueError(f"dim must be >= 0, got {dim}")
+        except (ValueError, KeyError) as exc:
+            raise SpecFormatError(f"{path}: bad header: {exc}") from None
+        next(lines, None)  # the column names
+        first = space.level_starts().tolist()
+        placed = np.zeros(first[-1], dtype=bool)
+        matrix = None
+        for number, ln in enumerate(lines, start=3):
+            if not ln.strip():
+                continue
+            where = f"{path}, line {number}"
+            parts = ln.split(",")
+            if len(parts) != 2 + dim:
+                raise SpecFormatError(f"{where}: row has {len(parts)} fields, expected {2 + dim}")
+            try:
+                level, element = int(parts[0]), int(parts[1])
+                vec = np.fromiter(map(float, parts[2:]), dtype=np.float64, count=dim)
+            except ValueError:
+                raise SpecFormatError(f"{where}: bad number in row {ln!r}") from None
+            if not np.isfinite(vec).all():
+                raise SpecFormatError(f"{where}: non-finite value in row {ln!r}")
+            if not (0 <= level < len(first) - 1 and 0 <= element < first[level + 1] - first[level]):
+                point = format_point(BoxPoint(level, element))
+                raise SpecFormatError(f"{where}: point {point} is outside the space")
+            k = first[level] + element
+            if placed[k]:
+                point = format_point(BoxPoint(level, element))
+                raise SpecFormatError(f"{where}: duplicate row for point {point}")
+            # held in the narrowest exact dtype of the rows so far, as the map holds it
+            if matrix is None:
+                matrix = np.empty((len(placed), dim), dtype=_difference_dtype(vec))
+            elif (wider := np.promote_types(matrix.dtype, _difference_dtype(vec))) != matrix.dtype:
+                matrix = matrix.astype(wider)
+            matrix[k], placed[k] = vec, True
     if not placed.all():
-        first = format_point(points[int(np.argmin(placed))])
-        raise SpecFormatError(f"{path}: table missing point {first}")
-    del lines  # the text goes before the map narrows the matrix
+        missing = format_point(space.points()[int(np.argmin(placed))])
+        raise SpecFormatError(f"{path}: table missing point {missing}")
     return CoarseEmbeddingMap(space, p, dim, matrix)
 
 
@@ -419,9 +429,7 @@ def cmd_forge(args) -> int:
             raise SpecFormatError(f"level {level} out of range")
         q = chain.levels[level]
         f = _resolve_embedding(args.embedding, space, args.p)
-        # points() lists the levels in turn, so the level's rows are one block
-        start = space.point_index(BoxPoint(level, 0))
-        table = f.matrix()[start : start + q.order]
+        table = f.matrix()[slice(*space.level_starts()[level : level + 2])]
         rep, coc = averaged_cocycle(table, q, f.p)
         report = verify_local_action(rep, coc, tolerance=args.tolerance)
         render = partial(_cocycle_lines, coc, str, list(q.elements()))
@@ -515,7 +523,7 @@ _SUBCOMMANDS = {
         "--r": dict(type=int, required=True, help="scale to verify at"),
         **_P,
         "--subsets": dict(
-            choices=("balls", "pairs", "balls+pairs", "all"),
+            choices=MODES,
             default="balls+pairs",
             help="witness set family",
         ),

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boxspace import BoxPoint
 from .embedding import _check_tolerance, _control_bounds, _Record
 from .errors import ActionCheckError, InvalidArgumentError
 from .fibration import FibredEmbedding, _segments
@@ -237,8 +236,8 @@ def local_cocycle_from_fce(
     m, blocks = len(ball), np.arange(q.order)
     at = np.full(q.order, -1, dtype=np.int64)  # each element's member number in ball, or -1
     at[ball] = np.arange(m)
-    members = [BoxPoint(level, w) for w in q.mult_many(blocks[:, None], ball).ravel().tolist()]
-    stack, moved = fib.trivialize([members[k : k + m] for k in range(0, len(members), m)], r)
+    members = fib.space.level_starts()[level] + q.mult_many(blocks[:, None], ball).ravel()
+    stack, moved = fib.trivialize(np.arange(0, q.order * m + 1, m), members, r)
 
     taus = q.mult_many(blocks, live[:, None])  # taus[i, z] = z * live[i]
     inverse = stack.inverse()

@@ -47,8 +47,8 @@ class CoarseEmbeddingMap:
     """Finite map from a box space into l^p, held as one read-only matrix in
     its ``_difference_dtype``: int8, int16 or int32 for an integer map.
 
-    Row k of ``matrix()`` is the vector at ``points()[k]``; ``table`` maps
-    each point to its row, a view.  The constructor takes a mapping from
+    Row k of ``matrix()`` is the vector at ``points()[k]``, and calling the
+    map on a point reads its row.  The constructor takes a mapping from
     points to vectors, copied into a fresh matrix, or a ``(points, dim)``
     matrix in ``points()`` order, held as a read-only view with no copy when
     it has that dtype.  It refuses the first point, in ``points()`` order,
@@ -91,11 +91,10 @@ class CoarseEmbeddingMap:
         mat.flags.writeable = False
         self.domain, self.p, self.dim = domain, float(p), mat.shape[1]
         self._matrix = mat
-        self.table = dict(zip(domain.points(), mat))
         self._isometry = None  # the verdict of ``_certified``, once asked
 
     def __call__(self, point: BoxPoint) -> np.ndarray:
-        return self.table[point]
+        return self._matrix[self.domain.point_index(point)]
 
     def matrix(self) -> np.ndarray:
         return self._matrix
@@ -164,7 +163,7 @@ def _isometric(f: CoarseEmbeddingMap) -> bool:
     ``_BLOCK_ENTRIES`` entries at a time.
     """
     rows, levels, seps, dim = f.matrix(), f.domain.chain.levels, f.domain.separations, f.dim
-    starts = np.cumsum([0] + [q.order for q in levels]).tolist()
+    starts = f.domain.level_starts().tolist()
     ids = [start + q.identity for start, q in zip(starts, levels)]
     covered = np.zeros(len(rows), dtype=bool)
     for sign in (1, -1):
@@ -290,11 +289,10 @@ def profile(f: CoarseEmbeddingMap) -> ControlPair:
     the left, which is the optimal nondecreasing pair still sandwiching every
     realized pair.
     """
-    pts = f.domain.points()
-    if not pts:
+    n = f.domain.point_count()
+    if not n:
         raise ValueError("empty domain")
     dist = f.domain.distance_matrix()
-    n = len(pts)
     low = np.full(int(dist.max()) + 1, np.inf)
     high = np.full(len(low), -np.inf)
     seen = np.zeros(len(low), dtype=bool)
@@ -340,7 +338,7 @@ def linf_embedding(space: BoxSpace) -> CoarseEmbeddingMap:
     d(x, x0) <= max_y d(x0, y) in absolute value, so x0's row sets the dtype.
     """
     dist = space.distance_matrix()
-    base_row = dist[space.point_index(space.identity_point(0))]
+    base_row = dist[space.chain.levels[0].identity]  # level 0's points come first
     mat = np.subtract(dist, base_row, dtype=_difference_dtype(base_row))
     return CoarseEmbeddingMap(space, math.inf, len(base_row), mat)
 

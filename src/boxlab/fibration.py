@@ -1,11 +1,12 @@
 """Fibred coarse embeddings of box spaces and their verification.
 
 The model keeps the data of the definition explicit: a section assigning a
-vector to every point, an exclusion set per scale r, and a trivialization
+vector to every point, an exclusion mask per scale r, and a trivialization
 oracle that serves local isometric identifications, one stack of rows for
 many sets.  Verification enumerates witness sets at a given scale and checks
 the two conditions: the sandwich on trivialized section differences, and
-constancy of transition isometries on overlaps.
+constancy of transition isometries on overlaps.  A point is its index into
+``space.points()`` throughout, and is named only in reports and errors.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boxspace import BoxPoint, BoxSpace, _point_rows, format_point
+from .boxspace import BoxSpace, format_point
 from .embedding import CoarseEmbeddingMap, _check_tolerance, _control_bounds, _Record
 from .errors import ActionCheckError, InvalidArgumentError, MissingTrivializationError
 from .groups import (
@@ -35,7 +36,7 @@ __all__ = [
     "verify_fce",
 ]
 
-SetOfPoints = tuple[BoxPoint, ...]
+MODES = ("balls", "pairs", "balls+pairs", "all")
 # mode 'all' refuses more non-excluded points than this
 MAX_ALL_POINTS = 16
 
@@ -45,15 +46,17 @@ class FibredEmbedding:
 
     The section is what ``CoarseEmbeddingMap(space, p, dim, section)`` takes
     and checks, a mapping from each point to its vector or a ``(points, dim)``
-    matrix whose rows follow ``space.points()``; the fibration holds that map,
-    and ``section`` is its ``table``.  ``trivialization(sets, r)`` returns
-    one ``IsometryStack`` of this fibration's l^p space with a row per (set,
-    point), sets in order and points in the order each set lists them, or
-    raises MissingTrivializationError for the first set it cannot serve.
-    Verifiers only ever request sets of diameter below ``r``, but the oracle
-    may serve more (the proper-action construction serves any single-level
-    set within ``r - 1`` of its first point).  Served rows are checked as
-    ``trivialize`` says.
+    matrix whose rows follow ``space.points()``; ``section`` is that map's
+    read-only matrix.  ``exclusion(r)`` is a bool mask over ``space.points()``,
+    True at each excluded point.  A batch of sets is packed as two int64 arrays
+    of point indices: set k is ``members[starts[k]:starts[k + 1]]``, ``starts``
+    running from 0 to ``len(members)``.  ``trivialization(starts, members, r)``
+    returns one ``IsometryStack`` of this fibration's l^p space with a row per
+    member, or raises MissingTrivializationError for the first set it cannot
+    serve.  Verifiers only ever request sets of diameter below ``r``, but the
+    oracle may serve more (the proper-action construction serves any
+    single-level set within ``r - 1`` of its first point).  ``trivialize``
+    checks the batch before the oracle runs, and the served rows after.
     """
 
     def __init__(
@@ -61,33 +64,39 @@ class FibredEmbedding:
         space: BoxSpace,
         p: float,
         dim: int,
-        section: dict[BoxPoint, np.ndarray] | np.ndarray,
-        exclusion: Callable[[int], frozenset[BoxPoint]],
-        trivialization: Callable[[list[SetOfPoints], int], IsometryStack],
+        section: dict | np.ndarray,
+        exclusion: Callable[[int], np.ndarray],
+        trivialization: Callable[[np.ndarray, np.ndarray, int], IsometryStack],
         note: str = "",
     ):
         self.space, self.p, self.dim = space, float(p), dim
         self.exclusion, self.trivialization, self.note = exclusion, trivialization, note
-        self._section = CoarseEmbeddingMap(space, p, dim, section)
-        self.section = self._section.table
+        self.section = CoarseEmbeddingMap(space, p, dim, section).matrix()
 
-    def excluded(self, r: int) -> frozenset[BoxPoint]:
+    def excluded(self, r: int) -> np.ndarray:
         if r < 1:
-            raise ValueError(f"scale must be >= 1, got {r}")
-        return self.exclusion(r)
+            raise InvalidArgumentError(f"scale must be >= 1, got {r}")
+        mask, n = np.asarray(self.exclusion(r)), self.space.point_count()
+        if mask.dtype != bool or mask.shape != (n,):
+            raise ValueError(f"exclusion returned {mask.dtype} of shape {mask.shape}, not a mask of {n}")
+        return mask
 
-    def trivialize(self, sets, r: int) -> tuple[IsometryStack, np.ndarray]:
-        """Serve nonempty sets of points and check the served rows once.
+    def trivialize(self, starts, members, r: int) -> tuple[IsometryStack, np.ndarray]:
+        """Serve a packed batch of nonempty sets and check the served rows once.
 
-        Returns the oracle's stack, one row per (set, point) in order, and
-        each row's isometry applied to the section at its point.
+        The batch is checked before the oracle runs.  Returns the oracle's
+        stack, one row per member in order, and each row's isometry applied
+        to the section at its point.
         """
-        sets = [tuple(C) for C in sets]
-        if not all(sets):
+        starts, members = np.asarray(starts, dtype=np.int64), np.asarray(members, dtype=np.int64)
+        sizes, n = np.diff(starts), self.space.point_count()
+        if not (len(starts) and starts[0] == 0 and starts[-1] == len(members) and (sizes >= 0).all()):
+            raise ValueError(f"set starts do not run up from 0 to {len(members)} members")
+        if not sizes.all():
             raise ValueError("cannot trivialize an empty set")
-        members = [pt for C in sets for pt in C]
-        where = self.space.point_indices(members)
-        stack = self.trivialization(sets, int(r))
+        if len(members) and not 0 <= members.min() <= members.max() < n:
+            raise ValueError(f"members must be point indices below {n}")
+        stack = self.trivialization(starts, members, int(r))
         if not isinstance(stack, IsometryStack):
             raise TypeError(f"oracle returned {type(stack).__name__}, not an IsometryStack")
         stack, bad = stack.checked((len(members), self.dim))
@@ -99,9 +108,9 @@ class FibredEmbedding:
         if bad is not None:
             raise ValueError(
                 "oracle returned a row that is not a signed permutation at"
-                f" {format_point(members[bad])}"
+                f" {format_point(self.space.points()[members[bad]])}"
             )
-        return stack, stack.apply(self._section.matrix()[where])
+        return stack, stack.apply(self.section[members])
 
 
 def trivial_fibration(f: CoarseEmbeddingMap) -> FibredEmbedding:
@@ -110,17 +119,13 @@ def trivial_fibration(f: CoarseEmbeddingMap) -> FibredEmbedding:
     Satisfies the overlap condition by construction; the sandwich condition
     reduces to the coarse controls of ``f`` itself.
     """
-
-    def serve(sets: list[SetOfPoints], r: int) -> IsometryStack:
-        return IsometryStack.identity(sum(map(len, sets)), f.dim)
-
     return FibredEmbedding(
         space=f.domain,
         p=f.p,
         dim=f.dim,
         section=f.matrix(),
-        exclusion=lambda r: frozenset(),
-        trivialization=serve,
+        exclusion=lambda r: np.zeros(f.domain.point_count(), dtype=bool),
+        trivialization=lambda starts, members, r: IsometryStack.identity(len(members), f.dim),
         note="trivial fibration over a global map",
     )
 
@@ -235,14 +240,7 @@ def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) ->
     _check_action(chain, action, r_max)
 
     radius = np.array([chain.radius(i) for i in range(chain.level_count())])
-
-    def exclusion(r: int) -> frozenset[BoxPoint]:
-        out = []
-        for i, q in enumerate(chain.levels):
-            if radius[i] < 2 * r:
-                out.extend(BoxPoint(i, x) for x in range(q.order))
-        return frozenset(out)
-
+    first = space.level_starts()
     inverse_lifts: dict[int, IsometryStack] = {}
 
     def lifted(i: int) -> IsometryStack:
@@ -257,19 +255,17 @@ def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) ->
             inverse_lifts[i] = action.act(lift).inverse()
         return inverse_lifts[i]
 
-    def serve(sets: list[SetOfPoints], r: int) -> IsometryStack:
-        sizes = np.array([len(C) for C in sets], dtype=np.int64)
-        level, elem = _point_rows(pt for C in sets for pt in C).T
-        out = IsometryStack.identity(len(level), action.dim)
-        if not len(sets):
-            return out
-        starts = np.cumsum(sizes) - sizes
+    def serve(starts: np.ndarray, members: np.ndarray, r: int) -> IsometryStack:
+        out = IsometryStack.identity(len(members), action.dim)
+        level = np.searchsorted(first, members, side="right") - 1
+        elem = members - first[level]
+        owner = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+        starts = starts[:-1]
         low = np.minimum.reduceat(level, starts)
         spans = low != np.maximum.reduceat(level, starts)
         excluded = ~spans & (radius[low] < 2 * r)
         home = np.where(spans | excluded, -1, low)  # the level serving each set
         served = np.flatnonzero(np.bincount(home[home >= 0])).tolist()
-        owner = np.repeat(np.arange(len(sets)), sizes)
         member_home = home[owner]
         # c^-1 x for each member x, c its set's first point, and its length
         offset = np.zeros(len(level), dtype=np.int64)
@@ -307,7 +303,7 @@ def from_proper_action(space: BoxSpace, action: ProperAction, r_max: int = 5) ->
         p=action.p,
         dim=action.dim,
         section=np.zeros((space.point_count(), action.dim)),
-        exclusion=exclusion,
+        exclusion=lambda r: np.repeat(radius < 2 * r, np.diff(first)),
         trivialization=serve,
         note=f"proper-action fibration ({action.label or 'unlabeled action'})",
     )
@@ -364,7 +360,7 @@ class FceReport(_Record):
         return "\n".join(lines)
 
 
-def _set_label(C: SetOfPoints) -> str:
+def _set_label(C: tuple) -> str:
     body = ",".join(format_point(pt) for pt in C[:4])
     return "{" + body + (",..." if len(C) > 4 else "") + "}"
 
@@ -388,43 +384,51 @@ def _near_pairs(dist, ix: np.ndarray, below: int, upper: bool):
     return tuple(np.concatenate(part) for part in zip(*found))
 
 
-def _candidate_sets(space, allowed, dist, r: int, mode: str):
-    if mode not in ("balls", "pairs", "balls+pairs", "all"):
-        raise ValueError(f"unknown mode {mode!r}")
-    ix = space.point_indices(allowed)
-    sets: list[SetOfPoints] = []
+def _candidate_sets(ix: np.ndarray, dist, r: int, mode: str):
+    """The witness sets of ``mode`` over the points ``ix``, packed as ``(starts,
+    members)``: each set's members ascend, and no set is listed twice."""
+    sizes, parts = [], []  # each set's size, and its members as positions in ix
+    ball_pairs = np.zeros(0, dtype=np.int64)  # balls of two, as k * len(ix) + m
     if mode in ("balls", "balls+pairs") and r >= 3:
-        # the ball of radius (r - 1) // 2 around each point, in the order of
-        # allowed; below r = 3 each ball is its centre alone, never a witness set
+        # the ball of radius (r - 1) // 2 around each point, in the order of ix;
+        # below r = 3 each ball is its centre alone, never a witness set
         centre, member = _near_pairs(dist, ix, (r - 1) // 2 + 1, upper=False)
-        ends = np.cumsum(np.bincount(centre, minlength=len(ix))).tolist()
-        members = list(map(allowed.__getitem__, member.tolist()))
-        sets = list(dict.fromkeys(
-            tuple(members[a:b]) for a, b in zip([0, *ends[:-1]], ends) if b - a >= 2
-        ))
+        count = np.bincount(centre, minlength=len(ix))
+        # one row per ball, padded by -1 and never zero-wide; the first of equal rows is kept
+        head = np.cumsum(count) - count
+        padded = np.full((len(ix), count.max(initial=0) + 1), -1)
+        padded[centre, np.arange(len(centre)) - head[centre]] = member
+        first_of_equal = np.unique(padded, axis=0, return_index=True)[1]
+        keep = (count >= 2) & np.isin(np.arange(len(ix)), first_of_equal)
+        sizes.append(count[keep])
+        parts.append(member[np.repeat(keep, count)])
+        two = head[keep & (count == 2)]
+        ball_pairs = member[two] * len(ix) + member[two + 1]
     if mode in ("pairs", "balls+pairs"):
         k, m = _near_pairs(dist, ix, r, upper=True)
-        pairs = zip(map(allowed.__getitem__, k.tolist()), map(allowed.__getitem__, m.tolist()))
-        seen = {C for C in sets if len(C) == 2}  # pairs that are balls too
-        sets += [C for C in pairs if C not in seen] if seen else pairs
+        fresh = ~np.isin(k * len(ix) + m, ball_pairs)  # pairs that are balls too are listed once
+        sizes.append(np.full(int(fresh.sum()), 2))
+        parts.append(np.column_stack([k[fresh], m[fresh]]).ravel())
     if mode == "all":
-        if len(allowed) > MAX_ALL_POINTS:
+        if len(ix) > MAX_ALL_POINTS:
             raise InvalidArgumentError(
-                f"mode 'all' over {len(allowed)} points exceeds the cap of"
+                f"mode 'all' over {len(ix)} points exceeds the cap of"
                 f" {MAX_ALL_POINTS}; use balls+pairs"
             )
         near = np.triu(dist[np.ix_(ix, ix)] < r, 1)
         # grow the cliques of `near` one point at a time: extending each
         # k-subset, in lexicographic order, by the larger indices near all its
         # members gives the (k+1)-subsets in lexicographic order
-        cliques = np.arange(len(allowed))[:, None]
+        cliques = np.arange(len(ix))[:, None]
         common = near
         while len(cliques):
             parent, last = np.nonzero(common)
             cliques = np.column_stack([cliques[parent], last])
             common = common[parent] & near[last]
-            sets += [tuple(map(allowed.__getitem__, combo)) for combo in cliques.tolist()]
-    return sets
+            sizes.append(np.full(len(cliques), cliques.shape[1]))
+            parts.append(cliques.ravel())
+    starts = np.cumsum(np.concatenate([[0], *sizes]), dtype=np.int64)
+    return starts, ix[np.concatenate([np.zeros(0, dtype=np.int64), *parts])]
 
 
 # entries of one (rows, dim) array in a batch of the array checks (32 KB of
@@ -451,7 +455,7 @@ def _segments(weights, budget: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def _shared_points(sizes, at_point, by_point, rank):
+def _shared_points(starts, owner, at_point, by_point, rank):
     """Member rows ``(a, b)`` of one point in two sets, a's set before b's.
 
     Yielded a segment of sets at a time, by a's row; ``at_point`` counts the
@@ -459,10 +463,9 @@ def _shared_points(sizes, at_point, by_point, rank):
     of every set holding the point, sets ascending), and ``rank`` is each
     row's place there.
     """
-    ends = np.cumsum(sizes)
-    weights = np.bincount(np.repeat(np.arange(len(sizes)), sizes), weights=at_point)
+    weights = np.bincount(owner, weights=at_point)
     for first, stop in _segments(weights, _BATCH_ENTRIES):
-        rows = np.arange(ends[first] - sizes[first], ends[stop - 1])
+        rows = np.arange(starts[first], starts[stop])
         source, step = _fan_out(at_point[rows])
         a = rows[source]
         yield a, by_point[rank[a] + step]
@@ -568,30 +571,31 @@ def verify_fce(
     mismatch, ``_overlap_sweep`` makes it and names the violations.
     """
     _check_tolerance(tolerance)
+    excluded = fib.excluded(r)  # refuses r < 1
+    if mode not in MODES:
+        raise InvalidArgumentError(f"unknown mode {mode!r}")
     space = fib.space
     dist = space.distance_matrix()
     bounds = _control_bounds(rho_minus, rho_plus, int(dist.max(initial=0)))
-    if r < 1:
-        raise InvalidArgumentError(f"scale must be >= 1, got {r}")
-    K = fib.excluded(r)
-    allowed = [pt for pt in space.points() if pt not in K]
-    sets = _candidate_sets(space, allowed, dist, r, mode)
-    # one row per (set, point): sets in order, points sorted within a set
-    members = [pt for C in sets for pt in C]
-    stack, moved = fib.trivialize(sets, r)
-    where = space.point_indices(members)
-    sizes = np.array([len(C) for C in sets], dtype=np.int64)
-    ends = np.cumsum(sizes)
-    owner = np.repeat(np.arange(len(sets)), sizes)
+    # one row per member: sets in order, points ascending within a set
+    starts, where = _candidate_sets(np.flatnonzero(~excluded), dist, r, mode)
+    stack, moved = fib.trivialize(starts, where, r)
+    owner = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
     budget = max(1, _BATCH_ENTRIES // max(fib.dim, 1))
     # rows after each row within its set, and in its point's incidence list
     # (the rows of every set holding the point, sets ascending)
-    in_set = ends[owner] - np.arange(len(members)) - 1
+    in_set = starts[1:][owner] - np.arange(len(where)) - 1
     by_point = np.lexsort((owner, where))
     rank = np.empty_like(by_point)
-    rank[by_point] = np.arange(len(members))
+    rank[by_point] = np.arange(len(where))
     holders = np.unique(where, return_counts=True)[1]
-    at_point = (np.repeat(np.cumsum(holders), holders) - np.arange(len(members)) - 1)[rank]
+    at_point = (np.repeat(np.cumsum(holders), holders) - np.arange(len(where)) - 1)[rank]
+
+    def named(rows) -> tuple:  # the points of member rows, as a report prints them
+        return tuple(map(space.points().__getitem__, where[rows].tolist()))
+
+    def set_at(row) -> tuple:  # the points of the set holding member row ``row``
+        return named(slice(*starts[owner[row] : owner[row] + 2]))
 
     sandwich_witnesses = []
     sandwich_pairs = 0
@@ -606,13 +610,13 @@ def verify_fce(
         bad = ~((lo - tolerance <= nrm) & (nrm <= hi + tolerance))  # NaN fails closed
         sandwich_pairs += len(t)
         sandwich_witnesses += [
-            (sets[owner[m]], members[m], members[n], d, norm, low, high)
+            (set_at(m), *named([m, n]), d, norm, low, high)
             for m, n, d, norm, low, high in zip(*(c[bad].tolist() for c in (u, v, t, nrm, lo, hi)))
         ]
 
     overlap_pairs = vacuous = 0
-    for a, b in _shared_points(sizes, at_point, by_point, rank):
-        size = np.unique(owner[a] * len(sets) + owner[b], return_counts=True)[1]
+    for a, b in _shared_points(starts, owner, at_point, by_point, rank):
+        size = np.unique(owner[a] * len(starts) + owner[b], return_counts=True)[1]
         overlap_pairs += int((size > 1).sum())
         vacuous += int((size == 1).sum())
     overlap_witnesses = []
@@ -622,22 +626,22 @@ def verify_fce(
         # sweep's comparisons are exact too
         exact = _exact(stack.translation)
         if not (exact and _certified(stack, inverse, where, by_point, in_set, budget)):
-            shared = _shared_points(sizes, at_point, by_point, rank)
+            shared = _shared_points(starts, owner, at_point, by_point, rank)
             overlap_witnesses = [
-                (sets[owner[a]], sets[owner[b]], members[a], members[x])
+                (set_at(a), set_at(b), *named([a, x]))
                 for a, b, x in _overlap_sweep(stack, inverse, shared, owner, where, tolerance, budget)
             ]
 
     notes = []
-    if not sets:
+    if len(starts) == 1:
         notes.append("no witness sets at this scale; both conditions hold vacuously")
     return FceReport(
         passed=not sandwich_witnesses and not overlap_witnesses,
         r=r,
         mode=mode,
         tolerance=tolerance,
-        set_count=len(sets),
-        excluded_count=len(K),
+        set_count=len(starts) - 1,
+        excluded_count=int(excluded.sum()),
         sandwich_pairs=sandwich_pairs,
         overlap_pairs=overlap_pairs,
         vacuous_overlaps=vacuous,

@@ -41,15 +41,30 @@ def canonical_word(q, x: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def stacked(serve_one, dim: int):
+def pack(space, sets):
+    """The packed ``(starts, members)`` of sets of ``BoxPoint``s, which
+    ``space.point_indices`` looks up (and refuses a stranger of)."""
+    sets = [tuple(C) for C in sets]
+    starts = np.cumsum([0, *map(len, sets)], dtype=np.int64)
+    return starts, space.point_indices([pt for C in sets for pt in C])
+
+
+def unpack(space, starts, members) -> list[tuple]:
+    """The sets of a packed batch, as tuples of ``BoxPoint``s."""
+    points = [space.points()[k] for k in members.tolist()]
+    return [tuple(points[a:b]) for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
+
+
+def stacked(space, serve_one, dim: int):
     """The stacked trivialization contract over an oracle serving one set as a dict.
 
-    ``serve_one(C, r)`` maps each point of ``C`` to an ``AffineIsometry``.
+    ``serve_one(C, r)`` maps each point of the tuple of ``BoxPoint``s ``C`` to
+    an ``AffineIsometry``; the packed batch is unpacked over ``space``.
     """
 
-    def serve(sets, r):
+    def serve(starts, members, r):
         isos = []
-        for C in sets:
+        for C in unpack(space, starts, members):
             triv = serve_one(C, r)
             isos.extend(triv[pt] for pt in C)
         return stack_of(isos, dim)
@@ -60,7 +75,7 @@ def stacked(serve_one, dim: int):
 def served_dict(fib, C, r) -> dict:
     """The rows ``fib`` serves for the one set ``C``, as a dict of ``AffineIsometry``."""
     C = tuple(C)
-    stack, _ = fib.trivialize([C], r)
+    stack, _ = fib.trivialize(*pack(fib.space, [C]), r)
     return {pt: row_isometry(fib.p, stack, k) for k, pt in enumerate(C)}
 
 
@@ -107,7 +122,7 @@ def non_finite_translations(data, base, points):
         dim=base.dim,
         section=base.section,
         exclusion=base.exclusion,
-        trivialization=stacked(serve, base.dim),
+        trivialization=stacked(base.space, serve, base.dim),
     )
 
 
@@ -211,3 +226,13 @@ def deep_space(deep_chain):
 def torus_chain():
     # Z^2 -> (Z/4)^2 -> (Z/8)^2 -> (Z/16)^2
     return cyclic_chain(4, 8, 16, rank=2)
+
+
+@pytest.fixture(scope="session")
+def torus_space(torus_chain):
+    return bl.assemble_box_space(torus_chain)
+
+
+@pytest.fixture(scope="session")
+def z16_space():
+    return bl.assemble_box_space(cyclic_chain(16))

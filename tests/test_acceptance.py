@@ -138,7 +138,7 @@ def test_criterion_6_localized_cocycles(line_fibrations, dyadic_space, record_cr
     f = bl.linf_embedding(dyadic_space)
     loc = bl.local_cocycle_from_fce(bl.trivial_fibration(f), 2)
     q = loc.carrier.quotient
-    rows = np.stack([f.table[bl.BoxPoint(1, z)] for z in q.elements()])
+    rows = np.stack([f(bl.BoxPoint(1, z)) for z in q.elements()])
     _, avg = bl.averaged_cocycle(rows, q, f.p)
     lives = [x for x in q.elements() if loc.live(x)]
     ok = ok and sorted(lives) == [0, 1, 7]
@@ -234,7 +234,7 @@ def test_criterion_11_mutation_detection(line_fibrations, record_criterion):
     base = line_fibrations[1.0]
     space = base.space
     dist = space.distance_matrix()
-    allowed = [pt for pt in space.points() if pt not in base.excluded(5)]
+    allowed = [pt for pt, out in zip(space.points(), base.excluded(5)) if not out]
     balls = sorted(
         {
             tuple(
@@ -269,7 +269,7 @@ def test_criterion_11_mutation_detection(line_fibrations, record_criterion):
             dim=base.dim,
             section=base.section,
             exclusion=base.exclusion,
-            trivialization=stacked(corrupt, base.dim),
+            trivialization=stacked(space, corrupt, base.dim),
             note="one sign flipped",
         )
         report = bl.verify_fce(

@@ -5,6 +5,7 @@ import gc
 import io
 import itertools
 import json
+import math
 import os
 import random
 import shutil
@@ -23,6 +24,7 @@ from boxlab import cli, fibration
 from boxlab.boxspace import assemble_box_space, box_distance, format_point
 from boxlab.chainspec import load_chain
 from boxlab.cli import main
+from boxlab.embedding import CoarseEmbeddingMap
 from boxlab.errors import SpecFormatError
 from conftest import sl2_chain_spec
 
@@ -338,6 +340,25 @@ class TestEmbeddingCsvReader:
         path.write_text("\n".join(lines) + "\n")
         return cli._read_embedding_csv(path, space)
 
+    @pytest.mark.parametrize(
+        "late",
+        [None, 1.0, 300.0, 70000.0, 2.0**40, 0.5, -0.0],
+        ids=["int8", "int8-late", "int16-late", "int32-late", "float-large", "fraction", "minus-zero"],
+    )
+    def test_dtype_is_the_whole_matrix_dtype(self, tmp_path, dumped, late, monkeypatch):
+        """Rows narrowed as they arrive, backwards so the last point's row comes first:
+        the dtype and every value are those of the whole float64 matrix narrowed once."""
+        space, lines = dumped
+        mat = np.array([[float(v) for v in ln.split(",")[2:]] for ln in lines[2:]])
+        if late is not None:
+            mat[3, 1] = late  # a row read late in the backwards order
+        body = [f"{pt.level},{pt.element},{','.join(map(repr, row.tolist()))}"
+                for pt, row in zip(space.points(), mat)][::-1]
+        want = CoarseEmbeddingMap(space, math.inf, mat.shape[1], mat)
+        f = self.read(tmp_path, space, lines[:2] + body)
+        assert f.matrix().dtype == want.matrix().dtype
+        assert f.matrix().tobytes() == want.matrix().tobytes()
+
     def test_rows_in_any_order(self, tmp_path, dumped):
         space, lines = dumped
         body = lines[2:]
@@ -360,6 +381,22 @@ class TestEmbeddingCsvReader:
         body = lines[2:][::-1] + [lines[2]]
         with pytest.raises(SpecFormatError, match=r"line 31: duplicate row for point L0:0$"):
             self.read(tmp_path, space, lines[:2] + body)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_line_numbers_follow_splitlines(self, tmp_path, dumped, newline):
+        """A file separator ends a logical line, and a form feed inside a row splits
+        it in two; messages number the logical lines of the whole text's splitlines."""
+        space, lines = dumped
+        body = lines[2:]
+        body[1] += "\x1c"  # one more, empty, logical line
+        body[4] = body[4].replace(",", ",\x0c", 1)  # "<level>," then the rest of the row
+        text = newline.join(lines[:2] + body) + newline
+        path = tmp_path / "map.csv"
+        path.write_bytes(text.encode())
+        line = text.splitlines().index(body[4].split("\x0c")[0]) + 1
+        assert line == 2 + 4 + 2  # the header lines, the rows before, the separator's line
+        with pytest.raises(SpecFormatError, match=rf"map.csv, line {line}: row has 2 fields"):
+            cli._read_embedding_csv(path, space)
 
     def test_huge_dim_allocates_nothing(self, tmp_path, dumped):
         # a (28, 10^11) float64 matrix would be 22 TB
@@ -439,10 +476,11 @@ class TestEmbeddingCsvReader:
             tracemalloc.stop()
         assert f.matrix().dtype == np.int16
         assert list(cli._embedding_lines(f)) == path.read_text().splitlines()
-        # one float64 matrix and the file's lines, each once, with room for a row in
-        # flight: a dict of row vectors stacked into a second matrix, or the lines
-        # kept while the map narrows the matrix, would not fit
-        assert peak < n * n * 8 + 1.5 * path.stat().st_size
+        # the file is read a line at a time into a matrix held in the narrowest exact
+        # dtype of the rows so far (int8, then int16 from a row that needs it), which
+        # the map takes with no copy: a float64 matrix (8 n^2), a dict of row vectors
+        # stacked into a second matrix, or the file's text would not fit
+        assert peak < n * n * (1 + 2) + path.stat().st_size / 8
 
     def test_dumping_the_line_streams_its_rows(self, line_dump, tmp_path):
         space, path = line_dump

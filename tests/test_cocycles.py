@@ -360,7 +360,7 @@ class TestLocalFromFibration:
             dim=1,
             section=base.section,
             exclusion=base.exclusion,
-            trivialization=stacked(corrupted, 1),
+            trivialization=stacked(deep_space, corrupted, 1),
         )
         with pytest.raises(ActionCheckError):
             bl.local_cocycle_from_fce(fib, r)
@@ -661,7 +661,7 @@ def test_inconsistent_oracle_names_first_blocks(make_chain, moduli, rank, r, see
         dim=rank,
         section=base.section,
         exclusion=base.exclusion,
-        trivialization=stacked(corrupted, rank),
+        trivialization=stacked(space, corrupted, rank),
     )
     z, zx = _first_inconsistent_blocks(fib, r, level)
     with pytest.raises(ActionCheckError, match=rf"\(blocks {z}, {zx}\)$"):

@@ -70,8 +70,8 @@ class TestFiniteBoundary:
                 p=math.inf,
                 dim=len(section[first]),
                 section=section,
-                exclusion=lambda r: frozenset(),
-                trivialization=lambda sets, r: None,
+                exclusion=lambda r: None,
+                trivialization=lambda starts, members, r: None,
             )
 
     @given(st.data())
@@ -270,10 +270,9 @@ class TestEmbeddingMaps:
         plane = bl.cycle_plane_embedding(space, p)
         torus = bl.torus_coordinate_embedding(space, p)
         assert (plane.p, plane.dim) == (torus.p, torus.dim) == (p, 2)
-        assert list(plane.table) == list(torus.table) == space.points()
-        for pt, v in plane.table.items():
+        assert plane.matrix().tobytes() == torus.matrix().tobytes()
+        for pt, v in zip(space.points(), plane.matrix()):
             angle = 2.0 * math.pi * pt.element / space.chain.levels[pt.level].moduli[0]
-            assert v.tobytes() == torus.table[pt].tobytes()
             assert v.tolist() == [math.cos(angle), math.sin(angle)]
 
     def test_torus_embedding_dimension(self, torus_chain):
@@ -305,13 +304,16 @@ class TestEmbeddingMaps:
         mat = f.matrix()
         assert mat.dtype == dtype and not mat.flags.writeable
         assert mat is f.matrix()
-        assert list(f.table) == dyadic_space.points()
-        assert mat.tobytes() == np.vstack([f.table[pt] for pt in dyadic_space.points()]).tobytes()
-        assert all(f(pt) is f.table[pt] for pt in dyadic_space.points())
+        # the matrix is the map's one form: no second copy keyed by point
+        assert not any(isinstance(v, dict) for v in vars(f).values())
+        for k, pt in enumerate(dyadic_space.points()):
+            assert np.shares_memory(f(pt), mat) and f(pt).tobytes() == mat[k].tobytes()
         with pytest.raises(ValueError):
             mat[0, 0] = 1.0
         with pytest.raises(ValueError):
-            f.table[dyadic_space.points()[0]][0] = 1.0
+            f(dyadic_space.points()[0])[0] = 1.0
+        with pytest.raises(ValueError, match="^L3:0 is not a point of the space$"):
+            f(bl.BoxPoint(3, 0))
 
     def test_table_is_copied(self, dyadic_space):
         table = {pt: np.zeros(1) for pt in dyadic_space.points()}
@@ -325,7 +327,7 @@ class TestEmbeddingMaps:
         # read-only for the map, and still writeable for its owner
         assert np.shares_memory(f.matrix(), mat) and not f.matrix().flags.writeable
         assert mat.flags.writeable
-        assert all(np.shares_memory(f.table[pt], mat) for pt in dyadic_space.points())
+        assert all(np.shares_memory(f(pt), mat) for pt in dyadic_space.points())
         # a mapping with the same rows, in any order, gives an equal matrix of its own
         rows = dict(zip(dyadic_space.points(), mat.copy()))
         g = bl.CoarseEmbeddingMap(dyadic_space, math.inf, mat.shape[1], dict(reversed(rows.items())))

@@ -23,12 +23,14 @@ from conftest import (
     cyclic_chain,
     non_finite_controls,
     non_finite_translations,
+    pack,
     served_dict,
     sl2_chain_spec,
     stacked,
     twisted_action,
     twisted_rule,
     unchecked_map,
+    unpack,
 )
 from scalar_isometry import (
     AffineIsometry,
@@ -78,13 +80,9 @@ class TestTrivialFibration:
     def test_section_is_one_read_only_matrix(self, dyadic_space):
         f = bl.linf_embedding(dyadic_space)
         fib = bl.trivial_fibration(f)
-        rows = fib._section.matrix()
-        # the embedding's own matrix, not a copy, held as a map whose table is the section
+        rows = fib.section
+        # the embedding's own matrix, not a copy, held read-only
         assert np.shares_memory(rows, f.matrix()) and not rows.flags.writeable
-        assert fib.section is fib._section.table
-        for k, pt in enumerate(dyadic_space.points()):
-            assert np.shares_memory(fib.section[pt], rows)
-            assert np.array_equal(fib.section[pt], rows[k])
         with pytest.raises(ValueError, match=r"^matrix has shape \(28, 27\), expected \(28, 28\)$"):
             bl.FibredEmbedding(
                 dyadic_space, f.p, f.dim, f.matrix()[:, 1:], fib.exclusion, fib.trivialization
@@ -135,30 +133,34 @@ class TestProperActionFibration:
 
     def test_exclusion_tracks_radius(self, deep_chain, deep_space):
         fib = bl.from_proper_action(deep_space, bl.translation_action(1, 2.0))
+        levels = np.array([pt.level for pt in deep_space.points()])
         for r in (1, 2, 3, 5):
             K = fib.excluded(r)
             shallow = {
                 i for i in range(deep_chain.level_count()) if deep_chain.radius(i) < 2 * r
             }
-            assert {pt.level for pt in K} == shallow
+            assert K.dtype == bool and set(levels[K].tolist()) == shallow
+        with pytest.raises(InvalidArgumentError, match="^scale must be >= 1, got 0$"):
+            fib.excluded(0)
 
     def test_serving_contract(self, deep_space):
         fib = bl.from_proper_action(deep_space, bl.translation_action(1, 2.0))
         # a set reaching beyond the scale from its first point is refused
         far = (BoxPoint(5, 0), BoxPoint(5, 20))
         with pytest.raises(MissingTrivializationError, match="^set reaches 20 from its first point"):
-            fib.trivialize([far], 3)
+            fib.trivialize(*pack(deep_space, [far]), 3)
         # cross-level sets are refused
         with pytest.raises(MissingTrivializationError, match=r"spans levels \[4, 5\]"):
-            fib.trivialize([(BoxPoint(4, 0), BoxPoint(5, 0))], 3)
+            fib.trivialize(*pack(deep_space, [(BoxPoint(4, 0), BoxPoint(5, 0))]), 3)
         # shallow levels are refused at large scales
         with pytest.raises(MissingTrivializationError, match="level 0 is excluded at scale 3"):
-            fib.trivialize([(BoxPoint(0, 0), BoxPoint(0, 1))], 3)
-        # points outside the space and empty sets never reach the oracle
+            fib.trivialize(*pack(deep_space, [(BoxPoint(0, 0), BoxPoint(0, 1))]), 3)
+        # points outside the space are refused as they are packed, and empty
+        # sets never reach the oracle
         with pytest.raises(ValueError, match="L6:0 is not a point of the space"):
-            fib.trivialize([(BoxPoint(6, 0),)], 3)
+            fib.trivialize(*pack(deep_space, [(BoxPoint(6, 0),)]), 3)
         with pytest.raises(ValueError, match="empty set"):
-            fib.trivialize([()], 3)
+            fib.trivialize(*pack(deep_space, [()]), 3)
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -182,11 +184,11 @@ class TestProperActionFibration:
             dim=1,
             section=base.section,
             exclusion=base.exclusion,
-            trivialization=lambda sets, r: corrupt(base.trivialization(sets, r)),
+            trivialization=lambda starts, members, r: corrupt(base.trivialization(starts, members, r)),
         )
         ball = (BoxPoint(4, 6), BoxPoint(4, 7), BoxPoint(4, 8))
         with pytest.raises(ValueError, match=message):
-            fib.trivialize([ball], 3)
+            fib.trivialize(*pack(deep_space, [ball]), 3)
         lo, hi = identity_pair(12)
         with pytest.raises(ValueError, match="oracle returned"):
             bl.verify_fce(fib, 3, lo, hi)
@@ -233,11 +235,11 @@ class TestProperActionFibration:
 class TestVerifierMechanics:
     def test_candidate_balls_and_pairs(self, make_chain):
         space = bl.assemble_box_space(make_chain(8))
-        allowed = space.points()
+        ix = np.arange(space.point_count())
         dist = space.distance_matrix()
-        balls = _candidate_sets(space, allowed, dist, 5, "balls")
+        balls = unpack(space, *_candidate_sets(ix, dist, 5, "balls"))
         assert all(len(C) == 5 for C in balls)  # radius-2 balls in Z/8
-        pairs = _candidate_sets(space, allowed, dist, 3, "pairs")
+        pairs = unpack(space, *_candidate_sets(ix, dist, 3, "pairs"))
         assert all(len(C) == 2 for C in pairs)
         assert {tuple(sorted((x.element, y.element))) for x, y in pairs} == {
             (a, b) for a in range(8) for b in range(8) if a < b
@@ -318,7 +320,7 @@ class TestVerifierMechanics:
             dim=1,
             section=base.section,
             exclusion=base.exclusion,
-            trivialization=stacked(corrupted, 1),
+            trivialization=stacked(deep_space, corrupted, 1),
         )
         lo, hi = identity_pair(12)
         report = bl.verify_fce(fib, 5, lo, hi, mode="balls")
@@ -392,15 +394,14 @@ def _gauged(base, rate, tol=1e-9):
         dim=dim,
         section=base.section,
         exclusion=base.exclusion,
-        trivialization=stacked(serve, dim),
+        trivialization=stacked(base.space, serve, dim),
     )
 
 
 def _brute_force_report(fib, r, rho_minus, rho_plus, mode, tol=1e-9):
     """Both conditions by definition: scalar distances and per-point isometry algebra."""
     space = fib.space
-    excluded = fib.excluded(r)
-    allowed = [pt for pt in space.points() if pt not in excluded]
+    allowed = [pt for pt, out in zip(space.points(), fib.excluded(r)) if not out]
     d = space.distance
     sets, seen = [], set()
 
@@ -425,7 +426,7 @@ def _brute_force_report(fib, r, rho_minus, rho_plus, mode, tol=1e-9):
 
     sandwich, sandwich_pairs = [], 0
     for C, triv in zip(sets, trivs):
-        moved = {pt: triv[pt].apply(fib.section[pt]) for pt in C}
+        moved = {pt: triv[pt].apply(fib.section[space.point_index(pt)]) for pt in C}
         for x, y in itertools.combinations(C, 2):
             t = d(x, y)
             nrm = float(bl.lp_norm(moved[x] - moved[y], fib.p))
@@ -568,7 +569,7 @@ class TestReportOracle:
             dim=gauged.dim,
             section=gauged.section,
             exclusion=gauged.exclusion,
-            trivialization=stacked(serve, gauged.dim),
+            trivialization=stacked(space, serve, gauged.dim),
         )
         lo, hi = identity_pair(space.diameter())
         whole = bl.verify_fce(fib, 4, lo, hi, mode="all")
@@ -682,7 +683,7 @@ def _corrupted(base, kind, seed, rate):
         dim=dim,
         section=base.section,
         exclusion=base.exclusion,
-        trivialization=stacked(serve, dim),
+        trivialization=stacked(base.space, serve, dim),
     )
 
 
@@ -792,12 +793,12 @@ class TestOverlapCertificate:
             (x, y, z): [1.0, 2.0**54, 0.0],
         }
 
-        def serve(sets, r):
-            rows = np.array([v for C in sets for v in shifts[C]])[:, None]
+        def serve(starts, members, r):
+            rows = np.array([v for C in unpack(space, starts, members) for v in shifts[C]])[:, None]
             return IsometryStack.identity(len(rows), 1)._replace(translation=rows)
 
         fib = bl.FibredEmbedding(
-            space, 1.0, 1, np.zeros((3, 1)), lambda r: frozenset(), serve
+            space, 1.0, 1, np.zeros((3, 1)), lambda r: np.zeros(3, dtype=bool), serve
         )
         lo, hi = identity_pair(space.diameter())
         report = bl.verify_fce(fib, 2, lo, hi, mode="all")
@@ -888,9 +889,9 @@ def reference_serve(space, action):
     return serve
 
 
-def _outcome(serve, sets, r):
+def _outcome(serve, space, sets, r):
     try:
-        return serve(sets, r)
+        return serve(*pack(space, sets), r)
     except MissingTrivializationError as exc:
         return str(exc)
 
@@ -930,8 +931,8 @@ class TestStackedServing:
             if data.draw(st.integers(0, 29)) == 0:
                 C.append(BoxPoint((i + 1) % len(moduli), 0))
             sets.append(tuple(C))
-        want = _outcome(stacked(reference_serve(space, action), action.dim), sets, r)
-        got = _outcome(fib.trivialization, sets, r)
+        want = _outcome(stacked(space, reference_serve(space, action), action.dim), space, sets, r)
+        got = _outcome(fib.trivialization, space, sets, r)
         if isinstance(want, str):
             assert got == want
         else:
@@ -1035,6 +1036,46 @@ def per_point_candidate_sets(space, allowed, dist, r, mode):
     return sets
 
 
+def tuple_candidate_sets(space, allowed, dist, r, mode):
+    """The witness sets as tuples of ``BoxPoint``s, enumerated as before they were
+    packed: each ball, pair and clique is named point by point, balls are
+    deduplicated as tuples and pairs that are balls too are dropped by tuple."""
+    ix = space.point_indices(allowed)
+    sets = []
+    if mode in ("balls", "balls+pairs") and r >= 3:
+        centre, member = fibration._near_pairs(dist, ix, (r - 1) // 2 + 1, upper=False)
+        ends = np.cumsum(np.bincount(centre, minlength=len(ix))).tolist()
+        members = list(map(allowed.__getitem__, member.tolist()))
+        sets = list(dict.fromkeys(
+            tuple(members[a:b]) for a, b in zip([0, *ends[:-1]], ends) if b - a >= 2
+        ))
+    if mode in ("pairs", "balls+pairs"):
+        k, m = fibration._near_pairs(dist, ix, r, upper=True)
+        pairs = zip(map(allowed.__getitem__, k.tolist()), map(allowed.__getitem__, m.tolist()))
+        seen = {C for C in sets if len(C) == 2}
+        sets += [C for C in pairs if C not in seen]
+    if mode == "all":
+        if len(allowed) > fibration.MAX_ALL_POINTS:
+            raise InvalidArgumentError(
+                f"mode 'all' over {len(allowed)} points exceeds the cap of"
+                f" {fibration.MAX_ALL_POINTS}; use balls+pairs"
+            )
+        near = np.triu(dist[np.ix_(ix, ix)] < r, 1)
+        cliques = np.arange(len(allowed))[:, None]
+        common = near
+        while len(cliques):
+            parent, last = np.nonzero(common)
+            cliques = np.column_stack([cliques[parent], last])
+            common = common[parent] & near[last]
+            sets += [tuple(map(allowed.__getitem__, combo)) for combo in cliques.tolist()]
+    return sets
+
+
+def listed_sets(space, allowed, dist, r, mode):
+    """``_candidate_sets`` over the points ``allowed``, unpacked into tuples."""
+    return unpack(space, *_candidate_sets(space.point_indices(allowed), dist, r, mode))
+
+
 def _sl2_space():
     """The relabelled SL2(Z/3), SL2(Z/9) chain of the benchmark corpus at seed 1."""
     return bl.assemble_box_space(bl.parse_chain(sl2_chain_spec(1)))
@@ -1050,7 +1091,8 @@ def witness_spaces():
 
 
 class TestArrayWitnessSets:
-    """``_candidate_sets`` against the per-point loops it replaced."""
+    """The packed ``_candidate_sets`` against the per-point loops and the tuple
+    enumeration it replaced."""
 
     @pytest.mark.parametrize("name", ["torus", "line", "sl2"])
     @pytest.mark.parametrize("exclusion", ["none", "shallow", "random"])
@@ -1071,22 +1113,124 @@ class TestArrayWitnessSets:
                 # blocks of one row, of a few rows, and of the default size
                 for entries in (1, 4 * len(allowed), fibration._BLOCK_ENTRIES):
                     monkeypatch.setattr(fibration, "_BLOCK_ENTRIES", entries)
-                    assert _candidate_sets(space, allowed, dist, r, mode) == want, (r, mode)
+                    assert listed_sets(space, allowed, dist, r, mode) == want, (r, mode)
                 monkeypatch.undo()
+
+    @pytest.mark.parametrize("space", ["dyadic_space", "torus_space", "z16_space"])
+    @pytest.mark.parametrize("mode", fibration.MODES)
+    def test_matches_the_tuple_enumeration(self, request, space, mode):
+        space = request.getfixturevalue(space)
+        dist = space.distance_matrix()
+        allowed = space.points()
+        for r in range(1, 7):
+            if mode == "all" and len(allowed) > fibration.MAX_ALL_POINTS:
+                message = f"^mode 'all' over {len(allowed)} points exceeds the cap"
+                for enumerate_sets in (tuple_candidate_sets, listed_sets):
+                    with pytest.raises(InvalidArgumentError, match=message):
+                        enumerate_sets(space, allowed, dist, r, mode)
+                continue
+            want = tuple_candidate_sets(space, allowed, dist, r, mode)
+            starts, members = _candidate_sets(np.arange(len(allowed)), dist, r, mode)
+            assert starts.dtype == members.dtype == np.int64
+            assert starts[0] == 0 and starts[-1] == len(members)
+            assert unpack(space, starts, members) == want, r
 
     def test_size_two_balls_are_not_repeated_as_pairs(self, make_chain):
         # Z/2: the ball of radius 1 is the pair {0, 1}; Z/8 adds pairs of its own
         space = bl.assemble_box_space(make_chain(2, 8))
         dist = space.distance_matrix()
-        sets = _candidate_sets(space, space.points(), dist, 3, "balls+pairs")
+        sets = listed_sets(space, space.points(), dist, 3, "balls+pairs")
         assert len(sets) == len(set(sets))
         assert sets == per_point_candidate_sets(space, space.points(), dist, 3, "balls+pairs")
         assert (BoxPoint(0, 0), BoxPoint(0, 1)) in sets
 
     def test_no_allowed_points(self, witness_spaces):
         space = witness_spaces["line"]
-        for mode in ("balls", "pairs", "balls+pairs", "all"):
-            assert _candidate_sets(space, [], space.distance_matrix(), 3, mode) == []
+        for mode in fibration.MODES:
+            starts, members = _candidate_sets(np.zeros(0, dtype=np.int64), space.distance_matrix(), 3, mode)
+            assert starts.tolist() == [0] and members.tolist() == []
+
+
+class TestPackedBatches:
+    """A packed batch is checked once, before the oracle runs, and a passing check
+    names no point."""
+
+    @pytest.mark.parametrize(
+        "starts, members, message",
+        [
+            ([1, 3], [0, 1, 2], r"^set starts do not run up from 0 to 3 members$"),
+            ([0, 2], [0, 1, 2], r"^set starts do not run up from 0 to 3 members$"),
+            ([0, 3, 2, 3], [0, 1, 2], r"^set starts do not run up from 0 to 3 members$"),
+            ([], [], r"^set starts do not run up from 0 to 0 members$"),
+            ([0, 2, 2, 3], [0, 1, 2], r"^cannot trivialize an empty set$"),
+            ([0, 2], [3, 28], r"^members must be point indices below 28$"),
+            ([0, 2], [-1, 3], r"^members must be point indices below 28$"),
+        ],
+        ids=["not-from-0", "short-of-the-end", "decreasing", "no-starts", "empty-set",
+             "past-the-end", "negative"],
+    )
+    def test_malformed_batches_never_reach_the_oracle(self, dyadic_space, starts, members, message):
+        def spy(*args):
+            raise AssertionError("the oracle ran")
+
+        n = dyadic_space.point_count()
+        fib = bl.FibredEmbedding(
+            dyadic_space, 1.0, 1, np.zeros((n, 1)), lambda r: np.zeros(n, dtype=bool), spy
+        )
+        with pytest.raises(ValueError, match=message):
+            fib.trivialize(np.array(starts, dtype=np.int64), np.array(members, dtype=np.int64), 2)
+
+    def test_exclusion_must_be_a_mask(self, dyadic_space):
+        base = bl.trivial_fibration(bl.linf_embedding(dyadic_space))
+        for exclusion in (lambda r: frozenset(), lambda r: np.zeros(27, dtype=bool),
+                          lambda r: np.zeros(28, dtype=np.int8)):
+            fib = bl.FibredEmbedding(
+                dyadic_space, base.p, base.dim, base.section, exclusion, base.trivialization
+            )
+            with pytest.raises(ValueError, match="^exclusion returned .*, not a mask of 28$"):
+                fib.excluded(2)
+
+    def test_passing_checks_name_no_point(self, deep_space, monkeypatch):
+        """The torus and the line, verified and localized with ``points()`` already
+        built: no ``BoxPoint`` is made, where localizing the line at r = 100 once
+        made one per ball member."""
+        made = []
+        new = BoxPoint.__new__
+
+        def counted(cls, *args):
+            made.append(args)
+            return new(cls, *args)
+
+        torus = bl.assemble_box_space(cyclic_chain(4, 8, 16, rank=2))
+        for space, fib, r in ((deep_space, _line_translation(deep_space, 1.0), 3),
+                              (torus, _torus_translation(torus, 2.0), 2)):
+            space.points()
+            ctrl = bl.norm_equivalence_controls(range(space.diameter() + 1), fib.dim, fib.p)
+            monkeypatch.setattr(BoxPoint, "__new__", counted)
+            report = bl.verify_fce(fib, r, ctrl.rho_minus, ctrl.rho_plus)
+            coc = bl.local_cocycle_from_fce(fib, r)
+            monkeypatch.undo()
+            assert report.passed and report.set_count and coc.carrier.size
+        assert made == []
+
+    def test_refusals_come_before_the_distance_matrix(self):
+        """On the 1984-point line the distance matrix is 15.7 MB; a bad scale or mode
+        is refused first, and the scale before a decreasing control."""
+        space = bl.assemble_box_space(cyclic_chain(*(2**k for k in range(6, 11))))
+        fib = _line_translation(space, 1.0)
+        lo, hi = identity_pair(space.diameter())
+        for r, mode, message in ((0, "balls", r"^scale must be >= 1, got 0$"),
+                                 (2, "nope", r"^unknown mode 'nope'$")):
+            tracemalloc.start()
+            try:
+                with pytest.raises(InvalidArgumentError, match=message):
+                    bl.verify_fce(fib, r, lo, hi, mode=mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (r, mode, peak)
+        with pytest.raises(InvalidArgumentError, match=r"^scale must be >= 1, got 0$"):
+            bl.verify_fce(fib, 0, lo, {**hi, 1: 5.0})
 
 
 class TestFirstPointServing:
@@ -1105,7 +1249,7 @@ class TestFirstPointServing:
         sets = [(0, 2), (2, 0), tuple(ball), (17, *[x for x in ball if x != 17])]
         sets = [tuple(BoxPoint(2, x) for x in C) for C in sets]
         assert q.cayley_distance(0, 2) == 2
-        stack, _ = fib.trivialize(sets, 3)
+        stack, _ = fib.trivialize(*pack(space, sets), 3)
         firsts = np.cumsum([0, *map(len, sets[:-1])])
         got = stack.take(firsts)
         for a, b in zip(got, IsometryStack.identity(len(sets), action.dim)):
@@ -1120,8 +1264,8 @@ class TestFirstPointServing:
             MissingTrivializationError,
             match=r"^set reaches 2 from its first point, not below scale 2$",
         ):
-            fib.trivialize([(BoxPoint(2, 5),), pair], 2)
-        stack, moved = fib.trivialize([(BoxPoint(2, 1), *pair)], 2)
+            fib.trivialize(*pack(space, [(BoxPoint(2, 5),), pair]), 2)
+        stack, moved = fib.trivialize(*pack(space, [(BoxPoint(2, 1), *pair)]), 2)
         assert np.array_equal(moved[:, 1], [0.0, 1.0, -1.0])
 
 

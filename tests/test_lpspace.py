@@ -235,11 +235,11 @@ def _fractional_trivialize(make_chain):
         dim=base.dim,
         section=base.section,
         exclusion=base.exclusion,
-        trivialization=lambda sets, r: _fractional(base.trivialization(sets, r)),
+        trivialization=lambda *batch: _fractional(base.trivialization(*batch)),
     )
     ctrl = bl.identity_controls(range(space.diameter() + 1))
     with pytest.raises(ValueError, match="^oracle returned a row that is not a signed permutation at L0:0$"):
-        fib.trivialize([space.points()[:2]], 2)
+        fib.trivialize([0, 2], [0, 1], 2)
     # an int64 cast read these rows as the identity, and the check passed
     with pytest.raises(ValueError, match="not a signed permutation"):
         bl.verify_fce(fib, 2, ctrl.rho_minus, ctrl.rho_plus)
